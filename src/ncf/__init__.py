@@ -32,7 +32,6 @@ from .transfer import (
 )
 from .rscc import (
     RsccSystem,
-    EventWord,
     TailSet,
     MealySystem,
     ContractionReport,

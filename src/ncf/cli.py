@@ -9,6 +9,7 @@ CSV.  Exit codes: 0 success, 2 usage/domain error, 3 compute-budget error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -106,17 +107,10 @@ def _cmd_invariance(args):
 
 
 def _cmd_transfer(args):
-    params = core.NcfParams(args.n)
-    gm = measure.GaussMeasure(params)
     f = transfer.GridFunction.from_callable(lambda x: x, args.grid)
-    c_f = transfer.integrate_against(f, gm)
-    rows = []
-    g = f
-    for k in range(1, args.nmax + 1):
-        g = transfer.apply_transfer(g, params)
-        sup_err = float(np.max(np.abs(g.values - c_f)))
-        lip_err = transfer.lipschitz_norm(transfer.GridFunction(g.values - c_f)).total
-        rows.append((k, sup_err, lip_err))
+    c_f, sup_errors, lip_errors = transfer.error_curves(f, core.NcfParams(args.n), args.nmax)
+    rows = [(k, float(e), float(lip)) for k, e, lip in
+            zip(range(1, args.nmax + 1), sup_errors, lip_errors)]
     payload = {"schema": f"ncf-transfer-v{SCHEMA_VERSION}", "n": args.n,
                "grid": args.grid, "limit_value": c_f,
                "curve": [{"step": r[0], "sup_error": r[1], "lipschitz_error": r[2]}
@@ -218,65 +212,70 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncf", description="N-continued-fraction experiments")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: a flag a command does not take, such as --n on
+    # rscc-mealy, must not be read as a prefix of one it does (--nmax)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def common(p, grid=1024, nmax=40, seed=0):
-        p.add_argument("--n", type=int, default=1, help="expansion parameter N")
-        p.add_argument("--grid", type=int, default=grid)
-        p.add_argument("--nmax", type=int, default=nmax)
-        p.add_argument("--seed", type=int, default=seed)
+    def flags(p, n=True, grid=None, nmax=None, seed=None):
+        """The flags a command reads; a flag whose default is None is absent."""
+        if n:
+            p.add_argument("--n", type=int, default=1, help="expansion parameter N")
+        for name, default in (("--grid", grid), ("--nmax", nmax), ("--seed", seed)):
+            if default is not None:
+                p.add_argument(name, type=int, default=default)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
 
-    p = sub.add_parser("expand", help="digit expansion of a point")
+    p = command("expand", help="digit expansion of a point")
     p.add_argument("--x", required=True, help="point in (0,1], 'p/q' or decimal")
     p.add_argument("--max-len", type=int, default=64)
-    common(p)
+    flags(p)
     p.set_defaults(fn=_cmd_expand)
 
-    p = sub.add_parser("eval", help="evaluate a finite digit sequence exactly")
+    p = command("eval", help="evaluate a finite digit sequence exactly")
     p.add_argument("--digits", required=True, help="comma-separated digits")
-    common(p)
+    flags(p)
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("digit-law", help="invariant law of the first digit")
-    common(p, grid=30)
+    p = command("digit-law", help="invariant law of the first digit")
+    flags(p, grid=30)
     p.set_defaults(fn=_cmd_digit_law)
 
-    p = sub.add_parser("invariance", help="kernel-integral invariance check")
-    common(p, grid=64)
+    p = command("invariance", help="kernel-integral invariance check")
+    flags(p, grid=64)
     p.set_defaults(fn=_cmd_invariance)
 
-    p = sub.add_parser("transfer", help="operator iteration error curve for f(x)=x")
-    common(p)
+    p = command("transfer", help="operator iteration error curve for f(x)=x")
+    flags(p, grid=1024, nmax=40)
     p.set_defaults(fn=_cmd_transfer)
 
-    p = sub.add_parser("gap", help="geometric-rate estimate for f(x)=x")
-    common(p, grid=2048, nmax=30)
+    p = command("gap", help="geometric-rate estimate for f(x)=x")
+    flags(p, grid=2048, nmax=30)
     p.set_defaults(fn=_cmd_gap)
 
-    p = sub.add_parser("gk", help="Gauss-Kuzmin experiment report")
+    p = command("gk", help="Gauss-Kuzmin experiment report")
     p.add_argument("--mu", default="lebesgue",
                    help="initial measure: lebesgue | gauss | tilted")
     p.add_argument("--require-fit", action="store_true",
                    help="fail (exit 4) if no geometric rate can be fitted")
-    common(p)
+    flags(p, grid=1024, nmax=40, seed=0)
     p.set_defaults(fn=_cmd_gk)
 
-    p = sub.add_parser("rscc-mealy", help="two-state Mealy machine")
+    p = command("rscc-mealy", help="two-state Mealy machine")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--dot", action="store_true", help="emit a GraphViz diagram")
-    common(p, nmax=1000)
+    flags(p, n=False, nmax=1000)
     p.set_defaults(fn=_cmd_rscc_mealy)
 
-    p = sub.add_parser("contraction", help="contraction-coefficient report")
+    p = command("contraction", help="contraction-coefficient report")
     p.add_argument("--kmax", type=int, default=2)
-    common(p, grid=512)
+    flags(p, grid=512, seed=0)
     p.set_defaults(fn=_cmd_contraction)
 
-    p = sub.add_parser("regularity", help="orbit witness of kernel-support collapse")
+    p = command("regularity", help="orbit witness of kernel-support collapse")
     p.add_argument("--starts", default="0,0.25,0.5,0.75,1")
-    common(p, nmax=200)
+    flags(p, nmax=200)
     p.set_defaults(fn=_cmd_regularity)
 
     return parser

@@ -50,13 +50,20 @@ def _check_unit_interval(x: Real) -> None:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
 
 
+def _finite_quotient(n: int, y: float) -> float:
+    """N/y, rejecting the subnormal y for which it overflows to inf."""
+    q = n / y
+    if math.isinf(q):
+        raise ValueError(f"N/x overflows at x = {y!r}: the digit has no binary64 value")
+    return q
+
+
 def gauss_map(x: float, params: NcfParams) -> float:
     """One step of the interval map N/x - floor(N/x); fixes 0."""
     _check_unit_interval(x)
     if x == 0:
         return 0.0
-    n = params.n_param
-    q = n / x
+    q = _finite_quotient(params.n_param, x)
     return q - math.floor(q)
 
 
@@ -74,7 +81,8 @@ def digits(x: Real, params: NcfParams, max_len: int) -> DigitSequence:
 
     Rational inputs are expanded exactly and always terminate (denominators
     strictly decrease); float inputs follow the binary64 orbit.  x = 0 is a
-    domain error: its first digit would be infinite.
+    domain error: its first digit would be infinite, and so is a float whose
+    N/x overflows to inf.
     """
     _check_unit_interval(x)
     if x == 0:
@@ -95,7 +103,7 @@ def digits(x: Real, params: NcfParams, max_len: int) -> DigitSequence:
         return DigitSequence(tuple(out), False)
     y = float(x)
     for _ in range(max_len):
-        q = n / y
+        q = _finite_quotient(n, y)
         a = math.floor(q)
         out.append(a)
         y = q - a
@@ -109,9 +117,9 @@ def evaluate(seq: Union[DigitSequence, Sequence[int]], params: NcfParams) -> Fra
     ds = tuple(seq)
     if not ds:
         raise ValueError("cannot evaluate an empty digit sequence")
-    if any(a < 1 for a in ds):
-        raise ValueError("all digits must be >= 1")
     n = params.n_param
+    if any(a < n for a in ds):
+        raise ValueError(f"all digits must be >= N = {n}")
     acc = Fraction(0)
     for a in reversed(ds):
         acc = Fraction(n) / (a + acc)
@@ -124,9 +132,9 @@ def convergents(seq: Union[DigitSequence, Sequence[int]], params: NcfParams) -> 
     ds = tuple(seq)
     if not ds:
         raise ValueError("cannot take convergents of an empty digit sequence")
-    if any(a < 1 for a in ds):
-        raise ValueError("all digits must be >= 1")
     n = params.n_param
+    if any(a < n for a in ds):
+        raise ValueError(f"all digits must be >= N = {n}")
     p_prev2, p_prev = 1, 0
     q_prev2, q_prev = 0, 1
     out = []

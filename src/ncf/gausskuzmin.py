@@ -19,14 +19,13 @@ import numpy as np
 
 from .core import NcfParams
 from .errors import FitError, charge
-from .measure import DensityFunction, GaussMeasure, gn_cdf, gn_quantile
-from .transfer import GridFunction, apply_transfer, default_branch_cutoff, _fit_window
+from .measure import DensityFunction, GaussMeasure, gn_cdf
+from .transfer import GridFunction, apply_transfer, default_branch_cutoff, fit_rate, iterates
 
 
 @dataclass(frozen=True)
 class InitialMeasure:
     density: DensityFunction
-    lipschitz: bool = True
 
 
 @dataclass(frozen=True)
@@ -52,19 +51,17 @@ class GkReport:
 
 
 def lebesgue_measure() -> InitialMeasure:
-    return InitialMeasure(DensityFunction(lambda x: 1.0, lipschitz_bound=0.0))
+    return InitialMeasure(DensityFunction(lambda x: 1.0))
 
 
 def gauss_initial(params: NcfParams) -> InitialMeasure:
     gm = GaussMeasure(params)
-    return InitialMeasure(DensityFunction(lambda x: float(gm.density(x)),
-                                          lipschitz_bound=1.0 / gm.log_norm))
+    return InitialMeasure(DensityFunction(lambda x: float(gm.density(x))))
 
 
 def tilted_measure() -> InitialMeasure:
     """Density proportional to 1 + x/2."""
-    return InitialMeasure(DensityFunction(lambda x: (1.0 + x / 2.0) / 1.25,
-                                          lipschitz_bound=0.4))
+    return InitialMeasure(DensityFunction(lambda x: (1.0 + x / 2.0) / 1.25))
 
 
 def limit_cdf(x, params: NcfParams):
@@ -146,12 +143,10 @@ def distribution_at(mu: InitialMeasure, n: int, x: float, params: NcfParams,
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if method == "operator":
         charge(max(n, 1) * m * default_branch_cutoff(params), "distribution_at operator")
-        gm = GaussMeasure(params)
         f = initial_grid_density(mu, params, m)
-        for _ in range(n):
-            f = apply_transfer(f, params)
-        cum = _cdf_on_grid(f, gm)
-        return float(np.interp(x, f.nodes, cum))
+        for f in iterates(f, params, n):
+            pass  # U^n f0, or f0 itself when n = 0
+        return float(np.interp(x, f.nodes, _cdf_on_grid(f, GaussMeasure(params))))
     if method == "montecarlo":
         charge(max(n, 1) * n_paths, "distribution_at montecarlo")
         if rng is None:
@@ -177,25 +172,21 @@ def run_experiment(mu: InitialMeasure, params: NcfParams, n_max: int = 40,
     gm = GaussMeasure(params)
     xs = np.linspace(0.0, 1.0, x_grid)
     limit = gn_cdf(xs, gm)
-    f = initial_grid_density(mu, params, m)
-    sup_errors = np.empty(n_max)
-    err_rows = []
-    for k in range(n_max):
-        f = apply_transfer(f, params)
-        cum = _cdf_on_grid(f, gm)
-        err = np.interp(xs, f.nodes, cum) - limit
-        err_rows.append(err)
-        sup_errors[k] = float(np.max(np.abs(err)))
-    idx = _fit_window(sup_errors)
+    f0 = initial_grid_density(mu, params, m)
+    cums = [_cdf_on_grid(f, gm) for f in iterates(f0, params, n_max)]
+    err_rows = [np.interp(xs, f0.nodes, cum) - limit for cum in cums]
+    sup_errors = np.array([float(np.max(np.abs(err))) for err in err_rows])
     q_fit = theta_bound = None
     window = None
     residuals = ()
-    if len(idx) >= 3:
-        ns = np.array(idx, dtype=float) + 1.0
-        logs = np.log(sup_errors[idx])
-        slope, intercept = np.polyfit(ns, logs, 1)
+    try:
+        idx, slope, intercept, fit_residuals = fit_rate(sup_errors)
+    except FitError:
+        if require_fit:
+            raise
+    else:
         q_fit = float(math.exp(slope))
-        residuals = tuple(float(r) for r in (logs - (slope * ns + intercept)))
+        residuals = tuple(float(r) for r in fit_residuals)
         window = (idx[0] + 1, idx[-1] + 1)
         # envelope constant of the error term relative to the limit CDF
         mask = limit >= 0.05
@@ -203,15 +194,11 @@ def run_experiment(mu: InitialMeasure, params: NcfParams, n_max: int = 40,
             float(np.max(np.abs(err_rows[j][mask]) / limit[mask])) / q_fit ** (j + 1)
             for j in idx
         )
-    elif require_fit:
-        raise FitError(
-            f"only {len(idx)} admissible points before the error floor; "
-            "cannot fit a geometric rate"
-        )
     cells = []
     for n_spot, x_spot in ((2, 0.25), (4, 0.5), (6, 0.75)):
         n_spot = min(n_spot, n_max)
-        op = distribution_at(mu, n_spot, x_spot, params, method="operator", m=m)
+        # the operator side is read off the iterates above: U^n_spot f0
+        op = float(np.interp(x_spot, f0.nodes, cums[n_spot - 1]))
         mc = distribution_at(mu, n_spot, x_spot, params, method="montecarlo",
                              n_paths=spot_paths, rng=rng)
         band = 4.0 * math.sqrt(max(mc * (1 - mc), 1e-12) / spot_paths) + 1e-4

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -39,7 +39,6 @@ class DensityFunction:
     """A probability density on [0,1], checked to integrate to 1 at construction."""
 
     evaluator: Callable[[float], float]
-    lipschitz_bound: Optional[float] = None
     mass_tol: float = 1e-9
 
     def __post_init__(self):

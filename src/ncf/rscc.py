@@ -19,7 +19,7 @@ law computed by quadrature against the invariant measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -27,7 +27,7 @@ import numpy as np
 from scipy import integrate
 
 from .core import NcfParams, fixed_point
-from .errors import BudgetExceededError, charge
+from .errors import charge
 from .measure import GaussMeasure
 from . import transfer
 
@@ -58,13 +58,6 @@ class RsccSystem:
     @property
     def finite(self) -> bool:
         return self.events is not None
-
-
-class EventWord(tuple):
-    """A finite string of events; concatenation is tuple addition."""
-
-    def __new__(cls, letters=()):
-        return super().__new__(cls, tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -215,23 +208,25 @@ def event_set_probability(sys: RsccSystem, w, events: Union[Sequence[int], TailS
 # state kernels
 
 
-def q_kernel_interval(sys: RsccSystem, x: float, u_end: float) -> float:
-    """Q(x, [0, u_end)) for the continued-fraction system, in closed form.
+def q_kernel_interval(sys: RsccSystem, x, u_end: float):
+    """Q(x, [0, u_end)) for the continued-fraction system, in closed form;
+    x is a state or an array of states.
 
     A branch i lands in [0, u_end) iff N/(x+i) < u_end iff i >= E where
-    E = floor(N/u_end - x) + 1; the branch masses telescope, leaving
-    (x+N)/(x+m) with m = max(E, N).
+    E = floor(N/u_end - x) + 1, which is >= N on the domain; the branch
+    masses telescope, leaving (x+N)/(x+E).
     """
     if sys.params is None:
         raise ValueError("q_kernel_interval needs the continued-fraction system")
     n = sys.params.n_param
-    if not (0.0 <= x <= 1.0):
+    xa = np.asarray(x, dtype=float)
+    if not (0.0 <= xa.min() and xa.max() <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if not (0.0 < u_end <= 1.0):
         raise ValueError(f"u_end must lie in (0, 1], got {u_end}")
-    e = math.floor(n / u_end - x) + 1
-    m = max(e, n)
-    return (x + n) / (x + m)
+    x = xa[()]  # a NumPy scalar for a scalar x, whose arithmetic is faster
+    out = (x + n) / (x + (np.floor(n / u_end - x) + 1.0))
+    return float(out) if xa.ndim == 0 else out
 
 
 def q_kernel_interval_bruteforce(sys: RsccSystem, x: float, u_end: float,
@@ -250,8 +245,9 @@ def q_kernel_interval_bruteforce(sys: RsccSystem, x: float, u_end: float,
     return total + float(sys.tail_mass(x, i_max + 1))
 
 
-def q_kernel(sys: RsccSystem, x: float, a: float, b: float) -> float:
-    """Q(x, [a, b)) for the continued-fraction system, by additivity."""
+def q_kernel(sys: RsccSystem, x, a: float, b: float):
+    """Q(x, [a, b)) for the continued-fraction system, by additivity; x is a
+    state or an array of states."""
     lo = q_kernel_interval(sys, x, a) if a > 0 else 0.0
     hi = q_kernel_interval(sys, x, b) if b > 0 else 0.0
     return hi - lo
@@ -286,10 +282,13 @@ def q_step(sys: RsccSystem, k: int, source: float, target,
            n_paths: int = 100_000, rng: Optional[np.random.Generator] = None) -> float:
     """k-step kernel Q^(k)(source, target).
 
-    Finite systems: exact matrix power.  The continued-fraction system:
-    either grid recursion (the k-step kernel of an interval target is the
-    transfer operator applied k-1 times to the one-step kernel) or seeded
-    Monte Carlo path simulation; `target` is an (a, b) half-open interval.
+    Finite systems: exact matrix power.  The continued-fraction system, where
+    `target` is an (a, b) half-open interval: either seeded Monte Carlo path
+    simulation or the kernel recursion Q^(k+1) = U Q^(k).  In the recursion
+    Q^(1) is the closed form `q_kernel` and Q^(2) one branch sum of that
+    closed form at the source; for k >= 3 the transfer operator is iterated
+    k-2 times on a grid of the closed form and the last step is taken at the
+    source itself.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -299,20 +298,34 @@ def q_step(sys: RsccSystem, k: int, source: float, target,
         return float(row @ _target_indicator(sys, target))
     a, b = target
     if method in ("auto", "grid"):
-        return _q_step_grid(sys, k, source, a, b, grid_m)
+        return _kernel_terms(sys, k, source, a, b, grid_m)[-1]
     if method == "mc":
         return q_step_mc(sys, k, source, a, b, n_paths, rng).value
     raise ValueError(f"unknown method {method!r}")
 
 
-def _q_step_grid(sys: RsccSystem, k: int, source: float, a: float, b: float,
-                 grid_m: int) -> float:
-    charge(k * grid_m * transfer.default_branch_cutoff(sys.params), "q_step grid recursion")
-    nodes = np.linspace(0.0, 1.0, grid_m + 1)
-    g = transfer.GridFunction(np.array([q_kernel(sys, float(x), a, b) for x in nodes]))
-    for _ in range(k - 1):
-        g = transfer.apply_transfer(g, sys.params)
-    return float(g(source))
+def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
+                  grid_m: int) -> list:
+    """Q^(k)(source, [a, b)) for k = 1..n: the recursion of q_step.
+
+    Q^(2) is the branch sum of the closed form over the branch points
+    N/(source+i).  For k >= 3 only U^(k-2) Q^(1) lives on the grid of grid_m
+    cells; taking the last step at the source means the grid is never
+    interpolated across a jump of the kernel there.
+    """
+    params = sys.params
+    charge(n * grid_m * transfer.default_branch_cutoff(params), "kernel grid recursion")
+
+    def q1(y):
+        # an empty target (b <= 0) makes q_kernel the scalar 0
+        return np.zeros_like(y) + q_kernel(sys, y, a, b)
+
+    at = np.array([float(source)])
+    terms = [q_kernel(sys, float(source), a, b), float(transfer.transfer_at(q1, params, at)[0])]
+    grid = transfer.GridFunction.from_callable(q1, grid_m)
+    terms += [float(transfer.transfer_at(g, params, at)[0])
+              for g in transfer.iterates(grid, params, n - 2)]
+    return terms[:n]
 
 
 def simulate_paths(sys: RsccSystem, source: float, steps: int, n_paths: int,
@@ -347,7 +360,9 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
 
     Finite systems use the eigendecomposition partial-sum closed form so that
     very large n is exact to rounding; the continued-fraction system averages
-    grid recursions.
+    the terms Q^(1..n)(source) of q_step's kernel recursion: Q^(1) in closed
+    form, Q^(2) one branch sum of it, Q^(k >= 3) through the grid with the
+    last operator step taken at the source.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -374,14 +389,7 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
         row = avg[_state_index(sys, source)]
         return float(row @ _target_indicator(sys, target))
     a, b = target
-    charge(n * grid_m * transfer.default_branch_cutoff(sys.params), "q_cesaro grid recursion")
-    nodes = np.linspace(0.0, 1.0, grid_m + 1)
-    g = transfer.GridFunction(np.array([q_kernel(sys, float(x), a, b) for x in nodes]))
-    acc = g.values.copy()
-    for _ in range(n - 1):
-        g = transfer.apply_transfer(g, sys.params)
-        acc += g.values
-    return float(transfer.GridFunction(acc / n)(source))
+    return sum(_kernel_terms(sys, n, source, a, b, grid_m)) / n
 
 
 # ---------------------------------------------------------------------------

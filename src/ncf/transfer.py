@@ -10,7 +10,7 @@ through the value at 0, which is the limit point of the far branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -81,26 +81,27 @@ def default_branch_cutoff(params: NcfParams) -> int:
     return max(1000, 100 * params.n_param)
 
 
-def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = None) -> GridFunction:
-    """One application of the transfer operator.
+def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndarray:
+    """The transfer operator applied to f, evaluated at the points x.
 
-    Weights are computed as telescoping differences (x+N)/(x+i) - (x+N)/(x+i+1)
-    so that the constant function is reproduced to machine precision.  The
-    truncated branch tail is folded in as tail mass times the function value
-    at the tail's mean branch point (near 0), which keeps the unit
-    eigenfunction exact while cancelling the first-order truncation error.
+    f is any function callable on arrays.  Weights are computed as
+    telescoping differences (x+N)/(x+i) - (x+N)/(x+i+1) so that the constant
+    function is reproduced to machine precision.  The truncated branch tail
+    is folded in as tail mass times the value of f at the tail's mean branch
+    point (near 0), which keeps the unit eigenfunction exact while cancelling
+    the first-order truncation error.
     """
     n = params.n_param
     if i_max is None:
         i_max = default_branch_cutoff(params)
-    x = f.nodes[:, None]
-    out = np.zeros(f.values.size)
-    block = max(1, 8_000_000 // f.values.size)
+    x = np.asarray(x, dtype=float)[:, None]
+    out = np.zeros(x.shape[0])
+    block = max(1, 8_000_000 // x.shape[0])
     for lo in range(n, i_max + 1, block):
         i = np.arange(lo, min(lo + block, i_max + 1), dtype=float)[None, :]
         weights = (x + n) / (x + i) - (x + n) / (x + i + 1.0)
         y = n / (x + i)
-        g = np.interp(y.ravel(), f.nodes, f.values).reshape(y.shape)
+        g = f(y.ravel()).reshape(y.shape)
         out += np.sum(weights * g, axis=1)
     xf = x[:, 0]
     tail = (xf + n) / (xf + i_max + 1)
@@ -108,8 +109,20 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     m_half = xf + i_max + 0.5
     s1 = n * (xf + n) * (0.5 / m_half ** 2 - 1.0 / (3.0 * m_half ** 3))
     y_bar = s1 / tail
-    out += tail * np.interp(y_bar, f.nodes, f.values)
-    return GridFunction(out)
+    out += tail * f(y_bar)
+    return out
+
+
+def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = None) -> GridFunction:
+    """One application of the transfer operator, at the nodes of f."""
+    return GridFunction(transfer_at(f, params, f.nodes, i_max))
+
+
+def iterates(f: GridFunction, params: NcfParams, n: int, i_max: Optional[int] = None):
+    """Yield U f, U^2 f, ..., U^n f: every multi-step use of the operator."""
+    for _ in range(n):
+        f = apply_transfer(f, params, i_max=i_max)
+        yield f
 
 
 def lipschitz_norm(f: GridFunction) -> LipschitzNormEstimate:
@@ -124,12 +137,7 @@ def cesaro_operator(f: GridFunction, n: int, params: NcfParams) -> GridFunction:
     """(1/n) sum of the first n operator iterates, by running average."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    g = f
-    acc = np.zeros_like(f.values)
-    for _ in range(n):
-        g = apply_transfer(g, params)
-        acc += g.values
-    return GridFunction(acc / n)
+    return GridFunction(sum(g.values for g in iterates(f, params, n)) / n)
 
 
 def integrate_against(f: GridFunction, gm: GaussMeasure) -> float:
@@ -163,35 +171,54 @@ def _fit_window(errors: np.ndarray):
     return idx
 
 
+def fit_rate(errors: np.ndarray):
+    """Least-squares line through log(errors) against n = 1, 2, ... over the
+    fit window.
+
+    Returns (window indices, slope, intercept, residuals); the geometric rate
+    is exp(slope).  Raises FitError when the window has fewer than 3 points.
+    """
+    idx = _fit_window(errors)
+    if len(idx) < 3:
+        raise FitError(
+            f"only {len(idx)} admissible points before the error floor; "
+            "cannot fit a geometric rate"
+        )
+    ns = np.array(idx, dtype=float) + 1.0
+    logs = np.log(errors[idx])
+    slope, intercept = np.polyfit(ns, logs, 1)
+    return idx, slope, intercept, logs - (slope * ns + intercept)
+
+
+def error_curves(f: GridFunction, params: NcfParams, n_max: int,
+                 i_max: Optional[int] = None):
+    """c_f and the sup and Lipschitz distances of U f, ..., U^n_max f from it.
+
+    c_f is the integral of f against the invariant measure: the operator
+    iterates of any Lipschitz f collapse to that constant.
+    """
+    c_f = integrate_against(f, GaussMeasure(params))
+    sup_errors = np.empty(n_max)
+    lip_errors = np.empty(n_max)
+    for k, g in enumerate(iterates(f, params, n_max, i_max)):
+        sup_errors[k] = float(np.max(np.abs(g.values - c_f)))
+        lip_errors[k] = lipschitz_norm(GridFunction(g.values - c_f)).total
+    return c_f, sup_errors, lip_errors
+
+
 def estimate_gap(f: GridFunction, params: NcfParams, n_max: int,
                  i_max: Optional[int] = None) -> GapEstimate:
     """Fit the geometric decay rate of ||U^n f - c_f|| on the log scale.
 
-    c_f is the integral of f against the invariant measure: the operator
-    iterates of any Lipschitz f collapse to that constant, and the sup-norm
-    distance decays like k q^n.
+    The sup-norm distance of the iterates from c_f decays like k q^n.
     """
     if n_max < 5:
         raise ValueError(f"n_max must be >= 5, got {n_max}")
     v = f.values
     if float(np.max(v) - np.min(v)) == 0.0:
         raise ValueError("gap estimation needs a non-constant function")
-    gm = GaussMeasure(params)
-    c_f = integrate_against(f, gm)
-    sup_errors = np.empty(n_max)
-    lip_errors = np.empty(n_max)
-    g = f
-    for k in range(n_max):
-        g = apply_transfer(g, params, i_max=i_max)
-        sup_errors[k] = float(np.max(np.abs(g.values - c_f)))
-        lip_errors[k] = lipschitz_norm(GridFunction(g.values - c_f)).total
-    idx = _fit_window(sup_errors)
-    if len(idx) < 3:
-        raise FitError(f"only {len(idx)} admissible points for the rate fit")
-    ns = np.array(idx, dtype=float) + 1.0
-    logs = np.log(sup_errors[idx])
-    slope, intercept = np.polyfit(ns, logs, 1)
-    residuals = logs - (slope * ns + intercept)
+    _, sup_errors, lip_errors = error_curves(f, params, n_max, i_max)
+    idx, slope, intercept, residuals = fit_rate(sup_errors)
     return GapEstimate(
         q_hat=float(math.exp(slope)),
         k_hat=float(math.exp(intercept)),

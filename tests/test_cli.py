@@ -38,6 +38,15 @@ class TestExpand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--x", "1e-320"],
+        ["expand", "--x", "5e-324", "--n", "3"],
+    ])
+    def test_overflowing_digit_rejected(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "error" in err
+
 
 class TestEval:
     def test_exact_value(self, capsys):
@@ -50,6 +59,11 @@ class TestEval:
     def test_bad_digits(self, capsys):
         code, _, _ = run_cli(["eval", "--digits", "", "--n", "1"], capsys)
         assert code == 2
+
+    def test_digit_below_n_rejected(self, capsys):
+        code, _, err = run_cli(["eval", "--digits", "1", "--n", "2"], capsys)
+        assert code == 2
+        assert "error" in err
 
 
 class TestDigitLaw:
@@ -171,6 +185,37 @@ class TestOutputPlumbing:
         code, _, err = run_cli(["gk", "--n", "1"], capsys)
         assert code == 3
         assert "budget" in err
+
+
+class TestFlags:
+    # each command takes only the flags it reads
+    BASE = {
+        "expand": ["expand", "--x", "3/7"],
+        "eval": ["eval", "--digits", "1"],
+        "digit-law": ["digit-law"],
+        "invariance": ["invariance"],
+        "transfer": ["transfer"],
+        "gap": ["gap"],
+        "rscc-mealy": ["rscc-mealy", "--alpha", "0.3", "--beta", "0.6"],
+        "contraction": ["contraction"],
+        "regularity": ["regularity"],
+    }
+
+    @pytest.mark.parametrize("command,flag", [
+        ("expand", "--grid"), ("expand", "--nmax"), ("expand", "--seed"),
+        ("eval", "--grid"), ("eval", "--nmax"), ("eval", "--seed"),
+        ("digit-law", "--nmax"), ("digit-law", "--seed"),
+        ("invariance", "--nmax"), ("invariance", "--seed"),
+        ("transfer", "--seed"), ("gap", "--seed"),
+        ("rscc-mealy", "--n"), ("rscc-mealy", "--grid"), ("rscc-mealy", "--seed"),
+        ("contraction", "--nmax"),
+        ("regularity", "--grid"), ("regularity", "--seed"),
+    ])
+    def test_unread_flag_is_a_usage_error(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.BASE[command] + [flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -42,7 +42,8 @@ class TestGaussMap:
 
     def test_domain_errors(self):
         p = NcfParams(1)
-        for bad in (-0.1, 1.5, float("nan"), float("inf")):
+        # 1e-320: N/x overflows to inf
+        for bad in (-0.1, 1.5, float("nan"), float("inf"), 1e-320):
             with pytest.raises(ValueError):
                 gauss_map(bad, p)
 
@@ -91,6 +92,13 @@ class TestDigits:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             digits(0.0, NcfParams(1), 5)
+
+    def test_overflowing_digit_rejected(self):
+        # N/x overflows to inf: no finite first digit exists in binary64
+        with pytest.raises(ValueError):
+            digits(1e-320, NcfParams(1), 5)
+        with pytest.raises(ValueError):
+            digits(5e-324, NcfParams(3), 3)
 
     def test_x_equal_one(self):
         for n in (1, 2, 7):
@@ -144,6 +152,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([], NcfParams(1))
 
+    def test_digit_below_n_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate([1], NcfParams(2))
+        with pytest.raises(ValueError):
+            evaluate([3, 2], NcfParams(3))
+
     def test_roundtrip_random_rationals(self):
         rnd = random.Random(23)
         for n in (1, 2, 5, 10):
@@ -183,6 +197,10 @@ class TestConvergents:
                 convs = convergents(ds, p)
                 for k, c in enumerate(convs, start=1):
                     assert c == evaluate(ds[:k], p)
+
+    def test_digit_below_n_rejected(self):
+        with pytest.raises(ValueError):
+            convergents([2, 1], NcfParams(2))
 
     def test_examples(self):
         assert convergents([4, 2], NcfParams(2)) == [Fraction(1, 2), Fraction(2, 5)]

@@ -19,6 +19,7 @@ from ncf import (
     run_experiment,
     tilted_measure,
 )
+from ncf import transfer
 from ncf.gausskuzmin import density_from_grid, initial_grid_density
 
 
@@ -169,3 +170,27 @@ class TestRunExperiment:
     def test_rejects_small_nmax(self):
         with pytest.raises(ValueError):
             run_experiment(lebesgue_measure(), NcfParams(1), n_max=3)
+
+    @pytest.mark.parametrize("n_max", [5, 8])
+    def test_spot_checks_equal_distribution_at(self, n_max):
+        # the operator side of each spot check is read off the experiment's
+        # own iterates; n_max = 5 clamps the n = 6 check to n = 5
+        params, mu = NcfParams(1), tilted_measure()
+        rep = run_experiment(mu, params, n_max=n_max, m=256, spot_paths=1000,
+                             require_fit=False)
+        for cell in rep.method_agreement:
+            assert cell["operator"] == distribution_at(
+                mu, cell["n"], cell["x"], params, method="operator", m=256)
+
+    def test_one_operator_application_per_step(self, monkeypatch):
+        calls = []
+        apply = transfer.apply_transfer
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].resolution)
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "apply_transfer", counting)
+        run_experiment(lebesgue_measure(), NcfParams(1), n_max=40, m=128,
+                       spot_paths=1000, rng=np.random.default_rng(3))
+        assert calls == [128] * 40

@@ -217,6 +217,30 @@ class TestQStep:
             q_step(ncf_sys, 0, 0.5, (0.0, 0.5))
 
 
+class TestQCesaroNearJump:
+    # sources within about a grid cell of a jump of the one- or two-step
+    # kernel, where interpolating the grid across the jump misreads it
+    @pytest.mark.parametrize("source,a,b", [
+        (0.38958496933757203, 0.3676879264513151, 0.4289573478325086),
+        (0.4843347156369702, 0.7130512454106287, 0.881000475459319),
+        (0.27133767320949903, 0.7865127852852144, 0.9152905165309599),
+        (0.3470080586526752, 0.6229727548953878, 0.7424404062506842),
+    ])
+    def test_matches_monte_carlo_cesaro_average(self, source, a, b):
+        sys = make_ncf_rscc(NcfParams(1))
+        n, grid_m, n_paths = 10, 1024, 100_000
+        rng = np.random.default_rng(20240824)
+        w = np.full(n_paths, source)
+        hits = np.zeros(n_paths)
+        for _ in range(n):
+            w = sys.transition(w, sys.sample_event(w, rng.random(n_paths)))
+            hits += (w >= a) & (w < b)
+        share = hits / n
+        mean, se = float(np.mean(share)), float(np.std(share) / math.sqrt(n_paths))
+        got = q_cesaro(sys, n, source, (a, b), grid_m=grid_m)
+        assert abs(got - mean) <= 4 * se + 2.0 / grid_m
+
+
 class TestMealy:
     def test_kernel_rows_sum_to_one(self, mealy_sys):
         k = kernel_matrix(mealy_sys)

@@ -1,5 +1,6 @@
 """Transfer operator on grid functions: fixed point, adjoint identity, rate."""
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from ncf import (
     integrate_against,
     lipschitz_norm,
 )
+from ncf.cli import main
 
 
 class TestGridFunction:
@@ -185,3 +187,11 @@ class TestEstimateGap:
         lo, hi = est.n_window
         window = est.sup_errors[lo - 1:hi]
         assert np.all(np.diff(window) < 0)
+
+    def test_transfer_command_curve_is_the_gap_curve(self, capsys):
+        # `ncf transfer` and estimate_gap share one error-curve computation
+        assert main(["transfer", "--n", "2", "--grid", "256", "--nmax", "12"]) == 0
+        curve = json.loads(capsys.readouterr().out)["curve"]
+        est = estimate_gap(GridFunction.from_callable(lambda x: x, 256), NcfParams(2), 12)
+        assert [c["sup_error"] for c in curve] == est.sup_errors.tolist()
+        assert [c["lipschitz_error"] for c in curve] == est.lip_errors.tolist()
