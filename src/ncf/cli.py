@@ -31,6 +31,17 @@ def _parse_x(text: str) -> object:
     return float(text)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the size flags: --grid, --nmax, --kmax, --max-len."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _emit(payload: dict, fmt: str, out_path, csv_rows=None, csv_header=None):
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -222,13 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=1, help="expansion parameter N")
         for name, default in (("--grid", grid), ("--nmax", nmax), ("--seed", seed)):
             if default is not None:
-                p.add_argument(name, type=int, default=default)
+                p.add_argument(name, type=int if name == "--seed" else _positive_int,
+                               default=default)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
 
     p = command("expand", help="digit expansion of a point")
     p.add_argument("--x", required=True, help="point in (0,1], 'p/q' or decimal")
-    p.add_argument("--max-len", type=int, default=64)
+    p.add_argument("--max-len", type=_positive_int, default=64)
     flags(p)
     p.set_defaults(fn=_cmd_expand)
 
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_rscc_mealy)
 
     p = command("contraction", help="contraction-coefficient report")
-    p.add_argument("--kmax", type=int, default=2)
+    p.add_argument("--kmax", type=_positive_int, default=2)
     flags(p, grid=512, seed=0)
     p.set_defaults(fn=_cmd_contraction)
 

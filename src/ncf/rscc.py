@@ -507,6 +507,9 @@ def regularity_witness(sys: RsccSystem, starts: Sequence[float],
         raise ValueError("regularity_witness needs the continued-fraction system")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    bad = [s for s in starts if not 0.0 <= float(s) <= 1.0]  # NaN fails too
+    if bad:
+        raise ValueError(f"starts must lie in [0, 1], got {bad[0]!r}")
     n = sys.params.n_param
     x_star = fixed_point(sys.params)
     curves = []

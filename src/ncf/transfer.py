@@ -4,7 +4,9 @@ A function on [0,1] is carried as samples at uniform nodes j/M.  One operator
 application averages the function over the countable family of inverse
 branches x -> N/(x+i), i >= N, with weights (x+N)/((x+i)(x+i+1)); the branch
 series is truncated and the exact tail mass (x+N)/(x+i_max+1) is folded in
-through the value at 0, which is the limit point of the far branches.
+through the value at the tail's mean branch point, near 0, where the far
+branches accumulate.  On a grid the operator is a fixed stochastic matrix:
+iterates() assembles it once and steps it as a sparse product.
 """
 
 from __future__ import annotations
@@ -81,35 +83,45 @@ def default_branch_cutoff(params: NcfParams) -> int:
     return max(1000, 100 * params.n_param)
 
 
-def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndarray:
-    """The transfer operator applied to f, evaluated at the points x.
+def _branch_terms(params: NcfParams, x: np.ndarray, i_max: Optional[int], block: int):
+    """The operator at the points x as weighted point evaluations.
 
-    f is any function callable on arrays.  Weights are computed as
-    telescoping differences (x+N)/(x+i) - (x+N)/(x+i+1) so that the constant
-    function is reproduced to machine precision.  The truncated branch tail
-    is folded in as tail mass times the value of f at the tail's mean branch
-    point (near 0), which keeps the unit eigenfunction exact while cancelling
-    the first-order truncation error.
+    Yields (weights, points) pairs of shape (len(x), k): the branches
+    i = N..i_max, at most `block` of them at a time, then the folded tail as
+    one column.  (U f)(x) is the sum over the pairs of weights * f(points).
+    Weights are telescoping differences (x+N)/(x+i) - (x+N)/(x+i+1), so the
+    constant function is reproduced to machine precision.  The truncated
+    tail enters as its mass (x+N)/(x+i_max+1) times the value at the tail's
+    mean branch point (near 0), which keeps the unit eigenfunction exact
+    while cancelling the first-order truncation error.
     """
     n = params.n_param
     if i_max is None:
         i_max = default_branch_cutoff(params)
-    x = np.asarray(x, dtype=float)[:, None]
-    out = np.zeros(x.shape[0])
-    block = max(1, 8_000_000 // x.shape[0])
+    if i_max < n - 1:
+        # the tail mass would exceed 1
+        raise ValueError(f"i_max must be >= N - 1 = {n - 1}, got {i_max}")
+    x = x[:, None]
     for lo in range(n, i_max + 1, block):
         i = np.arange(lo, min(lo + block, i_max + 1), dtype=float)[None, :]
-        weights = (x + n) / (x + i) - (x + n) / (x + i + 1.0)
-        y = n / (x + i)
-        g = f(y.ravel()).reshape(y.shape)
-        out += np.sum(weights * g, axis=1)
-    xf = x[:, 0]
-    tail = (xf + n) / (xf + i_max + 1)
+        yield (x + n) / (x + i) - (x + n) / (x + i + 1.0), n / (x + i)
+    tail = (x + n) / (x + i_max + 1)
     # first moment of the branch points over the tail, by midpoint integral
-    m_half = xf + i_max + 0.5
-    s1 = n * (xf + n) * (0.5 / m_half ** 2 - 1.0 / (3.0 * m_half ** 3))
-    y_bar = s1 / tail
-    out += tail * f(y_bar)
+    m_half = x + i_max + 0.5
+    s1 = n * (x + n) * (0.5 / m_half ** 2 - 1.0 / (3.0 * m_half ** 3))
+    yield tail, s1 / tail
+
+
+def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndarray:
+    """The transfer operator applied to f, evaluated at the points x.
+
+    f is any function callable on arrays.  This branch sum is the definition
+    of the operator; iterates() steps its assembled matrix.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[0])
+    for w, y in _branch_terms(params, x, i_max, max(1, 8_000_000 // x.shape[0])):
+        out += np.sum(w * f(y.ravel()).reshape(y.shape), axis=1)
     return out
 
 
@@ -118,11 +130,86 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     return GridFunction(transfer_at(f, params, f.nodes, i_max))
 
 
+# (row, branch) entries per chunk of the assembly: the chunk size sets the
+# peak memory of a build
+_ASSEMBLY_CHUNK = 50_000
+# matrix entries per block: the chunks' small parts are merged into blocks
+# this large, which the allocator maps on their own, so the parts' heap
+# space is reused by the next chunks instead of pinning freed temporaries
+_ASSEMBLY_BLOCK = 1_000_000
+
+
+def _assemble(params: NcfParams, m: int, i_max: Optional[int]):
+    """The operator on grids of m cells as a sparse matrix in compressed
+    rows: (indptr, cols, data), row j in data[indptr[j]:indptr[j+1]].
+
+    Row j holds the linear-interpolation weights of every branch point of
+    node j/m, and of the tail point, times its branch weight, summed per
+    column.  On grid functions it equals transfer_at at the nodes up to
+    rounding.  Every row holds at least its tail entry.
+    """
+    i_top = default_branch_cutoff(params) if i_max is None else i_max
+    block = max(1, i_top - params.n_param + 1)  # all branches in one block
+    rows_per_chunk = max(1, _ASSEMBLY_CHUNK // block)
+    nodes = np.linspace(0.0, 1.0, m + 1)
+    counts, cols, data, part_cols, part_data = [], [], [], [], []
+    for r0 in range(0, m + 1, rows_per_chunk):
+        x = nodes[r0:r0 + rows_per_chunk]
+        keys, vals = [], []
+        for w, y in _branch_terms(params, x, i_max, block):
+            # y lies in the cell [k/m, (k+1)/m]; entry key = row (m+1) + column
+            my = y * m
+            k = np.minimum(my.astype(np.intp), m - 1)
+            t = my - k
+            key = ((np.arange(x.size) * (m + 1))[:, None] + k).ravel()
+            # branch points decrease along a row, so equal keys form runs
+            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            keys += [key[starts], key[starts] + 1]
+            vals += [np.add.reduceat((w * (1.0 - t)).ravel(), starts),
+                     np.add.reduceat((w * t).ravel(), starts)]
+        # sum the entries of each (row, column); sorted keys are row-major
+        keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        rows, col = np.divmod(keys, m + 1)
+        counts.append(np.bincount(rows, minlength=x.size))
+        part_cols.append(col)
+        part_data.append(np.bincount(inverse, weights=np.concatenate(vals)))
+        if sum(p.size for p in part_cols) >= _ASSEMBLY_BLOCK or r0 + x.size > m:
+            cols.append(np.concatenate(part_cols))
+            data.append(np.concatenate(part_data))
+            part_cols, part_data = [], []
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    # one list of blocks at a time, so the peak is three arrays of nnz
+    cols = np.concatenate(cols)
+    data = np.concatenate(data)
+    return indptr, cols, data
+
+
+def _step(op, v: np.ndarray) -> np.ndarray:
+    """One operator application to the node values v, by the matrix op."""
+    indptr, cols, data = op
+    w = v[cols]
+    w *= data
+    # no row is empty, so reduceat sums exactly the entries of each row
+    return np.add.reduceat(w, indptr[:-1])
+
+
 def iterates(f: GridFunction, params: NcfParams, n: int, i_max: Optional[int] = None):
-    """Yield U f, U^2 f, ..., U^n f: every multi-step use of the operator."""
+    """Yield U f, U^2 f, ..., U^n f: every multi-step use of the operator.
+
+    From three steps on, the operator is assembled once for the grid of f
+    and stepped as a sparse matrix; the build costs one to two branch sums.
+    Shorter runs take the branch sum of apply_transfer.
+    """
+    if n < 3:
+        for _ in range(n):
+            f = apply_transfer(f, params, i_max=i_max)
+            yield f
+        return
+    op = _assemble(params, f.resolution, i_max)
+    v = f.values
     for _ in range(n):
-        f = apply_transfer(f, params, i_max=i_max)
-        yield f
+        v = _step(op, v)
+        yield GridFunction(v)
 
 
 def lipschitz_norm(f: GridFunction) -> LipschitzNormEstimate:

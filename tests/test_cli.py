@@ -169,6 +169,13 @@ class TestContractionAndRegularity:
         payload = json.loads(out)
         assert all(d <= 1e-14 for d in payload["final_distances"])
 
+    @pytest.mark.parametrize("starts", ["nan", "2", "0,-0.5", "0.5,inf"])
+    def test_regularity_bad_start(self, starts, capsys):
+        code, out, err = run_cli(["regularity", "--starts", starts], capsys)
+        assert code == 2
+        assert out == ""
+        assert "start" in err
+
 
 class TestOutputPlumbing:
     def test_out_file(self, tmp_path, capsys):
@@ -216,6 +223,32 @@ class TestFlags:
             main(self.BASE[command] + [flag, "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestSizeFlags:
+    @pytest.mark.parametrize("argv,flag", [
+        (["digit-law", "--grid", "-3"], "--grid"),
+        (["digit-law", "--grid", "0"], "--grid"),
+        (["transfer", "--nmax", "0"], "--nmax"),
+        (["transfer", "--grid", "0"], "--grid"),
+        (["gap", "--grid", "-1"], "--grid"),
+        (["gk", "--nmax", "-40"], "--nmax"),
+        (["contraction", "--grid", "0"], "--grid"),
+        (["contraction", "--kmax", "0"], "--kmax"),
+        (["invariance", "--grid", "0"], "--grid"),
+        (["rscc-mealy", "--alpha", "0.3", "--beta", "0.6", "--nmax", "0"], "--nmax"),
+        (["regularity", "--nmax", "0"], "--nmax"),
+        (["expand", "--x", "3/7", "--max-len", "0"], "--max-len"),
+        (["transfer", "--grid", "ten"], "--grid"),
+    ])
+    def test_non_positive_size_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}" in captured.err
+        assert "positive integer" in captured.err
 
 
 class TestDeterminism:

@@ -183,14 +183,27 @@ class TestRunExperiment:
                 mu, cell["n"], cell["x"], params, method="operator", m=256)
 
     def test_one_operator_application_per_step(self, monkeypatch):
-        calls = []
-        apply = transfer.apply_transfer
+        # the operator is assembled once for the grid and stepped once per n
+        builds, steps, branch_sums = [], [], []
+        assemble, step, apply = transfer._assemble, transfer._step, transfer.apply_transfer
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].resolution)
+        def counting_assemble(params, m, i_max):
+            builds.append(m)
+            return assemble(params, m, i_max)
+
+        def counting_step(op, v):
+            steps.append(v.size)
+            return step(op, v)
+
+        def counting_apply(*args, **kwargs):
+            branch_sums.append(args[0].resolution)
             return apply(*args, **kwargs)
 
-        monkeypatch.setattr(transfer, "apply_transfer", counting)
+        monkeypatch.setattr(transfer, "_assemble", counting_assemble)
+        monkeypatch.setattr(transfer, "_step", counting_step)
+        monkeypatch.setattr(transfer, "apply_transfer", counting_apply)
         run_experiment(lebesgue_measure(), NcfParams(1), n_max=40, m=128,
                        spot_paths=1000, rng=np.random.default_rng(3))
-        assert calls == [128] * 40
+        assert builds == [128]
+        assert steps == [129] * 40
+        assert branch_sums == []

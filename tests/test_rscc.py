@@ -381,6 +381,13 @@ class TestRegularity:
             assert rep.ratio_limit == pytest.approx(n / (x_star + n) ** 2, abs=1e-15)
             assert 0.0 < rep.ratio_limit < 1.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     -0.1, 1.5, 2.0])
+    def test_start_outside_unit_interval_rejected(self, bad):
+        sys = make_ncf_rscc(NcfParams(1))
+        with pytest.raises(ValueError, match="start"):
+            regularity_witness(sys, [0.5, bad], 10)
+
 
 class TestShiftedPathLaw:
     def test_mealy_exact_against_evolution(self, mealy_sys):

@@ -19,6 +19,7 @@ from ncf import (
     integrate_against,
     lipschitz_norm,
 )
+from ncf import transfer
 from ncf.cli import main
 
 
@@ -83,6 +84,21 @@ class TestApplyTransfer:
             assert osc <= prev + 1e-15
             prev = osc
 
+    @pytest.mark.parametrize("n,i_max", [(5, 2), (5, 0), (2, -1), (3, 1)])
+    def test_cutoff_below_n_minus_one_rejected(self, n, i_max):
+        # below N - 1 the folded tail mass (x+N)/(x+i_max+1) exceeds 1
+        f = GridFunction.constant(1.0, 8)
+        with pytest.raises(ValueError, match="i_max"):
+            apply_transfer(f, NcfParams(n), i_max=i_max)
+        with pytest.raises(ValueError, match="i_max"):
+            list(transfer.iterates(f, NcfParams(n), 5, i_max=i_max))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_cutoff_n_minus_one_is_all_tail(self, n):
+        # no branch is kept; the tail carries mass exactly 1
+        out = apply_transfer(GridFunction.constant(1.0, 8), NcfParams(n), i_max=n - 1)
+        assert np.max(np.abs(out.values - 1.0)) <= 1e-15
+
     def test_resolution_mismatch(self):
         f = GridFunction.constant(1.0, 8)
         g = apply_transfer(f, NcfParams(1))
@@ -105,6 +121,58 @@ class TestApplyTransfer:
         e2048 = np.max(np.abs(run(2048) - ref))
         for ratio in (e512 / e1024, e1024 / e2048):
             assert 1.0 < ratio < 16.0  # factor-of-2 band around 4
+
+
+def _random_grid(m, seed):
+    return GridFunction(np.random.default_rng(seed).random(m + 1))
+
+
+class TestAssembledOperator:
+    """iterates() steps an operator assembled once; the branch sum in
+    transfer_at is its oracle."""
+
+    @pytest.mark.parametrize("i_max", [None, 1000, 4000])
+    @pytest.mark.parametrize("m", [256, 1024, 2048])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_branch_sum_at_nodes(self, n, m, i_max):
+        params = NcfParams(n)
+        f = _random_grid(m, seed=n * m)
+        op = transfer._assemble(params, m, i_max)
+        want = transfer.transfer_at(f, params, f.nodes, i_max)
+        assert np.max(np.abs(transfer._step(op, f.values) - want)) <= 1e-14
+
+    @pytest.mark.parametrize("i_max", [None, 4000])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_stochastic(self, n, i_max):
+        m = 1024
+        indptr, cols, data = transfer._assemble(NcfParams(n), m, i_max)
+        assert indptr[0] == 0 and indptr[-1] == cols.size == data.size
+        assert np.all(np.diff(indptr) >= 1)
+        assert np.all(data >= 0)
+        assert cols.min() >= 0 and cols.max() == m
+        assert np.max(np.abs(np.add.reduceat(data, indptr[:-1]) - 1.0)) <= 1e-14
+        # one entry per (row, column)
+        rows = np.repeat(np.arange(m + 1), np.diff(indptr))
+        keys = rows * (m + 1) + cols
+        assert np.unique(keys).size == keys.size
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_forty_iterates_match_branch_sum(self, n):
+        params = NcfParams(n)
+        f = g = GridFunction.from_callable(lambda x: np.cos(5 * x) + x, 512)
+        for k, h in enumerate(transfer.iterates(f, params, 40)):
+            g = apply_transfer(g, params)
+            assert np.max(np.abs(h.values - g.values)) <= 1e-13, k
+
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    def test_short_runs_keep_branch_sum(self, steps):
+        params = NcfParams(2)
+        f = g = _random_grid(300, seed=5)
+        got = list(transfer.iterates(f, params, steps, i_max=1500))
+        assert len(got) == steps
+        for h in got:
+            g = apply_transfer(g, params, i_max=1500)
+            assert np.array_equal(h.values, g.values)
 
 
 class TestLipschitzNorm:
