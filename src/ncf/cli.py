@@ -16,7 +16,6 @@ import sys as _sys
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from . import core, gausskuzmin, measure, rscc, transfer
 from .errors import BudgetExceededError, FitError
@@ -101,11 +100,11 @@ def _cmd_invariance(args):
     rows = []
     for u in np.linspace(1.0 / args.grid, 1.0, args.grid):
         u = float(u)
+        # the kernel jumps where a branch point N/(x+i) crosses u
         brk = args.n / u - math.floor(args.n / u)
-        pts = [brk] if 0.0 < brk < 1.0 else None
-        val, _ = integrate.quad(
-            lambda x: rscc.q_kernel_interval(sys_, float(x), u) * gm.density(x),
-            0.0, 1.0, points=pts, limit=200, epsabs=1e-12)
+        val = measure._gauss_legendre(
+            lambda x: rscc.q_kernel_interval(sys_, x, u) * gm.density(x),
+            0.0, 1.0, breaks=(brk,))
         rows.append((u, val, measure.gn_cdf(u, gm), abs(val - measure.gn_cdf(u, gm))))
     worst = max(r[3] for r in rows)
     payload = {"schema": f"ncf-invariance-v{SCHEMA_VERSION}", "n": args.n,

@@ -14,10 +14,15 @@ class FitError(RuntimeError):
 
 
 def budget_cap() -> int:
-    """Compute cap in abstract cost units; NCF_BUDGET overrides the default."""
+    """Compute cap in abstract cost units; NCF_BUDGET overrides the default.
+
+    Raises ValueError unless NCF_BUDGET is a non-negative integer.
+    """
     raw = os.environ.get("NCF_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
+    if not raw.strip().isdecimal():
+        raise ValueError(f"NCF_BUDGET must be a non-negative integer, got {raw!r}")
     return int(raw)
 
 

@@ -56,7 +56,7 @@ def lebesgue_measure() -> InitialMeasure:
 
 def gauss_initial(params: NcfParams) -> InitialMeasure:
     gm = GaussMeasure(params)
-    return InitialMeasure(DensityFunction(lambda x: float(gm.density(x))))
+    return InitialMeasure(DensityFunction(gm.density))
 
 
 def tilted_measure() -> InitialMeasure:
@@ -73,8 +73,7 @@ def initial_grid_density(mu: InitialMeasure, params: NcfParams, m: int) -> GridF
     """f0 = d(mu)/d(invariant measure) sampled on the operator grid."""
     gm = GaussMeasure(params)
     x = np.linspace(0.0, 1.0, m + 1)
-    h = np.array([mu.density(float(t)) for t in x])
-    return GridFunction(gm.log_norm * (x + params.n_param) * h)
+    return GridFunction(gm.log_norm * (x + params.n_param) * mu.density(x))
 
 
 def density_from_grid(f0: GridFunction, params: NcfParams) -> DensityFunction:
@@ -84,17 +83,23 @@ def density_from_grid(f0: GridFunction, params: NcfParams) -> DensityFunction:
     x = f0.nodes
     vals = f0.values / (gm.log_norm * (x + params.n_param))
     vals = vals / np.trapezoid(vals, x)  # remove the grid's O(h^2) mass drift
-
-    def h(t):
-        return float(np.interp(t, x, vals))
-
-    return DensityFunction(h, mass_tol=1e-6)
+    return DensityFunction(lambda t: np.interp(t, x, vals), mass_tol=1e-6)
 
 
 def pushforward_density(mu: InitialMeasure, params: NcfParams, m: int = 1024) -> DensityFunction:
     """Density of the image measure after one map step."""
     f0 = initial_grid_density(mu, params, m)
     return density_from_grid(apply_transfer(f0, params), params)
+
+
+# cells of the grid on which _sample_initial inverts the initial CDF
+_INV_GRID = 4096
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Integral of the samples y from x[0] to each uniform node x[j]."""
+    h = x[1] - x[0]
+    return np.concatenate([[0.0], np.cumsum((y[:-1] + y[1:]) * (h / 2.0))])
 
 
 def _cdf_on_grid(f: GridFunction, gm: GaussMeasure) -> np.ndarray:
@@ -105,19 +110,13 @@ def _cdf_on_grid(f: GridFunction, gm: GaussMeasure) -> np.ndarray:
     with the full integrand.
     """
     x = f.nodes
-    resid = (f.values - 1.0) * gm.density(x)
-    h = x[1] - x[0]
-    cum = np.concatenate([[0.0], np.cumsum((resid[:-1] + resid[1:]) * (h / 2.0))])
-    return gn_cdf(x, gm) + cum
+    return gn_cdf(x, gm) + _cumulative_trapezoid((f.values - 1.0) * gm.density(x), x)
 
 
-def _sample_initial(mu: InitialMeasure, n_paths: int, rng: np.random.Generator,
-                    inv_grid: int = 4096) -> np.ndarray:
+def _sample_initial(mu: InitialMeasure, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF sampling of the initial measure on a fine numeric grid."""
-    x = np.linspace(0.0, 1.0, inv_grid + 1)
-    dens = np.array([mu.density(float(t)) for t in x])
-    h = x[1] - x[0]
-    cdf = np.concatenate([[0.0], np.cumsum((dens[:-1] + dens[1:]) * (h / 2.0))])
+    x = np.linspace(0.0, 1.0, _INV_GRID + 1)
+    cdf = _cumulative_trapezoid(mu.density(x), x)
     cdf /= cdf[-1]
     return np.interp(rng.random(n_paths), cdf, x)
 

@@ -24,11 +24,10 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
 from .core import NcfParams, fixed_point
 from .errors import charge
-from .measure import GaussMeasure
+from .measure import GaussMeasure, _gauss_legendre
 from . import transfer
 
 
@@ -579,12 +578,9 @@ def limit_path_law(sys: RsccSystem, r: int, word_set) -> float:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     gm = GaussMeasure(sys.params)
-
-    def integrand(w):
-        return float(_word_set_probability(sys, w, word_set)) * gm.density(w)
-
-    val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-12, limit=200)
-    return val
+    # the integrand is rational with its poles at w <= -1
+    return _gauss_legendre(
+        lambda w: _word_set_probability(sys, w, word_set) * gm.density(w), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .core import NcfParams
 from .errors import FitError
@@ -228,9 +227,21 @@ def cesaro_operator(f: GridFunction, n: int, params: NcfParams) -> GridFunction:
 
 
 def integrate_against(f: GridFunction, gm: GaussMeasure) -> float:
-    """Simpson integral of f against the invariant measure on the grid."""
-    x = f.nodes
-    return float(integrate.simpson(f.values * gm.density(x), x=x))
+    """Composite Simpson integral of f against the invariant measure on the
+    grid.
+
+    An odd number of cells ends with Cartwright's correction for the last
+    cell, h/12 (5 y[-1] + 8 y[-2] - y[-3]); a single cell is a trapezoid.
+    """
+    y = f.values * gm.density(f.nodes)
+    m = f.resolution
+    if m == 1:
+        return float((y[0] + y[1]) / 2.0)
+    k = m - m % 2  # the cells covered by pairs
+    total = np.sum(y[0:k - 1:2] + 4.0 * y[1:k:2] + y[2:k + 1:2]) / (3.0 * m)
+    if m % 2:
+        total += (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / (12.0 * m)
+    return float(total)
 
 
 def _fit_window(errors: np.ndarray):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,21 @@ class TestOutputPlumbing:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1.5", "1e9"])
+    def test_bad_budget_is_a_usage_error(self, raw, capsys, monkeypatch):
+        monkeypatch.setenv("NCF_BUDGET", raw)
+        code, out, err = run_cli(["gk", "--grid", "64", "--nmax", "8"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "NCF_BUDGET" in err
+        assert repr(raw) in err
+
+    def test_zero_budget_is_a_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("NCF_BUDGET", "0")
+        code, _, err = run_cli(["gk", "--grid", "64", "--nmax", "8"], capsys)
+        assert code == 3
+        assert "budget" in err
+
 
 class TestFlags:
     # each command takes only the flags it reads
@@ -263,6 +279,16 @@ class TestDeterminism:
         b = self._run(argv)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+    def test_import_leaves_scipy_out(self):
+        # NumPy is the only runtime dependency
+        import ncf
+        src = str(Path(ncf.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import ncf.cli; "
+                "print('scipy' in sys.modules)")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
 
     def test_module_entry_point(self):
         r = self._run(["eval", "--digits", "1,1,1"])

@@ -52,6 +52,16 @@ class TestInitialMeasures:
         f0 = initial_grid_density(gauss_initial(params), params, 256)
         assert np.max(np.abs(f0.values - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_array_evaluation_equals_pointwise(self, n):
+        # the grids are built by one array call; the arithmetic is that of a
+        # call per point, so the values are equal bit for bit
+        params = NcfParams(n)
+        x = np.linspace(0.0, 1.0, 1025)
+        for mu in (lebesgue_measure(), gauss_initial(params), tilted_measure()):
+            pointwise = np.array([mu.density(float(t)) for t in x])
+            assert np.array_equal(mu.density(x), pointwise)
+
     def test_tilted_density_normalized(self):
         val, _ = integrate.quad(tilted_measure().density, 0, 1, epsabs=1e-13)
         assert val == pytest.approx(1.0, abs=1e-12)

@@ -15,7 +15,10 @@ from ncf import (
     gn_measure,
     gn_quantile,
     gn_sample,
+    make_ncf_rscc,
+    q_kernel_interval,
 )
+from ncf.measure import _gauss_legendre
 
 
 @pytest.fixture(params=[1, 2, 5])
@@ -173,3 +176,44 @@ class TestDensityFunction:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             DensityFunction(lambda x: 2.0)
+
+    def test_rejects_small_mass_error(self):
+        with pytest.raises(ValueError):
+            DensityFunction(lambda x: 1.0 + 1e-8)
+
+    def test_accepts_array_evaluator(self, gm):
+        dens = DensityFunction(gm.density)
+        x = np.linspace(0.0, 1.0, 9)
+        assert np.array_equal(dens(x), gm.density(x))
+        assert dens(0.5) == gm.density(0.5)
+
+    def test_scalar_evaluator_broadcasts(self):
+        vals = DensityFunction(lambda x: 1.0)(np.linspace(0.0, 1.0, 5))
+        assert vals.shape == (5,)
+        assert np.all(vals == 1.0)
+
+
+class TestGaussLegendre:
+    # scipy's adaptive quad is the oracle of the fixed panels
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_invariance_integrand_matches_quad(self, n):
+        params = NcfParams(n)
+        gm = GaussMeasure(params)
+        sys_ = make_ncf_rscc(params)
+        for u in np.linspace(1.0 / 64, 1.0, 64):
+            u = float(u)
+            brk = n / u - math.floor(n / u)
+            pts = [brk] if 0.0 < brk < 1.0 else None
+            want, _ = integrate.quad(
+                lambda x: q_kernel_interval(sys_, float(x), u) * gm.density(x),
+                0.0, 1.0, points=pts, limit=200, epsabs=1e-14)
+            got = _gauss_legendre(
+                lambda x: q_kernel_interval(sys_, x, u) * gm.density(x),
+                0.0, 1.0, breaks=(brk,))
+            assert abs(got - want) <= 1e-14
+
+    def test_breaks_and_panels(self):
+        # breakpoints outside (a, b) are ignored; each piece gets its panels
+        f = lambda x: np.where(x < 0.3, 1.0, 3.0 * x * x)
+        got = _gauss_legendre(f, 0.0, 1.0, breaks=(1.5, 0.3, -1.0), panels=4)
+        assert got == pytest.approx(0.3 + (1.0 - 0.3 ** 3), abs=1e-15)

@@ -426,6 +426,30 @@ class TestShiftedPathLaw:
 
 
 class TestLimitPathLaw:
+    @pytest.mark.parametrize("n,r,word_set", [
+        (1, 1, [(1,)]),
+        (2, 1, [(i,) for i in range(2, 6)]),
+        (2, 1, TailSet(6)),
+        (5, 1, TailSet(5)),
+        (1, 2, [(1, 1), (1, 7), (3, 2)]),
+        (1, 2, [(1, 199)]),
+        (2, 3, [(2, 3, 2), (4, 2, 9)]),
+    ])
+    def test_matches_quad(self, n, r, word_set):
+        # scipy's adaptive quad is the oracle of the fixed panels
+        sys = make_ncf_rscc(NcfParams(n))
+        gm = GaussMeasure(sys.params)
+
+        def integrand(w):
+            if isinstance(word_set, TailSet):
+                p = sys.tail_mass(w, word_set.m)
+            else:
+                p = sum(path_probability(sys, w, word) for word in word_set)
+            return float(p) * gm.density(w)
+
+        want, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, limit=200)
+        assert abs(limit_path_law(sys, r, word_set) - want) <= 1e-14
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_one_letter_law_is_digit_law(self, n):
         sys = make_ncf_rscc(NcfParams(n))

@@ -23,6 +23,19 @@ from ncf import transfer
 from ncf.cli import main
 
 
+class TestSimpson:
+    # scipy.integrate.simpson is the oracle of integrate_against: plain
+    # Simpson on an even cell count, Cartwright's end correction on an odd one
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 255, 256, 1023, 1024, 8192])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_scipy(self, m, n):
+        gm = GaussMeasure(NcfParams(n))
+        for fn in (lambda x: np.cos(3.0 * x) + x * x, np.exp, lambda x: x):
+            f = GridFunction.from_callable(fn, m)
+            want = integrate.simpson(f.values * gm.density(f.nodes), x=f.nodes)
+            assert abs(integrate_against(f, gm) - want) <= 1e-15
+
+
 class TestGridFunction:
     def test_resolution_and_nodes(self):
         f = GridFunction.from_callable(lambda x: x * x, 8)
