@@ -20,7 +20,7 @@ import numpy as np
 from .core import NcfParams
 from .errors import FitError, charge
 from .measure import DensityFunction, GaussMeasure, gn_cdf
-from .transfer import GridFunction, apply_transfer, default_branch_cutoff, fit_rate, iterates
+from .transfer import GridFunction, apply_transfer, fit_rate, iterates
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,6 @@ def distribution_at(mu: InitialMeasure, n: int, x: float, params: NcfParams,
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if method == "operator":
-        charge(max(n, 1) * m * default_branch_cutoff(params), "distribution_at operator")
         f = initial_grid_density(mu, params, m)
         for f in iterates(f, params, n):
             pass  # U^n f0, or f0 itself when n = 0
@@ -167,7 +166,6 @@ def run_experiment(mu: InitialMeasure, params: NcfParams, n_max: int = 40,
         raise ValueError(f"n_max must be >= 5, got {n_max}")
     if rng is None:
         rng = np.random.default_rng(0)
-    charge(n_max * m * default_branch_cutoff(params), "run_experiment")
     gm = GaussMeasure(params)
     xs = np.linspace(0.0, 1.0, x_grid)
     limit = gn_cdf(xs, gm)

@@ -277,13 +277,14 @@ def _target_indicator(sys: RsccSystem, target) -> np.ndarray:
 
 
 def q_step(sys: RsccSystem, k: int, source: float, target,
-           method: str = "auto", grid_m: int = 1024,
+           method: str = "grid", grid_m: int = 1024,
            n_paths: int = 100_000, rng: Optional[np.random.Generator] = None) -> float:
     """k-step kernel Q^(k)(source, target).
 
     Finite systems: exact matrix power.  The continued-fraction system, where
-    `target` is an (a, b) half-open interval: either seeded Monte Carlo path
-    simulation or the kernel recursion Q^(k+1) = U Q^(k).  In the recursion
+    `target` is an (a, b) half-open interval: the kernel recursion
+    Q^(k+1) = U Q^(k) (method "grid", the default) or seeded Monte Carlo path
+    simulation (method "mc").  In the recursion
     Q^(1) is the closed form `q_kernel` and Q^(2) one branch sum of that
     closed form at the source; for k >= 3 the transfer operator is iterated
     k-2 times on a grid of the closed form and the last step is taken at the
@@ -296,7 +297,7 @@ def q_step(sys: RsccSystem, k: int, source: float, target,
         row = km[_state_index(sys, source)]
         return float(row @ _target_indicator(sys, target))
     a, b = target
-    if method in ("auto", "grid"):
+    if method == "grid":
         return _kernel_terms(sys, k, source, a, b, grid_m)[-1]
     if method == "mc":
         return q_step_mc(sys, k, source, a, b, n_paths, rng).value
@@ -313,7 +314,6 @@ def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
     interpolated across a jump of the kernel there.
     """
     params = sys.params
-    charge(n * grid_m * transfer.default_branch_cutoff(params), "kernel grid recursion")
 
     def q1(y):
         # an empty target (b <= 0) makes q_kernel the scalar 0

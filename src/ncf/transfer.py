@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import NcfParams
-from .errors import FitError
+from .errors import FitError, charge
 from .measure import GaussMeasure
 
 
@@ -82,33 +82,45 @@ def default_branch_cutoff(params: NcfParams) -> int:
     return max(1000, 100 * params.n_param)
 
 
-def _branch_terms(params: NcfParams, x: np.ndarray, i_max: Optional[int], block: int):
+# (row, branch) entries per chunk of operator work: the chunk size sets the
+# peak memory of a branch sum and of an assembly
+_CHUNK = 50_000
+# matrix entries per block of an assembly: mapped on their own, blocks keep
+# the heap to one chunk's temporaries, and at 2 MB an array stays below the
+# 4 MB from which NumPy asks for huge pages, so untouched ends stay unmapped
+_ASSEMBLY_BLOCK = 1 << 18
+
+
+def _branch_terms(params: NcfParams, x: np.ndarray, i_max: Optional[int]):
     """The operator at the points x as weighted point evaluations.
 
-    Yields (weights, points) pairs of shape (len(x), k): the branches
-    i = N..i_max, at most `block` of them at a time, then the folded tail as
-    one column.  (U f)(x) is the sum over the pairs of weights * f(points).
-    Weights are telescoping differences (x+N)/(x+i) - (x+N)/(x+i+1), so the
-    constant function is reproduced to machine precision.  The truncated
-    tail enters as its mass (x+N)/(x+i_max+1) times the value at the tail's
-    mean branch point (near 0), which keeps the unit eigenfunction exact
-    while cancelling the first-order truncation error.
+    Charges len(x) (i_max - N + 2) budget units, then yields (r0, w, y) for
+    about _CHUNK entries (at least one row) at a time: (U f)(x[r0 + j]) is
+    the sum of row j of w * f(y), over the branches i = N..i_max and then the
+    folded tail; along a row the points fall.  The weights telescope, so
+    constants are reproduced to machine precision; the tail enters as its
+    mass (x+N)/(x+i_max+1) at its mean branch point (near 0), which keeps the
+    unit eigenfunction exact and cancels the first-order truncation error.
     """
     n = params.n_param
     if i_max is None:
         i_max = default_branch_cutoff(params)
-    if i_max < n - 1:
-        # the tail mass would exceed 1
+    if i_max < n - 1:  # the tail mass would exceed 1
         raise ValueError(f"i_max must be >= N - 1 = {n - 1}, got {i_max}")
-    x = x[:, None]
-    for lo in range(n, i_max + 1, block):
-        i = np.arange(lo, min(lo + block, i_max + 1), dtype=float)[None, :]
-        yield (x + n) / (x + i) - (x + n) / (x + i + 1.0), n / (x + i)
-    tail = (x + n) / (x + i_max + 1)
-    # first moment of the branch points over the tail, by midpoint integral
-    m_half = x + i_max + 0.5
-    s1 = n * (x + n) * (0.5 / m_half ** 2 - 1.0 / (3.0 * m_half ** 3))
-    yield tail, s1 / tail
+    i = np.arange(n, i_max + 2, dtype=float)
+    charge(len(x) * i.size, "transfer operator")
+    rows = max(1, _CHUNK // i.size)
+    for r0 in range(0, len(x), rows):
+        xr = x[r0:r0 + rows, None]
+        w = (xr + n) / (xr + i)
+        w[:, :-1] -= w[:, 1:]  # the last column stays the tail mass
+        y = n / (xr + i)
+        # first moment of the tail's branch points, by midpoint integral;
+        # it falls below 0 only at N = 1, i_max = 0
+        h = xr[:, 0] + i_max + 0.5
+        s1 = n * (xr[:, 0] + n) * (0.5 / h ** 2 - 1.0 / (3.0 * h ** 3))
+        y[:, -1] = np.maximum(s1 / w[:, -1], 0.0)
+        yield r0, w, y
 
 
 def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndarray:
@@ -118,9 +130,9 @@ def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndar
     of the operator; iterates() steps its assembled matrix.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[0])
-    for w, y in _branch_terms(params, x, i_max, max(1, 8_000_000 // x.shape[0])):
-        out += np.sum(w * f(y.ravel()).reshape(y.shape), axis=1)
+    out = np.empty(x.shape[0])
+    for r0, w, y in _branch_terms(params, x, i_max):
+        out[r0:r0 + w.shape[0]] = np.sum(w * f(y.ravel()).reshape(y.shape), axis=1)
     return out
 
 
@@ -129,13 +141,26 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     return GridFunction(transfer_at(f, params, f.nodes, i_max))
 
 
-# (row, branch) entries per chunk of the assembly: the chunk size sets the
-# peak memory of a build
-_ASSEMBLY_CHUNK = 50_000
-# matrix entries per block: the chunks' small parts are merged into blocks
-# this large, which the allocator maps on their own, so the parts' heap
-# space is reused by the next chunks instead of pinning freed temporaries
-_ASSEMBLY_BLOCK = 1_000_000
+def _entries(m: int, w: np.ndarray, y: np.ndarray):
+    """A chunk of branch terms as matrix entries on grids of m cells: (entries
+    per row, columns, values), one per (row, column).  A point in the cell
+    [k/m, (k+1)/m] splits its weight t : 1-t between columns k+1 and k."""
+    t = y * m
+    k = t.astype(np.intp)
+    np.minimum(k, m - 1, out=k)
+    t -= k
+    t *= w
+    k += (np.arange(w.shape[0]) * (m + 1))[:, None]  # key: row (m+1) + column
+    # the points fall along a row, so equal keys (all >= 0) form runs; the
+    # runs' columns (k+1, k) never rise, and only a next run's k+1 repeats k
+    key = k.ravel()
+    s = np.flatnonzero(np.diff(key, prepend=-1))
+    val = np.column_stack((np.add.reduceat(t.ravel(), s),
+                           np.add.reduceat((w - t).ravel(), s))).ravel()
+    key = np.column_stack((key[s] + 1, key[s])).ravel()
+    s = np.flatnonzero(np.diff(key, prepend=-1))
+    rows, cols = np.divmod(key[s], m + 1)
+    return np.bincount(rows, minlength=w.shape[0]), cols, np.add.reduceat(val, s)
 
 
 def _assemble(params: NcfParams, m: int, i_max: Optional[int]):
@@ -147,39 +172,23 @@ def _assemble(params: NcfParams, m: int, i_max: Optional[int]):
     column.  On grid functions it equals transfer_at at the nodes up to
     rounding.  Every row holds at least its tail entry.
     """
-    i_top = default_branch_cutoff(params) if i_max is None else i_max
-    block = max(1, i_top - params.n_param + 1)  # all branches in one block
-    rows_per_chunk = max(1, _ASSEMBLY_CHUNK // block)
-    nodes = np.linspace(0.0, 1.0, m + 1)
-    counts, cols, data, part_cols, part_data = [], [], [], [], []
-    for r0 in range(0, m + 1, rows_per_chunk):
-        x = nodes[r0:r0 + rows_per_chunk]
-        keys, vals = [], []
-        for w, y in _branch_terms(params, x, i_max, block):
-            # y lies in the cell [k/m, (k+1)/m]; entry key = row (m+1) + column
-            my = y * m
-            k = np.minimum(my.astype(np.intp), m - 1)
-            t = my - k
-            key = ((np.arange(x.size) * (m + 1))[:, None] + k).ravel()
-            # branch points decrease along a row, so equal keys form runs
-            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            keys += [key[starts], key[starts] + 1]
-            vals += [np.add.reduceat((w * (1.0 - t)).ravel(), starts),
-                     np.add.reduceat((w * t).ravel(), starts)]
-        # sum the entries of each (row, column); sorted keys are row-major
-        keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-        rows, col = np.divmod(keys, m + 1)
-        counts.append(np.bincount(rows, minlength=x.size))
-        part_cols.append(col)
-        part_data.append(np.bincount(inverse, weights=np.concatenate(vals)))
-        if sum(p.size for p in part_cols) >= _ASSEMBLY_BLOCK or r0 + x.size > m:
-            cols.append(np.concatenate(part_cols))
-            data.append(np.concatenate(part_data))
-            part_cols, part_data = [], []
+    chunks = _branch_terms(params, np.linspace(0.0, 1.0, m + 1), i_max)
+    counts, cols, data = [], [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    used = 0  # entries filled in the last block
+    for count, col, val in (_entries(m, w, y) for _, w, y in chunks):
+        if used + col.size > cols[-1].size:
+            cols[-1], data[-1] = cols[-1][:used], data[-1][:used]
+            cols.append(np.empty(max(_ASSEMBLY_BLOCK, col.size), dtype=np.intp))
+            data.append(np.empty(cols[-1].size))
+            used = 0
+        counts.append(count)
+        cols[-1][used:used + col.size] = col
+        data[-1][used:used + col.size] = val
+        used += col.size
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    # one list of blocks at a time, so the peak is three arrays of nnz
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
+    # one list at a time, so the peak is three arrays of nnz
+    cols = np.concatenate(cols[:-1] + [cols[-1][:used]])
+    data = np.concatenate(data[:-1] + [data[-1][:used]])
     return indptr, cols, data
 
 
@@ -196,7 +205,7 @@ def iterates(f: GridFunction, params: NcfParams, n: int, i_max: Optional[int] = 
     """Yield U f, U^2 f, ..., U^n f: every multi-step use of the operator.
 
     From three steps on, the operator is assembled once for the grid of f
-    and stepped as a sparse matrix; the build costs one to two branch sums.
+    and stepped as a sparse matrix; the build costs one to three branch sums.
     Shorter runs take the branch sum of apply_transfer.
     """
     if n < 3:
@@ -288,34 +297,27 @@ def fit_rate(errors: np.ndarray):
     return idx, slope, intercept, logs - (slope * ns + intercept)
 
 
-def error_curves(f: GridFunction, params: NcfParams, n_max: int,
-                 i_max: Optional[int] = None):
+def error_curves(f: GridFunction, params: NcfParams, n_max: int):
     """c_f and the sup and Lipschitz distances of U f, ..., U^n_max f from it.
 
     c_f is the integral of f against the invariant measure: the operator
     iterates of any Lipschitz f collapse to that constant.
     """
     c_f = integrate_against(f, GaussMeasure(params))
-    sup_errors = np.empty(n_max)
-    lip_errors = np.empty(n_max)
-    for k, g in enumerate(iterates(f, params, n_max, i_max)):
-        sup_errors[k] = float(np.max(np.abs(g.values - c_f)))
-        lip_errors[k] = lipschitz_norm(GridFunction(g.values - c_f)).total
-    return c_f, sup_errors, lip_errors
+    norms = [lipschitz_norm(GridFunction(g.values - c_f)) for g in iterates(f, params, n_max)]
+    return c_f, np.array([e.sup_part for e in norms]), np.array([e.total for e in norms])
 
 
-def estimate_gap(f: GridFunction, params: NcfParams, n_max: int,
-                 i_max: Optional[int] = None) -> GapEstimate:
+def estimate_gap(f: GridFunction, params: NcfParams, n_max: int) -> GapEstimate:
     """Fit the geometric decay rate of ||U^n f - c_f|| on the log scale.
 
     The sup-norm distance of the iterates from c_f decays like k q^n.
     """
     if n_max < 5:
         raise ValueError(f"n_max must be >= 5, got {n_max}")
-    v = f.values
-    if float(np.max(v) - np.min(v)) == 0.0:
+    if np.ptp(f.values) == 0.0:
         raise ValueError("gap estimation needs a non-constant function")
-    _, sup_errors, lip_errors = error_curves(f, params, n_max, i_max)
+    _, sup_errors, lip_errors = error_curves(f, params, n_max)
     idx, slope, intercept, residuals = fit_rate(sup_errors)
     return GapEstimate(
         q_hat=float(math.exp(slope)),

@@ -188,10 +188,17 @@ class TestOutputPlumbing:
         payload = json.loads(path.read_text())
         assert payload["schema"] == "ncf-digit-law-v1"
 
-    def test_budget_exit_code(self, capsys, monkeypatch):
+    # every command that evaluates the transfer operator is budgeted
+    @pytest.mark.parametrize("argv", [
+        ["gk", "--n", "1"],
+        ["gap", "--grid", "64", "--nmax", "8"],
+        ["transfer", "--grid", "64", "--nmax", "8"],
+    ], ids=["gk", "gap", "transfer"])
+    def test_budget_exit_code(self, argv, capsys, monkeypatch):
         monkeypatch.setenv("NCF_BUDGET", "10")
-        code, _, err = run_cli(["gk", "--n", "1"], capsys)
+        code, out, err = run_cli(argv, capsys)
         assert code == 3
+        assert out == ""
         assert "budget" in err
 
     @pytest.mark.parametrize("raw", ["abc", "-5", "1.5", "1e9"])

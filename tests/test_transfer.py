@@ -2,12 +2,16 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from ncf import (
+    BudgetExceededError,
     FitError,
     GaussMeasure,
     GridFunction,
@@ -19,7 +23,7 @@ from ncf import (
     integrate_against,
     lipschitz_norm,
 )
-from ncf import transfer
+from ncf import gausskuzmin, transfer
 from ncf.cli import main
 
 
@@ -177,6 +181,19 @@ class TestAssembledOperator:
             g = apply_transfer(g, params)
             assert np.max(np.abs(h.values - g.values)) <= 1e-13, k
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_all_tail_cutoff(self, n):
+        # i_max = N - 1 keeps no branch, only the tail; at N = 1 its mean
+        # branch point is clamped to 0 instead of falling below it
+        params, m = NcfParams(n), 256
+        f = _random_grid(m, seed=n)
+        lowest = []
+        transfer.transfer_at(lambda y: lowest.append(y.min()) or y, params, f.nodes, n - 1)
+        assert min(lowest) >= 0.0
+        op = transfer._assemble(params, m, n - 1)
+        want = transfer.transfer_at(f, params, f.nodes, n - 1)
+        assert np.max(np.abs(transfer._step(op, f.values) - want)) <= 1e-14
+
     @pytest.mark.parametrize("steps", [0, 1, 2])
     def test_short_runs_keep_branch_sum(self, steps):
         params = NcfParams(2)
@@ -186,6 +203,70 @@ class TestAssembledOperator:
         for h in got:
             g = apply_transfer(g, params, i_max=1500)
             assert np.array_equal(h.values, g.values)
+
+
+class TestOperatorWork:
+    """_branch_terms sizes, chunks and charges every evaluation of the
+    operator: the branch sum and the assembly alike."""
+
+    def test_branch_sum_calls_f_in_chunks(self):
+        params, m, i_max = NcfParams(5), 8192, 4000
+        g = _random_grid(m, seed=3)
+        sizes = []
+
+        def f(y):
+            sizes.append(y.size)
+            return g(y)
+
+        out = transfer.transfer_at(f, params, g.nodes, i_max)
+        assert max(sizes) <= transfer._CHUNK
+        assert sum(sizes) == (m + 1) * (i_max - 5 + 2)
+        assert np.array_equal(out, apply_transfer(g, params, i_max).values)
+
+    def test_branch_sum_peak_memory(self):
+        # one branch sum at M=8192, N=5, i_max=4000 in a fresh interpreter
+        # peaked at about 340 MB when it took 8,000,000 entries at a time; NumPy
+        # alone takes about 30 MB.  VmHWM is the peak of this process only:
+        # ru_maxrss would carry the spawning process's peak across exec.
+        if not Path("/proc/self/status").exists():
+            pytest.skip("VmHWM is read from /proc")
+        import ncf
+        src = str(Path(ncf.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np; "
+                "from ncf import GridFunction, NcfParams, apply_transfer; "
+                "f = GridFunction(np.random.default_rng(0).random(8193)); "
+                "apply_transfer(f, NcfParams(5), i_max=4000); "
+                "print([l.split()[1] for l in open('/proc/self/status') "
+                "if l.startswith('VmHWM:')][0])")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert int(r.stdout) / 1024 < 120
+
+    @pytest.mark.parametrize("n,i_max", [(1, None), (5, 4000)])
+    def test_budget_counts_row_branch_entries(self, n, i_max, monkeypatch):
+        # one evaluation costs its points times the branches N..i_max plus the tail
+        params, m = NcfParams(n), 64
+        cost = (m + 1) * ((i_max or transfer.default_branch_cutoff(params)) - n + 2)
+        f = GridFunction.constant(1.0, m)
+        monkeypatch.setenv("NCF_BUDGET", str(cost))
+        apply_transfer(f, params, i_max)
+        list(transfer.iterates(f, params, 3, i_max))
+        monkeypatch.setenv("NCF_BUDGET", str(cost - 1))
+        with pytest.raises(BudgetExceededError, match="transfer operator"):
+            apply_transfer(f, params, i_max)
+        with pytest.raises(BudgetExceededError, match="transfer operator"):
+            list(transfer.iterates(f, params, 3, i_max))
+
+    def test_one_charge_per_evaluation(self, monkeypatch):
+        charges = []
+        monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(cost))
+        params, f = NcfParams(1), GridFunction.constant(1.0, 128)
+        gausskuzmin.run_experiment(gausskuzmin.lebesgue_measure(), params, n_max=40,
+                                   m=128, spot_paths=1000)
+        assert charges == [129 * 1001]  # one assembly for 40 steps
+        charges.clear()
+        cesaro_operator(f, 2, params)
+        assert charges == [129 * 1001] * 2  # two branch sums
 
 
 class TestLipschitzNorm:
