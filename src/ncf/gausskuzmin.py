@@ -72,8 +72,8 @@ def limit_cdf(x, params: NcfParams):
 def initial_grid_density(mu: InitialMeasure, params: NcfParams, m: int) -> GridFunction:
     """f0 = d(mu)/d(invariant measure) sampled on the operator grid."""
     gm = GaussMeasure(params)
-    x = np.linspace(0.0, 1.0, m + 1)
-    return GridFunction(gm.log_norm * (x + params.n_param) * mu.density(x))
+    return GridFunction.from_callable(
+        lambda x: gm.log_norm * (x + params.n_param) * mu.density(x), m)
 
 
 def density_from_grid(f0: GridFunction, params: NcfParams) -> DensityFunction:

@@ -42,7 +42,7 @@ class GaussMeasure:
 
     def __post_init__(self):
         n = self.params.n_param
-        object.__setattr__(self, "log_norm", math.log((n + 1) / n))
+        object.__setattr__(self, "log_norm", math.log1p(1.0 / n))
 
     @property
     def n(self) -> int:
@@ -75,11 +75,11 @@ class DensityFunction:
 
 
 def gn_cdf(x, gm: GaussMeasure):
-    """log((x+N)/N) / log((N+1)/N); 0 at x=0, 1 at x=1."""
+    """log((x+N)/N) / log((N+1)/N), clamped to [0, 1]; 0 at x=0, 1 at x=1."""
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0) or np.any(xa > 1):
         raise ValueError("gn_cdf argument outside [0, 1]")
-    out = np.log1p(xa / gm.n) / gm.log_norm
+    out = np.clip(np.log1p(xa / gm.n) / gm.log_norm, 0.0, 1.0)
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
@@ -106,9 +106,9 @@ def digit_law(i: int, gm: GaussMeasure) -> float:
     """Probability that the first digit equals i under the invariant measure.
 
     The digit-i cell is (N/(i+1), N/i], so the mass is
-    log((i+1)^2 / (i (i+2))) / log((N+1)/N); the series over i >= N
-    telescopes to 1.
+    log((i+1)^2 / (i (i+2))) = log1p(1/(i (i+2))) over log((N+1)/N); the
+    series over i >= N telescopes to 1.
     """
     if i < gm.n:
         raise ValueError(f"digit must be >= N = {gm.n}, got {i}")
-    return math.log((i + 1) ** 2 / (i * (i + 2))) / gm.log_norm
+    return math.log1p(1.0 / (i * (i + 2))) / gm.log_norm

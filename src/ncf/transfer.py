@@ -2,11 +2,12 @@
 
 A function on [0,1] is carried as samples at uniform nodes j/M.  One operator
 application averages the function over the countable family of inverse
-branches x -> N/(x+i), i >= N, with weights (x+N)/((x+i)(x+i+1)); the branch
-series is truncated and the exact tail mass (x+N)/(x+i_max+1) is folded in
-through the value at the tail's mean branch point, near 0, where the far
-branches accumulate.  On a grid the operator is a fixed stochastic matrix:
-iterates() assembles it once and steps it as a sparse product.
+branches x -> N/(x+i), i >= N, with weights (x+N)/((x+i)(x+i+1)).  The far
+branches accumulate at 0; those landing in one grid cell enter as one term,
+their exact mass at their exact mean, so grid functions, linear on each
+cell, get the whole series in about 2 sqrt(NM) terms a point.  On a grid the
+operator is a fixed stochastic matrix: iterates() assembles it once and
+steps it as a sparse product.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, fn, m: int) -> "GridFunction":
+        charge(m + 1, "grid samples")
         x = np.linspace(0.0, 1.0, m + 1)
         return cls(np.asarray(fn(x), dtype=float) * np.ones(m + 1))
 
@@ -78,66 +80,93 @@ class GapEstimate:
 
 
 def default_branch_cutoff(params: NcfParams) -> int:
-    """Truncation index: keeps the tail mass below the grid error."""
+    """The branch cut-off of the former truncated operator, which it replaced."""
     return max(1000, 100 * params.n_param)
 
 
-# (row, branch) entries per chunk of operator work: the chunk size sets the
+# (row, term) entries per chunk of operator work: the chunk size sets the
 # peak memory of a branch sum and of an assembly
-_CHUNK = 50_000
+_CHUNK = 25_000
 # matrix entries per block of an assembly: mapped on their own, blocks keep
 # the heap to one chunk's temporaries, and at 2 MB an array stays below the
 # 4 MB from which NumPy asks for huge pages, so untouched ends stay unmapped
 _ASSEMBLY_BLOCK = 1 << 18
+# cells of width 2^-20 group the far branches of a callable f
+_CALLABLE_CELLS = 1 << 20
 
 
-def _branch_terms(params: NcfParams, x: np.ndarray, i_max: Optional[int]):
-    """The operator at the points x as weighted point evaluations.
+def _mean_over_n(u: np.ndarray) -> np.ndarray:
+    """The mean point over N of the branches i = a..b, from the columns
+    u = 1/(x+a) and, next, 1/(x+b+1) (the last column 0: b infinite), for
+    x+a >= 20: (S(x+a) - S(x+b+1)) / (1/(x+a) - 1/(x+b+1)), with
+    S(z) = psi_1(z) - 1/z = u^2/2 + u^3/6 + r(u), the trigamma series, exact
+    to rounding there.  The two leading differences are factored, so no
+    digits cancel; an empty group gets the limit of the factored part."""
+    v = u * u
+    r = v * v * u * (-1 / 30 + v * (1 / 42 + v * (-1 / 30 + v * (5 / 66 - v * 691 / 2730))))
+    a, b = u[:, :-1], u[:, 1:]
+    out = np.divide(r[:, :-1] - r[:, 1:], a - b, out=np.zeros_like(a), where=a > b)
+    return out + (a + b) / 2.0 + (a * a + a * b + b * b) / 6.0
 
-    Charges len(x) (i_max - N + 2) budget units, then yields (r0, w, y) for
-    about _CHUNK entries (at least one row) at a time: (U f)(x[r0 + j]) is
-    the sum of row j of w * f(y), over the branches i = N..i_max and then the
-    folded tail; along a row the points fall.  The weights telescope, so
-    constants are reproduced to machine precision; the tail enters as its
-    mass (x+N)/(x+i_max+1) at its mean branch point (near 0), which keeps the
-    unit eigenfunction exact and cancels the first-order truncation error.
-    """
+
+def _branch_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int] = None):
+    """The operator at the points x as weighted point evaluations, exact for
+    f linear on each of m equal cells.  The branches i < I = max(N+1, 20,
+    isqrt(NM) + 1) are single terms.  Past I branch points lie less than a
+    cell apart; those landing in cell k, i in (NM/(k+1) - x, NM/k - x], form
+    one group i = a..b (cell 0's runs to infinity) of mass
+    (x+N)(1/(x+a) - 1/(x+b+1)) at its mean point.  With i_max, the branches
+    above it form one group instead.  Charges len(x) times the terms per row,
+    then yields (r0, w, y) for about _CHUNK entries (at least one row) at a
+    time: (U f)(x[r0 + j]) is the sum of row j of w * f(y); along a row the
+    points fall, and the weights telescope to 1."""
     n = params.n_param
     if i_max is None:
-        i_max = default_branch_cutoff(params)
-    if i_max < n - 1:  # the tail mass would exceed 1
+        nm = n * m
+        first = max(n + 1, 20, math.isqrt(nm) + 1)  # every group mean stays below 1
+    elif i_max < n - 1:  # the group's mass would exceed 1
         raise ValueError(f"i_max must be >= N - 1 = {n - 1}, got {i_max}")
-    i = np.arange(n, i_max + 2, dtype=float)
-    charge(len(x) * i.size, "transfer operator")
-    rows = max(1, _CHUNK // i.size)
+    else:  # one group: the cells of a grid of none
+        nm, first = 0, i_max + 1
+    g = first - n  # the first group's column
+    terms = g + nm // first + 1  # then the groups of cells nm // first..0
+    charge(len(x) * terms, "transfer operator")
+    k1 = np.arange(terms - g, 0, -1, dtype=float)  # k+1 for each group's cell
+    rows, singles = max(1, _CHUNK // terms), np.arange(n, first, dtype=float)
+    if i_max is not None:  # the group's mean; S(z) = 1/(z^2 (z+1)) + S(z+1) carries z to 20
+        s = sum(1.0 / ((x + j) ** 2 * (x + j + 1.0)) for j in range(first, 20))
+        u = 1.0 / (x[:, None] + [max(first, 20), np.inf])
+        tail = n * (x + first) * (s + u[:, 0] * _mean_over_n(u)[:, 0])
     for r0 in range(0, len(x), rows):
         xr = x[r0:r0 + rows, None]
-        w = (xr + n) / (xr + i)
-        w[:, :-1] -= w[:, 1:]  # the last column stays the tail mass
-        y = n / (xr + i)
-        # first moment of the tail's branch points, by midpoint integral;
-        # it falls below 0 only at N = 1, i_max = 0
-        h = xr[:, 0] + i_max + 0.5
-        s1 = n * (xr[:, 0] + n) * (0.5 / h ** 2 - 1.0 / (3.0 * h ** 3))
-        y[:, -1] = np.maximum(s1 / w[:, -1], 0.0)
+        z = np.empty((xr.shape[0], terms + 1))  # x + the first branch of each term
+        np.add(xr, singles, out=z[:, :g])
+        z[:, -1] = np.inf
+        np.add(np.maximum(np.floor(nm / k1 - xr) + 1.0, first), xr, out=z[:, g:-1])
+        w = np.divide(xr + n, z)
+        w[:, :-1] -= w[:, 1:]  # telescoping
+        w, y = w[:, :-1], np.divide(n, z[:, :-1])
+        y[:, g:] = n * _mean_over_n(1.0 / z[:, g:]) if i_max is None else tail[r0:r0 + rows, None]
         yield r0, w, y
 
 
 def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndarray:
-    """The transfer operator applied to f, evaluated at the points x.
-
-    f is any function callable on arrays.  This branch sum is the definition
-    of the operator; iterates() steps its assembled matrix.
-    """
+    """The transfer operator applied to f, evaluated at the points x.  This
+    branch sum is the definition of the operator; iterates() steps its
+    assembled matrix.  The far branches of a GridFunction are grouped on its
+    cells, which is exact.  Those of any other f, called on arrays, are
+    grouped on cells of width 2^-20, exact for f linear on each of them."""
     x = np.asarray(x, dtype=float)
+    m = f.resolution if isinstance(f, GridFunction) else _CALLABLE_CELLS
     out = np.empty(x.shape[0])
-    for r0, w, y in _branch_terms(params, x, i_max):
+    for r0, w, y in _branch_terms(params, x, m, i_max):
         out[r0:r0 + w.shape[0]] = np.sum(w * f(y.ravel()).reshape(y.shape), axis=1)
     return out
 
 
 def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = None) -> GridFunction:
-    """One application of the transfer operator, at the nodes of f."""
+    """One application of the transfer operator, at the nodes of f; with
+    i_max, the branches above it enter as one term at their mean."""
     return GridFunction(transfer_at(f, params, f.nodes, i_max))
 
 
@@ -163,16 +192,15 @@ def _entries(m: int, w: np.ndarray, y: np.ndarray):
     return np.bincount(rows, minlength=w.shape[0]), cols, np.add.reduceat(val, s)
 
 
-def _assemble(params: NcfParams, m: int, i_max: Optional[int]):
+def _assemble(params: NcfParams, m: int):
     """The operator on grids of m cells as a sparse matrix in compressed
     rows: (indptr, cols, data), row j in data[indptr[j]:indptr[j+1]].
 
-    Row j holds the linear-interpolation weights of every branch point of
-    node j/m, and of the tail point, times its branch weight, summed per
-    column.  On grid functions it equals transfer_at at the nodes up to
-    rounding.  Every row holds at least its tail entry.
+    Row j holds the interpolation weights of each term point of node j/m
+    times the term's weight, summed per column: transfer_at at the nodes,
+    up to rounding.  No row is empty.
     """
-    chunks = _branch_terms(params, np.linspace(0.0, 1.0, m + 1), i_max)
+    chunks = _branch_terms(params, np.linspace(0.0, 1.0, m + 1), m)
     counts, cols, data = [], [np.empty(0, dtype=np.intp)], [np.empty(0)]
     used = 0  # entries filled in the last block
     for count, col, val in (_entries(m, w, y) for _, w, y in chunks):
@@ -201,19 +229,17 @@ def _step(op, v: np.ndarray) -> np.ndarray:
     return np.add.reduceat(w, indptr[:-1])
 
 
-def iterates(f: GridFunction, params: NcfParams, n: int, i_max: Optional[int] = None):
+def iterates(f: GridFunction, params: NcfParams, n: int):
     """Yield U f, U^2 f, ..., U^n f: every multi-step use of the operator.
-
     From three steps on, the operator is assembled once for the grid of f
     and stepped as a sparse matrix; the build costs one to three branch sums.
-    Shorter runs take the branch sum of apply_transfer.
-    """
+    Shorter runs take the branch sum of apply_transfer."""
     if n < 3:
         for _ in range(n):
-            f = apply_transfer(f, params, i_max=i_max)
+            f = apply_transfer(f, params)
             yield f
         return
-    op = _assemble(params, f.resolution, i_max)
+    op = _assemble(params, f.resolution)
     v = f.values
     for _ in range(n):
         v = _step(op, v)
@@ -223,9 +249,8 @@ def iterates(f: GridFunction, params: NcfParams, n: int, i_max: Optional[int] = 
 def lipschitz_norm(f: GridFunction) -> LipschitzNormEstimate:
     """Sup plus max slope over adjacent nodes; a lower bound for the true norm."""
     v = f.values
-    sup_part = float(np.max(np.abs(v)))
-    slope_part = float(np.max(np.abs(np.diff(v))) * f.resolution)
-    return LipschitzNormEstimate(sup_part, slope_part)
+    return LipschitzNormEstimate(float(np.max(np.abs(v))),
+                                 float(np.max(np.abs(np.diff(v))) * f.resolution))
 
 
 def cesaro_operator(f: GridFunction, n: int, params: NcfParams) -> GridFunction:
@@ -237,11 +262,8 @@ def cesaro_operator(f: GridFunction, n: int, params: NcfParams) -> GridFunction:
 
 def integrate_against(f: GridFunction, gm: GaussMeasure) -> float:
     """Composite Simpson integral of f against the invariant measure on the
-    grid.
-
-    An odd number of cells ends with Cartwright's correction for the last
-    cell, h/12 (5 y[-1] + 8 y[-2] - y[-3]); a single cell is a trapezoid.
-    """
+    grid.  An odd number of cells ends with Cartwright's correction for the
+    last cell, h/12 (5 y[-1] + 8 y[-2] - y[-3]); one cell is a trapezoid."""
     y = f.values * gm.density(f.nodes)
     m = f.resolution
     if m == 1:
@@ -254,43 +276,30 @@ def integrate_against(f: GridFunction, gm: GaussMeasure) -> float:
 
 
 def _fit_window(errors: np.ndarray):
-    """Indices of the admissible log-fit window: above the noise floor and
-    still decaying geometrically.
-
-    The curve flattens once discretization/rounding error dominates; the
-    window is cut where the per-step ratio degrades markedly relative to the
-    median ratio of the leading points.
-    """
+    """Indices of the admissible log-fit window: above the noise floor, and
+    cut where the per-step ratio degrades markedly against the median ratio
+    of the leading points, as discretization or rounding error takes over."""
     floor = 100 * np.finfo(float).eps
-    idx = []
-    ratios = []
+    idx, ratios = [], []
     for j, e in enumerate(errors):
-        if e <= floor:
+        r = e / errors[idx[-1]] if idx else 0.0
+        slower = len(ratios) >= 3 and r > min(0.95, 1.5 * np.median(ratios[:5]))
+        if e <= floor or r > 0.99 or slower:  # r > 0.99: no usable decay left
             break
-        if idx:
-            r = e / errors[idx[-1]]
-            if r > 0.99:  # stalled: no usable geometric decay left
-                break
-            if len(ratios) >= 3 and r > min(0.95, 1.5 * np.median(ratios[:5])):
-                break
-            ratios.append(r)
+        ratios += [r] if idx else []
         idx.append(j)
     return idx
 
 
 def fit_rate(errors: np.ndarray):
     """Least-squares line through log(errors) against n = 1, 2, ... over the
-    fit window.
-
-    Returns (window indices, slope, intercept, residuals); the geometric rate
-    is exp(slope).  Raises FitError when the window has fewer than 3 points.
-    """
+    fit window: (window indices, slope, intercept, residuals); the geometric
+    rate is exp(slope).  Raises FitError when the window has fewer than 3
+    points."""
     idx = _fit_window(errors)
     if len(idx) < 3:
-        raise FitError(
-            f"only {len(idx)} admissible points before the error floor; "
-            "cannot fit a geometric rate"
-        )
+        raise FitError(f"only {len(idx)} admissible points before the error floor; "
+                       "cannot fit a geometric rate")
     ns = np.array(idx, dtype=float) + 1.0
     logs = np.log(errors[idx])
     slope, intercept = np.polyfit(ns, logs, 1)
@@ -298,32 +307,23 @@ def fit_rate(errors: np.ndarray):
 
 
 def error_curves(f: GridFunction, params: NcfParams, n_max: int):
-    """c_f and the sup and Lipschitz distances of U f, ..., U^n_max f from it.
-
-    c_f is the integral of f against the invariant measure: the operator
-    iterates of any Lipschitz f collapse to that constant.
-    """
+    """c_f and the sup and Lipschitz distances of U f, ..., U^n_max f from it:
+    c_f is the integral of f against the invariant measure, the constant to
+    which the operator iterates of any Lipschitz f collapse."""
     c_f = integrate_against(f, GaussMeasure(params))
     norms = [lipschitz_norm(GridFunction(g.values - c_f)) for g in iterates(f, params, n_max)]
     return c_f, np.array([e.sup_part for e in norms]), np.array([e.total for e in norms])
 
 
 def estimate_gap(f: GridFunction, params: NcfParams, n_max: int) -> GapEstimate:
-    """Fit the geometric decay rate of ||U^n f - c_f|| on the log scale.
-
-    The sup-norm distance of the iterates from c_f decays like k q^n.
-    """
+    """Fit the geometric decay rate on the log scale: the sup-norm distance
+    ||U^n f - c_f|| of the iterates from c_f decays like k q^n."""
     if n_max < 5:
         raise ValueError(f"n_max must be >= 5, got {n_max}")
     if np.ptp(f.values) == 0.0:
         raise ValueError("gap estimation needs a non-constant function")
     _, sup_errors, lip_errors = error_curves(f, params, n_max)
     idx, slope, intercept, residuals = fit_rate(sup_errors)
-    return GapEstimate(
-        q_hat=float(math.exp(slope)),
-        k_hat=float(math.exp(intercept)),
-        residuals=residuals,
-        n_window=(idx[0] + 1, idx[-1] + 1),
-        sup_errors=sup_errors,
-        lip_errors=lip_errors,
-    )
+    return GapEstimate(q_hat=float(math.exp(slope)), k_hat=float(math.exp(intercept)),
+                       residuals=residuals, n_window=(idx[0] + 1, idx[-1] + 1),
+                       sup_errors=sup_errors, lip_errors=lip_errors)

@@ -144,7 +144,7 @@ def test_criterion_05_limit_distribution():
     classical = np.max(np.abs(limit_cdf(xs, NcfParams(1)) - np.log2(1 + xs)))
     elapsed = time.perf_counter() - t0
     ok = all(e < 1e-6 for e in sup_final.values()) and classical < 1e-12
-    _report(5, ok and elapsed < 120.0,
+    _report(5, ok and elapsed < 3.0,
             "sup error at n=40: "
             + ", ".join(f"N={n}: {e:.2e}" for n, e in sup_final.items())
             + f"; classical-law gap {classical:.2e}; {elapsed:.1f}s")
@@ -166,7 +166,7 @@ def test_criterion_06_geometric_rate():
     q_classical = fits[(1, "uniform")][0]
     ok = ok and 0.25 < q_classical < 0.40
     elapsed = time.perf_counter() - t0
-    _report(6, ok and elapsed < 180.0,
+    _report(6, ok and elapsed < 6.0,
             f"q_fit in (0,1) for {len(fits)} cases, N=1 uniform q={q_classical:.4f}, "
             f"max residual {max(r for _, r in fits.values()):.3f}, {elapsed:.1f}s")
 
@@ -180,7 +180,7 @@ def test_criterion_07_contraction_certified():
         r1s[n] = rep.r_values[0]
         ok = ok and rep.certified and rep.r_values[0] < 1.0
     elapsed = time.perf_counter() - t0
-    _report(7, ok and elapsed < 60.0,
+    _report(7, ok and elapsed < 15.0,
             f"certified for N=1..10, max r_1 {max(r1s.values()):.3f}, {elapsed:.1f}s")
 
 

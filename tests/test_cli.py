@@ -1,6 +1,7 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,13 @@ class TestDigitLaw:
         assert all(a["probability"] > b["probability"]
                    for a, b in zip(law, law[1:]))
 
+    def test_huge_n(self, capsys):
+        # every probability came out 0.0 once i (i+2) / (i+1)^2 rounded to 1
+        code, out, _ = run_cli(["digit-law", "--n", "1000000000", "--grid", "2"], capsys)
+        assert code == 0
+        for cell in json.loads(out)["law"]:
+            assert cell["probability"] == pytest.approx(1e-9, rel=1e-8)
+
 
 class TestInvariance:
     def test_small_grid(self, capsys):
@@ -84,6 +92,11 @@ class TestInvariance:
         assert code == 0
         payload = json.loads(out)
         assert payload["max_abs_error"] < 1e-10
+
+    def test_cdf_at_most_one(self, capsys):
+        code, out, _ = run_cli(["invariance", "--n", "3", "--grid", "8"], capsys)
+        assert code == 0
+        assert all(0.0 <= c["cdf"] <= 1.0 for c in json.loads(out)["curve"])
 
 
 class TestTransferAndGap:
@@ -114,7 +127,26 @@ class TestTransferAndGap:
         assert "fit" in err
 
 
+    def test_large_n_within_default_budget(self, capsys, monkeypatch):
+        # the charge once grew like 100 N: gap --n 1000 exited 3
+        monkeypatch.delenv("NCF_BUDGET", raising=False)
+        code, out, _ = run_cli(["gap", "--n", "1000"], capsys)
+        assert code == 0
+        assert 0.0 < json.loads(out)["q_hat"] < 1.0
+
+
 class TestGk:
+    def test_large_n_within_default_budget(self, capsys, monkeypatch):
+        # gk --n 2000 exited 3.  From the Lebesgue measure its error is below
+        # the fit's floor from step 3 on, which is a fit failure (4); from
+        # the invariant measure no fit is required
+        monkeypatch.delenv("NCF_BUDGET", raising=False)
+        code, _, err = run_cli(["gk", "--n", "2000"], capsys)
+        assert code == 4 and "fit" in err
+        code, out, _ = run_cli(["gk", "--n", "2000", "--mu", "gauss"], capsys)
+        assert code == 0
+        assert max(json.loads(out)["sup_errors"]) < 1e-12
+
     def test_lebesgue_report(self, capsys):
         code, out, _ = run_cli(
             ["gk", "--n", "1", "--nmax", "12", "--grid", "512"], capsys)
@@ -200,6 +232,25 @@ class TestOutputPlumbing:
         assert code == 3
         assert out == ""
         assert "budget" in err
+
+    @pytest.mark.parametrize("command", ["gap", "transfer", "gk"])
+    def test_huge_grid_is_refused_before_allocation(self, command):
+        # the grid's M+1 samples were allocated before any charge: under a
+        # 2 GiB address-space cap this was a MemoryError traceback (exit 1)
+        resource = pytest.importorskip("resource")
+        import ncf
+        src = str(Path(ncf.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); from ncf.cli import main; "
+                f"sys.exit(main([{command!r}, '--grid', '1000000000000']))")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = {k: v for k, v in os.environ.items() if k != "NCF_BUDGET"}
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, preexec_fn=cap, env=env, timeout=120)
+        assert r.returncode == 3, r.stderr
+        assert "budget" in r.stderr
 
     @pytest.mark.parametrize("raw", ["abc", "-5", "1.5", "1e9"])
     def test_bad_budget_is_a_usage_error(self, raw, capsys, monkeypatch):

@@ -197,9 +197,9 @@ class TestRunExperiment:
         builds, steps, branch_sums = [], [], []
         assemble, step, apply = transfer._assemble, transfer._step, transfer.apply_transfer
 
-        def counting_assemble(params, m, i_max):
+        def counting_assemble(params, m):
             builds.append(m)
-            return assemble(params, m, i_max)
+            return assemble(params, m)
 
         def counting_step(op, v):
             steps.append(v.size)

@@ -1,5 +1,6 @@
 """Invariant measure: CDF, sampling, digit law."""
 
+import decimal
 import math
 
 import numpy as np
@@ -61,6 +62,21 @@ class TestCdf:
             gn_cdf(-0.1, gm)
         with pytest.raises(ValueError):
             gn_cdf(1.1, gm)
+
+    @pytest.mark.parametrize("n", [3, 10**4, 10**6, 10**9])
+    def test_one_at_one_for_every_n(self, n):
+        # log((N+1)/N) rounded the quotient first: gn_cdf(1) was 1 + 2.2e-16
+        # at N=3, 1 + 8.2e-11 at N=10^6 and 1 - 8.3e-8 at N=10^9
+        gm = GaussMeasure(NcfParams(n))
+        assert 1.0 - 2.3e-16 <= gn_cdf(1.0, gm) <= 1.0
+        assert np.all(gn_cdf(np.linspace(0.0, 1.0, 1001), gm) <= 1.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 10**4, 10**6, 10**9])
+    def test_log_norm_to_rounding(self, n):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            want = float((decimal.Decimal(n + 1) / n).ln())
+        assert abs(GaussMeasure(NcfParams(n)).log_norm - want) <= 2.3e-16 * want
 
 
 class TestMeasure:
@@ -127,6 +143,18 @@ class TestDigitLaw:
     def test_domain(self, gm):
         with pytest.raises(ValueError):
             digit_law(gm.n - 1, gm)
+
+    @pytest.mark.parametrize("n", [10**6, 10**9])
+    def test_large_digits_to_rounding(self, n):
+        # log((i+1)^2 / (i (i+2))) rounded the quotient to 1 from about i = 10^8
+        gm = GaussMeasure(NcfParams(n))
+        for i in (n, n + 1, 10 * n):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                d = decimal.Decimal
+                want = float(((d(i + 1) ** 2) / (d(i) * d(i + 2))).ln()
+                             / (d(n + 1) / d(n)).ln())
+            assert abs(digit_law(i, gm) - want) <= 1e-14 * want
 
     def test_independent_of_n_up_to_normalizer(self):
         gm1 = GaussMeasure(NcfParams(1))

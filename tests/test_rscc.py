@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from ncf import (
     GaussMeasure,
@@ -215,6 +215,24 @@ class TestQStep:
     def test_rejects_bad_k(self, ncf_sys):
         with pytest.raises(ValueError):
             q_step(ncf_sys, 0, 0.5, (0.0, 0.5))
+
+    def test_two_steps_match_branch_by_branch_sum(self):
+        # Q^(2)(source, [a, b)) sums the closed-form kernel over every branch
+        # point N/(source+i); once cut at i = 1000 and folded in at one
+        # midpoint mean, it was up to 1.4e-4 off at N=5
+        n, branches = 5, 400_000
+        sys_ = make_ncf_rscc(NcfParams(n))
+        rng = np.random.default_rng(20)
+        i = np.arange(n, n + branches, dtype=float)
+        for _ in range(40):
+            src = float(rng.random())
+            a, b = np.sort(rng.random(2))
+            # the rest enters at its exact mean, near 0, where the kernel is smooth
+            z = src + n + branches
+            rest = (src + n) / z * q_kernel(sys_, n * z * (special.polygamma(1, z) - 1 / z), a, b)
+            want = np.sum((src + n) / ((src + i) * (src + i + 1.0))
+                          * q_kernel(sys_, n / (src + i), a, b)) + rest
+            assert abs(q_step(sys_, 2, src, (a, b)) - want) <= 1e-12
 
 
 class TestQCesaroNearJump:

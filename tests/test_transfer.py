@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from ncf import (
     BudgetExceededError,
@@ -81,7 +81,7 @@ class TestApplyTransfer:
             f = GridFunction(coeffs[0] + coeffs[1] * x + coeffs[2] * x ** 2
                              + coeffs[3] * np.sin(3 * x))
             before = integrate_against(f, gm)
-            after = integrate_against(apply_transfer(f, params, i_max=4000), gm)
+            after = integrate_against(apply_transfer(f, params), gm)
             assert abs(after - before) <= 1e-8
 
     def test_positivity(self):
@@ -108,7 +108,7 @@ class TestApplyTransfer:
         with pytest.raises(ValueError, match="i_max"):
             apply_transfer(f, NcfParams(n), i_max=i_max)
         with pytest.raises(ValueError, match="i_max"):
-            list(transfer.iterates(f, NcfParams(n), 5, i_max=i_max))
+            transfer.transfer_at(np.cos, NcfParams(n), f.nodes, i_max)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_cutoff_n_minus_one_is_all_tail(self, n):
@@ -144,6 +144,54 @@ def _random_grid(m, seed):
     return GridFunction(np.random.default_rng(seed).random(m + 1))
 
 
+def _branch_by_branch(f, n, x, branches):
+    """Sum over the branches i = N..N+branches-1 one by one, plus the rest
+    exactly: it lands in cell 0, where f is linear, with mass (x+N)/z and
+    first moment N (x+N) (psi_1(z) - 1/z), z = x+N+branches."""
+    i = np.arange(n, n + branches, dtype=float)
+    z = x + n + branches
+    assert n / z.min() < 1.0 / f.resolution  # the rest lies in cell 0
+    slope = (f.values[1] - f.values[0]) * f.resolution
+    rest = (x + n) / z * f.values[0] + slope * n * (x + n) * (special.polygamma(1, z) - 1.0 / z)
+    return np.array([np.sum((t + n) / ((t + i) * (t + i + 1.0)) * f(n / (t + i)))
+                     for t in x]) + rest
+
+
+class TestExactOperator:
+    """On grid functions the operator sums every branch: the far branches
+    landing in one cell enter as that cell's exact mass and mean point."""
+
+    @pytest.mark.parametrize("m", [256, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_branch_by_branch_sum(self, n, m):
+        # the cut at i_max = max(1000, 100 N) was 2.1e-12 to 1.0e-8 off
+        params = NcfParams(n)
+        f = _random_grid(m, seed=10 * n + m)
+        x = f.nodes[::4]  # every fourth node keeps the reference quick
+        want = _branch_by_branch(f, n, x, 200_000)
+        assert np.max(np.abs(transfer.transfer_at(f, params, x) - want)) <= 1e-14
+        got = transfer._step(transfer._assemble(params, m), f.values)[::4]
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 10**3, 10**6])
+    def test_row_stochastic_for_every_n(self, n):
+        m = 256
+        for _, w, y in transfer._branch_terms(NcfParams(n), np.linspace(0, 1, m + 1), m):
+            assert y.min() >= 0.0 and y.max() <= 1.0  # once N >= M, cell M's group
+        indptr, cols, data = transfer._assemble(NcfParams(n), m)
+        assert np.all(data >= 0)
+        assert np.max(np.abs(np.add.reduceat(data, indptr[:-1]) - 1.0)) <= 1e-14
+        assert cols.min() >= 0 and cols.max() <= m
+
+    @pytest.mark.parametrize("n,m", [(1, 1024), (5, 8192), (1000, 2048), (10**6, 256)])
+    def test_terms_per_row(self, n, m):
+        # about 2 sqrt(NM) terms per row while N < M, and about M once N >= M
+        x = np.linspace(0.0, 1.0, m + 1)
+        terms = next(transfer._branch_terms(NcfParams(n), x, m))[1].shape[1]
+        assert terms <= 2 * math.isqrt(n * m) + 21
+        assert n < m or terms <= m + 1
+
+
 class TestAssembledOperator:
     """iterates() steps an operator assembled once; the branch sum in
     transfer_at is its oracle."""
@@ -152,9 +200,14 @@ class TestAssembledOperator:
     @pytest.mark.parametrize("m", [256, 1024, 2048])
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_matches_branch_sum_at_nodes(self, n, m, i_max):
+        # with i_max the branches above it enter as one term at their exact
+        # mean, which is exact for f linear where they land, [0, N/(i_max+1)]
         params = NcfParams(n)
         f = _random_grid(m, seed=n * m)
-        op = transfer._assemble(params, m, i_max)
+        if i_max is not None:
+            near0 = f.nodes <= n / (i_max + 1) + 1.0 / m
+            f = GridFunction(np.where(near0, 0.25 + 0.5 * f.nodes, f.values))
+        op = transfer._assemble(params, m)
         want = transfer.transfer_at(f, params, f.nodes, i_max)
         assert np.max(np.abs(transfer._step(op, f.values) - want)) <= 1e-14
 
@@ -162,7 +215,12 @@ class TestAssembledOperator:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_stochastic(self, n, i_max):
         m = 1024
-        indptr, cols, data = transfer._assemble(NcfParams(n), m, i_max)
+        # the branch sum's terms, with and without the cut-off: weights >= 0
+        # that sum to 1 per row, at points in [0, 1] that fall along a row
+        for _, w, y in transfer._branch_terms(NcfParams(n), np.linspace(0, 1, m + 1), m, i_max):
+            assert np.all(w >= 0) and np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-14
+            assert y.min() >= 0.0 and y.max() <= 1.0 and np.all(np.diff(y, axis=1) <= 0)
+        indptr, cols, data = transfer._assemble(NcfParams(n), m)
         assert indptr[0] == 0 and indptr[-1] == cols.size == data.size
         assert np.all(np.diff(indptr) >= 1)
         assert np.all(data >= 0)
@@ -183,25 +241,25 @@ class TestAssembledOperator:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_all_tail_cutoff(self, n):
-        # i_max = N - 1 keeps no branch, only the tail; at N = 1 its mean
-        # branch point is clamped to 0 instead of falling below it
+        # i_max = N - 1 keeps no branch: one term carries every branch at
+        # their exact mean, so the identity, linear everywhere, is mapped
+        # exactly; the mean point was once clamped at 0
         params, m = NcfParams(n), 256
-        f = _random_grid(m, seed=n)
-        lowest = []
-        transfer.transfer_at(lambda y: lowest.append(y.min()) or y, params, f.nodes, n - 1)
-        assert min(lowest) >= 0.0
-        op = transfer._assemble(params, m, n - 1)
-        want = transfer.transfer_at(f, params, f.nodes, n - 1)
-        assert np.max(np.abs(transfer._step(op, f.values) - want)) <= 1e-14
+        f = GridFunction.from_callable(lambda x: x, m)
+        got = transfer.transfer_at(f, params, f.nodes, n - 1)
+        want = _branch_by_branch(f, n, f.nodes[::4], 200_000)
+        assert np.max(np.abs(got[::4] - want)) <= 1e-15
+        op = transfer._assemble(params, m)
+        assert np.max(np.abs(transfer._step(op, f.values) - got)) <= 1e-15
 
     @pytest.mark.parametrize("steps", [0, 1, 2])
     def test_short_runs_keep_branch_sum(self, steps):
         params = NcfParams(2)
         f = g = _random_grid(300, seed=5)
-        got = list(transfer.iterates(f, params, steps, i_max=1500))
+        got = list(transfer.iterates(f, params, steps))
         assert len(got) == steps
         for h in got:
-            g = apply_transfer(g, params, i_max=1500)
+            g = apply_transfer(g, params)
             assert np.array_equal(h.values, g.values)
 
 
@@ -244,18 +302,25 @@ class TestOperatorWork:
 
     @pytest.mark.parametrize("n,i_max", [(1, None), (5, 4000)])
     def test_budget_counts_row_branch_entries(self, n, i_max, monkeypatch):
-        # one evaluation costs its points times the branches N..i_max plus the tail
+        # one evaluation costs its points times its terms per row: without
+        # i_max the branches N..I-1 and the groups of cells NM // I..0, with
+        # I = max(N+1, 20, isqrt(NM) + 1); with it, the branches N..i_max
+        # and the one group above
         params, m = NcfParams(n), 64
-        cost = (m + 1) * ((i_max or transfer.default_branch_cutoff(params)) - n + 2)
+        first = max(n + 1, 20, math.isqrt(n * m) + 1)
+        terms = first - n + n * m // first + 1 if i_max is None else i_max - n + 2
+        cost = (m + 1) * terms
         f = GridFunction.constant(1.0, m)
+        steps = 3 if i_max is None else 0  # iterates never cuts the branches
         monkeypatch.setenv("NCF_BUDGET", str(cost))
         apply_transfer(f, params, i_max)
-        list(transfer.iterates(f, params, 3, i_max))
+        list(transfer.iterates(f, params, steps))
         monkeypatch.setenv("NCF_BUDGET", str(cost - 1))
         with pytest.raises(BudgetExceededError, match="transfer operator"):
             apply_transfer(f, params, i_max)
-        with pytest.raises(BudgetExceededError, match="transfer operator"):
-            list(transfer.iterates(f, params, 3, i_max))
+        if steps:
+            with pytest.raises(BudgetExceededError, match="transfer operator"):
+                list(transfer.iterates(f, params, steps))
 
     def test_one_charge_per_evaluation(self, monkeypatch):
         charges = []
@@ -263,10 +328,17 @@ class TestOperatorWork:
         params, f = NcfParams(1), GridFunction.constant(1.0, 128)
         gausskuzmin.run_experiment(gausskuzmin.lebesgue_measure(), params, n_max=40,
                                    m=128, spot_paths=1000)
-        assert charges == [129 * 1001]  # one assembly for 40 steps
+        # the grid's samples, then one assembly for 40 steps: at N=1, M=128
+        # the branches 1..19 and the groups of cells 6..0
+        assert charges == [129, 129 * 26]
         charges.clear()
         cesaro_operator(f, 2, params)
-        assert charges == [129 * 1001] * 2  # two branch sums
+        assert charges == [129 * 26] * 2  # two branch sums
+
+    def test_huge_grid_charged_before_sampling(self, monkeypatch):
+        monkeypatch.setenv("NCF_BUDGET", "1000")
+        with pytest.raises(BudgetExceededError, match="grid samples"):
+            GridFunction.from_callable(np.cos, 10**12)
 
 
 class TestLipschitzNorm:
