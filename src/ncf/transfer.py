@@ -115,38 +115,42 @@ def _branch_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]
     isqrt(NM) + 1) are single terms.  Past I branch points lie less than a
     cell apart; those landing in cell k, i in (NM/(k+1) - x, NM/k - x], form
     one group i = a..b (cell 0's runs to infinity) of mass
-    (x+N)(1/(x+a) - 1/(x+b+1)) at its mean point.  With i_max, the branches
-    above it form one group instead.  Charges len(x) times the terms per row,
+    (x+N)(1/(x+a) - 1/(x+b+1)) at its mean point.  With i_max, every group
+    starts at i_max + 1 at the latest: the branches above it fold into cell
+    0's group, and the cells below NM // (i_max + 1), whose groups lie above
+    it, are left out; once i_max + 1 < I there are no cells, only the
+    singles N..i_max and the fold.  Charges len(x) times the terms per row,
     then yields (r0, w, y) for about _CHUNK entries (at least one row) at a
     time: (U f)(x[r0 + j]) is the sum of row j of w * f(y); along a row the
     points fall, and the weights telescope to 1."""
     n = params.n_param
-    if i_max is None:
-        nm = n * m
-        first = max(n + 1, 20, math.isqrt(nm) + 1)  # every group mean stays below 1
-    elif i_max < n - 1:  # the group's mass would exceed 1
+    nm = n * m
+    first = max(n + 1, 20, math.isqrt(nm) + 1)  # every group mean stays below 1
+    if i_max is not None and i_max < n - 1:  # the fold's mass would exceed 1
         raise ValueError(f"i_max must be >= N - 1 = {n - 1}, got {i_max}")
-    else:  # one group: the cells of a grid of none
-        nm, first = 0, i_max + 1
+    cut = math.inf if i_max is None else i_max + 1  # no group starts later
+    if cut < first:  # the cells of a grid of none
+        nm, first = 0, cut
     g = first - n  # the first group's column
-    terms = g + nm // first + 1  # then the groups of cells nm // first..0
+    # k+1 for the cells nm // first..nm // cut, then cell 0
+    k1 = np.append(np.arange(nm // first + 1, max(nm // cut, 1), -1, dtype=float), 1.0)
+    terms = g + k1.size
     charge(len(x) * terms, "transfer operator")
-    k1 = np.arange(terms - g, 0, -1, dtype=float)  # k+1 for each group's cell
     rows, singles = max(1, _CHUNK // terms), np.arange(n, first, dtype=float)
-    if i_max is not None:  # the group's mean; S(z) = 1/(z^2 (z+1)) + S(z+1) carries z to 20
-        s = sum(1.0 / ((x + j) ** 2 * (x + j + 1.0)) for j in range(first, 20))
-        u = 1.0 / (x[:, None] + [max(first, 20), np.inf])
-        tail = n * (x + first) * (s + u[:, 0] * _mean_over_n(u)[:, 0])
+    if cut < 20:  # the fold's mean; S(z) = 1/(z^2 (z+1)) + S(z+1) carries z to 20
+        s = sum(1.0 / ((x + j) ** 2 * (x + j + 1.0)) for j in range(cut, 20))
+        u = 1.0 / (x[:, None] + [20, np.inf])
+        tail = n * (x + cut) * (s + u[:, 0] * _mean_over_n(u)[:, 0])
     for r0 in range(0, len(x), rows):
         xr = x[r0:r0 + rows, None]
         z = np.empty((xr.shape[0], terms + 1))  # x + the first branch of each term
         np.add(xr, singles, out=z[:, :g])
         z[:, -1] = np.inf
-        np.add(np.maximum(np.floor(nm / k1 - xr) + 1.0, first), xr, out=z[:, g:-1])
+        np.add(np.clip(np.floor(nm / k1 - xr) + 1.0, first, cut), xr, out=z[:, g:-1])
         w = np.divide(xr + n, z)
         w[:, :-1] -= w[:, 1:]  # telescoping
         w, y = w[:, :-1], np.divide(n, z[:, :-1])
-        y[:, g:] = n * _mean_over_n(1.0 / z[:, g:]) if i_max is None else tail[r0:r0 + rows, None]
+        y[:, g:] = n * _mean_over_n(1.0 / z[:, g:]) if cut >= 20 else tail[r0:r0 + rows, None]
         yield r0, w, y
 
 
@@ -155,7 +159,11 @@ def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndar
     branch sum is the definition of the operator; iterates() steps its
     assembled matrix.  The far branches of a GridFunction are grouped on its
     cells, which is exact.  Those of any other f, called on arrays, are
-    grouped on cells of width 2^-20, exact for f linear on each of them."""
+    grouped on cells of width 2^-20, exact for f linear on each of them.
+    With i_max, the branches above it fold into one term at their exact
+    mean; those below it stay grouped, so the cut-off sum equals, to
+    rounding, the one taken branch by branch, and costs no more terms than
+    the exact one."""
     x = np.asarray(x, dtype=float)
     m = f.resolution if isinstance(f, GridFunction) else _CALLABLE_CELLS
     out = np.empty(x.shape[0])
@@ -166,7 +174,8 @@ def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndar
 
 def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = None) -> GridFunction:
     """One application of the transfer operator, at the nodes of f; with
-    i_max, the branches above it enter as one term at their mean."""
+    i_max, the branches above it enter as one term at their mean (see
+    transfer_at)."""
     return GridFunction(transfer_at(f, params, f.nodes, i_max))
 
 

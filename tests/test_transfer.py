@@ -146,15 +146,21 @@ def _random_grid(m, seed):
 
 def _branch_by_branch(f, n, x, branches):
     """Sum over the branches i = N..N+branches-1 one by one, plus the rest
-    exactly: it lands in cell 0, where f is linear, with mass (x+N)/z and
-    first moment N (x+N) (psi_1(z) - 1/z), z = x+N+branches."""
+    folded at its exact mean: mass (x+N)/z and first moment
+    N (x+N) (psi_1(z) - 1/z), z = x+N+branches.  Where the rest lands in
+    cell 0, on which f is linear, this is the whole series."""
     i = np.arange(n, n + branches, dtype=float)
     z = x + n + branches
-    assert n / z.min() < 1.0 / f.resolution  # the rest lies in cell 0
-    slope = (f.values[1] - f.values[0]) * f.resolution
-    rest = (x + n) / z * f.values[0] + slope * n * (x + n) * (special.polygamma(1, z) - 1.0 / z)
+    rest = (x + n) / z * f(n * z * (special.polygamma(1, z) - 1.0 / z))
     return np.array([np.sum((t + n) / ((t + i) * (t + i + 1.0)) * f(n / (t + i)))
                      for t in x]) + rest
+
+
+def _exact(f, n, x):
+    """The whole series by _branch_by_branch: past 200,000 branches the rest
+    lies in cell 0."""
+    assert n / (n + 200_000) < 1.0 / f.resolution
+    return _branch_by_branch(f, n, x, 200_000)
 
 
 class TestExactOperator:
@@ -168,7 +174,7 @@ class TestExactOperator:
         params = NcfParams(n)
         f = _random_grid(m, seed=10 * n + m)
         x = f.nodes[::4]  # every fourth node keeps the reference quick
-        want = _branch_by_branch(f, n, x, 200_000)
+        want = _exact(f, n, x)
         assert np.max(np.abs(transfer.transfer_at(f, params, x) - want)) <= 1e-14
         got = transfer._step(transfer._assemble(params, m), f.values)[::4]
         assert np.max(np.abs(got - want)) <= 1e-14
@@ -190,6 +196,42 @@ class TestExactOperator:
         terms = next(transfer._branch_terms(NcfParams(n), x, m))[1].shape[1]
         assert terms <= 2 * math.isqrt(n * m) + 21
         assert n < m or terms <= m + 1
+
+
+class TestCutOperator:
+    """With i_max the branches N..i_max are summed and the rest folds into one
+    term at its exact mean; the branches below i_max are grouped on the
+    cells, as without it."""
+
+    @pytest.mark.parametrize("m", [256, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_branch_by_branch_sum(self, n, m):
+        # f is random, scaled to Lipschitz norm 1 as in criterion 04: a term
+        # point rounded by one ulp moves f(y) by ulp(y) |f'|, and the slopes
+        # of raw random samples (up to M) would make that 1e-13 at i_max = N-1
+        params = NcfParams(n)
+        v = np.random.default_rng(7 * n + m).random(m + 1)
+        f = GridFunction(v / lipschitz_norm(GridFunction(v)).total)
+        x = f.nodes[::4]
+        first = max(n + 1, 20, math.isqrt(n * m) + 1)
+        for i_max in sorted({n - 1, 19, 20, first - 1, first, first + 1, 1000, 4000}):
+            want = _branch_by_branch(f, n, x, i_max - n + 1)
+            got = transfer.transfer_at(f, params, x, i_max)
+            assert np.max(np.abs(got - want)) <= 1e-14, i_max
+
+    @pytest.mark.parametrize("n,m,i_max", [(1, 1024, 1000), (2, 1024, 19), (5, 256, 35),
+                                           (5, 256, 36), (5, 8192, 4000), (10**3, 256, 10**4)])
+    def test_charge_at_most_the_exact_operators(self, n, m, i_max, monkeypatch):
+        # a cut-off sum takes at most one term a point more than the exact
+        # operator, about 2 sqrt(NM), however large i_max
+        charges = []
+        monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(cost))
+        x = np.linspace(0.0, 1.0, m + 1)
+        next(transfer._branch_terms(NcfParams(n), x, m))
+        next(transfer._branch_terms(NcfParams(n), x, m, i_max))
+        exact, cut = charges
+        assert cut <= exact + (m + 1)
+        assert cut <= (m + 1) * (2 * math.sqrt(n * m) + 3)
 
 
 class TestAssembledOperator:
@@ -247,7 +289,7 @@ class TestAssembledOperator:
         params, m = NcfParams(n), 256
         f = GridFunction.from_callable(lambda x: x, m)
         got = transfer.transfer_at(f, params, f.nodes, n - 1)
-        want = _branch_by_branch(f, n, f.nodes[::4], 200_000)
+        want = _exact(f, n, f.nodes[::4])
         assert np.max(np.abs(got[::4] - want)) <= 1e-15
         op = transfer._assemble(params, m)
         assert np.max(np.abs(transfer._step(op, f.values) - got)) <= 1e-15
@@ -278,8 +320,12 @@ class TestOperatorWork:
 
         out = transfer.transfer_at(f, params, g.nodes, i_max)
         assert max(sizes) <= transfer._CHUNK
-        assert sum(sizes) == (m + 1) * (i_max - 5 + 2)
-        assert np.array_equal(out, apply_transfer(g, params, i_max).values)
+        # on the 2^-20 cells of a callable, 5 * 2^20 = 5242880: the branches
+        # 5..2289, the cells 2289..1310 (5242880 // 4001) and cell 0, whose
+        # group starts at 4001
+        assert sum(sizes) == (m + 1) * (2285 + 980 + 1)
+        want = _branch_by_branch(g, 5, g.nodes[::8], i_max - 5 + 1)
+        assert np.max(np.abs(out[::8] - want)) <= 1e-14
 
     def test_branch_sum_peak_memory(self):
         # one branch sum at M=8192, N=5, i_max=4000 in a fresh interpreter
@@ -300,15 +346,21 @@ class TestOperatorWork:
         assert r.returncode == 0, r.stderr
         assert int(r.stdout) / 1024 < 120
 
-    @pytest.mark.parametrize("n,i_max", [(1, None), (5, 4000)])
+    @pytest.mark.parametrize("n,i_max", [(1, None), (5, 4000), (5, 100), (5, 10)])
     def test_budget_counts_row_branch_entries(self, n, i_max, monkeypatch):
-        # one evaluation costs its points times its terms per row: without
-        # i_max the branches N..I-1 and the groups of cells NM // I..0, with
-        # I = max(N+1, 20, isqrt(NM) + 1); with it, the branches N..i_max
-        # and the one group above
+        # one evaluation costs its points times its terms per row: the
+        # branches N..I-1 and the groups of cells NM // I..0, with
+        # I = max(N+1, 20, isqrt(NM) + 1).  i_max leaves out the cells below
+        # NM // (i_max + 1), whose groups lie above it (none once
+        # i_max >= NM); below I it leaves the branches N..i_max and one group
         params, m = NcfParams(n), 64
         first = max(n + 1, 20, math.isqrt(n * m) + 1)
-        terms = first - n + n * m // first + 1 if i_max is None else i_max - n + 2
+        if i_max is None or i_max >= n * m:
+            terms = first - n + n * m // first + 1
+        elif i_max + 1 >= first:
+            terms = first - n + n * m // first - n * m // (i_max + 1) + 2
+        else:
+            terms = i_max - n + 2
         cost = (m + 1) * terms
         f = GridFunction.constant(1.0, m)
         steps = 3 if i_max is None else 0  # iterates never cuts the branches
