@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core, gausskuzmin, measure, rscc, transfer
-from .errors import BudgetExceededError, FitError
+from .errors import BudgetExceededError, FitError, charge
 
 SCHEMA_VERSION = 1
 
@@ -85,6 +85,7 @@ def _cmd_eval(args):
 
 def _cmd_digit_law(args):
     gm = measure.GaussMeasure(core.NcfParams(args.n))
+    charge(args.grid + 1, "digit-law digits")
     imax = args.n + args.grid
     items = [(i, measure.digit_law(i, gm)) for i in range(args.n, imax + 1)]
     payload = {"schema": f"ncf-digit-law-v{SCHEMA_VERSION}", "n": args.n,
@@ -97,6 +98,8 @@ def _cmd_invariance(args):
     params = core.NcfParams(args.n)
     gm = measure.GaussMeasure(params)
     sys_ = rscc.make_ncf_rscc(params)
+    # each point integrates over two pieces, split at its kernel jump
+    charge(args.grid * 2 * measure._GL_NODES.size, "invariance quadrature nodes")
     rows = []
     for u in np.linspace(1.0 / args.grid, 1.0, args.grid):
         u = float(u)

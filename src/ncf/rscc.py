@@ -509,6 +509,7 @@ def regularity_witness(sys: RsccSystem, starts: Sequence[float],
     bad = [s for s in starts if not 0.0 <= float(s) <= 1.0]  # NaN fails too
     if bad:
         raise ValueError(f"starts must lie in [0, 1], got {bad[0]!r}")
+    charge(len(starts) * n_max, "regularity_witness orbit steps")
     n = sys.params.n_param
     x_star = fixed_point(sys.params)
     curves = []

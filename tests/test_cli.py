@@ -17,6 +17,25 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _cli_child(argv, budget=None, timeout=120):
+    """The CLI in a fresh interpreter under a 2 GiB address-space cap, with
+    NCF_BUDGET set to `budget` (None: unset)."""
+    resource = pytest.importorskip("resource")
+    import ncf
+    src = str(Path(ncf.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); from ncf.cli import main; "
+            f"sys.exit(main({argv!r}))")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {k: v for k, v in os.environ.items() if k != "NCF_BUDGET"}
+    if budget is not None:
+        env["NCF_BUDGET"] = budget
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, preexec_fn=cap, env=env, timeout=timeout)
+
+
 class TestExpand:
     def test_rational_json(self, capsys):
         # 2/(3/7) = 14/3: first digit 4, image 2/3, then digit 3 exactly
@@ -237,20 +256,32 @@ class TestOutputPlumbing:
     def test_huge_grid_is_refused_before_allocation(self, command):
         # the grid's M+1 samples were allocated before any charge: under a
         # 2 GiB address-space cap this was a MemoryError traceback (exit 1)
-        resource = pytest.importorskip("resource")
-        import ncf
-        src = str(Path(ncf.__file__).resolve().parents[1])
-        code = (f"import sys; sys.path.insert(0, {src!r}); from ncf.cli import main; "
-                f"sys.exit(main([{command!r}, '--grid', '1000000000000']))")
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        env = {k: v for k, v in os.environ.items() if k != "NCF_BUDGET"}
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                           text=True, preexec_fn=cap, env=env, timeout=120)
+        r = _cli_child([command, "--grid", "1000000000000"])
         assert r.returncode == 3, r.stderr
         assert "budget" in r.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["digit-law", "--grid", "100000000"],
+        ["invariance", "--grid", "200000"],
+        ["regularity", "--nmax", "100000000"],
+    ], ids=["digit-law", "invariance", "regularity"])
+    def test_large_work_is_refused_in_time(self, argv):
+        # these loops ran uncharged: past a 15 s timeout under NCF_BUDGET=1000
+        r = _cli_child(argv, budget="1000", timeout=10)
+        assert r.returncode == 3, r.stderr
+        assert "budget" in r.stderr
+
+    @pytest.mark.parametrize("argv,cost", [
+        (["digit-law", "--n", "2", "--grid", "10"], 11),  # one unit a digit
+        (["invariance", "--n", "1", "--grid", "8"], 8 * 40),  # two 20-node pieces a point
+        (["regularity", "--n", "2", "--nmax", "100"], 5 * 100),  # one unit an orbit step
+    ], ids=["digit-law", "invariance", "regularity"])
+    def test_charge_is_the_work(self, argv, cost, capsys, monkeypatch):
+        monkeypatch.setenv("NCF_BUDGET", str(cost))
+        assert run_cli(argv, capsys)[0] == 0
+        monkeypatch.setenv("NCF_BUDGET", str(cost - 1))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == "" and "budget" in err
 
     @pytest.mark.parametrize("raw", ["abc", "-5", "1.5", "1e9"])
     def test_bad_budget_is_a_usage_error(self, raw, capsys, monkeypatch):

@@ -19,7 +19,7 @@ from ncf import (
     run_experiment,
     tilted_measure,
 )
-from ncf import transfer
+from ncf import gausskuzmin, transfer
 from ncf.gausskuzmin import density_from_grid, initial_grid_density
 
 
@@ -217,3 +217,71 @@ class TestRunExperiment:
         assert builds == [128]
         assert steps == [129] * 40
         assert branch_sums == []
+
+
+def _unsorted_sample(mu, n_paths, rng):
+    """The reference sampler: the uniforms looked up in the order drawn."""
+    x = np.linspace(0.0, 1.0, gausskuzmin._INV_GRID + 1)
+    cdf = gausskuzmin._cumulative_trapezoid(mu.density(x), x)
+    cdf /= cdf[-1]
+    return np.interp(rng.random(n_paths), cdf, x)
+
+
+def _masked_map(y, n, n_param):
+    """The reference map step: the nonzero points gathered, stepped and
+    scattered back into zeros."""
+    for _ in range(n):
+        out = np.zeros_like(y)
+        nz = y > 0.0
+        q = n_param / y[nz]
+        out[nz] = q - np.floor(q)
+        y = out
+    return y
+
+
+class TestMonteCarloBitIdentity:
+    """The sorted lookup and the unmasked step leave every Monte Carlo
+    estimate equal, bit for bit, to the unsorted, masked reference."""
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        def use():
+            monkeypatch.setattr(gausskuzmin, "_sample_initial", _unsorted_sample)
+            monkeypatch.setattr(gausskuzmin, "_iterate_map", _masked_map)
+        return use
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_distribution_at(self, n, reference):
+        params = NcfParams(n)
+        mus = (lebesgue_measure(), gauss_initial(params), tilted_measure())
+        cases = [(mu, k, 0.1 + 0.2 * k / 3) for mu in mus for k in (0, 1, 3, 6)]
+
+        def estimates():
+            return [distribution_at(mu, k, x, params, method="montecarlo",
+                                    rng=np.random.default_rng(100 * n + k))
+                    for mu, k, x in cases]
+
+        got = estimates()
+        reference()
+        assert got == estimates()
+
+    @pytest.mark.parametrize("n,mu", [(1, lebesgue_measure()), (5, tilted_measure())])
+    def test_run_experiment_spot_checks(self, n, mu, reference):
+        # the three spot checks draw from one generator in turn
+        def montecarlo():
+            rep = run_experiment(mu, NcfParams(n), n_max=10, m=128,
+                                 rng=np.random.default_rng(7), require_fit=False)
+            return [cell["montecarlo"] for cell in rep.method_agreement]
+
+        got = montecarlo()
+        reference()
+        assert got == montecarlo()
+
+    def test_sample_is_the_same_multiset(self):
+        mu = tilted_measure()
+        got = gausskuzmin._sample_initial(mu, 10_000, np.random.default_rng(3))
+        want = _unsorted_sample(mu, 10_000, np.random.default_rng(3))
+        assert np.array_equal(got, np.sort(want))
+        for n in (1, 1000):
+            assert np.array_equal(gausskuzmin._iterate_map(want, 4, n),
+                                  _masked_map(want, 4, n))

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, special
 
 from ncf import (
+    BudgetExceededError,
     GaussMeasure,
     MealySystem,
     NcfParams,
@@ -398,6 +399,17 @@ class TestRegularity:
             x_star = rep.x_star
             assert rep.ratio_limit == pytest.approx(n / (x_star + n) ** 2, abs=1e-15)
             assert 0.0 < rep.ratio_limit < 1.0
+
+    def test_orbit_steps_charged_before_allocation(self, monkeypatch):
+        # one unit an orbit step, charged before the n_max floats a start
+        sys = make_ncf_rscc(NcfParams(1))
+        monkeypatch.setenv("NCF_BUDGET", "30")
+        regularity_witness(sys, [0.0, 0.5, 1.0], 10)
+        monkeypatch.setenv("NCF_BUDGET", "29")
+        with pytest.raises(BudgetExceededError):
+            regularity_witness(sys, [0.0, 0.5, 1.0], 10)
+        with pytest.raises(BudgetExceededError):
+            regularity_witness(sys, [0.5], 10**15)  # 8 PB of distances
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
                                      -0.1, 1.5, 2.0])
