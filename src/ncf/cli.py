@@ -52,6 +52,11 @@ def _emit(payload: dict, fmt: str, out_path, csv_rows=None, csv_header=None):
             lines.append(",".join(
                 f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
         text = "\n".join(lines) + "\n"
+    _write(text, out_path)
+
+
+def _write(text: str, out_path) -> None:
+    """Write the text to the --out file, or to stdout without one."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -158,10 +163,7 @@ _MEASURES = {
 
 def _cmd_gk(args):
     params = core.NcfParams(args.n)
-    try:
-        mu = _MEASURES[args.mu](params)
-    except KeyError:
-        raise ValueError(f"unknown measure {args.mu!r}; choose from {sorted(_MEASURES)}")
+    mu = _MEASURES[args.mu](params)
     rng = np.random.default_rng(args.seed)
     report = gausskuzmin.run_experiment(
         mu, params, n_max=args.nmax, m=args.grid, rng=rng,
@@ -176,12 +178,7 @@ def _cmd_gk(args):
 def _cmd_rscc_mealy(args):
     m = rscc.MealySystem(args.alpha, args.beta)
     if args.dot:
-        text = rscc.mealy_dot_export(m)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            _sys.stdout.write(text)
+        _write(rscc.mealy_dot_export(m), args.out)
         return 0
     kernel = m.kernel()
     sys_ = rscc.make_mealy_rscc(args.alpha, args.beta)
@@ -268,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gap)
 
     p = command("gk", help="Gauss-Kuzmin experiment report")
-    p.add_argument("--mu", default="lebesgue",
-                   help="initial measure: lebesgue | gauss | tilted")
+    p.add_argument("--mu", choices=tuple(_MEASURES), default="lebesgue",
+                   help="initial measure")
     p.add_argument("--require-fit", action="store_true",
                    help="fail (exit 4) if no geometric rate can be fitted")
     flags(p, grid=1024, nmax=40, seed=0)

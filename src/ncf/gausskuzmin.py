@@ -94,6 +94,8 @@ def pushforward_density(mu: InitialMeasure, params: NcfParams, m: int = 1024) ->
 
 # cells of the grid on which _sample_initial inverts the initial CDF
 _INV_GRID = 4096
+# points of the x grid on which run_experiment takes each sup error
+_X_GRID = 257
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -168,8 +170,7 @@ def distribution_at(mu: InitialMeasure, n: int, x: float, params: NcfParams,
 
 
 def run_experiment(mu: InitialMeasure, params: NcfParams, n_max: int = 40,
-                   x_grid: int = 257, m: int = 1024,
-                   spot_paths: int = 100_000,
+                   m: int = 1024, spot_paths: int = 100_000,
                    rng: Optional[np.random.Generator] = None,
                    require_fit: bool = True) -> GkReport:
     """Per-n sup error against the limit law, geometric-rate fit, and
@@ -179,7 +180,7 @@ def run_experiment(mu: InitialMeasure, params: NcfParams, n_max: int = 40,
     if rng is None:
         rng = np.random.default_rng(0)
     gm = GaussMeasure(params)
-    xs = np.linspace(0.0, 1.0, x_grid)
+    xs = np.linspace(0.0, 1.0, _X_GRID)
     limit = gn_cdf(xs, gm)
     f0 = initial_grid_density(mu, params, m)
     cums = [_cdf_on_grid(f, gm) for f in iterates(f0, params, n_max)]

@@ -41,7 +41,6 @@ class RsccSystem:
     mass sum_{x >= m} P(w, x).  All callables accept numpy arrays in w.
     """
 
-    name: str
     state_lo: float
     state_hi: float
     transition: Callable
@@ -141,7 +140,7 @@ def make_ncf_rscc(params: NcfParams) -> RsccSystem:
         return np.maximum(i, float(n))
 
     return RsccSystem(
-        name=f"ncf(N={n})", state_lo=0.0, state_hi=1.0,
+        state_lo=0.0, state_hi=1.0,
         transition=u, probability=p,
         first_event=n, tail_mass=tail, event_lipschitz=lip,
         sample_event=sample, params=params,
@@ -161,7 +160,6 @@ def make_mealy_rscc(alpha: float, beta: float) -> RsccSystem:
         return np.where(w == 1.0, row1, row2)
 
     return RsccSystem(
-        name=f"mealy(alpha={alpha}, beta={beta})",
         state_lo=1.0, state_hi=2.0,
         transition=u, probability=p,
         events=(1, 2), states=(1.0, 2.0),
@@ -196,11 +194,9 @@ def act(sys: RsccSystem, w, word):
 
 def event_set_probability(sys: RsccSystem, w, events: Union[Sequence[int], TailSet]) -> float:
     """P(w, A) for a finite event set or a tail set of the alphabet."""
-    if isinstance(events, TailSet):
-        if sys.tail_mass is None:
-            raise ValueError("tail sets need a tail-mass function")
-        return float(sys.tail_mass(w, events.m))
-    return float(sum(sys.probability(w, x) for x in events))
+    if not isinstance(events, TailSet):
+        events = [(x,) for x in events]
+    return float(_word_set_probability(sys, w, _checked_words(sys, 1, events)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +240,15 @@ def q_kernel_interval_bruteforce(sys: RsccSystem, x: float, u_end: float,
     return total + float(sys.tail_mass(x, i_max + 1))
 
 
+def _check_interval(a: float, b: float) -> None:
+    if a > b:
+        raise ValueError(f"need a <= b, got a={a}, b={b}")
+
+
 def q_kernel(sys: RsccSystem, x, a: float, b: float):
     """Q(x, [a, b)) for the continued-fraction system, by additivity; x is a
     state or an array of states."""
+    _check_interval(a, b)
     lo = q_kernel_interval(sys, x, a) if a > 0 else 0.0
     hi = q_kernel_interval(sys, x, b) if b > 0 else 0.0
     return hi - lo
@@ -266,6 +268,11 @@ def kernel_matrix(sys: RsccSystem) -> np.ndarray:
     return k
 
 
+def _kernel_row(sys: RsccSystem, k: int, source) -> np.ndarray:
+    """Row of K^k at a state of a finite system."""
+    return np.linalg.matrix_power(kernel_matrix(sys), k)[_state_index(sys, source)]
+
+
 def _state_index(sys: RsccSystem, source) -> int:
     return sys.states.index(float(source))
 
@@ -277,31 +284,23 @@ def _target_indicator(sys: RsccSystem, target) -> np.ndarray:
 
 
 def q_step(sys: RsccSystem, k: int, source: float, target,
-           method: str = "grid", grid_m: int = 1024,
-           n_paths: int = 100_000, rng: Optional[np.random.Generator] = None) -> float:
+           grid_m: int = 1024) -> float:
     """k-step kernel Q^(k)(source, target).
 
     Finite systems: exact matrix power.  The continued-fraction system, where
     `target` is an (a, b) half-open interval: the kernel recursion
-    Q^(k+1) = U Q^(k) (method "grid", the default) or seeded Monte Carlo path
-    simulation (method "mc").  In the recursion
-    Q^(1) is the closed form `q_kernel` and Q^(2) one branch sum of that
-    closed form at the source; for k >= 3 the transfer operator is iterated
-    k-2 times on a grid of the closed form and the last step is taken at the
-    source itself.
+    Q^(k+1) = U Q^(k), with Q^(1) the closed form `q_kernel` and Q^(2) one
+    branch sum of that closed form at the source; for k >= 3 the transfer
+    operator is iterated k-2 times on a grid of the closed form and the last
+    step is taken at the source itself.  `q_step_mc` is the Monte Carlo
+    estimate of the same kernel.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if sys.finite:
-        km = np.linalg.matrix_power(kernel_matrix(sys), k)
-        row = km[_state_index(sys, source)]
-        return float(row @ _target_indicator(sys, target))
+        return float(_kernel_row(sys, k, source) @ _target_indicator(sys, target))
     a, b = target
-    if method == "grid":
-        return _kernel_terms(sys, k, source, a, b, grid_m)[-1]
-    if method == "mc":
-        return q_step_mc(sys, k, source, a, b, n_paths, rng).value
-    raise ValueError(f"unknown method {method!r}")
+    return _kernel_terms(sys, k, source, a, b, grid_m)[-1]
 
 
 def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
@@ -330,6 +329,8 @@ def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
 def simulate_paths(sys: RsccSystem, source: float, steps: int, n_paths: int,
                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Terminal states of n_paths seeded chains run for `steps` steps."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if rng is None:
         rng = np.random.default_rng(0)
     if sys.sample_event is None:
@@ -346,6 +347,7 @@ def q_step_mc(sys: RsccSystem, k: int, source: float, a: float, b: float,
               n_paths: int = 100_000,
               rng: Optional[np.random.Generator] = None) -> Estimate:
     """Monte Carlo estimate of Q^(k)(source, [a, b)) with its standard error."""
+    _check_interval(a, b)
     w = simulate_paths(sys, source, k, n_paths, rng)
     hits = ((w >= a) & (w < b)).astype(float)
     p = float(np.mean(hits))
@@ -357,8 +359,8 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
              grid_m: int = 1024) -> float:
     """(1/n) sum_{k<=n} Q^(k)(source, target).
 
-    Finite systems use the eigendecomposition partial-sum closed form so that
-    very large n is exact to rounding; the continued-fraction system averages
+    Finite systems use the eigendecomposition partial-sum closed form, exact
+    to rounding at every n; the continued-fraction system averages
     the terms Q^(1..n)(source) of q_step's kernel recursion: Q^(1) in closed
     form, Q^(2) one branch sum of it, Q^(k >= 3) through the grid with the
     last operator step taken at the source.
@@ -366,25 +368,20 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if sys.finite:
-        kmat = kernel_matrix(sys)
-        if n <= 64:
-            acc = np.zeros_like(kmat)
-            p = np.eye(kmat.shape[0])
-            for _ in range(n):
-                p = p @ kmat
-                acc += p
-            avg = acc / n
-        else:
-            vals, vecs = np.linalg.eig(kmat)
-            inv = np.linalg.inv(vecs)
-            sums = np.empty_like(vals)
-            for j, lam in enumerate(vals):
-                if abs(lam - 1.0) < 1e-12:
-                    sums[j] = 1.0
-                else:
-                    sums[j] = lam * (1 - lam ** n) / ((1 - lam) * n)
-            avg = (vecs * sums) @ inv
-            avg = avg.real
+        vals, vecs = np.linalg.eig(kernel_matrix(sys))
+        inv = np.linalg.inv(vecs)
+        sums = np.empty_like(vals)
+        for j, lam in enumerate(vals):
+            if abs(lam - 1.0) < 1e-12:
+                sums[j] = 1.0
+            else:
+                # for lam near 1 and small n, lam^n rounds next to 1 and
+                # 1 - lam^n would cancel its digits; expm1 keeps them, and
+                # lam - 1 is exact from lam = 1/2 on
+                drop = (-math.expm1(n * math.log1p(lam.real - 1.0))
+                        if np.isreal(lam) and lam.real > 0.5 else 1 - lam ** n)
+                sums[j] = lam * drop / ((1 - lam) * n)
+        avg = ((vecs * sums) @ inv).real
         row = avg[_state_index(sys, source)]
         return float(row @ _target_indicator(sys, target))
     a, b = target
@@ -394,50 +391,45 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
 # ---------------------------------------------------------------------------
 # contraction coefficients
 
+_EVENT_CAP = 2048     # r_k cuts a countable alphabet to ~_EVENT_CAP^(1/k) letters
+_EXTRA_PAIRS = 128    # random state pairs added to the neighbouring grid pairs
+_BIG_R_EVENTS = 64    # leading events whose singletons, prefixes and tails bound R
+_MARGIN = 1e-6        # certified when some r_k < 1 - _MARGIN
 
-def _pair_grid(sys: RsccSystem, grid: int, extra_pairs: int,
-               rng: np.random.Generator):
+
+def _pair_grid(sys: RsccSystem, grid: int, rng: np.random.Generator):
     if sys.finite:
         states = np.array(sys.states)
         w1, w2 = np.meshgrid(states, states)
         mask = w1 != w2
         return w1[mask], w2[mask]
     nodes = np.linspace(sys.state_lo, sys.state_hi, grid + 1)
-    w1 = nodes[:-1]
-    w2 = nodes[1:]
-    if extra_pairs > 0:
-        a = rng.random(extra_pairs) * (sys.state_hi - sys.state_lo) + sys.state_lo
-        b = rng.random(extra_pairs) * (sys.state_hi - sys.state_lo) + sys.state_lo
-        keep = np.abs(a - b) > 1e-6
-        w1 = np.concatenate([w1, a[keep]])
-        w2 = np.concatenate([w2, b[keep]])
-    return w1, w2
+    a = rng.random(_EXTRA_PAIRS) * (sys.state_hi - sys.state_lo) + sys.state_lo
+    b = rng.random(_EXTRA_PAIRS) * (sys.state_hi - sys.state_lo) + sys.state_lo
+    keep = np.abs(a - b) > 1e-6
+    return np.concatenate([nodes[:-1], a[keep]]), np.concatenate([nodes[1:], b[keep]])
 
 
-def _truncated_alphabet(sys: RsccSystem, k: int, event_cap: int):
+def _r_k_estimate(sys: RsccSystem, k: int, w1: np.ndarray, w2: np.ndarray) -> float:
     if sys.finite:
-        return list(sys.events)
-    width = max(2, int(round(event_cap ** (1.0 / k))))
-    return list(range(sys.first_event, sys.first_event + width))
-
-
-def _r_k_estimate(sys: RsccSystem, k: int, w1: np.ndarray, w2: np.ndarray,
-                  event_cap: int) -> float:
-    events = _truncated_alphabet(sys, k, event_cap)
+        events = list(sys.events)
+    else:
+        width = max(2, int(round(_EVENT_CAP ** (1.0 / k))))
+        events = list(range(sys.first_event, sys.first_event + width))
     charge(len(events) ** k * w1.size * k, f"r_{k} word enumeration")
     denom = np.abs(w1 - w2)
     total = np.zeros_like(w1)
-    one_step_bound = sys.event_lipschitz(sys.first_event) if sys.event_lipschitz else 1.0
+    one_step_bound = sys.event_lipschitz(sys.first_event)
     stack = [(0, w1, w2, np.ones_like(w1))]
     while stack:
         depth, a, b, prob = stack.pop()
         if depth == k:
             total += prob * np.abs(a - b) / denom
             continue
-        if not sys.finite and sys.tail_mass is not None:
+        if not sys.finite:
             # events beyond the truncation, bounded via the derivative envelope
             m = events[-1] + 1
-            lip_tail = sys.event_lipschitz(m) if sys.event_lipschitz else 0.0
+            lip_tail = sys.event_lipschitz(m)
             remaining = one_step_bound ** (k - depth - 1)
             total += prob * sys.tail_mass(a, m) * (np.abs(a - b) / denom) * lip_tail * remaining
         for x in events:
@@ -446,8 +438,7 @@ def _r_k_estimate(sys: RsccSystem, k: int, w1: np.ndarray, w2: np.ndarray,
     return float(np.max(total))
 
 
-def _big_r_estimate(sys: RsccSystem, w1: np.ndarray, w2: np.ndarray,
-                    n_events: int = 64) -> float:
+def _big_r_estimate(sys: RsccSystem, w1: np.ndarray, w2: np.ndarray) -> float:
     denom = np.abs(w1 - w2)
     best = 0.0
     if sys.finite:
@@ -457,21 +448,18 @@ def _big_r_estimate(sys: RsccSystem, w1: np.ndarray, w2: np.ndarray,
             d = sum(sys.probability(w1, x) - sys.probability(w2, x) for x in subset)
             best = max(best, float(np.max(np.abs(d) / denom)))
         return best
-    events = list(range(sys.first_event, sys.first_event + n_events))
+    events = list(range(sys.first_event, sys.first_event + _BIG_R_EVENTS))
     diffs = np.stack([sys.probability(w1, x) - sys.probability(w2, x) for x in events])
     # singletons and prefix sets {first..m}
     best = max(best, float(np.max(np.abs(diffs) / denom)))
     best = max(best, float(np.max(np.abs(np.cumsum(diffs, axis=0)) / denom)))
-    if sys.tail_mass is not None:
-        for m in events:
-            d = sys.tail_mass(w1, m) - sys.tail_mass(w2, m)
-            best = max(best, float(np.max(np.abs(d) / denom)))
+    for m in events:
+        d = sys.tail_mass(w1, m) - sys.tail_mass(w2, m)
+        best = max(best, float(np.max(np.abs(d) / denom)))
     return best
 
 
 def contraction_coefficients(sys: RsccSystem, k_max: int = 2, grid: int = 512,
-                             event_cap: int = 2048, extra_pairs: int = 128,
-                             margin: float = 1e-6,
                              rng: Optional[np.random.Generator] = None) -> ContractionReport:
     """Estimate the trajectory-contraction coefficients r_k and the event
     Lipschitz bound R over a grid of state pairs; certify when some r_k is
@@ -480,12 +468,11 @@ def contraction_coefficients(sys: RsccSystem, k_max: int = 2, grid: int = 512,
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if rng is None:
         rng = np.random.default_rng(20240824)
-    w1, w2 = _pair_grid(sys, grid, extra_pairs, rng)
-    r_values = tuple(_r_k_estimate(sys, k, w1, w2, event_cap)
-                     for k in range(1, k_max + 1))
+    w1, w2 = _pair_grid(sys, grid, rng)
+    r_values = tuple(_r_k_estimate(sys, k, w1, w2) for k in range(1, k_max + 1))
     big_r = _big_r_estimate(sys, w1, w2)
     certified = (math.isfinite(r_values[0])
-                 and any(r < 1.0 - margin for r in r_values)
+                 and any(r < 1.0 - _MARGIN for r in r_values)
                  and math.isfinite(big_r))
     return ContractionReport(r_values=r_values, big_r=big_r, certified=certified)
 
@@ -529,6 +516,21 @@ def regularity_witness(sys: RsccSystem, starts: Sequence[float],
 # shifted path laws and their limit
 
 
+def _checked_words(sys: RsccSystem, r: int, word_set):
+    """A word set of r-letter words: a list of tuples, or a TailSet when r = 1
+    and the alphabet is countable."""
+    if isinstance(word_set, TailSet):
+        if r != 1:
+            raise ValueError("tail sets are one-letter word sets: r = 1")
+        if sys.finite:
+            raise ValueError("tail sets need a countable alphabet")
+        return word_set
+    words = [tuple(word) for word in word_set]
+    if any(len(word) != r for word in words):
+        raise ValueError("every word must have length r")
+    return words
+
+
 def _word_set_probability(sys: RsccSystem, w, word_set) -> np.ndarray:
     """P_r(w, A) for a finite collection of words (or a one-letter tail set),
     vectorized over w."""
@@ -552,18 +554,10 @@ def shifted_path_probability(sys: RsccSystem, w: float, n: int, r: int, word_set
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
-    if not isinstance(word_set, TailSet):
-        word_set = [tuple(word) for word in word_set]
-        if any(len(word) != r for word in word_set):
-            raise ValueError("every word must have length r")
-    elif r != 1:
-        raise ValueError("tail sets are one-letter word sets")
+    word_set = _checked_words(sys, r, word_set)
     if sys.finite:
-        km = np.linalg.matrix_power(kernel_matrix(sys), n - 1)
-        dist = km[_state_index(sys, w)]
-        states = np.array(sys.states)
-        probs = _word_set_probability(sys, states, word_set)
-        return Estimate(float(dist @ probs), 0.0)
+        probs = _word_set_probability(sys, np.array(sys.states), word_set)
+        return Estimate(float(_kernel_row(sys, n - 1, w) @ probs), 0.0)
     states = simulate_paths(sys, w, n - 1, n_paths, rng)
     vals = _word_set_probability(sys, states, word_set)
     mean = float(np.mean(vals))
@@ -578,6 +572,7 @@ def limit_path_law(sys: RsccSystem, r: int, word_set) -> float:
         raise ValueError("limit_path_law needs the continued-fraction system")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    word_set = _checked_words(sys, r, word_set)
     gm = GaussMeasure(sys.params)
     # the integrand is rational with its poles at w <= -1
     return _gauss_legendre(

@@ -8,11 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from ncf import MealySystem, mealy_dot_export
 from ncf.cli import main
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    """Exit code, stdout and stderr of one call; a usage error that argparse
+    reports by SystemExit gives its exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -198,6 +204,13 @@ class TestRsccMealy:
         assert code == 0
         assert out.startswith("digraph")
         assert 'label="1/0.3"' in out
+
+    def test_dot_output_to_file(self, capsys, tmp_path):
+        path = tmp_path / "mealy.dot"
+        code, out, _ = run_cli(["rscc-mealy", "--alpha", "0.3", "--beta", "0.6",
+                                "--dot", "--out", str(path)], capsys)
+        assert code == 0 and out == ""
+        assert path.read_text() == mealy_dot_export(MealySystem(0.3, 0.6))
 
     def test_invalid_probability(self, capsys):
         code, _, _ = run_cli(

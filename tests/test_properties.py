@@ -1,12 +1,24 @@
 """Property tests: invariants checked on drawn inputs, in bounded runs."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from ncf import NcfParams, core, transfer  # noqa: E402
+from ncf import (  # noqa: E402
+    MealySystem,
+    NcfParams,
+    core,
+    make_mealy_rscc,
+    make_ncf_rscc,
+    q_cesaro,
+    q_kernel_interval,
+    q_kernel_interval_bruteforce,
+    transfer,
+)
 from ncf.gausskuzmin import _iterate_map  # noqa: E402
 
 
@@ -32,3 +44,41 @@ def test_vector_map_step_is_the_scalar_map(n, ys):
     params = NcfParams(n)
     got = _iterate_map(y, 1, n)
     assert got.tolist() == [core.gauss_map(float(t), params) for t in y]
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.integers(0, 100), beta=st.integers(0, 100), n=st.integers(1, 64))
+@example(alpha=100, beta=1, n=3).via("eigenvalue 0.99, where 1 - lam^n cancels")
+@example(alpha=50, beta=50, n=1).via("eigenvalue 0 computed as 1.1e-16")
+def test_finite_cesaro_is_the_exact_average(alpha, beta, n):
+    # the eigendecomposition's closed form against (1/n) sum_k K^k in exact
+    # rationals, from both states to both states
+    m = MealySystem(alpha / 100, beta / 100)
+    k = m.kernel_exact()
+    p = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    acc = [[Fraction(0)] * 2 for _ in range(2)]
+    for _ in range(n):
+        p = [[sum(p[i][t] * k[t][j] for t in range(2)) for j in range(2)] for i in range(2)]
+        acc = [[acc[i][j] + p[i][j] for j in range(2)] for i in range(2)]
+    sys_ = make_mealy_rscc(m.alpha, m.beta)
+    for i, source in enumerate(sys_.states):
+        for j, target in enumerate(sys_.states):
+            got = q_cesaro(sys_, n, source, [target])
+            assert abs(Fraction(got) - acc[i][j] / n) <= 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 1000), x=st.floats(0.0, 1.0), data=st.data())
+def test_closed_form_kernel_is_the_branch_sum(n, x, data):
+    # u above N/(i_max + 1), so the oracle's explicit branches reach N/u.
+    # Within rounding of a branch point, N/(x+i) = u, the kernel jumps and
+    # both sides classify that branch by the last bit of their arithmetic,
+    # each wrong about half the time against exact rationals, so such u
+    # are left out
+    i_max = 20000
+    u = data.draw(st.floats(n / i_max, 1.0), label="u")
+    t = n / u - x
+    assume(abs(t - round(t)) > 1e-9 * (t + 1.0))
+    sys_ = make_ncf_rscc(NcfParams(n))
+    want = q_kernel_interval_bruteforce(sys_, x, u, i_max=i_max)
+    assert abs(q_kernel_interval(sys_, x, u) - want) <= 1e-12

@@ -176,6 +176,17 @@ class TestQKernel:
         with pytest.raises(ValueError):
             q_kernel_interval(ncf_sys, 0.5, 0.0)
 
+    def test_reversed_interval_rejected(self, ncf_sys):
+        # [0.8, 0.3) is no interval; each kernel once returned a negative mass
+        with pytest.raises(ValueError, match="a <= b"):
+            q_kernel(ncf_sys, 0.5, 0.8, 0.3)
+        with pytest.raises(ValueError, match="a <= b"):
+            q_step(ncf_sys, 3, 0.5, (0.8, 0.3), grid_m=64)
+        with pytest.raises(ValueError, match="a <= b"):
+            q_cesaro(ncf_sys, 4, 0.5, (0.8, 0.3), grid_m=64)
+        with pytest.raises(ValueError, match="a <= b"):
+            q_step_mc(ncf_sys, 3, 0.5, 0.8, 0.3, n_paths=1000)
+
 
 class TestQStep:
     def test_one_step_equals_closed_form(self):
@@ -326,7 +337,7 @@ class TestMealy:
         assert q_cesaro(mealy_sys, 12, 1.0, [1.0]) == pytest.approx(want, abs=1e-14)
 
     def test_cesaro_closed_form_consistent_with_direct(self, mealy_sys):
-        # n = 64 uses the direct sum, n = 65 the eigendecomposition
+        # consecutive n of the closed form differ by O(1/n^2)
         a = q_cesaro(mealy_sys, 64, 1.0, [1.0])
         b = q_cesaro(mealy_sys, 65, 1.0, [1.0])
         # both sit within O(1/n) of the stationary value and near each other
@@ -454,6 +465,12 @@ class TestShiftedPathLaw:
         with pytest.raises(ValueError):
             shifted_path_probability(ncf_sys, 0.5, 3, 2, TailSet(5))
 
+    def test_tail_set_needs_countable_alphabet(self, mealy_sys):
+        with pytest.raises(ValueError, match="countable"):
+            event_set_probability(mealy_sys, 1.0, TailSet(2))
+        with pytest.raises(ValueError, match="countable"):
+            shifted_path_probability(mealy_sys, 1.0, 3, 1, TailSet(2))
+
 
 class TestLimitPathLaw:
     @pytest.mark.parametrize("n,r,word_set", [
@@ -479,6 +496,13 @@ class TestLimitPathLaw:
 
         want, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, limit=200)
         assert abs(limit_path_law(sys, r, word_set) - want) <= 1e-14
+
+    @pytest.mark.parametrize("r,word_set", [(2, [(1,)]), (1, [(1, 1)]),
+                                            (3, TailSet(2))])
+    def test_word_set_must_match_r(self, r, word_set):
+        # the words were once integrated whatever their length
+        with pytest.raises(ValueError, match="length r|r = 1"):
+            limit_path_law(make_ncf_rscc(NcfParams(1)), r, word_set)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_one_letter_law_is_digit_law(self, n):
@@ -510,6 +534,13 @@ class TestSimulatePaths:
         rng = np.random.default_rng(8)
         w = simulate_paths(ncf_sys, 0.5, 5, 1000, rng)
         assert np.all((w > 0.0) & (w <= 1.0))
+
+    def test_rejects_no_paths(self, ncf_sys):
+        # with no path there is no estimate: once a ZeroDivisionError
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate_paths(ncf_sys, 0.5, 3, 0)
+        with pytest.raises(ValueError, match="n_paths"):
+            q_step_mc(ncf_sys, 3, 0.5, 0.2, 0.6, n_paths=0)
 
     def test_deterministic_given_seed(self, ncf_sys):
         a = simulate_paths(ncf_sys, 0.5, 5, 100, np.random.default_rng(4))
