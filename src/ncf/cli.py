@@ -15,9 +15,9 @@ import math
 import sys as _sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import core, gausskuzmin, measure, rscc, transfer
+# `expand` and `eval` need only the pure-Python `core`; the commands that
+# need NumPy import it, and the layers built on it, themselves
+from . import core
 from .errors import BudgetExceededError, FitError, charge
 
 SCHEMA_VERSION = 1
@@ -89,6 +89,7 @@ def _cmd_eval(args):
 
 
 def _cmd_digit_law(args):
+    from . import measure
     gm = measure.GaussMeasure(core.NcfParams(args.n))
     charge(args.grid + 1, "digit-law digits")
     imax = args.n + args.grid
@@ -100,6 +101,8 @@ def _cmd_digit_law(args):
 
 
 def _cmd_invariance(args):
+    import numpy as np
+    from . import measure, rscc
     params = core.NcfParams(args.n)
     gm = measure.GaussMeasure(params)
     sys_ = rscc.make_ncf_rscc(params)
@@ -125,6 +128,7 @@ def _cmd_invariance(args):
 
 
 def _cmd_transfer(args):
+    from . import transfer
     f = transfer.GridFunction.from_callable(lambda x: x, args.grid)
     c_f, sup_errors, lip_errors = transfer.error_curves(f, core.NcfParams(args.n), args.nmax)
     rows = [(k, float(e), float(lip)) for k, e, lip in
@@ -138,6 +142,7 @@ def _cmd_transfer(args):
 
 
 def _cmd_gap(args):
+    from . import transfer
     params = core.NcfParams(args.n)
     f = transfer.GridFunction.from_callable(lambda x: x, args.grid)
     est = transfer.estimate_gap(f, params, args.nmax)
@@ -154,16 +159,16 @@ def _cmd_gap(args):
     return 0
 
 
-_MEASURES = {
-    "lebesgue": lambda params: gausskuzmin.lebesgue_measure(),
-    "gauss": lambda params: gausskuzmin.gauss_initial(params),
-    "tilted": lambda params: gausskuzmin.tilted_measure(),
-}
+_MEASURES = ("lebesgue", "gauss", "tilted")
 
 
 def _cmd_gk(args):
+    import numpy as np
+    from . import gausskuzmin
     params = core.NcfParams(args.n)
-    mu = _MEASURES[args.mu](params)
+    mu = {"lebesgue": gausskuzmin.lebesgue_measure,
+          "gauss": functools.partial(gausskuzmin.gauss_initial, params),
+          "tilted": gausskuzmin.tilted_measure}[args.mu]()
     rng = np.random.default_rng(args.seed)
     report = gausskuzmin.run_experiment(
         mu, params, n_max=args.nmax, m=args.grid, rng=rng,
@@ -176,6 +181,7 @@ def _cmd_gk(args):
 
 
 def _cmd_rscc_mealy(args):
+    from . import rscc
     m = rscc.MealySystem(args.alpha, args.beta)
     if args.dot:
         _write(rscc.mealy_dot_export(m), args.out)
@@ -194,6 +200,8 @@ def _cmd_rscc_mealy(args):
 
 
 def _cmd_contraction(args):
+    import numpy as np
+    from . import rscc
     sys_ = rscc.make_ncf_rscc(core.NcfParams(args.n))
     rng = np.random.default_rng(args.seed)
     rep = rscc.contraction_coefficients(sys_, k_max=args.kmax, grid=args.grid, rng=rng)
@@ -206,6 +214,7 @@ def _cmd_contraction(args):
 
 
 def _cmd_regularity(args):
+    from . import rscc
     sys_ = rscc.make_ncf_rscc(core.NcfParams(args.n))
     starts = [float(t) for t in args.starts.split(",")]
     rep = rscc.regularity_witness(sys_, starts, args.nmax)
@@ -265,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gap)
 
     p = command("gk", help="Gauss-Kuzmin experiment report")
-    p.add_argument("--mu", choices=tuple(_MEASURES), default="lebesgue",
+    p.add_argument("--mu", choices=_MEASURES, default="lebesgue",
                    help="initial measure")
     p.add_argument("--require-fit", action="store_true",
                    help="fail (exit 4) if no geometric rate can be fitted")

@@ -310,8 +310,13 @@ def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
     Q^(2) is the branch sum of the closed form over the branch points
     N/(source+i).  For k >= 3 only U^(k-2) Q^(1) lives on the grid of grid_m
     cells; taking the last step at the source means the grid is never
-    interpolated across a jump of the kernel there.
+    interpolated across a jump of the kernel there.  Each term is computed
+    only if n reaches it: n = 1 is the closed form alone, and the grid is
+    built from n = 3 on.
     """
+    terms = [q_kernel(sys, float(source), a, b)]
+    if n == 1:
+        return terms
     params = sys.params
 
     def q1(y):
@@ -319,11 +324,12 @@ def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
         return np.zeros_like(y) + q_kernel(sys, y, a, b)
 
     at = np.array([float(source)])
-    terms = [q_kernel(sys, float(source), a, b), float(transfer.transfer_at(q1, params, at)[0])]
-    grid = transfer.GridFunction.from_callable(q1, grid_m)
-    terms += [float(transfer.transfer_at(g, params, at)[0])
-              for g in transfer.iterates(grid, params, n - 2)]
-    return terms[:n]
+    terms.append(float(transfer.transfer_at(q1, params, at)[0]))
+    if n > 2:
+        grid = transfer.GridFunction.from_callable(q1, grid_m)
+        terms += [float(transfer.transfer_at(g, params, at)[0])
+                  for g in transfer.iterates(grid, params, n - 2)]
+    return terms
 
 
 def simulate_paths(sys: RsccSystem, source: float, steps: int, n_paths: int,

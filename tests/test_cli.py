@@ -23,14 +23,19 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _python_child(code, argv=(), timeout=120, **kwargs):
+    """Run `code` in a fresh interpreter that imports this package's source."""
+    import ncf
+    src = str(Path(ncf.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}", *argv],
+        capture_output=True, text=True, timeout=timeout, **kwargs)
+
+
 def _cli_child(argv, budget=None, timeout=120):
     """The CLI in a fresh interpreter under a 2 GiB address-space cap, with
     NCF_BUDGET set to `budget` (None: unset)."""
     resource = pytest.importorskip("resource")
-    import ncf
-    src = str(Path(ncf.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); from ncf.cli import main; "
-            f"sys.exit(main({argv!r}))")
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -38,8 +43,8 @@ def _cli_child(argv, budget=None, timeout=120):
     env = {k: v for k, v in os.environ.items() if k != "NCF_BUDGET"}
     if budget is not None:
         env["NCF_BUDGET"] = budget
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, preexec_fn=cap, env=env, timeout=timeout)
+    return _python_child(f"from ncf.cli import main; sys.exit(main({argv!r}))",
+                         timeout=timeout, preexec_fn=cap, env=env)
 
 
 class TestExpand:
@@ -383,12 +388,8 @@ class TestDeterminism:
         assert a.stdout == b.stdout
 
     def test_import_leaves_scipy_out(self):
-        # NumPy is the only runtime dependency
-        import ncf
-        src = str(Path(ncf.__file__).resolve().parents[1])
-        code = (f"import sys; sys.path.insert(0, {src!r}); import ncf.cli; "
-                "print('scipy' in sys.modules)")
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        # NumPy is the only runtime dependency; touching one layer loads all
+        r = _python_child("import ncf.cli; ncf.transfer; print('scipy' in sys.modules)")
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "False"
 
@@ -396,3 +397,61 @@ class TestDeterminism:
         r = self._run(["eval", "--digits", "1,1,1"])
         assert r.returncode == 0
         assert json.loads(r.stdout)["value"] == "2/3"
+
+
+class TestLazyImports:
+    # the commands that need only the pure-Python core: each in a fresh
+    # process, with its documented exit code
+    @pytest.mark.parametrize("argv,code", [
+        (["expand", "--x", "3/7", "--n", "2"], 0),
+        (["eval", "--digits", "3,4", "--n", "2"], 0),
+        (["expand", "--x", "0"], 2),
+        (["eval", "--digits", "0"], 2),
+        (["expand", "--x", "1e-320"], 2),
+        (["eval", "--digits", "1", "--n", "2"], 2),
+        (["--help"], 0),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_core_commands_leave_numpy_out(self, argv, code):
+        r = _python_child(
+            "import ncf.cli\n"
+            "try:\n"
+            "    code = ncf.cli.main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)", argv)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr.splitlines()[-1] == f"{code} False"
+
+    def test_every_public_name_is_its_modules_object(self):
+        import ncf
+        assert len(ncf.__all__) == len(set(ncf.__all__)) == 58
+        for name in ncf.__all__:
+            obj = getattr(ncf, name)
+            assert obj.__module__.startswith("ncf.")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+        assert set(ncf.__all__) <= set(dir(ncf))
+
+    def test_star_import_binds_every_name(self):
+        import ncf
+        namespace = {}
+        exec("from ncf import *", namespace)
+        assert {n for n in namespace if not n.startswith("__")} == set(ncf.__all__)
+        assert all(namespace[n] is getattr(ncf, n) for n in ncf.__all__)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import ncf
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ncf.no_such_name
+        assert not hasattr(ncf, "RsccSystm")
+
+    def test_one_access_loads_every_layer(self):
+        # perfbench/trace.py's Tracer.install reads ncf.transfer right after
+        # `import ncf.cli`, then wraps the layers it finds in sys.modules
+        layers = ["ncf.gausskuzmin", "ncf.measure", "ncf.rscc", "ncf.transfer"]
+        r = _python_child(
+            "import ncf.cli\n"
+            f"print([m in sys.modules for m in {layers!r} + ['numpy']])\n"
+            "ncf.transfer\n"
+            f"print([m in sys.modules for m in {layers!r}])")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == [str([False] * 5), str([True] * 4)]

@@ -35,6 +35,7 @@ from ncf import (
     shifted_path_probability,
     simulate_paths,
 )
+from ncf import transfer
 
 
 @pytest.fixture(params=[1, 2, 5])
@@ -245,6 +246,50 @@ class TestQStep:
             want = np.sum((src + n) / ((src + i) * (src + i + 1.0))
                           * q_kernel(sys_, n / (src + i), a, b)) + rest
             assert abs(q_step(sys_, 2, src, (a, b)) - want) <= 1e-12
+
+
+def _every_kernel_term(sys_, n, source, a, b, grid_m):
+    """Q^(1..n) as the recursion computed them when every call took the
+    two-step branch sum and built the grid, whatever n was, and then kept
+    the first n terms."""
+    def q1(y):
+        return np.zeros_like(y) + q_kernel(sys_, y, a, b)
+
+    params, at = sys_.params, np.array([float(source)])
+    terms = [q_kernel(sys_, float(source), a, b),
+             float(transfer.transfer_at(q1, params, at)[0])]
+    grid = transfer.GridFunction.from_callable(q1, grid_m)
+    terms += [float(transfer.transfer_at(g, params, at)[0])
+              for g in transfer.iterates(grid, params, n - 2)]
+    return terms[:n]
+
+
+class TestShortRecursion:
+    # q_step and q_cesaro compute only the kernel terms n reaches
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("big_n", [1, 5])
+    def test_equals_every_term_recursion(self, n, big_n):
+        sys_ = make_ncf_rscc(NcfParams(big_n))
+        rng = np.random.default_rng(100 + big_n)
+        for _ in range(6):
+            src = float(rng.random())
+            a, b = (float(v) for v in np.sort(rng.random(2)))
+            terms = _every_kernel_term(sys_, n, src, a, b, 256)
+            assert q_step(sys_, n, src, (a, b), grid_m=256) == terms[-1]
+            assert q_cesaro(sys_, n, src, (a, b), grid_m=256) == sum(terms) / n
+
+    def test_no_grid_below_three_steps(self, monkeypatch):
+        sys_ = make_ncf_rscc(NcfParams(2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work the recursion does not need")
+
+        monkeypatch.setattr(transfer.GridFunction, "from_callable", refuse)
+        q_step(sys_, 2, 0.3, (0.1, 0.7))
+        q_cesaro(sys_, 2, 0.3, (0.1, 0.7))
+        monkeypatch.setattr(transfer, "transfer_at", refuse)
+        assert q_step(sys_, 1, 0.3, (0.1, 0.7)) == q_kernel(sys_, 0.3, 0.1, 0.7)
+        assert q_cesaro(sys_, 1, 0.3, (0.1, 0.7)) == q_kernel(sys_, 0.3, 0.1, 0.7)
 
 
 class TestQCesaroNearJump:
