@@ -24,9 +24,8 @@ _LAYERS = {
              "q_kernel_interval_bruteforce", "q_kernel", "q_step", "q_step_mc", "q_cesaro",
              "kernel_matrix", "contraction_coefficients", "regularity_witness",
              "shifted_path_probability", "limit_path_law", "mealy_dot_export"),
-    "gausskuzmin": ("InitialMeasure", "GkReport", "lebesgue_measure", "gauss_initial",
-                    "tilted_measure", "limit_cdf", "pushforward_density", "distribution_at",
-                    "run_experiment"),
+    "gausskuzmin": ("GkReport", "lebesgue_measure", "gauss_initial", "tilted_measure",
+                    "limit_cdf", "pushforward_density", "distribution_at", "run_experiment"),
 }
 # public name -> the NumPy layer that defines it
 _LAZY = {name: layer for layer, names in _LAYERS.items() for name in names}

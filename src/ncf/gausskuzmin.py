@@ -24,11 +24,6 @@ from .transfer import GridFunction, apply_transfer, fit_rate, iterates
 
 
 @dataclass(frozen=True)
-class InitialMeasure:
-    density: DensityFunction
-
-
-@dataclass(frozen=True)
 class GkReport:
     n_values: tuple
     sup_errors: tuple
@@ -50,18 +45,17 @@ class GkReport:
         }
 
 
-def lebesgue_measure() -> InitialMeasure:
-    return InitialMeasure(DensityFunction(lambda x: 1.0))
+def lebesgue_measure() -> DensityFunction:
+    return DensityFunction(lambda x: 1.0)
 
 
-def gauss_initial(params: NcfParams) -> InitialMeasure:
-    gm = GaussMeasure(params)
-    return InitialMeasure(DensityFunction(gm.density))
+def gauss_initial(params: NcfParams) -> DensityFunction:
+    return DensityFunction(GaussMeasure(params).density)
 
 
-def tilted_measure() -> InitialMeasure:
+def tilted_measure() -> DensityFunction:
     """Density proportional to 1 + x/2."""
-    return InitialMeasure(DensityFunction(lambda x: (1.0 + x / 2.0) / 1.25))
+    return DensityFunction(lambda x: (1.0 + x / 2.0) / 1.25)
 
 
 def limit_cdf(x, params: NcfParams):
@@ -69,11 +63,11 @@ def limit_cdf(x, params: NcfParams):
     return gn_cdf(x, GaussMeasure(params))
 
 
-def initial_grid_density(mu: InitialMeasure, params: NcfParams, m: int) -> GridFunction:
+def initial_grid_density(mu: DensityFunction, params: NcfParams, m: int) -> GridFunction:
     """f0 = d(mu)/d(invariant measure) sampled on the operator grid."""
     gm = GaussMeasure(params)
     return GridFunction.from_callable(
-        lambda x: gm.log_norm * (x + params.n_param) * mu.density(x), m)
+        lambda x: gm.log_norm * (x + params.n_param) * mu(x), m)
 
 
 def density_from_grid(f0: GridFunction, params: NcfParams) -> DensityFunction:
@@ -86,7 +80,7 @@ def density_from_grid(f0: GridFunction, params: NcfParams) -> DensityFunction:
     return DensityFunction(lambda t: np.interp(t, x, vals), mass_tol=1e-6)
 
 
-def pushforward_density(mu: InitialMeasure, params: NcfParams, m: int = 1024) -> DensityFunction:
+def pushforward_density(mu: DensityFunction, params: NcfParams, m: int = 1024) -> DensityFunction:
     """Density of the image measure after one map step."""
     f0 = initial_grid_density(mu, params, m)
     return density_from_grid(apply_transfer(f0, params), params)
@@ -115,7 +109,7 @@ def _cdf_on_grid(f: GridFunction, gm: GaussMeasure) -> np.ndarray:
     return gn_cdf(x, gm) + _cumulative_trapezoid((f.values - 1.0) * gm.density(x), x)
 
 
-def _sample_initial(mu: InitialMeasure, n_paths: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_initial(mu: DensityFunction, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF sampling of the initial measure on a fine numeric grid.
 
     The uniforms are sorted before the lookup: sorted queries keep the
@@ -126,7 +120,7 @@ def _sample_initial(mu: InitialMeasure, n_paths: int, rng: np.random.Generator) 
     generator consumes the same draws.
     """
     x = np.linspace(0.0, 1.0, _INV_GRID + 1)
-    cdf = _cumulative_trapezoid(mu.density(x), x)
+    cdf = _cumulative_trapezoid(mu(x), x)
     cdf /= cdf[-1]
     return np.interp(np.sort(rng.random(n_paths)), cdf, x)
 
@@ -145,7 +139,7 @@ def _iterate_map(y: np.ndarray, n: int, n_param: int) -> np.ndarray:
     return y
 
 
-def distribution_at(mu: InitialMeasure, n: int, x: float, params: NcfParams,
+def distribution_at(mu: DensityFunction, n: int, x: float, params: NcfParams,
                     method: str = "operator", m: int = 1024,
                     n_paths: int = 100_000,
                     rng: Optional[np.random.Generator] = None) -> float:
@@ -169,7 +163,7 @@ def distribution_at(mu: InitialMeasure, n: int, x: float, params: NcfParams,
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_experiment(mu: InitialMeasure, params: NcfParams, n_max: int = 40,
+def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
                    m: int = 1024, spot_paths: int = 100_000,
                    rng: Optional[np.random.Generator] = None,
                    require_fit: bool = True) -> GkReport:

@@ -1,8 +1,8 @@
 """Random systems with complete connections (place-dependent IFS).
 
-A system is a state interval W, a countable event alphabet, a transition
-function u(w, x) and a place-dependent probability P(w, x) with
-sum_x P(w, x) = 1.  Instances provided here:
+A system is a state space W, an event alphabet X, a transition function
+u(w, x) and a place-dependent probability P(w, x) with sum_x P(w, x) = 1
+(Iosifescu & Grigorescu, 1990).  Instances provided here:
 
 * the N-continued-fraction system on [0,1] with events i >= N,
   u(x, i) = N/(x+i) and P(x, i) = (x+N)/((x+i)(x+i+1))
@@ -33,29 +33,24 @@ from . import transfer
 
 @dataclass(frozen=True)
 class RsccSystem:
-    """State interval, countable events, transition u, probabilities P.
+    """Transition u and probabilities P, with the alphabet they act on.
 
-    For finite alphabets `events` lists them and `states` lists the (finite,
-    real-embedded) state space.  For countable alphabets `events` is None,
-    `first_event` starts the enumeration and `tail_mass(w, m)` gives the exact
-    mass sum_{x >= m} P(w, x).  All callables accept numpy arrays in w.
+    A finite system lists its `events` and its (real-embedded) `states`.  The
+    continued-fraction system carries its `params` instead: its states are
+    [0, 1], its events are i >= N, and its tail masses, event sampler and
+    derivative envelope are closed forms in N.  Both callables accept numpy
+    arrays in w.
     """
 
-    state_lo: float
-    state_hi: float
     transition: Callable
     probability: Callable
-    events: Optional[tuple] = None
-    states: Optional[tuple] = None
-    first_event: int = 0
-    tail_mass: Optional[Callable] = None
-    event_lipschitz: Optional[Callable] = None  # sup_w |du/dw| for events >= arg
-    sample_event: Optional[Callable] = None     # inverse-CDF map (w, u01) -> event
+    events: tuple = ()
+    states: tuple = ()
     params: Optional[NcfParams] = None
 
     @property
     def finite(self) -> bool:
-        return self.events is not None
+        return self.params is None
 
 
 @dataclass(frozen=True)
@@ -125,26 +120,21 @@ def make_ncf_rscc(params: NcfParams) -> RsccSystem:
         w = np.asarray(w, dtype=float)
         return (w + n) / ((w + i) * (w + i + 1.0))
 
-    def tail(w, m):
-        w = np.asarray(w, dtype=float)
-        return (w + n) / (w + m)
+    return RsccSystem(transition=u, probability=p, params=params)
 
-    def lip(i):
-        return n / (i * i)
 
-    def sample(w, u01):
-        # smallest i with P(w, {N..i}) > u01, in closed form from the tail mass
-        w = np.asarray(w, dtype=float)
-        t = (w + n) / (1.0 - u01) - w - 1.0
-        i = np.floor(t) + 1.0
-        return np.maximum(i, float(n))
+def _tail_mass(n: int, w, m: int):
+    """P(w, {i >= m}) of the continued-fraction system: the branch masses
+    telescope to (w+N)/(w+m)."""
+    w = np.asarray(w, dtype=float)
+    return (w + n) / (w + m)
 
-    return RsccSystem(
-        state_lo=0.0, state_hi=1.0,
-        transition=u, probability=p,
-        first_event=n, tail_mass=tail, event_lipschitz=lip,
-        sample_event=sample, params=params,
-    )
+
+def _sample_event(n: int, w, u01):
+    """Smallest event i with P(w, {N..i}) > u01, by inverting the tail mass."""
+    w = np.asarray(w, dtype=float)
+    t = (w + n) / (1.0 - u01) - w - 1.0
+    return np.maximum(np.floor(t) + 1.0, float(n))
 
 
 def make_mealy_rscc(alpha: float, beta: float) -> RsccSystem:
@@ -159,12 +149,7 @@ def make_mealy_rscc(alpha: float, beta: float) -> RsccSystem:
         row2 = m.beta if j == 1 else 1 - m.beta
         return np.where(w == 1.0, row1, row2)
 
-    return RsccSystem(
-        state_lo=1.0, state_hi=2.0,
-        transition=u, probability=p,
-        events=(1, 2), states=(1.0, 2.0),
-        event_lipschitz=lambda i: 0.0,
-    )
+    return RsccSystem(transition=u, probability=p, events=(1, 2), states=(1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +188,20 @@ def event_set_probability(sys: RsccSystem, w, events: Union[Sequence[int], TailS
 # state kernels
 
 
+# N/u - x and N/(x+i) lie within 2^-52 relative of their exact values: a
+# float this near a tie (with room to spare) is decided in exact rationals
+_TIE = 2.0 ** -50
+
+
 def q_kernel_interval(sys: RsccSystem, x, u_end: float):
     """Q(x, [0, u_end)) for the continued-fraction system, in closed form;
     x is a state or an array of states.
 
     A branch i lands in [0, u_end) iff N/(x+i) < u_end iff i >= E where
     E = floor(N/u_end - x) + 1, which is >= N on the domain; the branch
-    masses telescope, leaving (x+N)/(x+E).
+    masses telescope, leaving (x+N)/(x+E).  Where N/u_end - x lies within
+    its rounding of an integer, a branch point lies within rounding of
+    u_end and the last bit would decide its side: E is taken exactly there.
     """
     if sys.params is None:
         raise ValueError("q_kernel_interval needs the continued-fraction system")
@@ -220,7 +212,16 @@ def q_kernel_interval(sys: RsccSystem, x, u_end: float):
     if not (0.0 < u_end <= 1.0):
         raise ValueError(f"u_end must lie in (0, 1], got {u_end}")
     x = xa[()]  # a NumPy scalar for a scalar x, whose arithmetic is faster
-    out = (x + n) / (x + (np.floor(n / u_end - x) + 1.0))
+    t = n / u_end - x
+    e = np.floor(t) + 1.0
+    # t - e + 1/2 = frac(t) - 1/2, which is near +-1/2 where t is near an
+    # integer; from t = 2^49 on every t is that near, but one branch moves Q
+    # by a relative 1/t there, so the floats stand
+    near = abs(t - e + 0.5) >= 0.5 - _TIE * (t + 1.0)
+    if (xa.ndim or near) and n < 2.0 ** 49 * u_end:
+        e, cut = np.asarray(e), Fraction(n) / Fraction(u_end)
+        e[near] = [math.floor(cut - Fraction(v)) + 1 for v in xa[near].tolist()]
+    out = (x + n) / (x + e)
     return float(out) if xa.ndim == 0 else out
 
 
@@ -232,12 +233,15 @@ def q_kernel_interval_bruteforce(sys: RsccSystem, x: float, u_end: float,
         raise ValueError("needs the continued-fraction system")
     n = sys.params.n_param
     i = np.arange(n, i_max + 1, dtype=float)
-    inside = n / (x + i) < u_end
+    y = n / (x + i)
+    inside = y < u_end
+    for j in np.flatnonzero(np.abs(y - u_end) <= _TIE * u_end):
+        inside[j] = n < Fraction(u_end) * (Fraction(x) + int(i[j]))
     total = float(np.sum(sys.probability(x, i)[inside]))
     # all branches beyond i_max land below u_end
-    if n / (x + i_max + 1) >= u_end:
+    if n >= Fraction(u_end) * (Fraction(x) + i_max + 1):
         raise ValueError("i_max too small for this (x, u_end)")
-    return total + float(sys.tail_mass(x, i_max + 1))
+    return total + float(_tail_mass(n, x, i_max + 1))
 
 
 def _check_interval(a: float, b: float) -> None:
@@ -256,7 +260,7 @@ def q_kernel(sys: RsccSystem, x, a: float, b: float):
 
 def kernel_matrix(sys: RsccSystem) -> np.ndarray:
     """One-step state-to-state kernel of a finite system."""
-    if not sys.finite or sys.states is None:
+    if not sys.finite:
         raise ValueError("kernel_matrix needs a finite state space")
     states = sys.states
     k = np.zeros((len(states), len(states)))
@@ -337,15 +341,15 @@ def simulate_paths(sys: RsccSystem, source: float, steps: int, n_paths: int,
     """Terminal states of n_paths seeded chains run for `steps` steps."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if sys.params is None:
+        raise ValueError("simulate_paths needs the continued-fraction system")
     if rng is None:
         rng = np.random.default_rng(0)
-    if sys.sample_event is None:
-        raise ValueError("system has no event sampler")
     charge(steps * n_paths, "path simulation")
+    n = sys.params.n_param
     w = np.full(n_paths, float(source))
     for _ in range(steps):
-        i = sys.sample_event(w, rng.random(n_paths))
-        w = sys.transition(w, i)
+        w = sys.transition(w, _sample_event(n, w, rng.random(n_paths)))
     return w
 
 
@@ -409,9 +413,8 @@ def _pair_grid(sys: RsccSystem, grid: int, rng: np.random.Generator):
         w1, w2 = np.meshgrid(states, states)
         mask = w1 != w2
         return w1[mask], w2[mask]
-    nodes = np.linspace(sys.state_lo, sys.state_hi, grid + 1)
-    a = rng.random(_EXTRA_PAIRS) * (sys.state_hi - sys.state_lo) + sys.state_lo
-    b = rng.random(_EXTRA_PAIRS) * (sys.state_hi - sys.state_lo) + sys.state_lo
+    nodes = np.linspace(0.0, 1.0, grid + 1)
+    a, b = rng.random(_EXTRA_PAIRS), rng.random(_EXTRA_PAIRS)
     keep = np.abs(a - b) > 1e-6
     return np.concatenate([nodes[:-1], a[keep]]), np.concatenate([nodes[1:], b[keep]])
 
@@ -420,12 +423,12 @@ def _r_k_estimate(sys: RsccSystem, k: int, w1: np.ndarray, w2: np.ndarray) -> fl
     if sys.finite:
         events = list(sys.events)
     else:
+        n = sys.params.n_param
         width = max(2, int(round(_EVENT_CAP ** (1.0 / k))))
-        events = list(range(sys.first_event, sys.first_event + width))
+        events = list(range(n, n + width))
     charge(len(events) ** k * w1.size * k, f"r_{k} word enumeration")
     denom = np.abs(w1 - w2)
     total = np.zeros_like(w1)
-    one_step_bound = sys.event_lipschitz(sys.first_event)
     stack = [(0, w1, w2, np.ones_like(w1))]
     while stack:
         depth, a, b, prob = stack.pop()
@@ -433,11 +436,11 @@ def _r_k_estimate(sys: RsccSystem, k: int, w1: np.ndarray, w2: np.ndarray) -> fl
             total += prob * np.abs(a - b) / denom
             continue
         if not sys.finite:
-            # events beyond the truncation, bounded via the derivative envelope
+            # events beyond the truncation, bounded by the derivative
+            # envelope |du/dw| <= N/i^2 at this step and N/N^2 after it
             m = events[-1] + 1
-            lip_tail = sys.event_lipschitz(m)
-            remaining = one_step_bound ** (k - depth - 1)
-            total += prob * sys.tail_mass(a, m) * (np.abs(a - b) / denom) * lip_tail * remaining
+            total += (prob * _tail_mass(n, a, m) * (np.abs(a - b) / denom)
+                      * (n / (m * m)) * (n / (n * n)) ** (k - depth - 1))
         for x in events:
             stack.append((depth + 1, sys.transition(a, x), sys.transition(b, x),
                           prob * sys.probability(a, x)))
@@ -454,13 +457,14 @@ def _big_r_estimate(sys: RsccSystem, w1: np.ndarray, w2: np.ndarray) -> float:
             d = sum(sys.probability(w1, x) - sys.probability(w2, x) for x in subset)
             best = max(best, float(np.max(np.abs(d) / denom)))
         return best
-    events = list(range(sys.first_event, sys.first_event + _BIG_R_EVENTS))
+    n = sys.params.n_param
+    events = list(range(n, n + _BIG_R_EVENTS))
     diffs = np.stack([sys.probability(w1, x) - sys.probability(w2, x) for x in events])
     # singletons and prefix sets {first..m}
     best = max(best, float(np.max(np.abs(diffs) / denom)))
     best = max(best, float(np.max(np.abs(np.cumsum(diffs, axis=0)) / denom)))
     for m in events:
-        d = sys.tail_mass(w1, m) - sys.tail_mass(w2, m)
+        d = _tail_mass(n, w1, m) - _tail_mass(n, w2, m)
         best = max(best, float(np.max(np.abs(d) / denom)))
     return best
 
@@ -541,7 +545,7 @@ def _word_set_probability(sys: RsccSystem, w, word_set) -> np.ndarray:
     """P_r(w, A) for a finite collection of words (or a one-letter tail set),
     vectorized over w."""
     if isinstance(word_set, TailSet):
-        return np.asarray(sys.tail_mass(w, word_set.m), dtype=float)
+        return _tail_mass(sys.params.n_param, w, word_set.m)
     total = np.zeros_like(np.asarray(w, dtype=float))
     for word in word_set:
         total = total + path_probability(sys, w, word)

@@ -59,11 +59,11 @@ class TestInitialMeasures:
         params = NcfParams(n)
         x = np.linspace(0.0, 1.0, 1025)
         for mu in (lebesgue_measure(), gauss_initial(params), tilted_measure()):
-            pointwise = np.array([mu.density(float(t)) for t in x])
-            assert np.array_equal(mu.density(x), pointwise)
+            pointwise = np.array([mu(float(t)) for t in x])
+            assert np.array_equal(mu(x), pointwise)
 
     def test_tilted_density_normalized(self):
-        val, _ = integrate.quad(tilted_measure().density, 0, 1, epsabs=1e-13)
+        val, _ = integrate.quad(tilted_measure(), 0, 1, epsabs=1e-13)
         assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -222,7 +222,7 @@ class TestRunExperiment:
 def _unsorted_sample(mu, n_paths, rng):
     """The reference sampler: the uniforms looked up in the order drawn."""
     x = np.linspace(0.0, 1.0, gausskuzmin._INV_GRID + 1)
-    cdf = gausskuzmin._cumulative_trapezoid(mu.density(x), x)
+    cdf = gausskuzmin._cumulative_trapezoid(mu(x), x)
     cdf /= cdf[-1]
     return np.interp(rng.random(n_paths), cdf, x)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from ncf import (  # noqa: E402
     MealySystem,
@@ -70,15 +70,10 @@ def test_finite_cesaro_is_the_exact_average(alpha, beta, n):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 1000), x=st.floats(0.0, 1.0), data=st.data())
 def test_closed_form_kernel_is_the_branch_sum(n, x, data):
-    # u above N/(i_max + 1), so the oracle's explicit branches reach N/u.
-    # Within rounding of a branch point, N/(x+i) = u, the kernel jumps and
-    # both sides classify that branch by the last bit of their arithmetic,
-    # each wrong about half the time against exact rationals, so such u
-    # are left out
+    # u above N/(i_max + 1), so the oracle's explicit branches reach N/u;
+    # both sides decide a branch point within rounding of u exactly
     i_max = 20000
     u = data.draw(st.floats(n / i_max, 1.0), label="u")
-    t = n / u - x
-    assume(abs(t - round(t)) > 1e-9 * (t + 1.0))
     sys_ = make_ncf_rscc(NcfParams(n))
     want = q_kernel_interval_bruteforce(sys_, x, u, i_max=i_max)
     assert abs(q_kernel_interval(sys_, x, u) - want) <= 1e-12

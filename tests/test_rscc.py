@@ -35,7 +35,7 @@ from ncf import (
     shifted_path_probability,
     simulate_paths,
 )
-from ncf import transfer
+from ncf import rscc, transfer
 
 
 @pytest.fixture(params=[1, 2, 5])
@@ -70,14 +70,14 @@ class TestNcfInstance:
         h = 1e-6
         for i in range(n, n + 30):
             fd = np.abs(ncf_sys.transition(w + h, i) - ncf_sys.transition(w, i)) / h
-            assert np.max(fd) <= ncf_sys.event_lipschitz(i) + 1e-9
+            assert np.max(fd) <= n / (i * i) + 1e-9
 
     def test_sampler_matches_probabilities(self, ncf_sys):
         n = ncf_sys.params.n_param
         rng = np.random.default_rng(99)
         w = 0.4
         k = 200_000
-        events = ncf_sys.sample_event(np.full(k, w), rng.random(k))
+        events = rscc._sample_event(n, np.full(k, w), rng.random(k))
         for i in range(n, n + 10):
             p = float(ncf_sys.probability(w, i))
             freq = float(np.mean(events == i))
@@ -85,9 +85,10 @@ class TestNcfInstance:
             assert abs(freq - p) <= 4 * se + 1e-9
 
     def test_sampler_never_below_first_event(self, ncf_sys):
+        n = ncf_sys.params.n_param
         rng = np.random.default_rng(1)
-        events = ncf_sys.sample_event(rng.random(10_000), rng.random(10_000))
-        assert np.min(events) >= ncf_sys.first_event
+        events = rscc._sample_event(n, rng.random(10_000), rng.random(10_000))
+        assert np.min(events) >= n
 
 
 class TestPathProbability:
@@ -135,6 +136,29 @@ class TestQKernel:
                 a = q_kernel_interval(ncf_sys, x, u)
                 b = q_kernel_interval_bruteforce(ncf_sys, x, u)
                 assert a == pytest.approx(b, abs=1e-12)
+
+    def test_endpoint_on_a_branch_point(self):
+        # fl(0.08) > 2/25, so from x = 0 the branch i = 25 lands inside
+        # [0, 0.08); both once left it out and returned 2/26
+        sys_ = make_ncf_rscc(NcfParams(2))
+        assert q_kernel_interval(sys_, 0.0, 0.08) == 0.08
+        assert q_kernel_interval_bruteforce(sys_, 0.0, 0.08) == pytest.approx(0.08, abs=1e-16)
+
+    def test_branch_points_as_endpoints_match_exact_rationals(self):
+        # u = fl(N/(x+i)) puts a branch point within rounding of u: the branch
+        # lands in [0, u) iff N < u (x+i), which only exact arithmetic decides
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            n = int(rng.integers(1, 1001))
+            x = float(rng.random())
+            u = n / (x + int(rng.integers(n, 11 * n + 1)))
+            e = math.floor(n / Fraction(u) - Fraction(x)) + 1
+            want = float((Fraction(x) + n) / (Fraction(x) + e))
+            sys_ = make_ncf_rscc(NcfParams(n))
+            got = q_kernel_interval(sys_, x, u)
+            assert got == pytest.approx(want, abs=1e-15)
+            assert q_kernel_interval(sys_, np.array([0.5, x]), u)[1] == got
+            assert q_kernel_interval_bruteforce(sys_, x, u) == pytest.approx(want, abs=1e-12)
 
     def test_full_interval_has_mass_one(self, ncf_sys):
         for x in (0.25, 0.5, 1.0):
@@ -308,7 +332,7 @@ class TestQCesaroNearJump:
         w = np.full(n_paths, source)
         hits = np.zeros(n_paths)
         for _ in range(n):
-            w = sys.transition(w, sys.sample_event(w, rng.random(n_paths)))
+            w = sys.transition(w, rscc._sample_event(1, w, rng.random(n_paths)))
             hits += (w >= a) & (w < b)
         share = hits / n
         mean, se = float(np.mean(share)), float(np.std(share) / math.sqrt(n_paths))
@@ -534,7 +558,7 @@ class TestLimitPathLaw:
 
         def integrand(w):
             if isinstance(word_set, TailSet):
-                p = sys.tail_mass(w, word_set.m)
+                p = (w + n) / (w + word_set.m)
             else:
                 p = sum(path_probability(sys, w, word) for word in word_set)
             return float(p) * gm.density(w)
@@ -568,7 +592,7 @@ class TestLimitPathLaw:
         def integrand(w):
             w1 = float(sys.transition(w, 1))
             return (float(sys.probability(w, 1))
-                    * float(sys.tail_mass(w1, 200)) * gm.density(w))
+                    * (w1 + 1) / (w1 + 200) * gm.density(w))
 
         want_tail, _ = integrate.quad(integrand, 0, 1, epsabs=1e-12)
         assert tail == pytest.approx(want_tail, abs=1e-9)
@@ -591,3 +615,53 @@ class TestSimulatePaths:
         a = simulate_paths(ncf_sys, 0.5, 5, 100, np.random.default_rng(4))
         b = simulate_paths(ncf_sys, 0.5, 5, 100, np.random.default_rng(4))
         assert np.array_equal(a, b)
+
+    def test_finite_system_rejected(self, mealy_sys):
+        # paths are sampled from the continued-fraction system's closed-form
+        # inverse CDF; a finite system has none
+        with pytest.raises(ValueError, match="continued-fraction system"):
+            simulate_paths(mealy_sys, 1.0, 3, 100)
+        with pytest.raises(ValueError, match="continued-fraction system"):
+            q_step_mc(mealy_sys, 3, 1.0, 0.5, 1.5, n_paths=100)
+
+
+class TestBitIdentity:
+    # float-hex values recorded when RsccSystem still carried first_event,
+    # tail_mass, event_lipschitz, sample_event and a state interval: the
+    # closed forms in N that replaced them give the same floats
+    @pytest.mark.parametrize("system,r_values,big_r", [
+        (1, ("0x1.191bb867b15e3p-1", "0x1.2153a34b616cep-4", "0x1.1953abfa38814p-6"),
+         "0x1.fc07f01fc0800p-3"),
+        (2, ("0x1.d0bf76ba15e68p-3", "0x1.821e971f84aa7p-6", "0x1.ca3cab97ef85dp-9"),
+         "0x1.fe01fe01fe000p-4"),
+        (5, ("0x1.39c44a4bf0170p-4", "0x1.1c6f22aa91ab0p-8", "0x1.028e5cca5666bp-11"),
+         "0x1.98f603fe67000p-5"),
+        ("mealy", ("0x0.0p+0",) * 3, "0x1.3333333333333p-2"),
+    ])
+    def test_contraction_coefficients(self, system, r_values, big_r):
+        sys_ = (make_mealy_rscc(0.3, 0.6) if system == "mealy"
+                else make_ncf_rscc(NcfParams(system)))
+        rep = contraction_coefficients(sys_, k_max=3, grid=64, rng=np.random.default_rng(17))
+        assert rep.r_values == tuple(float.fromhex(r) for r in r_values)
+        assert rep.big_r == float.fromhex(big_r)
+        assert rep.certified
+
+    def test_simulate_paths(self):
+        w = simulate_paths(make_ncf_rscc(NcfParams(2)), 0.5, 6, 6, np.random.default_rng(11))
+        assert w.tolist() == [float.fromhex(h) for h in (
+            "0x1.ba1d58fe34928p-2", "0x1.af85e5a30904ep-1", "0x1.560f46d363866p-1",
+            "0x1.96ad3aca3c06fp-4", "0x1.4971090ce90f4p-1", "0x1.6b975406283bep-1")]
+
+    @pytest.mark.parametrize("n,m,want", [(2, 6, "0x1.854e85fb97266p-2"),
+                                          (5, 7, "0x1.76fc797ec443fp-1"),
+                                          (1, 3, "0x1.a8ff971810a5fp-2")])
+    def test_limit_path_law_of_a_tail_set(self, n, m, want):
+        assert limit_path_law(make_ncf_rscc(NcfParams(n)), 1, TailSet(m)) == float.fromhex(want)
+
+    @pytest.mark.parametrize("n,x,u,want", [(1, 0.3, 0.33, "0x1.9364d9364d937p-2"),
+                                            (2, 0.77, 0.5, "0x1.29532fc3e417ap-1"),
+                                            (5, 0.125, 0.91, "0x1.ac687d6343eb0p-1"),
+                                            (3, 1.0, 0.07, "0x1.7d05f417d05f3p-4")])
+    def test_branch_sum_off_ties(self, n, x, u, want):
+        got = q_kernel_interval_bruteforce(make_ncf_rscc(NcfParams(n)), x, u)
+        assert got == float.fromhex(want)
