@@ -331,7 +331,9 @@ def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
     terms.append(float(transfer.transfer_at(q1, params, at)[0]))
     if n > 2:
         grid = transfer.GridFunction.from_callable(q1, grid_m)
-        terms += [float(transfer.transfer_at(g, params, at)[0])
+        # transfer_at of each iterate at the source, its terms taken once
+        (_, w, y), = transfer._branch_terms(params, at, grid_m)
+        terms += [float(np.sum(w * g(y.ravel()).reshape(y.shape), axis=1)[0])
                   for g in transfer.iterates(grid, params, n - 2)]
     return terms
 

@@ -6,8 +6,9 @@ branches x -> N/(x+i), i >= N, with weights (x+N)/((x+i)(x+i+1)).  The far
 branches accumulate at 0; those landing in one grid cell enter as one term,
 their exact mass at their exact mean, so grid functions, linear on each
 cell, get the whole series in about 2 sqrt(NM) terms a point.  On a grid the
-operator is a fixed stochastic matrix: iterates() assembles it once and
-steps it as a sparse product.
+operator is a fixed stochastic matrix: iterates() assembles it once, from
+one branch sum at the nodes, as a dense block for the groups and rows of
+equal width for the single branches, and steps it by their products.
 """
 
 from __future__ import annotations
@@ -85,12 +86,8 @@ def default_branch_cutoff(params: NcfParams) -> int:
 
 
 # (row, term) entries per chunk of operator work: the chunk size sets the
-# peak memory of a branch sum and of an assembly
+# temporaries of a branch sum and of an assembly
 _CHUNK = 25_000
-# matrix entries per block of an assembly: mapped on their own, blocks keep
-# the heap to one chunk's temporaries, and at 2 MB an array stays below the
-# 4 MB from which NumPy asks for huge pages, so untouched ends stay unmapped
-_ASSEMBLY_BLOCK = 1 << 18
 # cells of width 2^-20 group the far branches of a callable f
 _CALLABLE_CELLS = 1 << 20
 
@@ -109,6 +106,11 @@ def _mean_over_n(u: np.ndarray) -> np.ndarray:
     return out + (a + b) / 2.0 + (a * a + a * b + b * b) / 6.0
 
 
+def _first_grouped(n: int, m: int) -> int:
+    """I, the first branch grouped on m cells: every group mean stays below 1."""
+    return max(n + 1, 20, math.isqrt(n * m) + 1)
+
+
 def _branch_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int] = None):
     """The operator at the points x as weighted point evaluations, exact for
     f linear on each of m equal cells.  The branches i < I = max(N+1, 20,
@@ -125,7 +127,7 @@ def _branch_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]
     points fall, and the weights telescope to 1."""
     n = params.n_param
     nm = n * m
-    first = max(n + 1, 20, math.isqrt(nm) + 1)  # every group mean stays below 1
+    first = _first_grouped(n, m)
     if i_max is not None and i_max < n - 1:  # the fold's mass would exceed 1
         raise ValueError(f"i_max must be >= N - 1 = {n - 1}, got {i_max}")
     cut = math.inf if i_max is None else i_max + 1  # no group starts later
@@ -179,70 +181,51 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     return GridFunction(transfer_at(f, params, f.nodes, i_max))
 
 
-def _entries(m: int, w: np.ndarray, y: np.ndarray):
-    """A chunk of branch terms as matrix entries on grids of m cells: (entries
-    per row, columns, values), one per (row, column).  A point in the cell
-    [k/m, (k+1)/m] splits its weight t : 1-t between columns k+1 and k."""
-    t = y * m
-    k = t.astype(np.intp)
-    np.minimum(k, m - 1, out=k)
-    t -= k
-    t *= w
-    k += (np.arange(w.shape[0]) * (m + 1))[:, None]  # key: row (m+1) + column
-    # the points fall along a row, so equal keys (all >= 0) form runs; the
-    # runs' columns (k+1, k) never rise, and only a next run's k+1 repeats k
-    key = k.ravel()
-    s = np.flatnonzero(np.diff(key, prepend=-1))
-    val = np.column_stack((np.add.reduceat(t.ravel(), s),
-                           np.add.reduceat((w - t).ravel(), s))).ravel()
-    key = np.column_stack((key[s] + 1, key[s])).ravel()
-    s = np.flatnonzero(np.diff(key, prepend=-1))
-    rows, cols = np.divmod(key[s], m + 1)
-    return np.bincount(rows, minlength=w.shape[0]), cols, np.add.reduceat(val, s)
-
-
 def _assemble(params: NcfParams, m: int):
-    """The operator on grids of m cells as a sparse matrix in compressed
-    rows: (indptr, cols, data), row j in data[indptr[j]:indptr[j+1]].
+    """The operator on grids of m cells, from one pass over the branch terms
+    at the nodes: (dense, cols, lo, hi).  A term point in the cell
+    [k/m, (k+1)/m] splits its weight t : 1-t between the columns k+1 and k.
 
-    Row j holds the interpolation weights of each term point of node j/m
-    times the term's weight, summed per column: transfer_at at the nodes,
-    up to rounding.  No row is empty.
+    Group k's mean lies in cell k, and every row has the groups of the cells
+    K..0, K = NM // I, so their weights fill dense, (m+1) x (K+2), by
+    shifted slices; the fraction in the cell is clipped to [0, 1], which
+    only absorbs rounding.  The singles N..I-1 keep one entry pair a term:
+    row j puts lo[j] on the columns cols[j] and hi[j] on cols[j] + 1.
+    Repeated columns in a row are summed by _step, not merged.
     """
-    chunks = _branch_terms(params, np.linspace(0.0, 1.0, m + 1), m)
-    counts, cols, data = [], [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    used = 0  # entries filled in the last block
-    for count, col, val in (_entries(m, w, y) for _, w, y in chunks):
-        if used + col.size > cols[-1].size:
-            cols[-1], data[-1] = cols[-1][:used], data[-1][:used]
-            cols.append(np.empty(max(_ASSEMBLY_BLOCK, col.size), dtype=np.intp))
-            data.append(np.empty(cols[-1].size))
-            used = 0
-        counts.append(count)
-        cols[-1][used:used + col.size] = col
-        data[-1][used:used + col.size] = val
-        used += col.size
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    # one list at a time, so the peak is three arrays of nnz
-    cols = np.concatenate(cols[:-1] + [cols[-1][:used]])
-    data = np.concatenate(data[:-1] + [data[-1][:used]])
-    return indptr, cols, data
+    first = _first_grouped(params.n_param, m)
+    g, k = first - params.n_param, params.n_param * m // first
+    op = None
+    for r0, w, y in _branch_terms(params, np.linspace(0.0, 1.0, m + 1), m):
+        if op is None:  # after the charge: dense, cols, lo, hi
+            op = (np.zeros((m + 1, k + 2)), np.empty((m + 1, g), dtype=np.intp),
+                  np.empty((m + 1, g)), np.empty((m + 1, g)))
+        dense, cols, lo, hi = (a[r0:r0 + w.shape[0]] for a in op)
+        t = y * m
+        np.minimum(t[:, :g], m - 1, out=cols, casting="unsafe")
+        np.multiply(t[:, :g] - cols, w[:, :g], out=hi)
+        np.subtract(w[:, :g], hi, out=lo)
+        wg = w[:, :g - 1:-1]  # the groups of the cells 0..K
+        t = np.clip(t[:, :g - 1:-1] - np.arange(k + 1), 0.0, 1.0)
+        t *= wg
+        dense[:, :-1] = wg - t
+        dense[:, 1:] += t
+    return op
 
 
 def _step(op, v: np.ndarray) -> np.ndarray:
-    """One operator application to the node values v, by the matrix op."""
-    indptr, cols, data = op
-    w = v[cols]
-    w *= data
-    # no row is empty, so reduceat sums exactly the entries of each row
-    return np.add.reduceat(w, indptr[:-1])
+    """One operator application to the node values v, by the operator op."""
+    dense, cols, lo, hi = op
+    out = dense @ v[:dense.shape[1]]
+    out += np.einsum("ij,ij->i", lo, v[cols]) + np.einsum("ij,ij->i", hi, v[1:][cols])
+    return out
 
 
 def iterates(f: GridFunction, params: NcfParams, n: int):
     """Yield U f, U^2 f, ..., U^n f: every multi-step use of the operator.
-    From three steps on, the operator is assembled once for the grid of f
-    and stepped as a sparse matrix; the build costs one to three branch sums.
-    Shorter runs take the branch sum of apply_transfer."""
+    From three steps on, the operator is assembled once for the grid of f,
+    for about the cost of one branch sum, and each step is a matrix-vector
+    product.  Shorter runs take the branch sum of apply_transfer."""
     if n < 3:
         for _ in range(n):
             f = apply_transfer(f, params)

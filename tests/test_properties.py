@@ -34,6 +34,22 @@ def test_branch_terms_are_stochastic(n, m, data):
         assert y.min() >= 0.0 and y.max() <= 1.0 and np.all(np.diff(y, axis=1) <= 0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 10**6), m=st.integers(1, 512), seed=st.integers(0, 2**32 - 1))
+@example(n=1, m=20, seed=0).via("a group mean rounded below its cell, by 1e-19 of weight")
+def test_assembled_operator_is_stochastic(n, m, seed):
+    # entries >= 0 on the columns 0..m, the constant 1 mapped to 1, and each
+    # step the branch sum at the nodes, for f of Lipschitz norm 1
+    dense, cols, lo, hi = op = transfer._assemble(NcfParams(n), m)
+    assert np.all(dense >= 0) and np.all(lo >= 0) and np.all(hi >= 0)
+    assert dense.shape[1] <= m + 1 and cols.min() >= 0 and cols.max() + 1 <= m
+    assert np.max(np.abs(transfer._step(op, np.ones(m + 1)) - 1.0)) <= 1e-14
+    v = np.random.default_rng(seed).random(m + 1)
+    f = transfer.GridFunction(v / transfer.lipschitz_norm(transfer.GridFunction(v)).total)
+    want = transfer.transfer_at(f, NcfParams(n), f.nodes)
+    assert np.max(np.abs(transfer._step(op, f.values) - want)) <= 1e-14
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 10**6),
        ys=st.lists(st.floats(0.0, 1.0, allow_subnormal=False), max_size=50))

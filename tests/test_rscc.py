@@ -302,6 +302,23 @@ class TestShortRecursion:
             assert q_step(sys_, n, src, (a, b), grid_m=256) == terms[-1]
             assert q_cesaro(sys_, n, src, (a, b), grid_m=256) == sum(terms) / n
 
+    @pytest.mark.parametrize("big_n", [1, 2, 5, 50])
+    def test_grid_terms_are_branch_sums_at_the_source(self, big_n, monkeypatch):
+        # the source's branch terms are taken once for all the grid iterates,
+        # and each term is still transfer_at of its iterate there, to the bit
+        sys_ = make_ncf_rscc(NcfParams(big_n))
+        rng = np.random.default_rng(300 + big_n)
+        cases = [(float(rng.random()), *(float(v) for v in np.sort(rng.random(2))),
+                  int(rng.choice([16, 256, 1024]))) for _ in range(5)]
+        wants = [_every_kernel_term(sys_, 10, *case) for case in cases]
+        calls = []
+        branch_sum = transfer.transfer_at
+        monkeypatch.setattr(transfer, "transfer_at",
+                            lambda *args: calls.append(args) or branch_sum(*args))
+        for case, want in zip(cases, wants):
+            assert rscc._kernel_terms(sys_, 10, *case) == want
+        assert len(calls) == len(cases)  # Q^(2) alone, of the callable
+
     def test_no_grid_below_three_steps(self, monkeypatch):
         sys_ = make_ncf_rscc(NcfParams(2))
 

@@ -172,6 +172,15 @@ def _exact(f, n, x):
     return _branch_by_branch(f, n, x, 200_000)
 
 
+def _check_stochastic(op, m):
+    """The assembled operator on m cells: entries >= 0, columns in [0, m],
+    and the constant 1 mapped to 1."""
+    dense, cols, lo, hi = op
+    assert np.all(dense >= 0) and np.all(lo >= 0) and np.all(hi >= 0)
+    assert dense.shape[1] <= m + 1 and cols.min() >= 0 and cols.max() + 1 <= m
+    assert np.max(np.abs(transfer._step(op, np.ones(m + 1)) - 1.0)) <= 1e-14
+
+
 class TestExactOperator:
     """On grid functions the operator sums every branch: the far branches
     landing in one cell enter as that cell's exact mass and mean point."""
@@ -193,10 +202,7 @@ class TestExactOperator:
         m = 256
         for _, w, y in transfer._branch_terms(NcfParams(n), np.linspace(0, 1, m + 1), m):
             assert y.min() >= 0.0 and y.max() <= 1.0  # once N >= M, cell M's group
-        indptr, cols, data = transfer._assemble(NcfParams(n), m)
-        assert np.all(data >= 0)
-        assert np.max(np.abs(np.add.reduceat(data, indptr[:-1]) - 1.0)) <= 1e-14
-        assert cols.min() >= 0 and cols.max() <= m
+        _check_stochastic(transfer._assemble(NcfParams(n), m), m)
 
     @pytest.mark.parametrize("n,m", [(1, 1024), (5, 8192), (1000, 2048), (10**6, 256)])
     def test_terms_per_row(self, n, m):
@@ -271,16 +277,14 @@ class TestAssembledOperator:
         for _, w, y in transfer._branch_terms(NcfParams(n), np.linspace(0, 1, m + 1), m, i_max):
             assert np.all(w >= 0) and np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-14
             assert y.min() >= 0.0 and y.max() <= 1.0 and np.all(np.diff(y, axis=1) <= 0)
-        indptr, cols, data = transfer._assemble(NcfParams(n), m)
-        assert indptr[0] == 0 and indptr[-1] == cols.size == data.size
-        assert np.all(np.diff(indptr) >= 1)
-        assert np.all(data >= 0)
-        assert cols.min() >= 0 and cols.max() == m
-        assert np.max(np.abs(np.add.reduceat(data, indptr[:-1]) - 1.0)) <= 1e-14
-        # one entry per (row, column)
-        rows = np.repeat(np.arange(m + 1), np.diff(indptr))
-        keys = rows * (m + 1) + cols
-        assert np.unique(keys).size == keys.size
+        dense, cols, lo, hi = op = transfer._assemble(NcfParams(n), m)
+        _check_stochastic(op, m)
+        # a dense column per group cell K..0 and the next, a column triple
+        # per single branch N..I-1, all of m + 1 rows
+        first = max(n + 1, 20, math.isqrt(n * m) + 1)
+        assert dense.shape == (m + 1, n * m // first + 2)
+        assert cols.shape == lo.shape == hi.shape == (m + 1, first - n)
+        assert cols.max() + 1 == m  # x = 0, i = N lands on y = 1
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_forty_iterates_match_branch_sum(self, n):
@@ -354,6 +358,25 @@ class TestOperatorWork:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert int(r.stdout) / 1024 < 120
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 1024), (5, 1024), (50, 256), (1000, 512),
+                                     (10**6, 256)])
+    def test_build_is_one_branch_sum(self, n, m, monkeypatch):
+        # the assembly reads one _branch_terms pass to its end, and keeps at
+        # most 3 floats a (row, term): 24 bytes for each unit it is charged
+        passes, ends, charges = [], [], []
+        branch_terms = transfer._branch_terms
+
+        def counting_terms(*args):
+            passes.append(args)
+            yield from branch_terms(*args)
+            ends.append(args)
+
+        monkeypatch.setattr(transfer, "_branch_terms", counting_terms)
+        monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(cost))
+        op = transfer._assemble(NcfParams(n), m)
+        assert len(passes) == 1 and ends == passes
+        assert sum(a.nbytes for a in op) <= 24 * sum(charges)
 
     @pytest.mark.parametrize("n,i_max", [(1, None), (5, 4000), (5, 100), (5, 10)])
     def test_budget_counts_row_branch_entries(self, n, i_max, monkeypatch):
