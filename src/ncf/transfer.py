@@ -4,11 +4,12 @@ A function on [0,1] is carried as samples at uniform nodes j/M.  One operator
 application averages the function over the countable family of inverse
 branches x -> N/(x+i), i >= N, with weights (x+N)/((x+i)(x+i+1)).  The far
 branches accumulate at 0; those landing in one grid cell enter as one term,
-their exact mass at their exact mean, so grid functions, linear on each
-cell, get the whole series in about 2 sqrt(NM) terms a point.  On a grid the
-operator is a fixed stochastic matrix: iterates() assembles it once, from
-one branch sum at the nodes, as a dense block for the groups and rows of
-equal width for the single branches, and steps it by their products.
+by their exact mass and first moment, which both telescope, so grid
+functions, linear on each cell, get the whole series in about 2 sqrt(NM)
+terms a point, each placed by its cell index.  On a grid the operator is a
+fixed stochastic matrix: iterates() assembles it once from the same terms,
+as a dense block for the groups and rows of equal width for the singles,
+and steps it by their products.
 """
 
 from __future__ import annotations
@@ -92,80 +93,114 @@ _CHUNK = 25_000
 _CALLABLE_CELLS = 1 << 20
 
 
-def _mean_over_n(u: np.ndarray) -> np.ndarray:
-    """The mean point over N of the branches i = a..b, from the columns
-    u = 1/(x+a) and, next, 1/(x+b+1) (the last column 0: b infinite), for
-    x+a >= 20: (S(x+a) - S(x+b+1)) / (1/(x+a) - 1/(x+b+1)), with
-    S(z) = psi_1(z) - 1/z = u^2/2 + u^3/6 + r(u), the trigamma series, exact
-    to rounding there.  The two leading differences are factored, so no
-    digits cancel; an empty group gets the limit of the factored part."""
+def _cubic_rest(u: np.ndarray, first: float = 20.0) -> np.ndarray:
+    """S(z) - u^2/2 at u = 1/z, S(z) = psi_1(z) - 1/z, by the trigamma series
+    (S exact to rounding for z >= 20): its terms above 2^-56 of u^3/6 at first."""
+    coefs = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)  # of u^3, u^5, ..., u^13
+    cs = [c for j, c in enumerate(coefs) if 6 * abs(c) > 2.0 ** -56 * first ** (2 * j)]
     v = u * u
-    r = v * v * u * (-1 / 30 + v * (1 / 42 + v * (-1 / 30 + v * (5 / 66 - v * 691 / 2730))))
-    a, b = u[:, :-1], u[:, 1:]
-    out = np.divide(r[:, :-1] - r[:, 1:], a - b, out=np.zeros_like(a), where=a > b)
-    return out + (a + b) / 2.0 + (a * a + a * b + b * b) / 6.0
+    out = cs[-1] * v
+    for c in cs[-2::-1]:
+        out += c
+        out *= v
+    return out * u
 
 
-def _first_grouped(n: int, m: int) -> int:
-    """I, the first branch grouped on m cells: every group mean stays below 1."""
-    return max(n + 1, 20, math.isqrt(n * m) + 1)
+def _mean_over_n(u: np.ndarray) -> np.ndarray:
+    """The group means over N, (S(x+a) - S(x+b+1)) / (u_a - u_{b+1}), from u =
+    1/(x+i) at i = a >= 20 and b+1 (0: b infinite); an empty one: the limit."""
+    a, b, c = u[:, :-1], u[:, 1:], _cubic_rest(u)
+    return (a + b) / 2.0 + np.divide(c[:, :-1] - c[:, 1:], a - b, out=a * a / 2.0, where=a > b)
 
 
-def _branch_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int] = None):
-    """The operator at the points x as weighted point evaluations, exact for
-    f linear on each of m equal cells.  The branches i < I = max(N+1, 20,
-    isqrt(NM) + 1) are single terms.  Past I branch points lie less than a
-    cell apart; those landing in cell k, i in (NM/(k+1) - x, NM/k - x], form
-    one group i = a..b (cell 0's runs to infinity) of mass
-    (x+N)(1/(x+a) - 1/(x+b+1)) at its mean point.  With i_max, every group
-    starts at i_max + 1 at the latest: the branches above it fold into cell
-    0's group, and the cells below NM // (i_max + 1), whose groups lie above
-    it, are left out; once i_max + 1 < I there are no cells, only the
-    singles N..i_max and the fold.  Charges len(x) times the terms per row,
-    then yields (r0, w, y) for about _CHUNK entries (at least one row) at a
-    time: (U f)(x[r0 + j]) is the sum of row j of w * f(y); along a row the
-    points fall, and the weights telescope to 1."""
+def _term_starts(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]):
+    """The terms of the operator at the points x, exact for f linear on each
+    of m cells: (g, k1, fold, chunks).  The branches i < I = max(N+1, 20,
+    isqrt(NM) + 1) are g singles; past I, those in cell k, i in (NM/(k+1) -
+    x, NM/k - x], form a group, for k = k1 - 1 falling, and the last term
+    runs to infinity.  With i_max, no group starts past i_max + 1: the rest
+    folds into the last term, the cells below NM // (i_max + 1) (all, once
+    i_max < I) are left out, and for i_max < 19 the fold's mean over N is
+    fold (else None).  Charges len(x) times the terms a row; chunks yields
+    (r0, xr, z), z = xr + each term's first branch and infinity, for about
+    _CHUNK entries (at least a row) at a time."""
     n = params.n_param
     nm = n * m
-    first = _first_grouped(n, m)
+    first = max(n + 1, 20, math.isqrt(nm) + 1)  # every group mean stays below 1
     if i_max is not None and i_max < n - 1:  # the fold's mass would exceed 1
         raise ValueError(f"i_max must be >= N - 1 = {n - 1}, got {i_max}")
     cut = math.inf if i_max is None else i_max + 1  # no group starts later
     if cut < first:  # the cells of a grid of none
         nm, first = 0, cut
-    g = first - n  # the first group's column
-    # k+1 for the cells nm // first..nm // cut, then cell 0
     k1 = np.append(np.arange(nm // first + 1, max(nm // cut, 1), -1, dtype=float), 1.0)
-    terms = g + k1.size
+    g, terms = first - n, first - n + k1.size
     charge(len(x) * terms, "transfer operator")
+    xc, u = x[:, None], 1.0 / (x[:, None] + 20.0)  # S(z) = 1/(z^2 (z+1)) + S(z+1)
+    fold = None if cut >= 20 else (xc + cut) * (u * u / 2 + _cubic_rest(u) + sum(
+        1.0 / ((xc + j) ** 2 * (xc + j + 1.0)) for j in range(cut, 20)))
     rows, singles = max(1, _CHUNK // terms), np.arange(n, first, dtype=float)
-    if cut < 20:  # the fold's mean; S(z) = 1/(z^2 (z+1)) + S(z+1) carries z to 20
-        s = sum(1.0 / ((x + j) ** 2 * (x + j + 1.0)) for j in range(cut, 20))
-        u = 1.0 / (x[:, None] + [20, np.inf])
-        tail = n * (x + cut) * (s + u[:, 0] * _mean_over_n(u)[:, 0])
-    for r0 in range(0, len(x), rows):
-        xr = x[r0:r0 + rows, None]
-        z = np.empty((xr.shape[0], terms + 1))  # x + the first branch of each term
-        np.add(xr, singles, out=z[:, :g])
-        z[:, -1] = np.inf
-        np.add(np.clip(np.floor(nm / k1 - xr) + 1.0, first, cut), xr, out=z[:, g:-1])
+
+    def chunks():
+        for r0 in range(0, len(x), rows):
+            xr = x[r0:r0 + rows, None]
+            z = np.empty((xr.shape[0], terms + 1))
+            np.add(xr, singles, out=z[:, :g])
+            z[:, -1] = np.inf
+            np.add(np.clip(np.floor(nm / k1 - xr) + 1.0, first, cut), xr, out=z[:, g:-1])
+            yield r0, xr, z
+
+    return g, k1, fold, chunks()
+
+
+def _branch_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int] = None):
+    """The terms of _term_starts as point evaluations, a group at its mean:
+    (U f)(x[r0 + j]) is the sum of row j of w * f(y), for each (r0, w, y)
+    yielded.  Along a row the points fall and the weights telescope to 1."""
+    n = params.n_param
+    g, _, fold, chunks = _term_starts(params, x, m, i_max)
+    for r0, xr, z in chunks:
         w = np.divide(xr + n, z)
         w[:, :-1] -= w[:, 1:]  # telescoping
         w, y = w[:, :-1], np.divide(n, z[:, :-1])
-        y[:, g:] = n * _mean_over_n(1.0 / z[:, g:]) if cut >= 20 else tail[r0:r0 + rows, None]
+        y[:, g:] = n * (_mean_over_n(1.0 / z[:, g:]) if fold is None else fold[r0:r0 + len(w)])
         yield r0, w, y
+
+
+def _grid_terms(params: NcfParams, m: int, i_max: Optional[int] = None):
+    """The terms of _term_starts at the m+1 nodes, by cell index.  A point
+    term (a single, or the last term at its mean) of mass w at M y = c + t,
+    c = min(floor(M y), M-1), adds w f_c + h (f_{c+1} - f_c), h = w t.  The
+    group of cell k, i = a..b, adds w f_k + (M m - k w)(f_{k+1} - f_k), by its
+    mass w = (x+N)(u_a - u_{b+1}), u = 1/(x+i), and first moment m = N (x+N)
+    (S(x+a) - S(x+b+1)), which telescope.  Yields (r0, xn, c, w, h, cells, a,
+    b), xn = x+N, a = w/xn, b = (M m - k w)/xn = a (NM (u_a + u_{b+1})/2 - k)
+    + NM (C(u_a) - C(u_{b+1})), C = _cubic_rest: M m and k w do not cancel."""
+    n, nm = params.n_param, params.n_param * m
+    g, k1, fold, chunks = _term_starts(params, np.linspace(0.0, 1.0, m + 1), m, i_max)
+    cells = (k1[:-1] - 1.0).astype(np.intp)
+    for r0, xr, z in chunks:
+        xn, u = xr[:, 0] + n, 1.0 / z
+        du = u[:, :-1] - u[:, 1:]
+        ug, uf, a = u[:, g:-1], u[:, -2:-1], du[:, g:-1]  # ug: the groups' starts, then uf
+        rest = nm * _cubic_rest(ug, z[:, g].min())  # z[:, g] is the least start of a row
+        b = a * (nm / 2 * (ug[:, :-1] + ug[:, 1:]) - cells) + (rest[:, :-1] - rest[:, 1:])
+        pf = nm / 2 * uf + rest[:, -1:] / uf if fold is None else nm * fold[r0:r0 + len(xn)]
+        p = np.append(nm / z[:, :g], pf, axis=1)  # M y of the point terms
+        w = xn[:, None] * np.append(du[:, :g], uf, axis=1)
+        c = np.minimum(p, m - 1).astype(np.intp)
+        yield r0, xn, c, w, (p - c) * w, cells, a, b
 
 
 def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndarray:
     """The transfer operator applied to f, evaluated at the points x.  This
-    branch sum is the definition of the operator; iterates() steps its
-    assembled matrix.  The far branches of a GridFunction are grouped on its
-    cells, which is exact.  Those of any other f, called on arrays, are
-    grouped on cells of width 2^-20, exact for f linear on each of them.
-    With i_max, the branches above it fold into one term at their exact
-    mean; those below it stay grouped, so the cut-off sum equals, to
-    rounding, the one taken branch by branch, and costs no more terms than
-    the exact one."""
+    branch sum is the definition of the operator; apply_transfer and
+    iterates() take it on grids by cell index.  The far branches of a
+    GridFunction are grouped on its cells, which is exact.  Those of any
+    other f, called on arrays, are grouped on cells of width 2^-20, exact for
+    f linear on each of them.  With i_max, the branches above it fold into
+    one term at their exact mean; those below it stay grouped, so the cut-off
+    sum equals, to rounding, the one taken branch by branch, and costs no
+    more terms than the exact one."""
     x = np.asarray(x, dtype=float)
     m = f.resolution if isinstance(f, GridFunction) else _CALLABLE_CELLS
     out = np.empty(x.shape[0])
@@ -175,41 +210,36 @@ def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndar
 
 
 def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = None) -> GridFunction:
-    """One application of the transfer operator, at the nodes of f; with
-    i_max, the branches above it enter as one term at their mean (see
-    transfer_at)."""
-    return GridFunction(transfer_at(f, params, f.nodes, i_max))
+    """One application of the transfer operator, at the nodes of f, by the
+    terms of _grid_terms: transfer_at there, to rounding.  With i_max, the
+    branches above it enter as one term at their mean (see transfer_at)."""
+    v, d = f.values, np.diff(f.values)
+    out = np.empty(v.size)
+    for r0, xn, c, w, h, k, a, b in _grid_terms(params, f.resolution, i_max):
+        out[r0:r0 + xn.size] = (w * v[c] + h * d[c]).sum(axis=1) + xn * (a @ v[k] + b @ d[k])
+    return GridFunction(out)
 
 
 def _assemble(params: NcfParams, m: int):
-    """The operator on grids of m cells, from one pass over the branch terms
-    at the nodes: (dense, cols, lo, hi).  A term point in the cell
-    [k/m, (k+1)/m] splits its weight t : 1-t between the columns k+1 and k.
-
-    Group k's mean lies in cell k, and every row has the groups of the cells
-    K..0, K = NM // I, so their weights fill dense, (m+1) x (K+2), by
-    shifted slices; the fraction in the cell is clipped to [0, 1], which
-    only absorbs rounding.  The singles N..I-1 keep one entry pair a term:
-    row j puts lo[j] on the columns cols[j] and hi[j] on cols[j] + 1.
-    Repeated columns in a row are summed by _step, not merged.
-    """
-    first = _first_grouped(params.n_param, m)
-    g, k = first - params.n_param, params.n_param * m // first
+    """The operator on grids of m cells, from one pass of _grid_terms:
+    (dense, cols, lo, hi).  The groups of the cells K..0, K = NM // I, fill
+    dense, (m+1) x (K+2), by shifted slices, b clipped to [0, a] against
+    rounding.  Row j puts the singles' lo[j] on the columns cols[j] and hi[j]
+    on cols[j] + 1; _step sums repeated columns."""
     op = None
-    for r0, w, y in _branch_terms(params, np.linspace(0.0, 1.0, m + 1), m):
+    for r0, xn, c, w, h, _, a, b in _grid_terms(params, m):
         if op is None:  # after the charge: dense, cols, lo, hi
-            op = (np.zeros((m + 1, k + 2)), np.empty((m + 1, g), dtype=np.intp),
-                  np.empty((m + 1, g)), np.empty((m + 1, g)))
-        dense, cols, lo, hi = (a[r0:r0 + w.shape[0]] for a in op)
-        t = y * m
-        np.minimum(t[:, :g], m - 1, out=cols, casting="unsafe")
-        np.multiply(t[:, :g] - cols, w[:, :g], out=hi)
-        np.subtract(w[:, :g], hi, out=lo)
-        wg = w[:, :g - 1:-1]  # the groups of the cells 0..K
-        t = np.clip(t[:, :g - 1:-1] - np.arange(k + 1), 0.0, 1.0)
-        t *= wg
-        dense[:, :-1] = wg - t
-        dense[:, 1:] += t
+            rows = (m + 1, c.shape[1] - 1)
+            op = (np.zeros((m + 1, a.shape[1] + 2)), np.empty(rows, np.intp), np.empty(rows),
+                  np.empty(rows))
+        dense, cols, lo, hi = (t[r0:r0 + xn.size] for t in op)
+        cols[:], lo[:], hi[:] = c[:, :-1], w[:, :-1] - h[:, :-1], h[:, :-1]
+        b = np.minimum(np.maximum(b, 0.0), a)
+        dense[:, 1:-1] = (a - b)[:, ::-1]  # the cells K..1
+        dense[:, 2:] += b[:, ::-1]
+        dense *= xn[:, None]
+        dense[:, 0] = w[:, -1] - h[:, -1]  # cell 0's group, whose mean lies in cell 0
+        dense[:, 1] += h[:, -1]
     return op
 
 

@@ -50,6 +50,23 @@ def test_assembled_operator_is_stochastic(n, m, seed):
     assert np.max(np.abs(transfer._step(op, f.values) - want)) <= 1e-14
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 5, 50, 1000]), m=st.integers(1, 512),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_grid_kernel_is_the_branch_sum(n, m, seed, data):
+    # apply_transfer takes the terms by cell index and each group by its
+    # telescoped mass and first moment; transfer_at evaluates f at each
+    # term's point.  f has Lipschitz norm 1, as in criterion 04: a point
+    # rounded by one ulp moves f(y) by ulp(y) |f'|, 1e-13 for the raw slopes
+    # of random samples at i_max = N - 1
+    i_max = data.draw(st.sampled_from([None, n - 1, 1000, *range(n - 1, 19)]), label="i_max")
+    v = np.random.default_rng(seed).random(m + 1) - 0.5
+    f = transfer.GridFunction(v / transfer.lipschitz_norm(transfer.GridFunction(v)).total)
+    got = transfer.apply_transfer(f, NcfParams(n), i_max).values
+    want = transfer.transfer_at(f, NcfParams(n), f.nodes, i_max)
+    assert np.max(np.abs(got - want)) <= 2e-15 * max(1.0, np.max(np.abs(f.values)))
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 10**6),
        ys=st.lists(st.floats(0.0, 1.0, allow_subnormal=False), max_size=50))

@@ -197,6 +197,16 @@ class TestExactOperator:
         got = transfer._step(transfer._assemble(params, m), f.values)[::4]
         assert np.max(np.abs(got - want)) <= 1e-14
 
+    @pytest.mark.parametrize("n,m", [(1, 8192), (5, 8192), (1000, 1024)])
+    def test_identity_is_the_trigamma_moment(self, n, m):
+        # f(x) = x is linear everywhere, so every group enters exactly by its
+        # telescoped first moment: (U f)(x) = N (x+N) (psi_1(x+N) - 1/(x+N))
+        f = GridFunction.from_callable(lambda x: x, m)
+        x = f.nodes[::m // 64]
+        want = [_rest(t, n, 0)[1] for t in x]
+        got = apply_transfer(f, NcfParams(n)).values[::m // 64]
+        assert np.max(np.abs(got - want)) <= 5e-16  # 2.2e-16 measured
+
     @pytest.mark.parametrize("n", [1, 2, 5, 50, 10**3, 10**6])
     def test_row_stochastic_for_every_n(self, n):
         m = 256
@@ -362,17 +372,18 @@ class TestOperatorWork:
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 1024), (5, 1024), (50, 256), (1000, 512),
                                      (10**6, 256)])
     def test_build_is_one_branch_sum(self, n, m, monkeypatch):
-        # the assembly reads one _branch_terms pass to its end, and keeps at
-        # most 3 floats a (row, term): 24 bytes for each unit it is charged
+        # the assembly reads one pass of the grid kernel to its end, and
+        # keeps at most 3 floats a (row, term): 24 bytes for each unit it is
+        # charged
         passes, ends, charges = [], [], []
-        branch_terms = transfer._branch_terms
+        grid_terms = transfer._grid_terms
 
         def counting_terms(*args):
             passes.append(args)
-            yield from branch_terms(*args)
+            yield from grid_terms(*args)
             ends.append(args)
 
-        monkeypatch.setattr(transfer, "_branch_terms", counting_terms)
+        monkeypatch.setattr(transfer, "_grid_terms", counting_terms)
         monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(cost))
         op = transfer._assemble(NcfParams(n), m)
         assert len(passes) == 1 and ends == passes
@@ -418,6 +429,19 @@ class TestOperatorWork:
         charges.clear()
         cesaro_operator(f, 2, params)
         assert charges == [129 * 26] * 2  # two branch sums
+
+    def test_grid_kernel_takes_no_point_values(self, monkeypatch):
+        # apply_transfer places every term by its cell index and every group
+        # by its mass and first moment: it interpolates no point of f, and
+        # takes no group's mean point
+        calls = []
+        monkeypatch.setattr(GridFunction, "__call__", lambda f, y: calls.append("f(y)"))
+        monkeypatch.setattr(transfer, "_mean_over_n", lambda u: calls.append("mean"))
+        f = _random_grid(1024, seed=2)
+        for n, i_max in ((1, None), (5, None), (5, 4000), (5, 10), (2, 1), (1000, None)):
+            apply_transfer(f, NcfParams(n), i_max)
+        list(transfer.iterates(f, NcfParams(2), 3))
+        assert calls == []
 
     def test_huge_grid_charged_before_sampling(self, monkeypatch):
         monkeypatch.setenv("NCF_BUDGET", "1000")
