@@ -98,15 +98,16 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum((y[:-1] + y[1:]) * (h / 2.0))])
 
 
-def _cdf_on_grid(f: GridFunction, gm: GaussMeasure) -> np.ndarray:
-    """Cumulative integral of f against the invariant measure at the nodes.
+def _cdfs_on_grid(fs, x: np.ndarray, gm: GaussMeasure) -> list:
+    """Cumulative integral of each f of fs against the invariant measure at
+    their common nodes x.
 
     Split as closed-form CDF plus the cumulative trapezoid of (f - 1) times
     the density, so the quadrature error scales with |f - 1| rather than
-    with the full integrand.
+    with the full integrand.  The CDF and the density at x are taken once.
     """
-    x = f.nodes
-    return gn_cdf(x, gm) + _cumulative_trapezoid((f.values - 1.0) * gm.density(x), x)
+    cdf, density = gn_cdf(x, gm), gm.density(x)
+    return [cdf + _cumulative_trapezoid((f.values - 1.0) * density, x) for f in fs]
 
 
 def _sample_initial(mu: DensityFunction, n_paths: int, rng: np.random.Generator) -> np.ndarray:
@@ -152,7 +153,7 @@ def distribution_at(mu: DensityFunction, n: int, x: float, params: NcfParams,
         f = initial_grid_density(mu, params, m)
         for f in iterates(f, params, n):
             pass  # U^n f0, or f0 itself when n = 0
-        return float(np.interp(x, f.nodes, _cdf_on_grid(f, GaussMeasure(params))))
+        return float(np.interp(x, f.nodes, _cdfs_on_grid([f], f.nodes, GaussMeasure(params))[0]))
     if method == "montecarlo":
         charge(max(n, 1) * n_paths, "distribution_at montecarlo")
         if rng is None:
@@ -177,7 +178,7 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
     xs = np.linspace(0.0, 1.0, _X_GRID)
     limit = gn_cdf(xs, gm)
     f0 = initial_grid_density(mu, params, m)
-    cums = [_cdf_on_grid(f, gm) for f in iterates(f0, params, n_max)]
+    cums = _cdfs_on_grid(iterates(f0, params, n_max), f0.nodes, gm)
     err_rows = [np.interp(xs, f0.nodes, cum) - limit for cum in cums]
     sup_errors = np.array([float(np.max(np.abs(err))) for err in err_rows])
     q_fit = theta_bound = None

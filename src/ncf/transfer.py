@@ -7,9 +7,10 @@ branches accumulate at 0; those landing in one grid cell enter as one term,
 by their exact mass and first moment, which both telescope, so grid
 functions, linear on each cell, get the whole series in about 2 sqrt(NM)
 terms a point, each placed by its cell index.  On a grid the operator is a
-fixed stochastic matrix: iterates() assembles it once from the same terms,
-as a dense block for the groups and rows of equal width for the singles,
-and steps it by their products.
+fixed stochastic matrix: iterates() assembles it once per (N, M) from the
+same terms, as a dense block for the groups and rows of equal width for the
+singles, and steps it by their products.  It keeps the operator, read-only,
+until another grid needs the slot: at most one is held.
 """
 
 from __future__ import annotations
@@ -251,17 +252,30 @@ def _step(op, v: np.ndarray) -> np.ndarray:
     return out
 
 
+# the operator last assembled, by (N, M): one at a time
+_slot = {}
+
+
 def iterates(f: GridFunction, params: NcfParams, n: int):
     """Yield U f, U^2 f, ..., U^n f: every multi-step use of the operator.
-    From three steps on, the operator is assembled once for the grid of f,
-    for about the cost of one branch sum, and each step is a matrix-vector
-    product.  Shorter runs take the branch sum of apply_transfer."""
+    From three steps on, each step is a matrix-vector product by the operator
+    of f's grid, built once per (N, M) for about the cost of one branch sum,
+    kept until another grid needs the slot, and charged on every run as if
+    built.  Shorter runs take the branch sum of apply_transfer."""
     if n < 3:
         for _ in range(n):
             f = apply_transfer(f, params)
             yield f
         return
-    op = _assemble(params, f.resolution)
+    key = (params.n_param, f.resolution)
+    op = _slot.get(key)  # one lookup: a run in another thread may empty the slot
+    if op is None:
+        _slot.clear()  # hold no two operators, not even during the build
+        op = _slot[key] = _assemble(params, f.resolution)
+        for a in op:
+            a.setflags(write=False)  # a step never writes the operator, nor may a caller
+    else:
+        _term_starts(params, f.nodes, f.resolution, None)  # the build's charge only
     v = f.values
     for _ in range(n):
         v = _step(op, v)

@@ -193,7 +193,8 @@ class TestRunExperiment:
                 mu, cell["n"], cell["x"], params, method="operator", m=256)
 
     def test_one_operator_application_per_step(self, monkeypatch):
-        # the operator is assembled once for the grid and stepped once per n
+        # the operator is assembled once for the grid, kept for the next
+        # experiment on it, and stepped once per n
         builds, steps, branch_sums = [], [], []
         assemble, step, apply = transfer._assemble, transfer._step, transfer.apply_transfer
 
@@ -209,6 +210,7 @@ class TestRunExperiment:
             branch_sums.append(args[0].resolution)
             return apply(*args, **kwargs)
 
+        monkeypatch.setattr(transfer, "_slot", {})  # no operator from an earlier test
         monkeypatch.setattr(transfer, "_assemble", counting_assemble)
         monkeypatch.setattr(transfer, "_step", counting_step)
         monkeypatch.setattr(transfer, "apply_transfer", counting_apply)
@@ -216,6 +218,11 @@ class TestRunExperiment:
                        spot_paths=1000, rng=np.random.default_rng(3))
         assert builds == [128]
         assert steps == [129] * 40
+        assert branch_sums == []
+        run_experiment(gausskuzmin.tilted_measure(), NcfParams(1), n_max=40, m=128,
+                       spot_paths=1000, rng=np.random.default_rng(4))
+        assert builds == [128]
+        assert steps == [129] * 80
         assert branch_sums == []
 
 

@@ -449,6 +449,65 @@ class TestOperatorWork:
             GridFunction.from_callable(np.cos, 10**12)
 
 
+def _counting_builds(monkeypatch):
+    """An empty operator slot, and the (N, M, operators held) of each build."""
+    builds, assemble = [], transfer._assemble
+
+    def counting(params, m):
+        builds.append((params.n_param, m, len(transfer._slot)))
+        return assemble(params, m)
+
+    monkeypatch.setattr(transfer, "_slot", {})
+    monkeypatch.setattr(transfer, "_assemble", counting)
+    return builds
+
+
+class TestOperatorSlot:
+    """iterates keeps the operator it last assembled, by (N, M), for the
+    next run on that grid: one at a time, read-only, and charged as built."""
+
+    @pytest.mark.parametrize("n,m", [(1, 128), (5, 64), (1000, 64)])
+    def test_hit_is_a_fresh_build(self, n, m, monkeypatch):
+        builds = _counting_builds(monkeypatch)
+        params, f = NcfParams(n), _random_grid(m, seed=4)
+        list(transfer.iterates(f, params, 3))
+        hit = [g.values for g in transfer.iterates(f, params, 40)]
+        assert builds == [(n, m, 0)]
+        op, v = transfer._assemble(params, m), f.values  # a fresh build, outside the slot
+        for h in hit:
+            v = transfer._step(op, v)
+            assert np.array_equal(h, v)
+
+    def test_operator_is_read_only(self, monkeypatch):
+        _counting_builds(monkeypatch)
+        list(transfer.iterates(_random_grid(64, seed=5), NcfParams(2), 3))
+        (op,) = transfer._slot.values()
+        for a in op:
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1
+
+    def test_one_operator_at_a_time(self, monkeypatch):
+        builds = _counting_builds(monkeypatch)
+        f = _random_grid(64, seed=6)
+        for n in (1, 2, 1):
+            list(transfer.iterates(f, NcfParams(n), 3))
+            assert list(transfer._slot) == [(n, 64)]
+        assert builds == [(1, 64, 0), (2, 64, 0), (1, 64, 0)]
+
+    def test_hit_is_charged_as_a_build(self, monkeypatch):
+        # N=1, M=64: the branches 1..19 and the groups of cells 3..0
+        builds = _counting_builds(monkeypatch)
+        cost, f, params = 65 * 23, _random_grid(64, seed=7), NcfParams(1)
+        monkeypatch.setenv("NCF_BUDGET", str(cost))
+        list(transfer.iterates(f, params, 3))
+        monkeypatch.setenv("NCF_BUDGET", str(cost - 1))
+        with pytest.raises(BudgetExceededError, match="transfer operator"):
+            list(transfer.iterates(f, params, 3))
+        monkeypatch.setenv("NCF_BUDGET", str(cost))
+        list(transfer.iterates(f, params, 3))
+        assert builds == [(1, 64, 0)]
+
+
 class TestLipschitzNorm:
     def test_constant(self):
         est = lipschitz_norm(GridFunction.constant(-3.5, 64))
