@@ -9,6 +9,7 @@ CSV.  Exit codes: 0 success, 2 usage/domain error, 3 compute-budget error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -25,9 +26,7 @@ SCHEMA_VERSION = 1
 
 def _parse_x(text: str) -> object:
     """Accept 'p/q' exactly or a decimal literal."""
-    if "/" in text:
-        return Fraction(text)
-    return float(text)
+    return Fraction(text) if "/" in text else float(text)
 
 
 def _positive_int(text: str) -> int:
@@ -41,38 +40,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(payload: dict, fmt: str, out_path, csv_rows=None, csv_header=None):
-    if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        if csv_rows is None:
-            raise ValueError("this command has no CSV form")
-        lines = [",".join(csv_header)]
-        for row in csv_rows:
-            lines.append(",".join(
-                f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-        text = "\n".join(lines) + "\n"
-    _write(text, out_path)
-
-
-def _write(text: str, out_path) -> None:
-    """Write the text to the --out file, or to stdout without one."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        _sys.stdout.write(text)
+def _render(args, fields: dict, header: tuple, rows) -> str:
+    """What a handler returns, its fields, CSV header and rows, as the JSON
+    payload in the envelope every command shares, or as the CSV table."""
+    if args.format == "csv":
+        lines = [header] + [[f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
+                            for row in rows]
+        return "".join(",".join(line) + "\n" for line in lines)
+    payload = {"schema": f"ncf-{args.command}-v{SCHEMA_VERSION}", **fields}
+    if "n" in args:
+        payload["n"] = args.n
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _cmd_expand(args):
     params = core.NcfParams(args.n)
     x = _parse_x(args.x)
+    charge(args.max_len, "expand digits")
     seq = core.digits(x, params, args.max_len)
-    payload = {"schema": f"ncf-expand-v{SCHEMA_VERSION}", "n": args.n,
-               "digits": list(seq.digits), "terminated": seq.terminated}
-    rows = [(k + 1, d) for k, d in enumerate(seq.digits)]
-    _emit(payload, args.format, args.out, rows, ("k", "digit"))
-    return 0
+    return ({"digits": seq.digits, "terminated": seq.terminated},
+            ("k", "digit"), enumerate(seq.digits, 1))
 
 
 def _cmd_eval(args):
@@ -80,12 +67,10 @@ def _cmd_eval(args):
     ds = [int(t) for t in args.digits.split(",")]
     value = core.evaluate(ds, params)
     convs = core.convergents(ds, params)
-    payload = {"schema": f"ncf-eval-v{SCHEMA_VERSION}", "n": args.n,
-               "digits": ds, "value": str(value), "value_float": float(value),
-               "convergents": [str(c) for c in convs]}
-    rows = [(k + 1, str(c), float(c)) for k, c in enumerate(convs)]
-    _emit(payload, args.format, args.out, rows, ("k", "convergent", "convergent_float"))
-    return 0
+    return ({"digits": ds, "value": str(value), "value_float": float(value),
+             "convergents": [str(c) for c in convs]},
+            ("k", "convergent", "convergent_float"),
+            [(k, str(c), float(c)) for k, c in enumerate(convs, 1)])
 
 
 def _cmd_digit_law(args):
@@ -94,10 +79,8 @@ def _cmd_digit_law(args):
     charge(args.grid + 1, "digit-law digits")
     imax = args.n + args.grid
     items = [(i, measure.digit_law(i, gm)) for i in range(args.n, imax + 1)]
-    payload = {"schema": f"ncf-digit-law-v{SCHEMA_VERSION}", "n": args.n,
-               "law": [{"digit": i, "probability": p} for i, p in items]}
-    _emit(payload, args.format, args.out, items, ("digit", "probability"))
-    return 0
+    return ({"law": [{"digit": i, "probability": p} for i, p in items]},
+            ("digit", "probability"), items)
 
 
 def _cmd_invariance(args):
@@ -117,14 +100,10 @@ def _cmd_invariance(args):
             lambda x: rscc.q_kernel_interval(sys_, x, u) * gm.density(x),
             0.0, 1.0, breaks=(brk,))
         rows.append((u, val, measure.gn_cdf(u, gm), abs(val - measure.gn_cdf(u, gm))))
-    worst = max(r[3] for r in rows)
-    payload = {"schema": f"ncf-invariance-v{SCHEMA_VERSION}", "n": args.n,
-               "grid": args.grid, "max_abs_error": worst,
-               "curve": [{"u": r[0], "integral": r[1], "cdf": r[2], "abs_error": r[3]}
-                         for r in rows]}
-    _emit(payload, args.format, args.out, rows,
-          ("u", "kernel_integral", "cdf", "abs_error"))
-    return 0
+    return ({"grid": args.grid, "max_abs_error": max(r[3] for r in rows),
+             "curve": [{"u": r[0], "integral": r[1], "cdf": r[2], "abs_error": r[3]}
+                       for r in rows]},
+            ("u", "kernel_integral", "cdf", "abs_error"), rows)
 
 
 def _cmd_transfer(args):
@@ -133,12 +112,10 @@ def _cmd_transfer(args):
     c_f, sup_errors, lip_errors = transfer.error_curves(f, core.NcfParams(args.n), args.nmax)
     rows = [(k, float(e), float(lip)) for k, e, lip in
             zip(range(1, args.nmax + 1), sup_errors, lip_errors)]
-    payload = {"schema": f"ncf-transfer-v{SCHEMA_VERSION}", "n": args.n,
-               "grid": args.grid, "limit_value": c_f,
-               "curve": [{"step": r[0], "sup_error": r[1], "lipschitz_error": r[2]}
-                         for r in rows]}
-    _emit(payload, args.format, args.out, rows, ("step", "sup_error", "lipschitz_error"))
-    return 0
+    return ({"grid": args.grid, "limit_value": c_f,
+             "curve": [{"step": r[0], "sup_error": r[1], "lipschitz_error": r[2]}
+                       for r in rows]},
+            ("step", "sup_error", "lipschitz_error"), rows)
 
 
 def _cmd_gap(args):
@@ -146,17 +123,14 @@ def _cmd_gap(args):
     params = core.NcfParams(args.n)
     f = transfer.GridFunction.from_callable(lambda x: x, args.grid)
     est = transfer.estimate_gap(f, params, args.nmax)
-    payload = {"schema": f"ncf-gap-v{SCHEMA_VERSION}", "n": args.n,
-               "grid": args.grid, "q_hat": est.q_hat, "k_hat": est.k_hat,
-               "fit_window": list(est.n_window),
-               "residuals": [float(r) for r in est.residuals],
-               "sup_errors": [float(e) for e in est.sup_errors],
-               "lipschitz_errors": [float(e) for e in est.lip_errors]}
-    rows = list(zip(range(1, args.nmax + 1),
-                    (float(e) for e in est.sup_errors),
-                    (float(e) for e in est.lip_errors)))
-    _emit(payload, args.format, args.out, rows, ("step", "sup_error", "lipschitz_error"))
-    return 0
+    sup_errors = [float(e) for e in est.sup_errors]
+    lip_errors = [float(e) for e in est.lip_errors]
+    return ({"grid": args.grid, "q_hat": est.q_hat, "k_hat": est.k_hat,
+             "fit_window": est.n_window,
+             "residuals": [float(r) for r in est.residuals],
+             "sup_errors": sup_errors, "lipschitz_errors": lip_errors},
+            ("step", "sup_error", "lipschitz_error"),
+            zip(range(1, args.nmax + 1), sup_errors, lip_errors))
 
 
 _MEASURES = ("lebesgue", "gauss", "tilted")
@@ -173,30 +147,22 @@ def _cmd_gk(args):
     report = gausskuzmin.run_experiment(
         mu, params, n_max=args.nmax, m=args.grid, rng=rng,
         require_fit=args.require_fit or args.mu != "gauss")
-    payload = {"schema": f"ncf-gk-v{SCHEMA_VERSION}", "n": args.n, "mu": args.mu,
-               "seed": args.seed, **report.to_dict()}
-    rows = list(zip(report.n_values, report.sup_errors))
-    _emit(payload, args.format, args.out, rows, ("step", "sup_error"))
-    return 0
+    return ({"mu": args.mu, "seed": args.seed, **report.to_dict()},
+            ("step", "sup_error"), zip(report.n_values, report.sup_errors))
 
 
 def _cmd_rscc_mealy(args):
     from . import rscc
     m = rscc.MealySystem(args.alpha, args.beta)
     if args.dot:
-        _write(rscc.mealy_dot_export(m), args.out)
-        return 0
+        return rscc.mealy_dot_export(m)
     kernel = m.kernel()
     sys_ = rscc.make_mealy_rscc(args.alpha, args.beta)
     cesaro = [rscc.q_cesaro(sys_, args.nmax, 1.0, [s]) for s in (1, 2)]
-    payload = {"schema": f"ncf-rscc-mealy-v{SCHEMA_VERSION}",
-               "alpha": args.alpha, "beta": args.beta,
-               "kernel": kernel.tolist(),
-               "stationary": m.stationary().tolist(),
-               "cesaro_from_1": cesaro, "cesaro_steps": args.nmax}
-    rows = [(i + 1, kernel[i][0], kernel[i][1]) for i in range(2)]
-    _emit(payload, args.format, args.out, rows, ("state", "to_1", "to_2"))
-    return 0
+    return ({"alpha": args.alpha, "beta": args.beta, "kernel": kernel.tolist(),
+             "stationary": m.stationary().tolist(),
+             "cesaro_from_1": cesaro, "cesaro_steps": args.nmax},
+            ("state", "to_1", "to_2"), [(i + 1, kernel[i][0], kernel[i][1]) for i in range(2)])
 
 
 def _cmd_contraction(args):
@@ -205,12 +171,7 @@ def _cmd_contraction(args):
     sys_ = rscc.make_ncf_rscc(core.NcfParams(args.n))
     rng = np.random.default_rng(args.seed)
     rep = rscc.contraction_coefficients(sys_, k_max=args.kmax, grid=args.grid, rng=rng)
-    payload = {"schema": f"ncf-contraction-v{SCHEMA_VERSION}", "n": args.n,
-               "r_values": list(rep.r_values), "big_r": rep.big_r,
-               "certified": rep.certified}
-    rows = [(k + 1, r) for k, r in enumerate(rep.r_values)]
-    _emit(payload, args.format, args.out, rows, ("k", "r_k"))
-    return 0
+    return dataclasses.asdict(rep), ("k", "r_k"), enumerate(rep.r_values, 1)
 
 
 def _cmd_regularity(args):
@@ -218,13 +179,10 @@ def _cmd_regularity(args):
     sys_ = rscc.make_ncf_rscc(core.NcfParams(args.n))
     starts = [float(t) for t in args.starts.split(",")]
     rep = rscc.regularity_witness(sys_, starts, args.nmax)
-    payload = {"schema": f"ncf-regularity-v{SCHEMA_VERSION}", "n": args.n,
-               "x_star": rep.x_star, "ratio_limit": rep.ratio_limit,
-               "starts": list(rep.starts),
-               "final_distances": [float(c[-1]) for c in rep.dist_curves]}
-    rows = [(s, float(c[-1])) for s, c in zip(rep.starts, rep.dist_curves)]
-    _emit(payload, args.format, args.out, rows, ("start", "final_distance"))
-    return 0
+    final = [float(c[-1]) for c in rep.dist_curves]
+    return ({"x_star": rep.x_star, "ratio_limit": rep.ratio_limit,
+             "starts": rep.starts, "final_distances": final},
+            ("start", "final_distance"), zip(rep.starts, final))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        result = args.fn(args)
+        text = result if isinstance(result, str) else _render(args, *result)
     except BudgetExceededError as exc:
         print(f"ncf: budget error: {exc}", file=_sys.stderr)
         return 3
@@ -315,6 +273,16 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"ncf: error: {exc}", file=_sys.stderr)
         return 2
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            _sys.stdout.write(text)
+    except OSError as exc:  # an --out that cannot be opened or written
+        print(f"ncf: error: {exc}", file=_sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -90,24 +90,15 @@ def digits(x: Real, params: NcfParams, max_len: int) -> DigitSequence:
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     n = params.n_param
+    exact = isinstance(x, (Fraction, int))
+    y = Fraction(x) if exact else float(x)
     out = []
-    if isinstance(x, (Fraction, int)):
-        y = Fraction(x)
-        for _ in range(max_len):
-            q = Fraction(n) / y
-            a = math.floor(q)
-            out.append(a)
-            y = q - a
-            if y == 0:
-                return DigitSequence(tuple(out), True)
-        return DigitSequence(tuple(out), False)
-    y = float(x)
     for _ in range(max_len):
-        q = _finite_quotient(n, y)
+        q = n / y if exact else _finite_quotient(n, y)
         a = math.floor(q)
         out.append(a)
         y = q - a
-        if y == 0.0:
+        if not y:
             return DigitSequence(tuple(out), True)
     return DigitSequence(tuple(out), False)
 

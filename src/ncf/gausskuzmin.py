@@ -12,7 +12,7 @@ cross-checks the operator route against seeded Monte Carlo orbit simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,15 +34,7 @@ class GkReport:
     method_agreement: tuple   # dicts with n, x, operator, montecarlo, band
 
     def to_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "sup_errors": list(self.sup_errors),
-            "q_fit": self.q_fit,
-            "theta_bound": self.theta_bound,
-            "fit_window": list(self.fit_window) if self.fit_window else None,
-            "fit_residuals": list(self.fit_residuals),
-            "method_agreement": [dict(c) for c in self.method_agreement],
-        }
+        return asdict(self)
 
 
 def lebesgue_measure() -> DensityFunction:

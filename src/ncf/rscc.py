@@ -138,16 +138,15 @@ def _sample_event(n: int, w, u01):
 
 
 def make_mealy_rscc(alpha: float, beta: float) -> RsccSystem:
-    m = MealySystem(alpha, beta)
+    kernel = MealySystem(alpha, beta).kernel()
 
     def u(w, j):
         return np.asarray(w, dtype=float) * 0.0 + j
 
     def p(w, j):
-        w = np.asarray(w, dtype=float)
-        row1 = m.alpha if j == 1 else 1 - m.alpha
-        row2 = m.beta if j == 1 else 1 - m.beta
-        return np.where(w == 1.0, row1, row2)
+        # the kernel entry from state w to state j = u(w, j)
+        row1, row2 = kernel[:, 0 if j == 1 else 1]
+        return np.where(np.asarray(w, dtype=float) == 1.0, row1, row2)
 
     return RsccSystem(transition=u, probability=p, events=(1, 2), states=(1.0, 2.0))
 
@@ -597,12 +596,10 @@ def limit_path_law(sys: RsccSystem, r: int, word_set) -> float:
 
 def mealy_dot_export(m: MealySystem) -> str:
     """GraphViz digraph of the two-state machine; edges labeled event/probability."""
-    probs = {(1, 1): m.alpha, (1, 2): 1 - m.alpha,
-             (2, 1): m.beta, (2, 2): 1 - m.beta}
+    kernel = m.kernel().tolist()
     lines = ["digraph mealy {", "  rankdir=LR;", "  node [shape=circle];"]
     for i in (1, 2):
-        for k in (1, 2):
-            j = k  # u(i, k) = k
-            lines.append(f'  {i} -> {j} [label="{k}/{probs[(i, k)]!r}"];')
+        for k in (1, 2):  # u(i, k) = k
+            lines.append(f'  {i} -> {k} [label="{k}/{kernel[i - 1][k - 1]!r}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

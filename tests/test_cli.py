@@ -257,6 +257,16 @@ class TestOutputPlumbing:
         payload = json.loads(path.read_text())
         assert payload["schema"] == "ncf-digit-law-v1"
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, where, tmp_path, capsys):
+        # an --out that cannot be opened ended in a traceback with exit 1:
+        # FileNotFoundError under a missing directory, IsADirectoryError on one
+        path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(["expand", "--x", "3/7", "--out", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ncf: error:") and str(path) in err
+
     # every command that evaluates the transfer operator is budgeted
     @pytest.mark.parametrize("argv", [
         ["gk", "--n", "1"],
@@ -293,7 +303,10 @@ class TestOutputPlumbing:
         (["digit-law", "--n", "2", "--grid", "10"], 11),  # one unit a digit
         (["invariance", "--n", "1", "--grid", "8"], 8 * 40),  # two 20-node pieces a point
         (["regularity", "--n", "2", "--nmax", "100"], 5 * 100),  # one unit an orbit step
-    ], ids=["digit-law", "invariance", "regularity"])
+        # one unit a digit of --max-len: expand ran uncharged, and a float
+        # orbit that never reaches 0 runs the whole length
+        (["expand", "--x", "0.5", "--max-len", "11"], 11),
+    ], ids=["digit-law", "invariance", "regularity", "expand"])
     def test_charge_is_the_work(self, argv, cost, capsys, monkeypatch):
         monkeypatch.setenv("NCF_BUDGET", str(cost))
         assert run_cli(argv, capsys)[0] == 0

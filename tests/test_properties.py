@@ -1,5 +1,9 @@
 """Property tests: invariants checked on drawn inputs, in bounded runs."""
 
+import contextlib
+import io
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +23,82 @@ from ncf import (  # noqa: E402
     q_kernel_interval_bruteforce,
     transfer,
 )
+from ncf.cli import main  # noqa: E402
 from ncf.gausskuzmin import _iterate_map  # noqa: E402
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.integers(1, 10**6), n=st.integers(1, 10**6), data=st.data())
+def test_rational_expansion_round_trips(q, n, data):
+    # the exact orbit of p/q terminates (its denominators fall), every digit
+    # is >= N, and the digits give back p/q as a value and a last convergent
+    x = Fraction(data.draw(st.integers(1, q), label="p"), q)
+    params = NcfParams(n)
+    seq = core.digits(x, params, q)
+    assert seq.terminated
+    assert min(seq.digits) >= n
+    assert core.evaluate(seq, params) == x
+    assert core.convergents(seq, params)[-1] == x
+
+
+_COMMAND_FLAGS = {  # command: (its required flags, its other flags)
+    "expand": (["--x"], ["--n", "--max-len"]),
+    "eval": (["--digits"], ["--n"]),
+    "digit-law": ([], ["--n", "--grid"]),
+    "invariance": ([], ["--n", "--grid"]),
+    "transfer": ([], ["--n", "--grid", "--nmax"]),
+    "gap": ([], ["--n", "--grid", "--nmax"]),
+    "gk": ([], ["--n", "--grid", "--nmax", "--seed", "--mu", "--require-fit"]),
+    "rscc-mealy": (["--alpha", "--beta"], ["--nmax", "--dot"]),
+    "contraction": ([], ["--n", "--grid", "--seed", "--kmax"]),
+    "regularity": ([], ["--n", "--nmax", "--starts"]),
+    "no-such-command": ([], ["--n"]),
+}
+_ALL_FLAGS = sorted({f for required, other in _COMMAND_FLAGS.values() for f in required + other})
+_SWITCHES = ("--dot", "--require-fit")
+# --out targets in the test's temporary directory: a fresh file, a file under
+# a directory that does not exist, and the directory itself
+_VALUES = {"--format": ("json", "csv"), "--out": ("<file>", "<missing>", "<dir>")}
+_TOKENS = ("", "nan", "-1", "0", "1", "3/7", "1e-320", "1" + "0" * 29, "0.5,1", "gauss")
+
+
+@st.composite
+def _argvs(draw):
+    """A command, its required flags, up to four of its other flags, --format
+    or --out, and perhaps one flag it does not take, each with a drawn value."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    required, other = _COMMAND_FLAGS[command]
+    chosen = required + draw(st.lists(st.sampled_from(other + ["--format", "--out"]),
+                                      max_size=4))
+    chosen += draw(st.lists(st.sampled_from(
+        [f for f in _ALL_FLAGS if f not in required + other]), max_size=1))
+    argv = [command]
+    for flag in chosen:
+        argv.append(flag)
+        if flag not in _SWITCHES:
+            argv.append(draw(st.sampled_from(_VALUES.get(flag, _TOKENS))))
+    return argv
+
+
+@settings(max_examples=50, deadline=None)
+@given(argv=_argvs())
+@example(argv=["expand", "--x", "3/7", "--out", "<missing>"]).via("an unwritable --out")
+@example(argv=["expand", "--x", "3/7", "--out", "<dir>"]).via("a directory as --out")
+def test_every_argv_has_a_documented_exit_code(argv):
+    # main in-process on drawn argv: it returns, or argparse exits, with 0, 2,
+    # 3 or 4, never a traceback
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setenv("NCF_BUDGET", "100000")
+        outs = {"<file>": os.path.join(tmp, "out.txt"),
+                "<missing>": os.path.join(tmp, "missing", "out.txt"), "<dir>": tmp}
+        argv = [outs.get(t, t) for t in argv]
+        sink = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 2, 3, 4), (argv, sink.getvalue()[-500:])
 
 
 @settings(max_examples=50, deadline=None)
