@@ -147,7 +147,7 @@ def _cmd_gk(args):
     report = gausskuzmin.run_experiment(
         mu, params, n_max=args.nmax, m=args.grid, rng=rng,
         require_fit=args.require_fit or args.mu != "gauss")
-    return ({"mu": args.mu, "seed": args.seed, **report.to_dict()},
+    return ({"mu": args.mu, "seed": args.seed, **dataclasses.asdict(report)},
             ("step", "sup_error"), zip(report.n_values, report.sup_errors))
 
 

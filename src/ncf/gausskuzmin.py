@@ -12,7 +12,7 @@ cross-checks the operator route against seeded Monte Carlo orbit simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,9 +32,6 @@ class GkReport:
     fit_window: Optional[tuple]
     fit_residuals: tuple
     method_agreement: tuple   # dicts with n, x, operator, montecarlo, band
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def lebesgue_measure() -> DensityFunction:

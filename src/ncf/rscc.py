@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -166,21 +166,6 @@ def path_probability(sys: RsccSystem, w, word) -> float:
         prob = prob * sys.probability(state, x)
         state = sys.transition(state, x)
     return float(prob) if np.isscalar(w) else prob
-
-
-def act(sys: RsccSystem, w, word):
-    """Right action of a word on a state: w x1...xr."""
-    state = w
-    for x in tuple(word):
-        state = sys.transition(state, x)
-    return state
-
-
-def event_set_probability(sys: RsccSystem, w, events: Union[Sequence[int], TailSet]) -> float:
-    """P(w, A) for a finite event set or a tail set of the alphabet."""
-    if not isinstance(events, TailSet):
-        events = [(x,) for x in events]
-    return float(_word_set_probability(sys, w, _checked_words(sys, 1, events)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +399,7 @@ def _pair_grid(sys: RsccSystem, grid: int, rng: np.random.Generator):
         w1, w2 = np.meshgrid(states, states)
         mask = w1 != w2
         return w1[mask], w2[mask]
+    charge(grid + _EXTRA_PAIRS, "contraction state pairs")  # before they are allocated
     nodes = np.linspace(0.0, 1.0, grid + 1)
     a, b = rng.random(_EXTRA_PAIRS), rng.random(_EXTRA_PAIRS)
     keep = np.abs(a - b) > 1e-6

@@ -107,95 +107,80 @@ def _cubic_rest(u: np.ndarray, first: float = 20.0) -> np.ndarray:
     return out * u
 
 
-def _mean_over_n(u: np.ndarray) -> np.ndarray:
-    """The group means over N, (S(x+a) - S(x+b+1)) / (u_a - u_{b+1}), from u =
-    1/(x+i) at i = a >= 20 and b+1 (0: b infinite); an empty one: the limit."""
-    a, b, c = u[:, :-1], u[:, 1:], _cubic_rest(u)
-    return (a + b) / 2.0 + np.divide(c[:, :-1] - c[:, 1:], a - b, out=a * a / 2.0, where=a > b)
-
-
-def _term_starts(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]):
+def _grid_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]):
     """The terms of the operator at the points x, exact for f linear on each
-    of m cells: (g, k1, fold, chunks).  The branches i < I = max(N+1, 20,
-    isqrt(NM) + 1) are g singles; past I, those in cell k, i in (NM/(k+1) -
-    x, NM/k - x], form a group, for k = k1 - 1 falling, and the last term
-    runs to infinity.  With i_max, no group starts past i_max + 1: the rest
-    folds into the last term, the cells below NM // (i_max + 1) (all, once
-    i_max < I) are left out, and for i_max < 19 the fold's mean over N is
-    fold (else None).  Charges len(x) times the terms a row; chunks yields
-    (r0, xr, z), z = xr + each term's first branch and infinity, for about
-    _CHUNK entries (at least a row) at a time."""
+    of m cells: the one place their starts, masses and moments are formed.
+    The branches i < I = max(N+1, 20, isqrt(NM) + 1) are singles; past I,
+    those in cell k, i in (NM/(k+1) - x, NM/k - x], form a group, for k
+    falling, and the last term runs to infinity.  With i_max, no group starts
+    past i_max + 1: the rest folds into the last term, the cells below
+    NM // (i_max + 1) (all, once i_max < I) are left out, and for i_max < 19
+    the fold's mean is summed branch by branch up to 20.  Charges len(x) times
+    the terms a row, and returns a generator of chunks of about _CHUNK
+    entries (at least a row): (r0, xn, p, c, w, h, cells, a, b) for the rows
+    from r0, xn = x+N.  A point term (a single, or the last term at its mean)
+    of mass w at M y = p = c + t, c = min(floor(p), M-1), adds w f_c +
+    h (f_{c+1} - f_c), h = w t.  The group of cell k, i = i0..i1, adds
+    w f_k + (M m - k w)(f_{k+1} - f_k), by its mass w = (x+N)(u_i0 - u_i1+1),
+    u = 1/(x+i), and first moment m = N (x+N) (S(x+i0) - S(x+i1+1)),
+    S(z) = psi_1(z) - 1/z, which telescope: a = w/xn, b = (M m - k w)/xn =
+    a (NM (u_i0 + u_i1+1)/2 - k) + NM (C(u_i0) - C(u_i1+1)), C = _cubic_rest,
+    so M m and k w do not cancel."""
     n = params.n_param
     nm = n * m
     first = max(n + 1, 20, math.isqrt(nm) + 1)  # every group mean stays below 1
     if i_max is not None and i_max < n - 1:  # the fold's mass would exceed 1
         raise ValueError(f"i_max must be >= N - 1 = {n - 1}, got {i_max}")
     cut = math.inf if i_max is None else i_max + 1  # no group starts later
-    if cut < first:  # the cells of a grid of none
-        nm, first = 0, cut
-    k1 = np.append(np.arange(nm // first + 1, max(nm // cut, 1), -1, dtype=float), 1.0)
+    top = nm // first if cut >= first else 0  # K, the first group's cell (0: no group but the last)
+    first = min(first, cut)
+    k1 = np.append(np.arange(top + 1, max(nm // cut, 1), -1, dtype=float), 1.0)
     g, terms = first - n, first - n + k1.size
     charge(len(x) * terms, "transfer operator")
     xc, u = x[:, None], 1.0 / (x[:, None] + 20.0)  # S(z) = 1/(z^2 (z+1)) + S(z+1)
     fold = None if cut >= 20 else (xc + cut) * (u * u / 2 + _cubic_rest(u) + sum(
         1.0 / ((xc + j) ** 2 * (xc + j + 1.0)) for j in range(cut, 20)))
     rows, singles = max(1, _CHUNK // terms), np.arange(n, first, dtype=float)
+    cells = (k1[:-1] - 1.0).astype(np.intp)
 
     def chunks():
         for r0 in range(0, len(x), rows):
             xr = x[r0:r0 + rows, None]
-            z = np.empty((xr.shape[0], terms + 1))
+            z = np.empty((xr.shape[0], terms + 1))  # each term's first x+i, and infinity
             np.add(xr, singles, out=z[:, :g])
             z[:, -1] = np.inf
-            np.add(np.clip(np.floor(nm / k1 - xr) + 1.0, first, cut), xr, out=z[:, g:-1])
-            yield r0, xr, z
+            np.add(np.minimum(np.maximum(np.floor(nm / k1 - xr) + 1.0, first), cut), xr,
+                   out=z[:, g:-1])
+            xn, u = xr[:, 0] + n, 1.0 / z
+            du = u[:, :-1] - u[:, 1:]
+            ug, uf, a = u[:, g:-1], u[:, -2:-1], du[:, g:-1]  # ug: the groups' starts, then uf
+            rest = nm * _cubic_rest(ug, float(z[:, g].min()))  # the least start of a row
+            b = a * (nm / 2 * (ug[:, :-1] + ug[:, 1:]) - cells) + (rest[:, :-1] - rest[:, 1:])
+            pf = nm / 2 * uf + rest[:, -1:] / uf if fold is None else nm * fold[r0:r0 + len(xn)]
+            p = np.append(nm / z[:, :g], pf, axis=1)
+            w = xn[:, None] * np.append(du[:, :g], uf, axis=1)
+            c = np.minimum(p, m - 1).astype(np.intp)
+            yield r0, xn, p, c, w, (p - c) * w, cells, a, b
 
-    return g, k1, fold, chunks()
+    return chunks()
 
 
 def _branch_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int] = None):
-    """The terms of _term_starts as point evaluations, a group at its mean:
-    (U f)(x[r0 + j]) is the sum of row j of w * f(y), for each (r0, w, y)
-    yielded.  Along a row the points fall and the weights telescope to 1."""
-    n = params.n_param
-    g, _, fold, chunks = _term_starts(params, x, m, i_max)
-    for r0, xr, z in chunks:
-        w = np.divide(xr + n, z)
-        w[:, :-1] -= w[:, 1:]  # telescoping
-        w, y = w[:, :-1], np.divide(n, z[:, :-1])
-        y[:, g:] = n * (_mean_over_n(1.0 / z[:, g:]) if fold is None else fold[r0:r0 + len(w)])
-        yield r0, w, y
-
-
-def _grid_terms(params: NcfParams, m: int, i_max: Optional[int] = None):
-    """The terms of _term_starts at the m+1 nodes, by cell index.  A point
-    term (a single, or the last term at its mean) of mass w at M y = c + t,
-    c = min(floor(M y), M-1), adds w f_c + h (f_{c+1} - f_c), h = w t.  The
-    group of cell k, i = a..b, adds w f_k + (M m - k w)(f_{k+1} - f_k), by its
-    mass w = (x+N)(u_a - u_{b+1}), u = 1/(x+i), and first moment m = N (x+N)
-    (S(x+a) - S(x+b+1)), which telescope.  Yields (r0, xn, c, w, h, cells, a,
-    b), xn = x+N, a = w/xn, b = (M m - k w)/xn = a (NM (u_a + u_{b+1})/2 - k)
-    + NM (C(u_a) - C(u_{b+1})), C = _cubic_rest: M m and k w do not cancel."""
-    n, nm = params.n_param, params.n_param * m
-    g, k1, fold, chunks = _term_starts(params, np.linspace(0.0, 1.0, m + 1), m, i_max)
-    cells = (k1[:-1] - 1.0).astype(np.intp)
-    for r0, xr, z in chunks:
-        xn, u = xr[:, 0] + n, 1.0 / z
-        du = u[:, :-1] - u[:, 1:]
-        ug, uf, a = u[:, g:-1], u[:, -2:-1], du[:, g:-1]  # ug: the groups' starts, then uf
-        rest = nm * _cubic_rest(ug, z[:, g].min())  # z[:, g] is the least start of a row
-        b = a * (nm / 2 * (ug[:, :-1] + ug[:, 1:]) - cells) + (rest[:, :-1] - rest[:, 1:])
-        pf = nm / 2 * uf + rest[:, -1:] / uf if fold is None else nm * fold[r0:r0 + len(xn)]
-        p = np.append(nm / z[:, :g], pf, axis=1)  # M y of the point terms
-        w = xn[:, None] * np.append(du[:, :g], uf, axis=1)
-        c = np.minimum(p, m - 1).astype(np.intp)
-        yield r0, xn, c, w, (p - c) * w, cells, a, b
+    """The terms of _grid_terms as point evaluations: (U f)(x[r0 + j]) is the
+    sum of row j of w * f(y), for each (r0, w, y) yielded.  A point term sits
+    at y = p/M, a group at its mean, M y = k + b/a, with b clipped to [0, a]
+    against rounding; an empty group, of weight 0, at its cell's edge.  Along
+    a row the points fall and the weights telescope to 1."""
+    for r0, xn, p, _, w, _, k, a, b in _grid_terms(params, x, m, i_max):
+        t = np.divide(np.minimum(np.maximum(b, 0.0), a), a, out=np.zeros_like(a), where=a > 0)
+        y = np.concatenate((p[:, :-1], k + t, p[:, -1:]), axis=1) / m
+        yield r0, np.concatenate((w[:, :-1], xn[:, None] * a, w[:, -1:]), axis=1), y
 
 
 def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndarray:
-    """The transfer operator applied to f, evaluated at the points x.  This
-    branch sum is the definition of the operator; apply_transfer and
-    iterates() take it on grids by cell index.  The far branches of a
+    """The transfer operator applied to f, evaluated at the points x, by the
+    terms of _grid_terms as point values; apply_transfer and iterates() take
+    the same terms on grids by cell index.  The far branches of a
     GridFunction are grouped on its cells, which is exact.  Those of any
     other f, called on arrays, are grouped on cells of width 2^-20, exact for
     f linear on each of them.  With i_max, the branches above it fold into
@@ -216,7 +201,7 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     branches above it enter as one term at their mean (see transfer_at)."""
     v, d = f.values, np.diff(f.values)
     out = np.empty(v.size)
-    for r0, xn, c, w, h, k, a, b in _grid_terms(params, f.resolution, i_max):
+    for r0, xn, _, c, w, h, k, a, b in _grid_terms(params, f.nodes, f.resolution, i_max):
         out[r0:r0 + xn.size] = (w * v[c] + h * d[c]).sum(axis=1) + xn * (a @ v[k] + b @ d[k])
     return GridFunction(out)
 
@@ -227,8 +212,8 @@ def _assemble(params: NcfParams, m: int):
     dense, (m+1) x (K+2), by shifted slices, b clipped to [0, a] against
     rounding.  Row j puts the singles' lo[j] on the columns cols[j] and hi[j]
     on cols[j] + 1; _step sums repeated columns."""
-    op = None
-    for r0, xn, c, w, h, _, a, b in _grid_terms(params, m):
+    op, x = None, np.linspace(0.0, 1.0, m + 1)
+    for r0, xn, _, c, w, h, _, a, b in _grid_terms(params, x, m, None):
         if op is None:  # after the charge: dense, cols, lo, hi
             rows = (m + 1, c.shape[1] - 1)
             op = (np.zeros((m + 1, a.shape[1] + 2)), np.empty(rows, np.intp), np.empty(rows),
@@ -275,7 +260,7 @@ def iterates(f: GridFunction, params: NcfParams, n: int):
         for a in op:
             a.setflags(write=False)  # a step never writes the operator, nor may a caller
     else:
-        _term_starts(params, f.nodes, f.resolution, None)  # the build's charge only
+        _grid_terms(params, f.nodes, f.resolution, None)  # the build's charge only
     v = f.values
     for _ in range(n):
         v = _step(op, v)
@@ -287,13 +272,6 @@ def lipschitz_norm(f: GridFunction) -> LipschitzNormEstimate:
     v = f.values
     return LipschitzNormEstimate(float(np.max(np.abs(v))),
                                  float(np.max(np.abs(np.diff(v))) * f.resolution))
-
-
-def cesaro_operator(f: GridFunction, n: int, params: NcfParams) -> GridFunction:
-    """(1/n) sum of the first n operator iterates, by running average."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return GridFunction(sum(g.values for g in iterates(f, params, n)) / n)
 
 
 def integrate_against(f: GridFunction, gm: GaussMeasure) -> float:

@@ -280,10 +280,11 @@ class TestOutputPlumbing:
         assert out == ""
         assert "budget" in err
 
-    @pytest.mark.parametrize("command", ["gap", "transfer", "gk"])
+    @pytest.mark.parametrize("command", ["gap", "transfer", "gk", "contraction"])
     def test_huge_grid_is_refused_before_allocation(self, command):
-        # the grid's M+1 samples were allocated before any charge: under a
-        # 2 GiB address-space cap this was a MemoryError traceback (exit 1)
+        # the grid's M+1 samples (contraction: its state pairs) were allocated
+        # before any charge: under a 2 GiB address-space cap this was a
+        # MemoryError traceback (exit 1)
         r = _cli_child([command, "--grid", "1000000000000"])
         assert r.returncode == 3, r.stderr
         assert "budget" in r.stderr
@@ -437,7 +438,7 @@ class TestLazyImports:
 
     def test_every_public_name_is_its_modules_object(self):
         import ncf
-        assert len(ncf.__all__) == len(set(ncf.__all__)) == 57
+        assert len(ncf.__all__) == len(set(ncf.__all__)) == 54
         for name in ncf.__all__:
             obj = getattr(ncf, name)
             assert obj.__module__.startswith("ncf.")

@@ -1,5 +1,6 @@
 """Distribution of map iterates: limits, rates, operator vs simulation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -172,7 +173,7 @@ class TestRunExperiment:
     def test_report_serializes(self):
         rep = run_experiment(lebesgue_measure(), NcfParams(1), n_max=10,
                              rng=np.random.default_rng(3))
-        d = rep.to_dict()
+        d = dataclasses.asdict(rep)
         assert set(d) == {"n_values", "sup_errors", "q_fit", "theta_bound",
                           "fit_window", "fit_residuals", "method_agreement"}
         assert len(d["sup_errors"]) == 10

@@ -6,6 +6,7 @@ import os
 import tempfile
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -111,6 +112,30 @@ def test_branch_terms_are_stochastic(n, m, data):
     for _, w, y in transfer._branch_terms(NcfParams(n), x, m, i_max):
         assert np.all(w >= 0) and np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-14
         assert y.min() >= 0.0 and y.max() <= 1.0 and np.all(np.diff(y, axis=1) <= 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_n=st.floats(0.0, 6.0), m=st.integers(1, 1024), data=st.data())
+def test_identity_is_the_trigamma_moment(log_n, m, data):
+    # f(x) = x is linear everywhere, so every group enters by its exact
+    # telescoped first moment, the fold too: (U f)(x) = N (x+N) (psi_1(x+N) -
+    # 1/(x+N)), here at 30 digits, in the grid kernel, the point form and
+    # the assembled operator alike
+    n = round(10.0 ** log_n)
+    i_max = data.draw(st.sampled_from([None, n - 1, max(n - 1, 19), max(n - 1, 1000)]),
+                      label="i_max")
+    params, f = NcfParams(n), transfer.GridFunction.from_callable(lambda x: x, m)
+    nodes = slice(None, None, max(1, m // 8))
+    x = f.nodes[nodes]
+    with mpmath.workdps(30):
+        want = np.array([float(n * (t + n) * (mpmath.psi(1, t + n) - 1 / (t + n)))
+                         for t in map(mpmath.mpf, x)])
+    step = transfer._step(transfer._assemble(params, m), f.values)
+    assert np.max(np.abs(transfer.transfer_at(f, params, x, i_max) - want)) <= 5e-16
+    assert np.max(np.abs(step[nodes] - want)) <= 5e-16
+    # the groups' BLAS dot products, over up to M terms: 1.0e-15 seen in 6,500 draws
+    grid = transfer.apply_transfer(f, params, i_max).values[nodes]
+    assert np.max(np.abs(grid - want)) <= 2e-15
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,10 +13,8 @@ from ncf import (
     MealySystem,
     NcfParams,
     TailSet,
-    act,
     contraction_coefficients,
     digit_law,
-    event_set_probability,
     fixed_point,
     gn_measure,
     kernel_matrix,
@@ -52,8 +50,8 @@ class TestNcfInstance:
     def test_probabilities_sum_to_one(self, ncf_sys):
         n = ncf_sys.params.n_param
         for w in (0.0, 0.3, 1.0):
-            head = event_set_probability(ncf_sys, w, range(n, n + 500))
-            tail = event_set_probability(ncf_sys, w, TailSet(n + 500))
+            head = sum(path_probability(ncf_sys, w, (i,)) for i in range(n, n + 500))
+            tail = float(rscc._tail_mass(n, w, n + 500))
             assert head + tail == pytest.approx(1.0, abs=1e-14)
 
     def test_transition_lands_in_state_space(self, ncf_sys):
@@ -108,7 +106,6 @@ class TestPathProbability:
             manual *= float(ncf_sys.probability(state, x))
             state = float(ncf_sys.transition(state, x))
         assert path_probability(ncf_sys, w, word) == pytest.approx(manual, rel=1e-14)
-        assert float(act(ncf_sys, w, word)) == pytest.approx(state, abs=1e-15)
 
     def test_words_of_fixed_length_sum_to_one(self):
         sys = make_ncf_rscc(NcfParams(1))
@@ -118,10 +115,10 @@ class TestPathProbability:
         for i in range(1, 400):
             head = path_probability(sys, w, (i,))
             wi = float(sys.transition(w, i))
-            inner = event_set_probability(sys, wi, range(1, 400))
-            inner += event_set_probability(sys, wi, TailSet(400))
+            inner = sum(path_probability(sys, wi, (j,)) for j in range(1, 400))
+            inner += float(rscc._tail_mass(1, wi, 400))
             total += head * inner
-        total += event_set_probability(sys, w, TailSet(400))
+        total += float(rscc._tail_mass(1, w, 400))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_word_rejected(self, ncf_sys):
@@ -552,8 +549,6 @@ class TestShiftedPathLaw:
             shifted_path_probability(ncf_sys, 0.5, 3, 2, TailSet(5))
 
     def test_tail_set_needs_countable_alphabet(self, mealy_sys):
-        with pytest.raises(ValueError, match="countable"):
-            event_set_probability(mealy_sys, 1.0, TailSet(2))
         with pytest.raises(ValueError, match="countable"):
             shifted_path_probability(mealy_sys, 1.0, 3, 1, TailSet(2))
 

@@ -18,7 +18,6 @@ from ncf import (
     GridFunction,
     NcfParams,
     apply_transfer,
-    cesaro_operator,
     estimate_gap,
     gn_cdf,
     integrate_against,
@@ -427,16 +426,16 @@ class TestOperatorWork:
         # the branches 1..19 and the groups of cells 6..0
         assert charges == [129, 129 * 26]
         charges.clear()
-        cesaro_operator(f, 2, params)
+        list(transfer.iterates(f, params, 2))
         assert charges == [129 * 26] * 2  # two branch sums
 
     def test_grid_kernel_takes_no_point_values(self, monkeypatch):
         # apply_transfer places every term by its cell index and every group
         # by its mass and first moment: it interpolates no point of f, and
-        # takes no group's mean point
+        # takes no term's point form
         calls = []
         monkeypatch.setattr(GridFunction, "__call__", lambda f, y: calls.append("f(y)"))
-        monkeypatch.setattr(transfer, "_mean_over_n", lambda u: calls.append("mean"))
+        monkeypatch.setattr(transfer, "_branch_terms", lambda *args: calls.append("points"))
         f = _random_grid(1024, seed=2)
         for n, i_max in ((1, None), (5, None), (5, 4000), (5, 10), (2, 1), (1000, None)):
             apply_transfer(f, NcfParams(n), i_max)
@@ -526,17 +525,15 @@ class TestLipschitzNorm:
         assert est.total == pytest.approx(1 + 1 / math.log(2), abs=1e-3)
 
 
+def _cesaro(f, steps, params):
+    """(1/steps) times the sum of the first `steps` operator iterates of f."""
+    return sum(g.values for g in transfer.iterates(f, params, steps)) / steps
+
+
 class TestCesaro:
     def test_unit_function(self):
-        out = cesaro_operator(GridFunction.constant(1.0, 256), 5, NcfParams(2))
-        assert np.max(np.abs(out.values - 1.0)) <= 1e-13
-
-    def test_n_equals_one_is_single_application(self):
-        params = NcfParams(1)
-        f = GridFunction.from_callable(lambda x: x, 256)
-        a = cesaro_operator(f, 1, params)
-        b = apply_transfer(f, params)
-        assert np.array_equal(a.values, b.values)
+        out = _cesaro(GridFunction.constant(1.0, 256), 5, NcfParams(2))
+        assert np.max(np.abs(out - 1.0)) <= 1e-13
 
     @pytest.mark.parametrize("n,expect", [
         (1, 1 / math.log(2) - 1),
@@ -551,7 +548,7 @@ class TestCesaro:
         f = GridFunction.from_callable(lambda x: x, 1024)
         prev = None
         for steps in (4, 16, 64):
-            vals = cesaro_operator(f, steps, params).values
+            vals = _cesaro(f, steps, params)
             dev = float(np.max(np.abs(vals - expect)))
             if prev is not None:
                 assert dev < prev
