@@ -166,11 +166,10 @@ def _cmd_rscc_mealy(args):
 
 
 def _cmd_contraction(args):
-    import numpy as np
     from . import rscc
     sys_ = rscc.make_ncf_rscc(core.NcfParams(args.n))
-    rng = np.random.default_rng(args.seed)
-    rep = rscc.contraction_coefficients(sys_, k_max=args.kmax, grid=args.grid, rng=rng)
+    # --seed is accepted and has no effect: no state pair is drawn at random
+    rep = rscc.contraction_coefficients(sys_, k_max=args.kmax, grid=args.grid)
     return dataclasses.asdict(rep), ("k", "r_k"), enumerate(rep.r_values, 1)
 
 

@@ -103,26 +103,12 @@ def digits(x: Real, params: NcfParams, max_len: int) -> DigitSequence:
     return DigitSequence(tuple(out), False)
 
 
-def evaluate(seq: Union[DigitSequence, Sequence[int]], params: NcfParams) -> Fraction:
-    """Exact value of the finite expansion N/(a_1 + N/(a_2 + ...))."""
-    ds = tuple(seq)
-    if not ds:
-        raise ValueError("cannot evaluate an empty digit sequence")
-    n = params.n_param
-    if any(a < n for a in ds):
-        raise ValueError(f"all digits must be >= N = {n}")
-    acc = Fraction(0)
-    for a in reversed(ds):
-        acc = Fraction(n) / (a + acc)
-    return acc
-
-
-def convergents(seq: Union[DigitSequence, Sequence[int]], params: NcfParams) -> list:
-    """Successive values of the digit prefixes, via the recurrence
+def _convergent_terms(seq: Union[DigitSequence, Sequence[int]], params: NcfParams) -> list:
+    """(p_k, q_k) for each digit prefix, by the integer recurrence
     p_k = a_k p_{k-1} + N p_{k-2}, q_k = a_k q_{k-1} + N q_{k-2}."""
     ds = tuple(seq)
     if not ds:
-        raise ValueError("cannot take convergents of an empty digit sequence")
+        raise ValueError("an empty digit sequence has no value")
     n = params.n_param
     if any(a < n for a in ds):
         raise ValueError(f"all digits must be >= N = {n}")
@@ -130,12 +116,21 @@ def convergents(seq: Union[DigitSequence, Sequence[int]], params: NcfParams) -> 
     q_prev2, q_prev = 0, 1
     out = []
     for a in ds:
-        p = a * p_prev + n * p_prev2
-        q = a * q_prev + n * q_prev2
-        out.append(Fraction(p, q))
-        p_prev2, p_prev = p_prev, p
-        q_prev2, q_prev = q_prev, q
+        p_prev2, p_prev = p_prev, a * p_prev + n * p_prev2
+        q_prev2, q_prev = q_prev, a * q_prev + n * q_prev2
+        out.append((p_prev, q_prev))
     return out
+
+
+def evaluate(seq: Union[DigitSequence, Sequence[int]], params: NcfParams) -> Fraction:
+    """Exact value of the finite expansion N/(a_1 + N/(a_2 + ...)): its last
+    convergent."""
+    return Fraction(*_convergent_terms(seq, params)[-1])
+
+
+def convergents(seq: Union[DigitSequence, Sequence[int]], params: NcfParams) -> list:
+    """Successive values of the digit prefixes."""
+    return [Fraction(p, q) for p, q in _convergent_terms(seq, params)]
 
 
 def fixed_point(params: NcfParams) -> float:

@@ -388,22 +388,25 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
 # contraction coefficients
 
 _EVENT_CAP = 2048     # r_k cuts a countable alphabet to ~_EVENT_CAP^(1/k) letters
-_EXTRA_PAIRS = 128    # random state pairs added to the neighbouring grid pairs
-_BIG_R_EVENTS = 64    # leading events whose singletons, prefixes and tails bound R
 _MARGIN = 1e-6        # certified when some r_k < 1 - _MARGIN
 
 
-def _pair_grid(sys: RsccSystem, grid: int, rng: np.random.Generator):
+def _pair_grid(sys: RsccSystem, grid: int):
+    """The state pairs (w, w') over which r_k is read.  A finite system: every
+    ordered pair of distinct states.  The continued-fraction system: (j/grid,
+    0) for j = 1..grid, and (0, 1/grid).  Each of its word maps is a Moebius
+    map (a w + b)/(c w + d) with c, d >= 0, a product of the matrices
+    [[0, N], [1, i]], so its difference quotient |ad - bc|/((c w + d)(c w' +
+    d)) falls in w'; P_k(w, x) does not depend on w', so for each w the sup
+    over w' lies at w' = 0.  The sup over w is read on the grid."""
     if sys.finite:
         states = np.array(sys.states)
         w1, w2 = np.meshgrid(states, states)
         mask = w1 != w2
         return w1[mask], w2[mask]
-    charge(grid + _EXTRA_PAIRS, "contraction state pairs")  # before they are allocated
+    charge(grid + 1, "contraction state pairs")  # before they are allocated
     nodes = np.linspace(0.0, 1.0, grid + 1)
-    a, b = rng.random(_EXTRA_PAIRS), rng.random(_EXTRA_PAIRS)
-    keep = np.abs(a - b) > 1e-6
-    return np.concatenate([nodes[:-1], a[keep]]), np.concatenate([nodes[1:], b[keep]])
+    return np.append(nodes[1:], 0.0), np.append(np.zeros(grid), nodes[1])
 
 
 def _r_k_estimate(sys: RsccSystem, k: int, w1: np.ndarray, w2: np.ndarray) -> float:
@@ -434,44 +437,32 @@ def _r_k_estimate(sys: RsccSystem, k: int, w1: np.ndarray, w2: np.ndarray) -> fl
     return float(np.max(total))
 
 
-def _big_r_estimate(sys: RsccSystem, w1: np.ndarray, w2: np.ndarray) -> float:
-    denom = np.abs(w1 - w2)
-    best = 0.0
-    if sys.finite:
-        events = list(sys.events)
-        for mask in range(1, 2 ** len(events)):
-            subset = [x for j, x in enumerate(events) if mask >> j & 1]
-            d = sum(sys.probability(w1, x) - sys.probability(w2, x) for x in subset)
-            best = max(best, float(np.max(np.abs(d) / denom)))
-        return best
-    n = sys.params.n_param
-    events = list(range(n, n + _BIG_R_EVENTS))
-    diffs = np.stack([sys.probability(w1, x) - sys.probability(w2, x) for x in events])
-    # singletons and prefix sets {first..m}
-    best = max(best, float(np.max(np.abs(diffs) / denom)))
-    best = max(best, float(np.max(np.abs(np.cumsum(diffs, axis=0)) / denom)))
-    for m in events:
-        d = _tail_mass(n, w1, m) - _tail_mass(n, w2, m)
-        best = max(best, float(np.max(np.abs(d) / denom)))
-    return best
+def _big_r(sys: RsccSystem, w1: np.ndarray, w2: np.ndarray) -> float:
+    """R = sup |P(w, A) - P(w', A)| / |w - w'| over event sets A and state
+    pairs.  Over A the sup is the total variation sum_x (P(w, x) -
+    P(w', x))+, taken over every pair of a finite system.  For the
+    continued-fraction system P(w, i)/P(w', i) is monotone in i, so the
+    variation is a tail difference, (m-N)|w-w'|/((w+m)(w'+m)) <= (m-N)/m^2
+    <= 1/(4N), approached at m = 2N as w, w' -> 0: R = 1/(4N)."""
+    if not sys.finite:
+        return 1 / (4 * sys.params.n_param)
+    variation = sum(np.maximum(sys.probability(w1, x) - sys.probability(w2, x), 0.0)
+                    for x in sys.events)
+    return float(np.max(variation / np.abs(w1 - w2)))
 
 
 def contraction_coefficients(sys: RsccSystem, k_max: int = 2, grid: int = 512,
                              rng: Optional[np.random.Generator] = None) -> ContractionReport:
-    """Estimate the trajectory-contraction coefficients r_k and the event
-    Lipschitz bound R over a grid of state pairs; certify when some r_k is
-    bounded away from 1."""
+    """The trajectory-contraction coefficients r_k, read over the state pairs
+    of _pair_grid (grid + 1 of them for the continued-fraction system), and
+    the event Lipschitz constant R (_big_r); certified when some r_k is
+    bounded away from 1.  rng has no effect: no pair is drawn at random."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if rng is None:
-        rng = np.random.default_rng(20240824)
-    w1, w2 = _pair_grid(sys, grid, rng)
+    w1, w2 = _pair_grid(sys, grid)
     r_values = tuple(_r_k_estimate(sys, k, w1, w2) for k in range(1, k_max + 1))
-    big_r = _big_r_estimate(sys, w1, w2)
-    certified = (math.isfinite(r_values[0])
-                 and any(r < 1.0 - _MARGIN for r in r_values)
-                 and math.isfinite(big_r))
-    return ContractionReport(r_values=r_values, big_r=big_r, certified=certified)
+    certified = math.isfinite(r_values[0]) and any(r < 1.0 - _MARGIN for r in r_values)
+    return ContractionReport(r_values=r_values, big_r=_big_r(sys, w1, w2), certified=certified)
 
 
 # ---------------------------------------------------------------------------

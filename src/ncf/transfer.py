@@ -117,10 +117,11 @@ def _grid_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]):
     NM // (i_max + 1) (all, once i_max < I) are left out, and for i_max < 19
     the fold's mean is summed branch by branch up to 20.  Charges len(x) times
     the terms a row, and returns a generator of chunks of about _CHUNK
-    entries (at least a row): (r0, xn, p, c, w, h, cells, a, b) for the rows
-    from r0, xn = x+N.  A point term (a single, or the last term at its mean)
+    entries (at least a row): (r0, xn, du, p, cells, a, b) for the rows from
+    r0, xn = x+N, with the mass over xn of every term, du, and the point
+    terms' places p.  A point term (a single, or the last term at its mean)
     of mass w at M y = p = c + t, c = min(floor(p), M-1), adds w f_c +
-    h (f_{c+1} - f_c), h = w t.  The group of cell k, i = i0..i1, adds
+    h (f_{c+1} - f_c), h = w t (_point_terms).  The group of cell k, i = i0..i1, adds
     w f_k + (M m - k w)(f_{k+1} - f_k), by its mass w = (x+N)(u_i0 - u_i1+1),
     u = 1/(x+i), and first moment m = N (x+N) (S(x+i0) - S(x+i1+1)),
     S(z) = psi_1(z) - 1/z, which telescope: a = w/xn, b = (M m - k w)/xn =
@@ -157,12 +158,16 @@ def _grid_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]):
             rest = nm * _cubic_rest(ug, float(z[:, g].min()))  # the least start of a row
             b = a * (nm / 2 * (ug[:, :-1] + ug[:, 1:]) - cells) + (rest[:, :-1] - rest[:, 1:])
             pf = nm / 2 * uf + rest[:, -1:] / uf if fold is None else nm * fold[r0:r0 + len(xn)]
-            p = np.append(nm / z[:, :g], pf, axis=1)
-            w = xn[:, None] * np.append(du[:, :g], uf, axis=1)
-            c = np.minimum(p, m - 1).astype(np.intp)
-            yield r0, xn, p, c, w, (p - c) * w, cells, a, b
+            yield r0, xn, du, np.append(nm / z[:, :g], pf, axis=1), cells, a, b
 
     return chunks()
+
+
+def _point_terms(xn: np.ndarray, du: np.ndarray, p: np.ndarray, m: int):
+    """The point terms of a chunk of _grid_terms by cell index: (c, w, h)."""
+    w = xn[:, None] * np.append(du[:, :p.shape[1] - 1], du[:, -1:], axis=1)
+    c = np.minimum(p, m - 1).astype(np.intp)
+    return c, w, (p - c) * w
 
 
 def _branch_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int] = None):
@@ -171,10 +176,9 @@ def _branch_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]
     at y = p/M, a group at its mean, M y = k + b/a, with b clipped to [0, a]
     against rounding; an empty group, of weight 0, at its cell's edge.  Along
     a row the points fall and the weights telescope to 1."""
-    for r0, xn, p, _, w, _, k, a, b in _grid_terms(params, x, m, i_max):
+    for r0, xn, du, p, k, a, b in _grid_terms(params, x, m, i_max):
         t = np.divide(np.minimum(np.maximum(b, 0.0), a), a, out=np.zeros_like(a), where=a > 0)
-        y = np.concatenate((p[:, :-1], k + t, p[:, -1:]), axis=1) / m
-        yield r0, np.concatenate((w[:, :-1], xn[:, None] * a, w[:, -1:]), axis=1), y
+        yield r0, xn[:, None] * du, np.concatenate((p[:, :-1], k + t, p[:, -1:]), axis=1) / m
 
 
 def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndarray:
@@ -201,7 +205,8 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     branches above it enter as one term at their mean (see transfer_at)."""
     v, d = f.values, np.diff(f.values)
     out = np.empty(v.size)
-    for r0, xn, _, c, w, h, k, a, b in _grid_terms(params, f.nodes, f.resolution, i_max):
+    for r0, xn, du, p, k, a, b in _grid_terms(params, f.nodes, f.resolution, i_max):
+        c, w, h = _point_terms(xn, du, p, f.resolution)
         out[r0:r0 + xn.size] = (w * v[c] + h * d[c]).sum(axis=1) + xn * (a @ v[k] + b @ d[k])
     return GridFunction(out)
 
@@ -213,7 +218,8 @@ def _assemble(params: NcfParams, m: int):
     rounding.  Row j puts the singles' lo[j] on the columns cols[j] and hi[j]
     on cols[j] + 1; _step sums repeated columns."""
     op, x = None, np.linspace(0.0, 1.0, m + 1)
-    for r0, xn, _, c, w, h, _, a, b in _grid_terms(params, x, m, None):
+    for r0, xn, du, p, _, a, b in _grid_terms(params, x, m, None):
+        c, w, h = _point_terms(xn, du, p, m)
         if op is None:  # after the charge: dense, cols, lo, hi
             rows = (m + 1, c.shape[1] - 1)
             op = (np.zeros((m + 1, a.shape[1] + 2)), np.empty(rows, np.intp), np.empty(rows),

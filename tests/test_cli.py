@@ -232,6 +232,12 @@ class TestContractionAndRegularity:
         assert payload["certified"] is True
         assert all(0 < r < 1 for r in payload["r_values"])
 
+    def test_contraction_ignores_seed(self, capsys):
+        # no state pair is drawn at random: --seed is accepted and inert
+        outs = [run_cli(["contraction", "--grid", "64", "--seed", s], capsys)[1]
+                for s in ("0", "7")]
+        assert outs[0] == outs[1]
+
     def test_regularity(self, capsys):
         code, out, _ = run_cli(
             ["regularity", "--n", "2", "--nmax", "100"], capsys)

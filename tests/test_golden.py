@@ -34,15 +34,56 @@ _CRITERION_11 = [
     ["contraction", "--n", "1", "--grid", "128", "--seed", "7"],
     ["regularity", "--n", "2", "--nmax", "100"],
 ]
-# (argv, NCF_BUDGET or None): criterion 11 in JSON and CSV, the benchmark's
-# four exit-2 cases, a budget refusal (exit 3) and a fit that cannot be made
-# (exit 4)
+# the argv lists of the benchmark's cli-mix that its seeds 1-3 add to
+# criterion 11's: their drawn rationals, digits, Mealy parameters and seeds
+_CLI_MIX_SEEDS_1_TO_3 = [
+    ["expand", "--x", "17/139", "--n", "2"],
+    ["eval", "--digits", "6,3", "--n", "2"],
+    ["gk", "--n", "1", "--nmax", "8", "--grid", "256", "--seed", "483"],
+    ["contraction", "--n", "1", "--grid", "128", "--seed", "667"],
+    ["expand", "--x", "221/245", "--n", "2"],
+    ["eval", "--digits", "2,3", "--n", "2"],
+    ["gk", "--n", "1", "--nmax", "8", "--grid", "256", "--seed", "855"],
+    ["rscc-mealy", "--alpha", "0.2", "--beta", "0.6"],
+    ["rscc-mealy", "--alpha", "0.2", "--beta", "0.6", "--dot"],
+    ["contraction", "--n", "1", "--grid", "128", "--seed", "173"],
+    ["expand", "--x", "152/245", "--n", "2"],
+    ["eval", "--digits", "4,7", "--n", "2"],
+    ["gk", "--n", "1", "--nmax", "8", "--grid", "256", "--seed", "640"],
+    ["rscc-mealy", "--alpha", "0.4", "--beta", "0.6"],
+    ["rscc-mealy", "--alpha", "0.4", "--beta", "0.6", "--dot"],
+    ["contraction", "--n", "1", "--grid", "128", "--seed", "594"],
+]
+# (argv, NCF_BUDGET): refusals (exit 3) and bad budgets (exit 2): a budget
+# below each command's work, and grids too large to allocate under the
+# default cap
+_BUDGET = [
+    (["gk", "--n", "1"], "10"),
+    (["gap", "--grid", "64", "--nmax", "8"], "10"),
+    (["transfer", "--grid", "64", "--nmax", "8"], "10"),
+    (["contraction", "--n", "1", "--grid", "128", "--seed", "7"], "128"),
+    (["digit-law", "--n", "2", "--grid", "10"], "10"),
+    (["invariance", "--n", "1", "--grid", "8"], "319"),
+    (["regularity", "--n", "2", "--nmax", "100"], "499"),
+    (["expand", "--x", "0.5", "--max-len", "11"], "10"),
+    (["digit-law", "--grid", "100000000"], "1000"),
+    (["invariance", "--grid", "200000"], "1000"),
+    (["regularity", "--nmax", "100000000"], "1000"),
+    (["gk", "--grid", "64", "--nmax", "8"], "0"),
+    (["gk", "--grid", "64", "--nmax", "8"], "abc"),
+    (["gk", "--grid", "64", "--nmax", "8"], "1e9"),
+] + [([command, "--grid", "1000000000000"], None)
+     for command in ("gap", "transfer", "gk", "contraction")]
+# (argv, NCF_BUDGET or None): criterion 11 in JSON and CSV, cli-mix's seeds
+# 1-3, the benchmark's four exit-2 cases, the budget cases and a fit that
+# cannot be made (exit 4)
 CASES = ([(argv, None) for argv in _CRITERION_11]
          + [(argv + ["--format", "csv"], None) for argv in _CRITERION_11]
+         + [(argv, None) for argv in _CLI_MIX_SEEDS_1_TO_3]
          + [(argv, None) for argv in (["expand", "--x", "0"], ["eval", "--digits", "0"],
                                       ["expand", "--x", "1e-320"],
                                       ["eval", "--digits", "1", "--n", "2"])]
-         + [(["gk", "--n", "1"], "10"), (["gk", "--n", "1000"], None)])
+         + _BUDGET + [(["gk", "--n", "1000"], None)])
 
 # The floats of `gk`, `gap` and `transfer` that pass through the assembled
 # operator's `dense @ v`, whose summation order BLAS picks by machine, by

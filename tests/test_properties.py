@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from ncf import (  # noqa: E402
     MealySystem,
     NcfParams,
+    contraction_coefficients,
     core,
     make_mealy_rscc,
     make_ncf_rscc,
@@ -214,3 +215,35 @@ def test_closed_form_kernel_is_the_branch_sum(n, x, data):
     sys_ = make_ncf_rscc(NcfParams(n))
     want = q_kernel_interval_bruteforce(sys_, x, u, i_max=i_max)
     assert abs(q_kernel_interval(sys_, x, u) - want) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 1000), j=st.integers(0, 2**20), j2=st.integers(0, 2**20))
+@example(n=1, j=0, j2=1).via("the pair nearest the sup at N = 1")
+def test_event_variation_is_at_most_a_quarter_over_n(n, j, j2):
+    # R is the sup over state pairs of the total variation sum_i (P(w, i) -
+    # P(w', i))+ over |w - w'|.  Here it is summed branch by branch at 40
+    # digits up to 4N + 16, past which every branch has the sign of the
+    # whole tail that follows (P(w, i)/P(w', i) is monotone in i and
+    # crosses 1 near 2N); it stays at or below the system's R, 1/(4N), which
+    # the tail {i >= 2N} approaches as w, w' -> 0
+    assume(j != j2)
+    assert contraction_coefficients(make_ncf_rscc(NcfParams(n)), k_max=1, grid=1).big_r \
+        == 1 / (4 * n)
+    with mpmath.workdps(40):
+        w, w2, top = mpmath.mpf(j) / 2**20, mpmath.mpf(j2) / 2**20, 4 * n + 16
+
+        def prob(v, i):
+            return (v + n) / ((v + i) * (v + i + 1))
+
+        def tail(v, m):
+            return (v + n) / (v + m)
+
+        d = [prob(w, i) - prob(w2, i) for i in range(n, top)]
+        rest = tail(w, top) - tail(w2, top)
+        assert d[-1] * rest > 0
+        variation = sum(max(v, 0) for v in d) + max(rest, 0)
+        assert variation / abs(w - w2) <= mpmath.mpf(1) / (4 * n)
+        eps = mpmath.mpf(2) ** -20
+        near = abs(tail(0, 2 * n) - tail(eps, 2 * n)) / eps
+        assert abs(near * 4 * n - 1) <= 1e-5

@@ -466,6 +466,43 @@ class TestContraction:
         with pytest.raises(ValueError):
             contraction_coefficients(mealy_sys, k_max=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 1000, 10**6])
+    def test_big_r_is_a_quarter_over_n(self, n):
+        rep = contraction_coefficients(make_ncf_rscc(NcfParams(n)), k_max=1, grid=8)
+        assert rep.big_r == 1 / (4 * n)
+
+    def test_finite_big_r_is_the_largest_event_set_difference(self):
+        # the total variation of a finite system against every event set A:
+        # R = max over pairs and A of |P(w, A) - P(w', A)| / |w - w'|
+        grid = np.linspace(0.0, 1.0, 13)
+        for alpha in grid:
+            for beta in grid:
+                sys_ = make_mealy_rscc(float(alpha), float(beta))
+                w1, w2 = rscc._pair_grid(sys_, 1)
+                events, best = sys_.events, 0.0
+                for mask in range(1, 2 ** len(events)):
+                    d = sum(sys_.probability(w1, x) - sys_.probability(w2, x)
+                            for j, x in enumerate(events) if mask >> j & 1)
+                    best = max(best, float(np.max(np.abs(d) / np.abs(w1 - w2))))
+                assert contraction_coefficients(sys_, k_max=1).big_r == best, (alpha, beta)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50])
+    def test_anchored_pairs_beat_random_pairs(self, n):
+        # every word map is Moebius with a difference quotient falling in w',
+        # so for each w the pair (w, 0) reads r_k at least as high as (w, w')
+        # for any w', and the anchored pairs as high as pairs drawn anywhere
+        sys_ = make_ncf_rscc(NcfParams(n))
+        rng = np.random.default_rng(20240824)
+        drawn = rng.random(256), rng.random(256)
+        w1, w2 = rscc._pair_grid(sys_, 64)
+        assert w1.tolist() == [j / 64 for j in range(1, 65)] + [0.0]
+        assert w2.tolist() == [0.0] * 64 + [1 / 64]
+        for k in (1, 2, 3):
+            assert rscc._r_k_estimate(sys_, k, w1, w2) >= rscc._r_k_estimate(sys_, k, *drawn)
+            for w in drawn[0][:2]:
+                assert (rscc._r_k_estimate(sys_, k, np.array([w]), np.array([0.0]))
+                        >= rscc._r_k_estimate(sys_, k, np.full(64, w), drawn[1][:64]))
+
 
 class TestRegularity:
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -640,14 +677,16 @@ class TestSimulatePaths:
 class TestBitIdentity:
     # float-hex values recorded when RsccSystem still carried first_event,
     # tail_mass, event_lipschitz, sample_event and a state interval: the
-    # closed forms in N that replaced them give the same floats
+    # closed forms in N that replaced them give the same floats.  The r_k
+    # hold over the anchored pairs (w, 0) as well; R is exact, 1/(4N) for
+    # the continued-fraction system
     @pytest.mark.parametrize("system,r_values,big_r", [
         (1, ("0x1.191bb867b15e3p-1", "0x1.2153a34b616cep-4", "0x1.1953abfa38814p-6"),
-         "0x1.fc07f01fc0800p-3"),
+         "0x1.0000000000000p-2"),
         (2, ("0x1.d0bf76ba15e68p-3", "0x1.821e971f84aa7p-6", "0x1.ca3cab97ef85dp-9"),
-         "0x1.fe01fe01fe000p-4"),
+         "0x1.0000000000000p-3"),
         (5, ("0x1.39c44a4bf0170p-4", "0x1.1c6f22aa91ab0p-8", "0x1.028e5cca5666bp-11"),
-         "0x1.98f603fe67000p-5"),
+         "0x1.999999999999ap-5"),
         ("mealy", ("0x0.0p+0",) * 3, "0x1.3333333333333p-2"),
     ])
     def test_contraction_coefficients(self, system, r_values, big_r):
