@@ -679,14 +679,15 @@ class TestBitIdentity:
     # tail_mass, event_lipschitz, sample_event and a state interval: the
     # closed forms in N that replaced them give the same floats.  The r_k
     # hold over the anchored pairs (w, 0) as well; R is exact, 1/(4N) for
-    # the continued-fraction system
+    # the continued-fraction system.  The ids keep the test names they had
+    # when R was sampled over 64 leading events, whose value each names
     @pytest.mark.parametrize("system,r_values,big_r", [
-        (1, ("0x1.191bb867b15e3p-1", "0x1.2153a34b616cep-4", "0x1.1953abfa38814p-6"),
-         "0x1.0000000000000p-2"),
-        (2, ("0x1.d0bf76ba15e68p-3", "0x1.821e971f84aa7p-6", "0x1.ca3cab97ef85dp-9"),
-         "0x1.0000000000000p-3"),
-        (5, ("0x1.39c44a4bf0170p-4", "0x1.1c6f22aa91ab0p-8", "0x1.028e5cca5666bp-11"),
-         "0x1.999999999999ap-5"),
+        pytest.param(1, ("0x1.191bb867b15e3p-1", "0x1.2153a34b616cep-4", "0x1.1953abfa38814p-6"),
+                     "0x1.0000000000000p-2", id="1-r_values0-0x1.fc07f01fc0800p-3"),
+        pytest.param(2, ("0x1.d0bf76ba15e68p-3", "0x1.821e971f84aa7p-6", "0x1.ca3cab97ef85dp-9"),
+                     "0x1.0000000000000p-3", id="2-r_values1-0x1.fe01fe01fe000p-4"),
+        pytest.param(5, ("0x1.39c44a4bf0170p-4", "0x1.1c6f22aa91ab0p-8", "0x1.028e5cca5666bp-11"),
+                     "0x1.999999999999ap-5", id="5-r_values2-0x1.98f603fe67000p-5"),
         ("mealy", ("0x0.0p+0",) * 3, "0x1.3333333333333p-2"),
     ])
     def test_contraction_coefficients(self, system, r_values, big_r):
