@@ -410,12 +410,17 @@ def _pair_grid(sys: RsccSystem, grid: int):
 
 
 def _r_k_estimate(sys: RsccSystem, k: int, w1: np.ndarray, w2: np.ndarray) -> float:
+    """r_k over the pairs (w1, w2), by enumerating the words depth first.
+    The continued-fraction system takes the last letter over blocks of
+    events at once, of about transfer._CHUNK (event, pair) entries, and adds
+    the leaves in the order the stack would pop them, last event first."""
     if sys.finite:
         events = list(sys.events)
     else:
         n = sys.params.n_param
         width = max(2, int(round(_EVENT_CAP ** (1.0 / k))))
         events = list(range(n, n + width))
+        last, block = np.array(events[::-1])[:, None], max(1, transfer._CHUNK // w1.size)
     charge(len(events) ** k * w1.size * k, f"r_{k} word enumeration")
     denom = np.abs(w1 - w2)
     total = np.zeros_like(w1)
@@ -431,6 +436,14 @@ def _r_k_estimate(sys: RsccSystem, k: int, w1: np.ndarray, w2: np.ndarray) -> fl
             m = events[-1] + 1
             total += (prob * _tail_mass(n, a, m) * (np.abs(a - b) / denom)
                       * (n / (m * m)) * (n / (n * n)) ** (k - depth - 1))
+            if depth == k - 1:
+                for j in range(0, width, block):
+                    x = last[j:j + block]
+                    leaves = (prob * sys.probability(a, x)
+                              * np.abs(sys.transition(a, x) - sys.transition(b, x)) / denom)
+                    for leaf in leaves:
+                        total += leaf
+                continue
         for x in events:
             stack.append((depth + 1, sys.transition(a, x), sys.transition(b, x),
                           prob * sys.probability(a, x)))

@@ -8,9 +8,10 @@ by their exact mass and first moment, which both telescope, so grid
 functions, linear on each cell, get the whole series in about 2 sqrt(NM)
 terms a point, each placed by its cell index.  On a grid the operator is a
 fixed stochastic matrix: iterates() assembles it once per (N, M) from the
-same terms, as a dense block for the groups and rows of equal width for the
-singles, and steps it by their products.  It keeps the operator, read-only,
-until another grid needs the slot: at most one is held.
+same terms, as a dense block for the groups and the singles that land low,
+and rows of equal width for the first singles, which land high, and steps
+it by one BLAS product plus the gathered rows.  It keeps the operator,
+read-only, until another grid needs the slot: at most one is held.
 """
 
 from __future__ import annotations
@@ -94,11 +95,18 @@ _CHUNK = 25_000
 _CALLABLE_CELLS = 1 << 20
 
 
+# the trigamma series' coefficients of u^3, u^5, ..., u^13, and for each the
+# least z, to the float, at which its term at u = 1/z falls to 2^-56 of u^3/6
+# (6 |c| <= 2^-56 z^(2j)); the cuts fall with j, so the kept terms are a prefix
+_CUBIC = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+_CUBIC_CUTS = (math.inf, 120047985.43743077, 10072.689097953516, 493.308151807486,
+               115.98641751630653, 50.57252535314638)
+
+
 def _cubic_rest(u: np.ndarray, first: float = 20.0) -> np.ndarray:
     """S(z) - u^2/2 at u = 1/z, S(z) = psi_1(z) - 1/z, by the trigamma series
     (S exact to rounding for z >= 20): its terms above 2^-56 of u^3/6 at first."""
-    coefs = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)  # of u^3, u^5, ..., u^13
-    cs = [c for j, c in enumerate(coefs) if 6 * abs(c) > 2.0 ** -56 * first ** (2 * j)]
+    cs = _CUBIC[:sum(first < z for z in _CUBIC_CUTS)]
     v = u * u
     out = cs[-1] * v
     for c in cs[-2::-1]:
@@ -213,25 +221,35 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
 
 def _assemble(params: NcfParams, m: int):
     """The operator on grids of m cells, from one pass of _grid_terms:
-    (dense, cols, lo, hi).  The groups of the cells K..0, K = NM // I, fill
-    dense, (m+1) x (K+2), by shifted slices, b clipped to [0, a] against
-    rounding.  Row j puts the singles' lo[j] on the columns cols[j] and hi[j]
-    on cols[j] + 1; _step sums repeated columns."""
-    op, x = None, np.linspace(0.0, 1.0, m + 1)
+    (dense, cols, lo, hi).  The singles i = N..max(N+1, I // 3) - 1, which
+    land highest, stay gathered: row j puts lo[j] on the columns cols[j] and
+    hi[j] on cols[j] + 1, and _step sums repeated columns.  dense, (m+1) x W,
+    takes the groups of the cells K..1, K = NM // I, by shifted slices, b
+    clipped to [0, a] against rounding, and the other point terms on their
+    two columns each.  Folding the single i adds about NM / i^2 columns and
+    drops a triple: from I/3 on, about the 2I columns whose bytes its 2I/3
+    triples held, and a step reads each triple as 3 columns of one BLAS
+    product."""
+    op, x, n = None, np.linspace(0.0, 1.0, m + 1), params.n_param
     for r0, xn, du, p, _, a, b in _grid_terms(params, x, m, None):
         c, w, h = _point_terms(xn, du, p, m)
-        if op is None:  # after the charge: dense, cols, lo, hi
-            rows = (m + 1, c.shape[1] - 1)
-            op = (np.zeros((m + 1, a.shape[1] + 2)), np.empty(rows, np.intp), np.empty(rows),
-                  np.empty(rows))
+        w -= h  # a point term puts w - h on its cell and h on the next
+        k, g = a.shape[1], c.shape[1] - 1  # the groups K..1, the singles N..I-1
+        s = min(g, max(1, (n + g) // 3 - n))  # the singles kept gathered
+        if op is None:  # after the charge: dense, cols, lo, hi; row 0 lands highest
+            rows = (m + 1, s)
+            op = (np.zeros((m + 1, max(k, c[0, s]) + 2)), np.empty(rows, np.intp),
+                  np.empty(rows), np.empty(rows))
         dense, cols, lo, hi = (t[r0:r0 + xn.size] for t in op)
-        cols[:], lo[:], hi[:] = c[:, :-1], w[:, :-1] - h[:, :-1], h[:, :-1]
+        cols[:], lo[:], hi[:] = c[:, :s], w[:, :s], h[:, :s]
         b = np.minimum(np.maximum(b, 0.0), a)
-        dense[:, 1:-1] = (a - b)[:, ::-1]  # the cells K..1
-        dense[:, 2:] += b[:, ::-1]
-        dense *= xn[:, None]
-        dense[:, 0] = w[:, -1] - h[:, -1]  # cell 0's group, whose mean lies in cell 0
-        dense[:, 1] += h[:, -1]
+        dense[:, 1:k + 1] = (a - b)[:, ::-1]
+        dense[:, 2:k + 2] += b[:, ::-1]
+        dense[:, 1:k + 2] *= xn[:, None]
+        # the folded singles, and the last term, whose mean lies in cell 0
+        at = (c[:, s:] + np.arange(0, dense.size, dense.shape[1])[:, None]).ravel()
+        dense += np.bincount(np.append(at, at + 1), np.append(w[:, s:], h[:, s:]),
+                             dense.size).reshape(dense.shape)
     return op
 
 

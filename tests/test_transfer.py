@@ -196,6 +196,16 @@ class TestExactOperator:
         got = transfer._step(transfer._assemble(params, m), f.values)[::4]
         assert np.max(np.abs(got - want)) <= 1e-14
 
+    def test_cubic_cuts_are_the_per_term_test(self):
+        # each cut is the least float z at which the u^(2j+3) term fails
+        # 6 |c| > 2^-56 z^(2j), so the terms kept below a cut are the ones
+        # that test keeps term by term
+        for j, (c, z) in enumerate(zip(transfer._CUBIC, transfer._CUBIC_CUTS)):
+            if j:
+                assert not 6 * abs(c) > 2.0 ** -56 * z ** (2 * j)
+                assert 6 * abs(c) > 2.0 ** -56 * math.nextafter(z, 0.0) ** (2 * j)
+        assert list(transfer._CUBIC_CUTS) == sorted(transfer._CUBIC_CUTS, reverse=True)
+
     @pytest.mark.parametrize("n,m", [(1, 8192), (5, 8192), (1000, 1024)])
     def test_identity_is_the_trigamma_moment(self, n, m):
         # f(x) = x is linear everywhere, so every group enters exactly by its
@@ -288,12 +298,24 @@ class TestAssembledOperator:
             assert y.min() >= 0.0 and y.max() <= 1.0 and np.all(np.diff(y, axis=1) <= 0)
         dense, cols, lo, hi = op = transfer._assemble(NcfParams(n), m)
         _check_stochastic(op, m)
-        # a dense column per group cell K..0 and the next, a column triple
-        # per single branch N..I-1, all of m + 1 rows
+        # a column triple per single branch N..max(N+1, I // 3) - 1, and a
+        # dense column per cell up to the first folded single's at x = 0
+        # and the next, all of m + 1 rows
         first = max(n + 1, 20, math.isqrt(n * m) + 1)
-        assert dense.shape == (m + 1, n * m // first + 2)
-        assert cols.shape == lo.shape == hi.shape == (m + 1, first - n)
+        fold = max(n + 1, first // 3)
+        assert dense.shape == (m + 1, n * m // fold + 2)
+        assert cols.shape == lo.shape == hi.shape == (m + 1, fold - n)
         assert cols.max() + 1 == m  # x = 0, i = N lands on y = 1
+
+    @pytest.mark.parametrize("n,m,before", [(1, 1024, 1_057_800), (1000, 2048, 44_717_376),
+                                            (2000, 1024, 8_429_600)])
+    def test_fold_keeps_the_bytes(self, n, m, before):
+        # the bytes of the layout with every single gathered: the fold adds
+        # the columns whose bytes the triples it drops held, and the single
+        # i = N always stays gathered, also once N >= M leaves no other
+        op = transfer._assemble(NcfParams(n), m)
+        assert sum(a.nbytes for a in op) <= before
+        assert op[1].shape[1] >= 1 and op[1][0, 0] == m - 1
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_forty_iterates_match_branch_sum(self, n):
