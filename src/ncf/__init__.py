@@ -3,8 +3,8 @@ random systems with complete connections, and Gauss-Kuzmin experiments.
 
 `core` and `errors` are pure Python and load with the package.  The four
 NumPy layers load together on the first access to one of their names or to
-the layer itself (PEP 562), so `ncf expand` and `ncf eval` never import
-NumPy.
+the layer itself (PEP 562), so `ncf expand`, `eval`, `digit-law`,
+`regularity` and `rscc-mealy --dot` never import NumPy.
 """
 
 from .core import (NcfParams, DigitSequence, gauss_map, gauss_map_rational, digits,

@@ -9,6 +9,7 @@ CSV.  Exit codes: 0 success, 2 usage/domain error, 3 compute-budget error,
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import functools
 import json
@@ -16,8 +17,8 @@ import math
 import sys as _sys
 from fractions import Fraction
 
-# `expand` and `eval` need only the pure-Python `core`; the commands that
-# need NumPy import it, and the layers built on it, themselves
+# `expand`, `eval`, `digit-law`, `regularity` and `rscc-mealy --dot` run on
+# the pure-Python `core` alone; the others import NumPy and its layers themselves
 from . import core
 from .errors import BudgetExceededError, FitError, charge
 
@@ -74,11 +75,10 @@ def _cmd_eval(args):
 
 
 def _cmd_digit_law(args):
-    from . import measure
-    gm = measure.GaussMeasure(core.NcfParams(args.n))
+    params = core.NcfParams(args.n)
     charge(args.grid + 1, "digit-law digits")
-    imax = args.n + args.grid
-    items = [(i, measure.digit_law(i, gm)) for i in range(args.n, imax + 1)]
+    items = [(i, core.digit_probability(i, params))
+             for i in range(args.n, args.n + args.grid + 1)]
     return ({"law": [{"digit": i, "probability": p} for i, p in items]},
             ("digit", "probability"), items)
 
@@ -152,10 +152,10 @@ def _cmd_gk(args):
 
 
 def _cmd_rscc_mealy(args):
+    if args.dot:
+        return core.mealy_dot(core.mealy_kernel(args.alpha, args.beta))
     from . import rscc
     m = rscc.MealySystem(args.alpha, args.beta)
-    if args.dot:
-        return rscc.mealy_dot_export(m)
     kernel = m.kernel()
     sys_ = rscc.make_mealy_rscc(args.alpha, args.beta)
     cesaro = [rscc.q_cesaro(sys_, args.nmax, 1.0, [s]) for s in (1, 2)]
@@ -174,14 +174,13 @@ def _cmd_contraction(args):
 
 
 def _cmd_regularity(args):
-    from . import rscc
-    sys_ = rscc.make_ncf_rscc(core.NcfParams(args.n))
+    params = core.NcfParams(args.n)
     starts = [float(t) for t in args.starts.split(",")]
-    rep = rscc.regularity_witness(sys_, starts, args.nmax)
-    final = [float(c[-1]) for c in rep.dist_curves]
-    return ({"x_star": rep.x_star, "ratio_limit": rep.ratio_limit,
-             "starts": rep.starts, "final_distances": final},
-            ("start", "final_distance"), zip(rep.starts, final))
+    x_star, ratio_limit, orbits = core.lowest_branch_orbits(params, starts, args.nmax)
+    final = [collections.deque(o, maxlen=1).pop() for o in orbits]  # O(1) in --nmax
+    return ({"x_star": x_star, "ratio_limit": ratio_limit,
+             "starts": starts, "final_distances": final},
+            ("start", "final_distance"), zip(starts, final))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,8 +4,8 @@ The interval map x -> N/x - floor(N/x) on [0,1] generates, for each integer
 N >= 1, a continued-fraction expansion x = N/(a_1 + N/(a_2 + ...)) whose
 digits a_k are integers >= N.  This module provides the map itself (float and
 exact-rational paths), digit extraction, finite-expansion evaluation, the
-convergent recurrence, and the attracting point of the inverse-branch
-iteration x -> N/(x+N).
+convergent recurrence, the attracting point of x -> N/(x+N) and its orbits,
+and the scalar closed forms of the first-digit law and the Mealy machine.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+
+from .errors import charge
 
 Real = Union[int, float, Fraction]
 
@@ -140,3 +142,54 @@ def fixed_point(params: NcfParams) -> float:
     """
     n = params.n_param
     return (-n + math.sqrt(n * n + 4 * n)) / 2
+
+
+def lowest_branch_orbits(params: NcfParams, starts: Sequence[float], n_max: int):
+    """x*, the per-step factor N/(x*+N)^2, and per start an iterator of
+    |x_k - x*|, k = 1..n_max, along the orbit x -> N/(x+N), holding one point
+    at a time; the starts are checked, and the steps charged, up front."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if bad := [s for s in starts if not 0.0 <= float(s) <= 1.0]:  # NaN fails too
+        raise ValueError(f"starts must lie in [0, 1], got {bad[0]!r}")
+    charge(len(starts) * n_max, "regularity_witness orbit steps")
+    n, x_star = params.n_param, fixed_point(params)
+
+    def orbit(x):
+        for _ in range(n_max):
+            x = n / (x + n)
+            yield abs(x - x_star)
+
+    return x_star, n / (x_star + n) ** 2, [orbit(float(s)) for s in starts]
+
+
+def log_norm(params: NcfParams) -> float:
+    """log((N+1)/N), the mass of 1/(x+N) on [0, 1]: the invariant density's normaliser."""
+    return math.log1p(1.0 / params.n_param)
+
+
+def digit_probability(i: int, params: NcfParams) -> float:
+    """Probability that the first digit equals i under the invariant measure.
+
+    The digit-i cell is (N/(i+1), N/i], so the mass is
+    log((i+1)^2 / (i (i+2))) = log1p(1/(i (i+2))) over log((N+1)/N); the
+    series over i >= N telescopes to 1.
+    """
+    if i < params.n_param:
+        raise ValueError(f"digit must be >= N = {params.n_param}, got {i}")
+    return math.log1p(1.0 / (i * (i + 2))) / log_norm(params)
+
+
+def mealy_kernel(alpha, beta) -> list:
+    """Kernel rows [alpha, 1 - alpha], [beta, 1 - beta] of the two-state Mealy machine."""
+    if not (0 <= alpha <= 1 and 0 <= beta <= 1):
+        raise ValueError("alpha and beta must lie in [0, 1]")
+    return [[alpha, 1 - alpha], [beta, 1 - beta]]
+
+
+def mealy_dot(kernel) -> str:
+    """GraphViz digraph of a two-state kernel; edges labeled event/probability."""
+    edges = [f'  {i} -> {k} [label="{k}/{kernel[i - 1][k - 1]!r}"];'  # u(i, k) = k
+             for i in (1, 2) for k in (1, 2)]
+    return "\n".join(["digraph mealy {", "  rankdir=LR;", "  node [shape=circle];",
+                      *edges, "}"]) + "\n"

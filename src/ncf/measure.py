@@ -6,13 +6,12 @@ inverse-CDF sampling, and the induced law of the first digit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import NcfParams
+from .core import NcfParams, digit_probability, log_norm
 
 # nodes and weights of the 20-point Gauss-Legendre rule, moved to [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -41,8 +40,7 @@ class GaussMeasure:
     log_norm: float = field(init=False)
 
     def __post_init__(self):
-        n = self.params.n_param
-        object.__setattr__(self, "log_norm", math.log1p(1.0 / n))
+        object.__setattr__(self, "log_norm", log_norm(self.params))
 
     @property
     def n(self) -> int:
@@ -103,12 +101,5 @@ def gn_sample(gm: GaussMeasure, rng: np.random.Generator, size=None):
 
 
 def digit_law(i: int, gm: GaussMeasure) -> float:
-    """Probability that the first digit equals i under the invariant measure.
-
-    The digit-i cell is (N/(i+1), N/i], so the mass is
-    log((i+1)^2 / (i (i+2))) = log1p(1/(i (i+2))) over log((N+1)/N); the
-    series over i >= N telescopes to 1.
-    """
-    if i < gm.n:
-        raise ValueError(f"digit must be >= N = {gm.n}, got {i}")
-    return math.log1p(1.0 / (i * (i + 2))) / gm.log_norm
+    """P(a_1 = i) under the invariant measure: `core.digit_probability`."""
+    return digit_probability(i, gm.params)

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import NcfParams, fixed_point
+from .core import NcfParams, lowest_branch_orbits, mealy_dot, mealy_kernel
 from .errors import charge
 from .measure import GaussMeasure, _gauss_legendre
 from . import transfer
@@ -66,18 +66,14 @@ class MealySystem:
     beta: float
 
     def __post_init__(self):
-        if not (0 <= self.alpha <= 1 and 0 <= self.beta <= 1):
-            raise ValueError("alpha and beta must lie in [0, 1]")
+        mealy_kernel(self.alpha, self.beta)  # raises outside [0, 1]
 
     def kernel(self) -> np.ndarray:
-        return np.array([[self.alpha, 1 - self.alpha],
-                         [self.beta, 1 - self.beta]])
+        return np.array(mealy_kernel(self.alpha, self.beta))
 
     def kernel_exact(self):
         """2x2 kernel over exact rationals (row sums exactly 1)."""
-        a = Fraction(self.alpha)
-        b = Fraction(self.beta)
-        return [[a, 1 - a], [b, 1 - b]]
+        return mealy_kernel(Fraction(self.alpha), Fraction(self.beta))
 
     def stationary(self) -> np.ndarray:
         denom = 1 - self.alpha + self.beta
@@ -228,15 +224,11 @@ def q_kernel_interval_bruteforce(sys: RsccSystem, x: float, u_end: float,
     return total + float(_tail_mass(n, x, i_max + 1))
 
 
-def _check_interval(a: float, b: float) -> None:
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
-
-
 def q_kernel(sys: RsccSystem, x, a: float, b: float):
     """Q(x, [a, b)) for the continued-fraction system, by additivity; x is a
     state or an array of states."""
-    _check_interval(a, b)
+    if a > b:
+        raise ValueError(f"need a <= b, got a={a}, b={b}")
     lo = q_kernel_interval(sys, x, a) if a > 0 else 0.0
     hi = q_kernel_interval(sys, x, b) if b > 0 else 0.0
     return hi - lo
@@ -258,11 +250,7 @@ def kernel_matrix(sys: RsccSystem) -> np.ndarray:
 
 def _kernel_row(sys: RsccSystem, k: int, source) -> np.ndarray:
     """Row of K^k at a state of a finite system."""
-    return np.linalg.matrix_power(kernel_matrix(sys), k)[_state_index(sys, source)]
-
-
-def _state_index(sys: RsccSystem, source) -> int:
-    return sys.states.index(float(source))
+    return np.linalg.matrix_power(kernel_matrix(sys), k)[sys.states.index(float(source))]
 
 
 def _target_indicator(sys: RsccSystem, target) -> np.ndarray:
@@ -343,7 +331,8 @@ def q_step_mc(sys: RsccSystem, k: int, source: float, a: float, b: float,
               n_paths: int = 100_000,
               rng: Optional[np.random.Generator] = None) -> Estimate:
     """Monte Carlo estimate of Q^(k)(source, [a, b)) with its standard error."""
-    _check_interval(a, b)
+    if a > b:
+        raise ValueError(f"need a <= b, got a={a}, b={b}")
     w = simulate_paths(sys, source, k, n_paths, rng)
     hits = ((w >= a) & (w < b)).astype(float)
     p = float(np.mean(hits))
@@ -378,8 +367,7 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
                         if np.isreal(lam) and lam.real > 0.5 else 1 - lam ** n)
                 sums[j] = lam * drop / ((1 - lam) * n)
         avg = ((vecs * sums) @ inv).real
-        row = avg[_state_index(sys, source)]
-        return float(row @ _target_indicator(sys, target))
+        return float(avg[sys.states.index(float(source))] @ _target_indicator(sys, target))
     a, b = target
     return sum(_kernel_terms(sys, n, source, a, b, grid_m)) / n
 
@@ -492,25 +480,9 @@ def regularity_witness(sys: RsccSystem, starts: Sequence[float],
     """
     if sys.params is None:
         raise ValueError("regularity_witness needs the continued-fraction system")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    bad = [s for s in starts if not 0.0 <= float(s) <= 1.0]  # NaN fails too
-    if bad:
-        raise ValueError(f"starts must lie in [0, 1], got {bad[0]!r}")
-    charge(len(starts) * n_max, "regularity_witness orbit steps")
-    n = sys.params.n_param
-    x_star = fixed_point(sys.params)
-    curves = []
-    for x0 in starts:
-        x = float(x0)
-        dist = np.empty(n_max)
-        for j in range(n_max):
-            x = n / (x + n)
-            dist[j] = abs(x - x_star)
-        curves.append(dist)
-    ratio_limit = n / (x_star + n) ** 2
-    return RegularityReport(x_star=x_star, starts=tuple(float(s) for s in starts),
-                            dist_curves=tuple(curves), ratio_limit=ratio_limit)
+    x_star, ratio_limit, orbits = lowest_branch_orbits(sys.params, starts, n_max)
+    return RegularityReport(x_star, tuple(float(s) for s in starts),
+                            tuple(np.fromiter(o, float, n_max) for o in orbits), ratio_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +557,5 @@ def limit_path_law(sys: RsccSystem, r: int, word_set) -> float:
 
 
 def mealy_dot_export(m: MealySystem) -> str:
-    """GraphViz digraph of the two-state machine; edges labeled event/probability."""
-    kernel = m.kernel().tolist()
-    lines = ["digraph mealy {", "  rankdir=LR;", "  node [shape=circle];"]
-    for i in (1, 2):
-        for k in (1, 2):  # u(i, k) = k
-            lines.append(f'  {i} -> {k} [label="{k}/{kernel[i - 1][k - 1]!r}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """GraphViz digraph of the two-state machine (`core.mealy_dot`)."""
+    return mealy_dot(m.kernel().tolist())

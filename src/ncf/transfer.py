@@ -269,13 +269,14 @@ def iterates(f: GridFunction, params: NcfParams, n: int):
     """Yield U f, U^2 f, ..., U^n f: every multi-step use of the operator.
     From three steps on, each step is a matrix-vector product by the operator
     of f's grid, built once per (N, M) for about the cost of one branch sum,
-    kept until another grid needs the slot, and charged on every run as if
-    built.  Shorter runs take the branch sum of apply_transfer."""
+    kept until another grid needs the slot, and charged for its steps and, on
+    every run, as if built.  Shorter runs take the branch sum of apply_transfer."""
     if n < 3:
         for _ in range(n):
             f = apply_transfer(f, params)
             yield f
         return
+    charge(n * (f.resolution + 1), "operator steps")  # one unit a node a product
     key = (params.n_param, f.resolution)
     op = _slot.get(key)  # one lookup: a run in another thread may empty the slot
     if op is None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,20 @@ class TestContractionAndRegularity:
         payload = json.loads(out)
         assert all(d <= 1e-14 for d in payload["final_distances"])
 
+    def test_regularity_memory_does_not_grow_with_nmax(self, capsys):
+        # only each orbit's last distance is kept: the five default curves of
+        # --nmax 200000 once held 9.2 MB of traced memory
+        run_cli(["regularity", "--nmax", "100"], capsys)  # warm-up: imports, caches
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(["regularity", "--nmax", "200000"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(json.loads(out)["final_distances"]) == 5
+        assert peak < 0.5e6
+
     @pytest.mark.parametrize("starts", ["nan", "2", "0,-0.5", "0.5,inf"])
     def test_regularity_bad_start(self, starts, capsys):
         code, out, err = run_cli(["regularity", "--starts", starts], capsys)
@@ -299,9 +314,13 @@ class TestOutputPlumbing:
         ["digit-law", "--grid", "100000000"],
         ["invariance", "--grid", "200000"],
         ["regularity", "--nmax", "100000000"],
-    ], ids=["digit-law", "invariance", "regularity"])
+        ["gk", "--grid", "16", "--nmax", "100000000"],
+        ["transfer", "--grid", "16", "--nmax", "100000000"],
+        ["gap", "--grid", "16", "--nmax", "100000000"],
+    ], ids=["digit-law", "invariance", "regularity", "gk-steps", "transfer-steps", "gap-steps"])
     def test_large_work_is_refused_in_time(self, argv):
         # these loops ran uncharged: past a 15 s timeout under NCF_BUDGET=1000
+        # (the operator steps of gk, transfer and gap: only the build was charged)
         r = _cli_child(argv, budget="1000", timeout=10)
         assert r.returncode == 3, r.stderr
         assert "budget" in r.stderr
@@ -430,15 +449,24 @@ class TestLazyImports:
         (["expand", "--x", "1e-320"], 2),
         (["eval", "--digits", "1", "--n", "2"], 2),
         (["--help"], 0),
+        (["digit-law", "--n", "2", "--grid", "10"], 0),
+        (["regularity", "--n", "2", "--nmax", "100"], 0),
+        (["rscc-mealy", "--alpha", "0.3", "--beta", "0.6", "--dot"], 0),
+        (["regularity", "--starts", "0,2"], 2),
+        (["rscc-mealy", "--alpha", "1.5", "--beta", "0.2", "--dot"], 2),
+        (["digit-law", "--grid", "100000000"], 3),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_core_commands_leave_numpy_out(self, argv, code):
+        # under a budget of 1000 units, which refuses digit-law --grid
+        # 100000000 before any work
         r = _python_child(
             "import ncf.cli\n"
             "try:\n"
             "    code = ncf.cli.main(sys.argv[1:])\n"
             "except SystemExit as exc:\n"
             "    code = exc.code\n"
-            "print(code, 'numpy' in sys.modules, file=sys.stderr)", argv)
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)", argv,
+            env={**os.environ, "NCF_BUDGET": "1000"})
         assert r.returncode == 0, r.stderr
         assert r.stderr.splitlines()[-1] == f"{code} False"
 

@@ -58,9 +58,19 @@ _COMMAND_FLAGS = {  # command: (its required flags, its other flags)
 }
 _ALL_FLAGS = sorted({f for required, other in _COMMAND_FLAGS.values() for f in required + other})
 _SWITCHES = ("--dot", "--require-fit")
-# --out targets in the test's temporary directory: a fresh file, a file under
-# a directory that does not exist, and the directory itself
-_VALUES = {"--format": ("json", "csv"), "--out": ("<file>", "<missing>", "<dir>")}
+_SIZES = ("1", "2", "16", "0", "-1", "100000000")
+_PROBABILITIES = ("0", "0.3", "1", "-0.0", "1.5", "-0.2", "nan", "inf")
+# per-flag pools: values in each flag's domain, its edges and a few just
+# outside it, so that fewer drawn argv stop at argparse; --out targets lie in
+# the test's temporary directory: a fresh file, a file under a directory that
+# does not exist, and the directory itself
+_VALUES = {
+    "--format": ("json", "csv"), "--out": ("<file>", "<missing>", "<dir>"),
+    "--n": ("1", "2", "7", "1000", "0", "-1", "1" + "0" * 29),
+    "--grid": _SIZES, "--nmax": _SIZES + ("40",), "--kmax": _SIZES, "--max-len": _SIZES,
+    "--alpha": _PROBABILITIES, "--beta": _PROBABILITIES,
+    "--starts": ("0", "1", "0,0.25,1", "1e-320,0.5", "0.5,2", "-0.5", "nan", "0,,1", "x"),
+}
 _TOKENS = ("", "nan", "-1", "0", "1", "3/7", "1e-320", "1" + "0" * 29, "0.5,1", "gauss")
 
 

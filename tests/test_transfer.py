@@ -444,9 +444,9 @@ class TestOperatorWork:
         params, f = NcfParams(1), GridFunction.constant(1.0, 128)
         gausskuzmin.run_experiment(gausskuzmin.lebesgue_measure(), params, n_max=40,
                                    m=128, spot_paths=1000)
-        # the grid's samples, then one assembly for 40 steps: at N=1, M=128
-        # the branches 1..19 and the groups of cells 6..0
-        assert charges == [129, 129 * 26]
+        # the grid's samples, the 40 steps' products, then one assembly for
+        # them: at N=1, M=128 the branches 1..19 and the groups of cells 6..0
+        assert charges == [129, 129 * 40, 129 * 26]
         charges.clear()
         list(transfer.iterates(f, params, 2))
         assert charges == [129 * 26] * 2  # two branch sums
