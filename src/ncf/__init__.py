@@ -4,7 +4,7 @@ random systems with complete connections, and Gauss-Kuzmin experiments.
 `core` and `errors` are pure Python and load with the package.  The four
 NumPy layers load together on the first access to one of their names or to
 the layer itself (PEP 562), so `ncf expand`, `eval`, `digit-law`,
-`regularity` and `rscc-mealy --dot` never import NumPy.
+`invariance`, `regularity` and `rscc-mealy` never import NumPy.
 """
 
 from .core import (NcfParams, DigitSequence, gauss_map, gauss_map_rational, digits,

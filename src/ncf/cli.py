@@ -17,8 +17,8 @@ import math
 import sys as _sys
 from fractions import Fraction
 
-# `expand`, `eval`, `digit-law`, `regularity` and `rscc-mealy --dot` run on
-# the pure-Python `core` alone; the others import NumPy and its layers themselves
+# `transfer`, `gap`, `gk` and `contraction` import NumPy and its layers
+# themselves; every other command runs on the pure-Python `core` alone
 from . import core
 from .errors import BudgetExceededError, FitError, charge
 
@@ -84,22 +84,7 @@ def _cmd_digit_law(args):
 
 
 def _cmd_invariance(args):
-    import numpy as np
-    from . import measure, rscc
-    params = core.NcfParams(args.n)
-    gm = measure.GaussMeasure(params)
-    sys_ = rscc.make_ncf_rscc(params)
-    # each point integrates over two pieces, split at its kernel jump
-    charge(args.grid * 2 * measure._GL_NODES.size, "invariance quadrature nodes")
-    rows = []
-    for u in np.linspace(1.0 / args.grid, 1.0, args.grid):
-        u = float(u)
-        # the kernel jumps where a branch point N/(x+i) crosses u
-        brk = args.n / u - math.floor(args.n / u)
-        val = measure._gauss_legendre(
-            lambda x: rscc.q_kernel_interval(sys_, x, u) * gm.density(x),
-            0.0, 1.0, breaks=(brk,))
-        rows.append((u, val, measure.gn_cdf(u, gm), abs(val - measure.gn_cdf(u, gm))))
+    rows = core.invariance_rows(core.NcfParams(args.n), args.grid)
     return ({"grid": args.grid, "max_abs_error": max(r[3] for r in rows),
              "curve": [{"u": r[0], "integral": r[1], "cdf": r[2], "abs_error": r[3]}
                        for r in rows]},
@@ -152,16 +137,13 @@ def _cmd_gk(args):
 
 
 def _cmd_rscc_mealy(args):
+    kernel = core.mealy_kernel(args.alpha, args.beta)
     if args.dot:
-        return core.mealy_dot(core.mealy_kernel(args.alpha, args.beta))
-    from . import rscc
-    m = rscc.MealySystem(args.alpha, args.beta)
-    kernel = m.kernel()
-    sys_ = rscc.make_mealy_rscc(args.alpha, args.beta)
-    cesaro = [rscc.q_cesaro(sys_, args.nmax, 1.0, [s]) for s in (1, 2)]
-    return ({"alpha": args.alpha, "beta": args.beta, "kernel": kernel.tolist(),
-             "stationary": m.stationary().tolist(),
-             "cesaro_from_1": cesaro, "cesaro_steps": args.nmax},
+        return core.mealy_dot(kernel)
+    return ({"alpha": args.alpha, "beta": args.beta, "kernel": kernel,
+             "cesaro_from_1": core.mealy_cesaro(kernel, args.nmax)[0],  # row of state 1
+             "stationary": core.mealy_cesaro(kernel, math.inf)[0],
+             "cesaro_steps": args.nmax},
             ("state", "to_1", "to_2"), [(i + 1, kernel[i][0], kernel[i][1]) for i in range(2)])
 
 

@@ -5,7 +5,8 @@ N >= 1, a continued-fraction expansion x = N/(a_1 + N/(a_2 + ...)) whose
 digits a_k are integers >= N.  This module provides the map itself (float and
 exact-rational paths), digit extraction, finite-expansion evaluation, the
 convergent recurrence, the attracting point of x -> N/(x+N) and its orbits,
-and the scalar closed forms of the first-digit law and the Mealy machine.
+and the scalar closed forms the NumPy layers share: the first-digit law, the
+state kernel and its invariance integrals, and the Mealy machine's averages.
 """
 
 from __future__ import annotations
@@ -18,6 +19,23 @@ from typing import Sequence, Union
 from .errors import charge
 
 Real = Union[int, float, Fraction]
+
+# the 20-point Gauss-Legendre rule on [0, 1]: leggauss(20) moved by (1 + x)/2, w/2
+GL_NODES = (
+    0.003435700407452502, 0.018014036361043095, 0.04388278587433703, 0.08044151408889061,
+    0.1268340467699246, 0.1819731596367425, 0.24456649902458644, 0.3131469556422902,
+    0.38610707442917747, 0.46173673943325133, 0.5382632605667487, 0.6138929255708225,
+    0.6868530443577098, 0.7554335009754136, 0.8180268403632576, 0.8731659532300754,
+    0.9195584859111094, 0.956117214125663, 0.981985963638957, 0.9965642995925474)
+GL_WEIGHTS = (
+    0.008807003569575447, 0.020300714900193223, 0.031336024167054395, 0.04163837078835236,
+    0.05096505990862035, 0.0590972659807593, 0.06584431922458844, 0.0710480546591912,
+    0.07458649323630212, 0.07637669356536314, 0.07637669356536314, 0.07458649323630212,
+    0.0710480546591912, 0.06584431922458844, 0.0590972659807593, 0.05096505990862035,
+    0.04163837078835236, 0.031336024167054395, 0.020300714900193223, 0.008807003569575447)
+# N/u - x and N/(x+i) lie within 2^-52 relative of their exact values: a
+# float this near a tie (with room to spare) is decided in exact rationals
+_TIE = 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -180,6 +198,45 @@ def digit_probability(i: int, params: NcfParams) -> float:
     return math.log1p(1.0 / (i * (i + 2))) / log_norm(params)
 
 
+def kernel_interval(n: int, x: float, u: float) -> float:
+    """Q(x, [0, u)) of the continued-fraction system at a state x in [0, 1],
+    for u in (0, 1].  A branch i lands in [0, u) iff N/(x+i) < u iff i >= E
+    where E = floor(N/u - x) + 1, which is >= N on the domain; the branch
+    masses telescope, leaving (x+N)/(x+E).  Where N/u - x lies within its
+    rounding of an integer, a branch point lies within rounding of u and the
+    last bit would decide its side: E is taken exactly there."""
+    t = n / u - x
+    e = math.floor(t) + 1.0 if t < math.inf else t  # N/u overflows: no branch lands
+    # t - e + 1/2 = frac(t) - 1/2, which is near +-1/2 where t is near an
+    # integer; from t = 2^49 on every t is that near, but one branch moves Q
+    # by a relative 1/t there, so the floats stand
+    if abs(t - e + 0.5) >= 0.5 - _TIE * (t + 1.0) and n < 2.0 ** 49 * u:
+        e = math.floor(Fraction(n) / Fraction(u) - Fraction(x)) + 1
+    return (x + n) / (x + e)
+
+
+def invariance_rows(params: NcfParams, grid: int) -> list:
+    """(u, integral of Q(x, [0, u)) against the invariant measure G, G([0, u)),
+    their distance) at the points u of np.linspace(1/grid, 1, grid); the rule
+    runs on each piece between the kernel's jumps, its values added by fsum."""
+    n, norm = params.n_param, log_norm(params)
+    # each point integrates over two pieces, split at its kernel jump
+    charge(grid * 2 * len(GL_NODES), "invariance quadrature nodes")
+    start, step = 1.0 / grid, (1.0 - 1.0 / grid) / max(grid - 1, 1)
+    rows = []
+    for j in range(grid):
+        u = j * step + start if j < grid - 1 else 1.0
+        # the kernel jumps where a branch point N/(x+i) crosses u
+        brk = n / u - math.floor(n / u)
+        edges = (0.0, brk, 1.0) if 0.0 < brk < 1.0 else (0.0, 1.0)
+        val = math.fsum((b - a) * w * (kernel_interval(n, x, u) * (1.0 / ((x + n) * norm)))
+                        for a, b in zip(edges, edges[1:])
+                        for x, w in zip([a + (b - a) * t for t in GL_NODES], GL_WEIGHTS))
+        cdf = math.log1p(u / n) / norm  # u/N <= 1/N: at most 1
+        rows.append((u, val, cdf, abs(val - cdf)))
+    return rows
+
+
 def mealy_kernel(alpha, beta) -> list:
     """Kernel rows [alpha, 1 - alpha], [beta, 1 - beta] of the two-state Mealy machine."""
     if not (0 <= alpha <= 1 and 0 <= beta <= 1):
@@ -193,3 +250,22 @@ def mealy_dot(kernel) -> str:
              for i in (1, 2) for k in (1, 2)]
     return "\n".join(["digraph mealy {", "  rankdir=LR;", "  node [shape=circle];",
                       *edges, "}"]) + "\n"
+
+
+def mealy_cesaro(rows, n) -> list:
+    """Rows of (1/n) sum_{k=1..n} K^k for two-state kernel rows K; at n = inf
+    the stationary law pi = (K21, K12)/(K12 + K21) in each.  With lambda =
+    K11 - K21, K^k = 1 pi + lambda^k (I - 1 pi), so row i is pi + (delta_i -
+    pi) lambda (1 - lambda^n)/((1 - lambda) n); K = I (lambda = 1) is its own."""
+    (k11, k12), (k21, _) = rows
+    lam = k11 - k21
+    if lam == 1 and n < math.inf:
+        return [[1.0, 0.0], [0.0, 1.0]]
+    if k12 + k21 == 0:
+        raise ValueError("no unique stationary vector when alpha=1, beta=0")
+    pi = (k21 / (k12 + k21), k12 / (k12 + k21))
+    # for lam near 1 and small n, lam^n rounds next to 1 and 1 - lam^n would
+    # cancel its digits; expm1 keeps them, and lam - 1 is exact from lam = 1/2 on
+    drop = -math.expm1(n * math.log1p(lam - 1.0)) if lam > 0.5 else 1 - lam ** n
+    s = lam * drop / ((1 - lam) * n) if n < math.inf else 0.0
+    return [[p + ((i == j) - p) * s for j, p in enumerate(pi)] for i in range(2)]

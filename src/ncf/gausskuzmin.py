@@ -87,16 +87,16 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum((y[:-1] + y[1:]) * (h / 2.0))])
 
 
-def _cdfs_on_grid(fs, x: np.ndarray, gm: GaussMeasure) -> list:
+def _cdfs_on_grid(fs, x: np.ndarray, gm: GaussMeasure):
     """Cumulative integral of each f of fs against the invariant measure at
-    their common nodes x.
+    their common nodes x, one at a time.
 
     Split as closed-form CDF plus the cumulative trapezoid of (f - 1) times
     the density, so the quadrature error scales with |f - 1| rather than
     with the full integrand.  The CDF and the density at x are taken once.
     """
     cdf, density = gn_cdf(x, gm), gm.density(x)
-    return [cdf + _cumulative_trapezoid((f.values - 1.0) * density, x) for f in fs]
+    return (cdf + _cumulative_trapezoid((f.values - 1.0) * density, x) for f in fs)
 
 
 def _sample_initial(mu: DensityFunction, n_paths: int, rng: np.random.Generator) -> np.ndarray:
@@ -142,7 +142,7 @@ def distribution_at(mu: DensityFunction, n: int, x: float, params: NcfParams,
         f = initial_grid_density(mu, params, m)
         for f in iterates(f, params, n):
             pass  # U^n f0, or f0 itself when n = 0
-        return float(np.interp(x, f.nodes, _cdfs_on_grid([f], f.nodes, GaussMeasure(params))[0]))
+        return float(np.interp(x, f.nodes, next(_cdfs_on_grid([f], f.nodes, GaussMeasure(params)))))
     if method == "montecarlo":
         charge(max(n, 1) * n_paths, "distribution_at montecarlo")
         if rng is None:
@@ -166,15 +166,22 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
     gm = GaussMeasure(params)
     xs = np.linspace(0.0, 1.0, _X_GRID)
     limit = gn_cdf(xs, gm)
+    mask = limit >= 0.05  # where the error is read relative to the limit CDF
+    spots = tuple((min(n, n_max), x) for n, x in ((2, 0.25), (4, 0.5), (6, 0.75)))
     f0 = initial_grid_density(mu, params, m)
-    cums = _cdfs_on_grid(iterates(f0, params, n_max), f0.nodes, gm)
-    err_rows = [np.interp(xs, f0.nodes, cum) - limit for cum in cums]
-    sup_errors = np.array([float(np.max(np.abs(err))) for err in err_rows])
+    # one iterate at a time: a step keeps its sup and relative errors, a spot step its CDF
+    sup_errors, ratios, spot_cdfs = [], [], {n: None for n, _ in spots}
+    for n, cum in enumerate(_cdfs_on_grid(iterates(f0, params, n_max), f0.nodes, gm), 1):
+        err = np.abs(np.interp(xs, f0.nodes, cum) - limit)
+        sup_errors.append(float(np.max(err)))
+        ratios.append(float(np.max(err[mask] / limit[mask])))
+        if n in spot_cdfs:
+            spot_cdfs[n] = cum
     q_fit = theta_bound = None
     window = None
     residuals = ()
     try:
-        idx, slope, intercept, fit_residuals = fit_rate(sup_errors)
+        idx, slope, intercept, fit_residuals = fit_rate(np.array(sup_errors))
     except FitError:
         if require_fit:
             raise
@@ -183,16 +190,11 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
         residuals = tuple(float(r) for r in fit_residuals)
         window = (idx[0] + 1, idx[-1] + 1)
         # envelope constant of the error term relative to the limit CDF
-        mask = limit >= 0.05
-        theta_bound = max(
-            float(np.max(np.abs(err_rows[j][mask]) / limit[mask])) / q_fit ** (j + 1)
-            for j in idx
-        )
+        theta_bound = max(ratios[j] / q_fit ** (j + 1) for j in idx)
     cells = []
-    for n_spot, x_spot in ((2, 0.25), (4, 0.5), (6, 0.75)):
-        n_spot = min(n_spot, n_max)
+    for n_spot, x_spot in spots:
         # the operator side is read off the iterates above: U^n_spot f0
-        op = float(np.interp(x_spot, f0.nodes, cums[n_spot - 1]))
+        op = float(np.interp(x_spot, f0.nodes, spot_cdfs[n_spot]))
         mc = distribution_at(mu, n_spot, x_spot, params, method="montecarlo",
                              n_paths=spot_paths, rng=rng)
         band = 4.0 * math.sqrt(max(mc * (1 - mc), 1e-12) / spot_paths) + 1e-4
@@ -200,7 +202,7 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
                       "montecarlo": mc, "band": band})
     return GkReport(
         n_values=tuple(range(1, n_max + 1)),
-        sup_errors=tuple(float(e) for e in sup_errors),
+        sup_errors=tuple(sup_errors),
         q_fit=q_fit,
         theta_bound=theta_bound,
         fit_window=window,

@@ -11,11 +11,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NcfParams, digit_probability, log_norm
+from .core import GL_NODES, GL_WEIGHTS, NcfParams, digit_probability, log_norm
 
-# nodes and weights of the 20-point Gauss-Legendre rule, moved to [0, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_GL_NODES, _GL_WEIGHTS = (1.0 + _GL_NODES) / 2.0, _GL_WEIGHTS / 2.0
+_GL_NODES, _GL_WEIGHTS = np.array(GL_NODES), np.array(GL_WEIGHTS)  # the rule on [0, 1]
 # equal panels of the mass check: the piecewise-linear densities built from
 # grids have a kink at every node, which one panel would not resolve
 _MASS_PANELS = 64

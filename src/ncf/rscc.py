@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import NcfParams, lowest_branch_orbits, mealy_dot, mealy_kernel
+from .core import (_TIE, NcfParams, kernel_interval, lowest_branch_orbits, mealy_cesaro,
+                   mealy_dot, mealy_kernel)
 from .errors import charge
 from .measure import GaussMeasure, _gauss_legendre
 from . import transfer
@@ -76,10 +77,7 @@ class MealySystem:
         return mealy_kernel(Fraction(self.alpha), Fraction(self.beta))
 
     def stationary(self) -> np.ndarray:
-        denom = 1 - self.alpha + self.beta
-        if denom == 0:
-            raise ValueError("no unique stationary vector when alpha=1, beta=0")
-        return np.array([self.beta / denom, (1 - self.alpha) / denom])
+        return np.array(mealy_cesaro(mealy_kernel(self.alpha, self.beta), math.inf)[0])
 
 
 @dataclass(frozen=True)
@@ -168,21 +166,9 @@ def path_probability(sys: RsccSystem, w, word) -> float:
 # state kernels
 
 
-# N/u - x and N/(x+i) lie within 2^-52 relative of their exact values: a
-# float this near a tie (with room to spare) is decided in exact rationals
-_TIE = 2.0 ** -50
-
-
 def q_kernel_interval(sys: RsccSystem, x, u_end: float):
-    """Q(x, [0, u_end)) for the continued-fraction system, in closed form;
-    x is a state or an array of states.
-
-    A branch i lands in [0, u_end) iff N/(x+i) < u_end iff i >= E where
-    E = floor(N/u_end - x) + 1, which is >= N on the domain; the branch
-    masses telescope, leaving (x+N)/(x+E).  Where N/u_end - x lies within
-    its rounding of an integer, a branch point lies within rounding of
-    u_end and the last bit would decide its side: E is taken exactly there.
-    """
+    """Q(x, [0, u_end)) for the continued-fraction system: `core.kernel_interval`
+    at a state x, and at an array of states its floats, core deciding near ties."""
     if sys.params is None:
         raise ValueError("q_kernel_interval needs the continued-fraction system")
     n = sys.params.n_param
@@ -191,18 +177,14 @@ def q_kernel_interval(sys: RsccSystem, x, u_end: float):
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if not (0.0 < u_end <= 1.0):
         raise ValueError(f"u_end must lie in (0, 1], got {u_end}")
-    x = xa[()]  # a NumPy scalar for a scalar x, whose arithmetic is faster
-    t = n / u_end - x
+    if xa.ndim == 0:
+        return kernel_interval(n, float(xa), u_end)
+    t = n / u_end - xa
     e = np.floor(t) + 1.0
-    # t - e + 1/2 = frac(t) - 1/2, which is near +-1/2 where t is near an
-    # integer; from t = 2^49 on every t is that near, but one branch moves Q
-    # by a relative 1/t there, so the floats stand
-    near = abs(t - e + 0.5) >= 0.5 - _TIE * (t + 1.0)
-    if (xa.ndim or near) and n < 2.0 ** 49 * u_end:
-        e, cut = np.asarray(e), Fraction(n) / Fraction(u_end)
-        e[near] = [math.floor(cut - Fraction(v)) + 1 for v in xa[near].tolist()]
-    out = (x + n) / (x + e)
-    return float(out) if xa.ndim == 0 else out
+    out = (xa + n) / (xa + e)
+    near = np.abs(t - e + 0.5) >= 0.5 - _TIE * (t + 1.0)  # core's test of a tie
+    out[near] = [kernel_interval(n, v, u_end) for v in xa[near].tolist()]
+    return out
 
 
 def q_kernel_interval_bruteforce(sys: RsccSystem, x: float, u_end: float,
@@ -344,30 +326,19 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
              grid_m: int = 1024) -> float:
     """(1/n) sum_{k<=n} Q^(k)(source, target).
 
-    Finite systems use the eigendecomposition partial-sum closed form, exact
-    to rounding at every n; the continued-fraction system averages
-    the terms Q^(1..n)(source) of q_step's kernel recursion: Q^(1) in closed
-    form, Q^(2) one branch sum of it, Q^(k >= 3) through the grid with the
-    last operator step taken at the source.
+    A finite system (two states) takes `core.mealy_cesaro` of its kernel
+    rows, exact to rounding at every n; the continued-fraction system
+    averages the terms Q^(1..n)(source) of q_step's kernel recursion: Q^(1)
+    in closed form, Q^(2) one branch sum of it, Q^(k >= 3) through the grid
+    with the last operator step taken at the source.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if sys.finite:
-        vals, vecs = np.linalg.eig(kernel_matrix(sys))
-        inv = np.linalg.inv(vecs)
-        sums = np.empty_like(vals)
-        for j, lam in enumerate(vals):
-            if abs(lam - 1.0) < 1e-12:
-                sums[j] = 1.0
-            else:
-                # for lam near 1 and small n, lam^n rounds next to 1 and
-                # 1 - lam^n would cancel its digits; expm1 keeps them, and
-                # lam - 1 is exact from lam = 1/2 on
-                drop = (-math.expm1(n * math.log1p(lam.real - 1.0))
-                        if np.isreal(lam) and lam.real > 0.5 else 1 - lam ** n)
-                sums[j] = lam * drop / ((1 - lam) * n)
-        avg = ((vecs * sums) @ inv).real
-        return float(avg[sys.states.index(float(source))] @ _target_indicator(sys, target))
+        if len(sys.states) != 2:
+            raise ValueError("q_cesaro has a closed form for two-state systems only")
+        row = mealy_cesaro(kernel_matrix(sys).tolist(), n)[sys.states.index(float(source))]
+        return float(np.dot(row, _target_indicator(sys, target)))
     a, b = target
     return sum(_kernel_terms(sys, n, source, a, b, grid_m)) / n
 

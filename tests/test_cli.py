@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ncf import MealySystem, mealy_dot_export
+from ncf import MealySystem, make_mealy_rscc, mealy_dot_export, q_cesaro
 from ncf.cli import main
 
 
@@ -119,10 +121,19 @@ class TestDigitLaw:
 
 class TestInvariance:
     def test_small_grid(self, capsys):
-        code, out, _ = run_cli(["invariance", "--n", "1", "--grid", "8"], capsys)
+        # the rule integrates each piece to rounding and math.fsum adds the
+        # 40 weighted values exactly: the worst error is 2.2e-16
+        for n in (1, 2, 5):
+            code, out, _ = run_cli(["invariance", "--n", str(n), "--grid", "8"], capsys)
+            assert code == 0
+            assert json.loads(out)["max_abs_error"] < 1e-15
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 8, 64, 1000])
+    def test_points_are_numpys_linspace(self, grid, capsys):
+        code, out, _ = run_cli(["invariance", "--grid", str(grid)], capsys)
         assert code == 0
-        payload = json.loads(out)
-        assert payload["max_abs_error"] < 1e-10
+        got = [c["u"] for c in json.loads(out)["curve"]]
+        assert got == np.linspace(1.0 / grid, 1.0, grid).tolist()
 
     def test_cdf_at_most_one(self, capsys):
         code, out, _ = run_cli(["invariance", "--n", "3", "--grid", "8"], capsys)
@@ -188,6 +199,22 @@ class TestGk:
         for cell in payload["method_agreement"]:
             assert abs(cell["operator"] - cell["montecarlo"]) <= cell["band"]
 
+    def test_memory_does_not_grow_with_nmax(self, capsys):
+        # each step keeps its two error summaries, and only the three spot
+        # steps their CDFs: all 2000 CDFs once held 23.6 MB traced (7.9 MB
+        # at --nmax 500)
+        run_cli(["gk", "--nmax", "40"], capsys)  # warm-up: imports, the operator slot
+        peaks = []
+        for nmax in (500, 2000):
+            tracemalloc.start()
+            try:
+                code, _, _ = run_cli(["gk", "--nmax", str(nmax)], capsys)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] - peaks[0] < 2e6
+
     def test_unknown_measure(self, capsys):
         code, _, err = run_cli(["gk", "--mu", "cauchy"], capsys)
         assert code == 2
@@ -222,6 +249,35 @@ class TestRsccMealy:
         code, _, _ = run_cli(
             ["rscc-mealy", "--alpha", "1.5", "--beta", "0.2"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("alpha,beta", [(0.2, 0.6), (0.3, 0.6), (0.4, 0.6)])
+    def test_cesaro_is_the_exact_closed_form(self, alpha, beta, capsys):
+        # pi + (delta - pi) lam (1 - lam^n)/((1 - lam) n) over the exact
+        # rationals of the kernel, lam = alpha - beta, pi_1 = beta/(1 - lam);
+        # within 2^-53 (the eigendecomposition it replaced was 1.69 2^-53 off)
+        code, out, _ = run_cli(["rscc-mealy", "--alpha", str(alpha), "--beta", str(beta),
+                                "--nmax", "1000"], capsys)
+        assert code == 0
+        a, b = Fraction(alpha), Fraction(beta)
+        lam = a - b
+        pi = [b / (1 - lam), (1 - a) / (1 - lam)]
+        s = lam * (1 - lam ** 1000) / ((1 - lam) * 1000)
+        want = [pi[0] + (1 - pi[0]) * s, pi[1] - pi[1] * s]
+        got = json.loads(out)["cesaro_from_1"]
+        assert all(abs(Fraction(g) - w) <= Fraction(1, 2 ** 53) for g, w in zip(got, want))
+
+    def test_cesaro_and_stationary_are_the_layers(self, capsys):
+        # the command and the NumPy layer read one closed form
+        code, out, _ = run_cli(["rscc-mealy", "--alpha", "0.3", "--beta", "0.6"], capsys)
+        payload = json.loads(out)
+        sys_ = make_mealy_rscc(0.3, 0.6)
+        assert payload["cesaro_from_1"] == [q_cesaro(sys_, 1000, 1.0, [s]) for s in (1, 2)]
+        assert payload["stationary"] == MealySystem(0.3, 0.6).stationary().tolist()
+
+    def test_identity_kernel_has_no_stationary_law(self, capsys):
+        code, out, err = run_cli(["rscc-mealy", "--alpha", "1", "--beta", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err == "ncf: error: no unique stationary vector when alpha=1, beta=0\n"
 
 
 class TestContractionAndRegularity:
@@ -455,10 +511,14 @@ class TestLazyImports:
         (["regularity", "--starts", "0,2"], 2),
         (["rscc-mealy", "--alpha", "1.5", "--beta", "0.2", "--dot"], 2),
         (["digit-law", "--grid", "100000000"], 3),
+        (["invariance", "--n", "1", "--grid", "8"], 0),
+        (["invariance", "--grid", "200000"], 3),
+        (["rscc-mealy", "--alpha", "0.3", "--beta", "0.6"], 0),
+        (["rscc-mealy", "--alpha", "1", "--beta", "0"], 2),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_core_commands_leave_numpy_out(self, argv, code):
         # under a budget of 1000 units, which refuses digit-law --grid
-        # 100000000 before any work
+        # 100000000 and invariance --grid 200000 before any work
         r = _python_child(
             "import ncf.cli\n"
             "try:\n"

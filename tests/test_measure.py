@@ -19,6 +19,7 @@ from ncf import (
     make_ncf_rscc,
     q_kernel_interval,
 )
+from ncf import core
 from ncf.measure import _gauss_legendre
 
 
@@ -239,6 +240,12 @@ class TestGaussLegendre:
                 lambda x: q_kernel_interval(sys_, x, u) * gm.density(x),
                 0.0, 1.0, breaks=(brk,))
             assert abs(got - want) <= 1e-14
+
+    def test_rule_is_leggauss_moved_to_the_unit_interval(self):
+        # core's literals, bit for bit; measure's arrays are made from them
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        assert core.GL_NODES == tuple(((1.0 + nodes) / 2.0).tolist())
+        assert core.GL_WEIGHTS == tuple((weights / 2.0).tolist())
 
     def test_breaks_and_panels(self):
         # breakpoints outside (a, b) are ignored; each piece gets its panels

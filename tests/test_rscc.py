@@ -13,6 +13,7 @@ from ncf import (
     GaussMeasure,
     MealySystem,
     NcfParams,
+    RsccSystem,
     TailSet,
     contraction_coefficients,
     digit_law,
@@ -426,6 +427,16 @@ class TestMealy:
         b = q_cesaro(mealy_sys, 65, 1.0, [1.0])
         # both sit within O(1/n) of the stationary value and near each other
         assert abs(a - b) <= 1e-2
+
+    def test_cesaro_needs_two_states(self):
+        # the closed form is the two-state one; the package builds no other
+        # finite system
+        sys_ = RsccSystem(transition=lambda w, x: np.asarray(w, dtype=float) * 0.0 + x,
+                          probability=lambda w, x: np.asarray(w, dtype=float) * 0.0 + 1 / 3,
+                          events=(1, 2, 3), states=(1.0, 2.0, 3.0))
+        assert kernel_matrix(sys_).shape == (3, 3)
+        with pytest.raises(ValueError, match="two-state"):
+            q_cesaro(sys_, 10, 1.0, [1.0])
 
     def test_dot_export(self):
         dot = mealy_dot_export(MealySystem(0.3, 0.6))
