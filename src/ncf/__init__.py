@@ -14,17 +14,16 @@ from .errors import BudgetExceededError, FitError
 __version__ = "0.1.0"
 
 _LAYERS = {
-    "measure": ("GaussMeasure", "DensityFunction", "gn_cdf", "gn_measure", "gn_quantile",
-                "gn_sample", "digit_law"),
+    "measure": ("GaussMeasure", "DensityFunction", "gn_cdf", "gn_quantile", "gn_sample"),
     "transfer": ("GridFunction", "LipschitzNormEstimate", "GapEstimate", "apply_transfer",
                  "lipschitz_norm", "estimate_gap", "integrate_against"),
-    "rscc": ("RsccSystem", "TailSet", "MealySystem", "ContractionReport", "RegularityReport",
-             "Estimate", "make_ncf_rscc", "make_mealy_rscc", "path_probability", "simulate_paths",
-             "q_kernel_interval", "q_kernel_interval_bruteforce", "q_kernel", "q_step", "q_step_mc",
-             "q_cesaro", "kernel_matrix", "contraction_coefficients", "regularity_witness",
-             "shifted_path_probability", "limit_path_law", "mealy_dot_export"),
+    "rscc": ("RsccSystem", "TailSet", "ContractionReport", "Estimate", "make_ncf_rscc",
+             "make_mealy_rscc", "path_probability", "simulate_paths", "q_kernel_interval",
+             "q_kernel_interval_bruteforce", "q_kernel", "q_step", "q_step_mc", "q_cesaro",
+             "kernel_matrix", "contraction_coefficients", "shifted_path_probability",
+             "limit_path_law"),
     "gausskuzmin": ("GkReport", "lebesgue_measure", "gauss_initial", "tilted_measure",
-                    "limit_cdf", "pushforward_density", "distribution_at", "run_experiment"),
+                    "pushforward_density", "distribution_at", "run_experiment"),
 }
 # public name -> the NumPy layer that defines it
 _LAZY = {name: layer for layer, names in _LAYERS.items() for name in names}

@@ -250,7 +250,8 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"ncf: fit error: {exc}", file=_sys.stderr)
         return 4
-    except (ValueError, ZeroDivisionError) as exc:
+    # OverflowError: an --n too large for a float, wherever N meets one
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"ncf: error: {exc}", file=_sys.stderr)
         return 2
     try:

@@ -47,11 +47,6 @@ def tilted_measure() -> DensityFunction:
     return DensityFunction(lambda x: (1.0 + x / 2.0) / 1.25)
 
 
-def limit_cdf(x, params: NcfParams):
-    """The limiting distribution of the map iterates: the invariant CDF."""
-    return gn_cdf(x, GaussMeasure(params))
-
-
 def initial_grid_density(mu: DensityFunction, params: NcfParams, m: int) -> GridFunction:
     """f0 = d(mu)/d(invariant measure) sampled on the operator grid."""
     gm = GaussMeasure(params)

@@ -1,7 +1,8 @@
 """The invariant measure of the N-continued-fraction map.
 
-Density 1/((x+N) log((N+1)/N)) on [0,1]: closed-form CDF, interval measure,
-inverse-CDF sampling, and the induced law of the first digit.
+Density 1/((x+N) log((N+1)/N)) on [0,1]: closed-form CDF and inverse-CDF
+sampling.  The mass of [a, b] is gn_cdf(b) - gn_cdf(a); the induced law of
+the first digit is `core.digit_probability`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GL_NODES, GL_WEIGHTS, NcfParams, digit_probability, log_norm
+from .core import GL_NODES, GL_WEIGHTS, NcfParams, log_norm
 
 _GL_NODES, _GL_WEIGHTS = np.array(GL_NODES), np.array(GL_WEIGHTS)  # the rule on [0, 1]
 # equal panels of the mass check: the piecewise-linear densities built from
@@ -79,13 +80,6 @@ def gn_cdf(x, gm: GaussMeasure):
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
-def gn_measure(a: float, b: float, gm: GaussMeasure) -> float:
-    """Measure of [a, b]."""
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
-    return gn_cdf(b, gm) - gn_cdf(a, gm)
-
-
 def gn_quantile(u, gm: GaussMeasure):
     """Exact inverse of gn_cdf: N ((N+1)/N)^u - N."""
     ua = np.asarray(u, dtype=float)
@@ -96,8 +90,3 @@ def gn_quantile(u, gm: GaussMeasure):
 def gn_sample(gm: GaussMeasure, rng: np.random.Generator, size=None):
     """Inverse-CDF samples from an explicit seeded generator."""
     return gn_quantile(rng.random(size), gm)
-
-
-def digit_law(i: int, gm: GaussMeasure) -> float:
-    """P(a_1 = i) under the invariant measure: `core.digit_probability`."""
-    return digit_probability(i, gm.params)

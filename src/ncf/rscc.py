@@ -11,9 +11,11 @@ u(w, x) and a place-dependent probability P(w, x) with sum_x P(w, x) = 1
   transition probabilities parameterized by (alpha, beta).
 
 On top of the instances: path probabilities, one- and k-step state kernels,
-Cesaro kernel averages, contraction-coefficient estimation, the
-support-shrinking orbit witness, shifted path laws, and the stationary path
-law computed by quadrature against the invariant measure.
+Cesaro kernel averages, contraction-coefficient estimation, shifted path
+laws, and the stationary path law computed by quadrature against the
+invariant measure.  The Mealy machine's kernel, stationary law and diagram,
+and the lowest-branch orbits that witness regularity, are scalar closed
+forms in `core`.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (_TIE, NcfParams, kernel_interval, lowest_branch_orbits, mealy_cesaro,
-                   mealy_dot, mealy_kernel)
+from .core import _TIE, NcfParams, kernel_interval, mealy_cesaro, mealy_kernel
 from .errors import charge
 from .measure import GaussMeasure, _gauss_legendre
 from . import transfer
@@ -62,37 +63,10 @@ class TailSet:
 
 
 @dataclass(frozen=True)
-class MealySystem:
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        mealy_kernel(self.alpha, self.beta)  # raises outside [0, 1]
-
-    def kernel(self) -> np.ndarray:
-        return np.array(mealy_kernel(self.alpha, self.beta))
-
-    def kernel_exact(self):
-        """2x2 kernel over exact rationals (row sums exactly 1)."""
-        return mealy_kernel(Fraction(self.alpha), Fraction(self.beta))
-
-    def stationary(self) -> np.ndarray:
-        return np.array(mealy_cesaro(mealy_kernel(self.alpha, self.beta), math.inf)[0])
-
-
-@dataclass(frozen=True)
 class ContractionReport:
     r_values: tuple
     big_r: float
     certified: bool
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    x_star: float
-    starts: tuple
-    dist_curves: tuple       # per start: array of |x_n - x*|, n = 1..n_max
-    ratio_limit: float       # analytic per-step factor N/(x*+N)^2
 
 
 class Estimate(NamedTuple):
@@ -132,7 +106,7 @@ def _sample_event(n: int, w, u01):
 
 
 def make_mealy_rscc(alpha: float, beta: float) -> RsccSystem:
-    kernel = MealySystem(alpha, beta).kernel()
+    kernel = np.array(mealy_kernel(alpha, beta))  # raises outside [0, 1]
 
     def u(w, j):
         return np.asarray(w, dtype=float) * 0.0 + j
@@ -182,8 +156,11 @@ def q_kernel_interval(sys: RsccSystem, x, u_end: float):
     t = n / u_end - xa
     e = np.floor(t) + 1.0
     out = (xa + n) / (xa + e)
-    near = np.abs(t - e + 0.5) >= 0.5 - _TIE * (t + 1.0)  # core's test of a tie
-    out[near] = [kernel_interval(n, v, u_end) for v in xa[near].tolist()]
+    # core's test of a tie, under its guard: from t = 2^49 on (t = inf too,
+    # where t - e is undefined) the floats stand
+    if n < 2.0 ** 49 * u_end:
+        near = np.abs(t - e + 0.5) >= 0.5 - _TIE * (t + 1.0)
+        out[near] = [kernel_interval(n, v, u_end) for v in xa[near].tolist()]
     return out
 
 
@@ -438,25 +415,6 @@ def contraction_coefficients(sys: RsccSystem, k_max: int = 2, grid: int = 512,
 
 
 # ---------------------------------------------------------------------------
-# regularity witness
-
-
-def regularity_witness(sys: RsccSystem, starts: Sequence[float],
-                       n_max: int) -> RegularityReport:
-    """Follow the lowest-branch orbit x -> N/(x+N) from each start.
-
-    Every step stays inside the support of the next kernel iterate, so the
-    distance curve |x_n - x*| upper-bounds the distance from the supports to
-    the attracting point; it contracts by N/(x*+N)^2 per step.
-    """
-    if sys.params is None:
-        raise ValueError("regularity_witness needs the continued-fraction system")
-    x_star, ratio_limit, orbits = lowest_branch_orbits(sys.params, starts, n_max)
-    return RegularityReport(x_star, tuple(float(s) for s in starts),
-                            tuple(np.fromiter(o, float, n_max) for o in orbits), ratio_limit)
-
-
-# ---------------------------------------------------------------------------
 # shifted path laws and their limit
 
 
@@ -521,12 +479,3 @@ def limit_path_law(sys: RsccSystem, r: int, word_set) -> float:
     # the integrand is rational with its poles at w <= -1
     return _gauss_legendre(
         lambda w: _word_set_probability(sys, w, word_set) * gm.density(w), 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Mealy diagram export
-
-
-def mealy_dot_export(m: MealySystem) -> str:
-    """GraphViz digraph of the two-state machine (`core.mealy_dot`)."""
-    return mealy_dot(m.kernel().tolist())

@@ -19,26 +19,22 @@ from scipy import integrate
 from ncf import (
     GaussMeasure,
     GridFunction,
-    MealySystem,
     NcfParams,
     apply_transfer,
     contraction_coefficients,
-    digit_law,
+    core,
     digits,
     evaluate,
     fixed_point,
     gn_cdf,
-    gn_measure,
     integrate_against,
     lebesgue_measure,
-    limit_cdf,
     lipschitz_norm,
     make_mealy_rscc,
     make_ncf_rscc,
     q_cesaro,
     q_kernel_interval,
     q_kernel_interval_bruteforce,
-    regularity_witness,
     run_experiment,
     shifted_path_probability,
     tilted_measure,
@@ -85,7 +81,7 @@ def test_criterion_02_measure_invariance():
             val, _ = integrate.quad(
                 lambda x: q_kernel_interval(sys_, float(x), u) * gm.density(x),
                 0.0, 1.0, points=pts, limit=200, epsabs=1e-12)
-            worst = max(worst, abs(val - gn_measure(0.0, u, gm)))
+            worst = max(worst, abs(val - (gn_cdf(u, gm) - gn_cdf(0.0, gm))))
     elapsed = time.perf_counter() - t0
     _report(2, worst < 1e-8 and elapsed < 30.0,
             f"kernel-integral invariance, max error {worst:.2e}, {elapsed:.1f}s")
@@ -141,7 +137,7 @@ def test_criterion_05_limit_distribution():
                              m=1024, rng=np.random.default_rng(0))
         sup_final[n] = rep.sup_errors[-1]
     xs = np.linspace(0.0, 1.0, 1001)
-    classical = np.max(np.abs(limit_cdf(xs, NcfParams(1)) - np.log2(1 + xs)))
+    classical = np.max(np.abs(gn_cdf(xs, GaussMeasure(NcfParams(1))) - np.log2(1 + xs)))
     elapsed = time.perf_counter() - t0
     ok = all(e < 1e-6 for e in sup_final.values()) and classical < 1e-12
     _report(5, ok and elapsed < 3.0,
@@ -191,8 +187,8 @@ def test_criterion_08_regularity_witness():
     worst_ratio_gap = 0.0
     starts = [0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0]
     for n in (1, 2, 5, 10):
-        rep = regularity_witness(make_ncf_rscc(NcfParams(n)), starts, 200)
-        for curve in rep.dist_curves:
+        _, ratio_limit, orbits = core.lowest_branch_orbits(NcfParams(n), starts, 200)
+        for curve in (np.fromiter(o, float, 200) for o in orbits):
             worst_final = max(worst_final, curve[-1])
             ok = ok and curve[-1] < 1e-12
             # the per-step ratio approaches the limit linearly in the distance
@@ -201,7 +197,7 @@ def test_criterion_08_regularity_witness():
             live = np.nonzero(curve > 1e-8)[0]
             if live.size > 2:
                 j = int(live[-1])
-                gap = abs(curve[j] / curve[j - 1] - rep.ratio_limit)
+                gap = abs(curve[j] / curve[j - 1] - ratio_limit)
                 worst_ratio_gap = max(worst_ratio_gap, gap)
                 ok = ok and gap < 1e-6
     elapsed = time.perf_counter() - t0
@@ -215,11 +211,11 @@ def test_criterion_09_mealy_exactness():
     ok = True
     worst = 0.0
     for alpha, beta in itertools.product((0.3, 0.6), (0.2, 0.9)):
-        m = MealySystem(alpha, beta)
+        kernel = core.mealy_kernel(alpha, beta)
         ok = ok and np.array_equal(
-            m.kernel(), np.array([[alpha, 1 - alpha], [beta, 1 - beta]]))
+            np.array(kernel), np.array([[alpha, 1 - alpha], [beta, 1 - beta]]))
         # Chapman-Kolmogorov as an exact identity over rationals
-        k1 = m.kernel_exact()
+        k1 = core.mealy_kernel(Fraction(alpha), Fraction(beta))
 
         def matmul(a, b):
             return [[sum(a[i][t] * b[t][j] for t in range(2)) for j in range(2)]
@@ -232,7 +228,7 @@ def test_criterion_09_mealy_exactness():
             for j in range(1, 10 - i + 1):
                 ok = ok and matmul(powers[i - 1], powers[j - 1]) == powers[i + j - 1]
         sys_ = make_mealy_rscc(alpha, beta)
-        pi = m.stationary()
+        pi = core.mealy_cesaro(kernel, math.inf)[0]
         for s in (1.0, 2.0):
             for target, want in (([1.0], pi[0]), ([2.0], pi[1])):
                 gap = abs(q_cesaro(sys_, 10**10, s, target) - want)
@@ -254,7 +250,7 @@ def test_criterion_10_stationary_event_law():
             val, _ = integrate.quad(
                 lambda x: (x + n) / ((x + i) * (x + i + 1)) * gm.density(x),
                 0.0, 1.0, epsabs=1e-13)
-            quad_worst = max(quad_worst, abs(val - digit_law(i, gm)))
+            quad_worst = max(quad_worst, abs(val - core.digit_probability(i, gm.params)))
     sys_ = make_ncf_rscc(NcfParams(1))
     gm1 = GaussMeasure(NcfParams(1))
     rng = np.random.default_rng(20240824)
@@ -262,7 +258,7 @@ def test_criterion_10_stationary_event_law():
     for i in (1, 2, 3):
         est = shifted_path_probability(sys_, 0.5, 30, 1, [(i,)],
                                        n_paths=100_000, rng=rng)
-        mc_ok = mc_ok and abs(est.value - digit_law(i, gm1)) <= 4 * est.se
+        mc_ok = mc_ok and abs(est.value - core.digit_probability(i, gm1.params)) <= 4 * est.se
     elapsed = time.perf_counter() - t0
     _report(10, quad_worst < 1e-10 and mc_ok,
             f"event-law quadrature max {quad_worst:.2e}, Monte Carlo within "

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncf import MealySystem, make_mealy_rscc, mealy_dot_export, q_cesaro
+from ncf import core, make_mealy_rscc, q_cesaro
 from ncf.cli import main
+
+
+# a 401-digit --n: no binary64 value
+_N_PAST_FLOAT = "1" + "0" * 400
 
 
 def run_cli(argv, capsys):
@@ -243,7 +248,7 @@ class TestRsccMealy:
         code, out, _ = run_cli(["rscc-mealy", "--alpha", "0.3", "--beta", "0.6",
                                 "--dot", "--out", str(path)], capsys)
         assert code == 0 and out == ""
-        assert path.read_text() == mealy_dot_export(MealySystem(0.3, 0.6))
+        assert path.read_text() == core.mealy_dot(core.mealy_kernel(0.3, 0.6))
 
     def test_invalid_probability(self, capsys):
         code, _, _ = run_cli(
@@ -272,7 +277,8 @@ class TestRsccMealy:
         payload = json.loads(out)
         sys_ = make_mealy_rscc(0.3, 0.6)
         assert payload["cesaro_from_1"] == [q_cesaro(sys_, 1000, 1.0, [s]) for s in (1, 2)]
-        assert payload["stationary"] == MealySystem(0.3, 0.6).stationary().tolist()
+        assert payload["stationary"] == np.array(
+            core.mealy_cesaro(core.mealy_kernel(0.3, 0.6), math.inf)[0]).tolist()
 
     def test_identity_kernel_has_no_stationary_law(self, capsys):
         code, out, err = run_cli(["rscc-mealy", "--alpha", "1", "--beta", "0"], capsys)
@@ -405,6 +411,22 @@ class TestOutputPlumbing:
         assert "NCF_BUDGET" in err
         assert repr(raw) in err
 
+    @pytest.mark.parametrize("argv,want", [
+        (["regularity"], 2), (["digit-law"], 2), (["invariance"], 2), (["transfer"], 2),
+        (["gap"], 2), (["gk"], 2), (["contraction"], 2), (["expand", "--x", "0.5"], 2),
+        (["expand", "--x", "1e-300"], 2),
+        # integers and rationals throughout: N never meets a float
+        (["eval", "--digits", _N_PAST_FLOAT], 0), (["expand", "--x", "1/3"], 0),
+    ], ids=["regularity", "digit-law", "invariance", "transfer", "gap", "gk", "contraction",
+            "expand-0.5", "expand-1e-300", "eval", "expand-1/3"])
+    def test_n_past_binary64(self, argv, want, capsys):
+        # an N whose float overflows was an OverflowError traceback (exit 1)
+        # in every command that takes N into a float
+        code, out, err = run_cli(argv + ["--n", _N_PAST_FLOAT], capsys)
+        assert code == want, err
+        if want == 2:
+            assert out == "" and err.startswith("ncf: error:")
+
     def test_zero_budget_is_a_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("NCF_BUDGET", "0")
         code, _, err = run_cli(["gk", "--grid", "64", "--nmax", "8"], capsys)
@@ -532,7 +554,7 @@ class TestLazyImports:
 
     def test_every_public_name_is_its_modules_object(self):
         import ncf
-        assert len(ncf.__all__) == len(set(ncf.__all__)) == 54
+        assert len(ncf.__all__) == len(set(ncf.__all__)) == 47
         for name in ncf.__all__:
             obj = getattr(ncf, name)
             assert obj.__module__.startswith("ncf.")

@@ -1,5 +1,6 @@
 """Map, digit extraction, exact evaluation, convergents."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -213,6 +214,17 @@ class TestFixedPoint:
     def test_known_values(self):
         assert fixed_point(NcfParams(1)) == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-15)
         assert fixed_point(NcfParams(4)) == pytest.approx(2 * math.sqrt(2) - 2, abs=1e-15)
+
+    def test_within_two_ulps_of_exact(self):
+        # (-N + sqrt(N^2 + 4N))/2 cancelled: 336 ulps off at N = 10^4,
+        # 2.3e7 at 10^8, and 0.0 from 10^17 on, where x* rounds to 1.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for n in [*range(1, 2001), 10**4, 10**8, 10**12, 10**16, 10**17, 2**53, 10**18]:
+                d = decimal.Decimal(n)
+                want = (-d + (d * d + 4 * d).sqrt()) / 2
+                got = fixed_point(NcfParams(n))
+                assert abs(decimal.Decimal(got) - want) <= 2 * math.ulp(float(want)), n
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_iteration_oracle(self, n):

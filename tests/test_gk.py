@@ -15,7 +15,6 @@ from ncf import (
     gauss_initial,
     gn_cdf,
     lebesgue_measure,
-    limit_cdf,
     pushforward_density,
     run_experiment,
     tilted_measure,
@@ -28,7 +27,7 @@ class TestLimitCdf:
     def test_classical_law(self):
         # N = 1 limit is log2(1 + x)
         for x in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert limit_cdf(x, NcfParams(1)) == pytest.approx(
+            assert gn_cdf(x, GaussMeasure(NcfParams(1))) == pytest.approx(
                 math.log2(1 + x), abs=1e-12)
 
     def test_general_form(self):
@@ -36,7 +35,7 @@ class TestLimitCdf:
             params = NcfParams(n)
             for x in (0.2, 0.7):
                 want = math.log((x + n) / n) / math.log((n + 1) / n)
-                assert limit_cdf(x, params) == pytest.approx(want, abs=1e-12)
+                assert gn_cdf(x, GaussMeasure(params)) == pytest.approx(want, abs=1e-12)
 
 
 class TestInitialMeasures:
@@ -123,7 +122,7 @@ class TestDistributionAt:
     def test_converges_to_limit(self):
         params = NcfParams(2)
         mu = lebesgue_measure()
-        errs = [abs(distribution_at(mu, n, 0.4, params) - limit_cdf(0.4, params))
+        errs = [abs(distribution_at(mu, n, 0.4, params) - gn_cdf(0.4, GaussMeasure(params)))
                 for n in (1, 3, 6, 12)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-6

@@ -1,4 +1,4 @@
-"""Invariant measure: CDF, sampling, digit law."""
+"""Invariant measure: CDF, interval masses, sampling, digit law."""
 
 import decimal
 import math
@@ -11,9 +11,7 @@ from ncf import (
     DensityFunction,
     GaussMeasure,
     NcfParams,
-    digit_law,
     gn_cdf,
-    gn_measure,
     gn_quantile,
     gn_sample,
     make_ncf_rscc,
@@ -82,19 +80,15 @@ class TestCdf:
 
 class TestMeasure:
     def test_full_and_empty(self, gm):
-        assert gn_measure(0, 1, gm) == pytest.approx(1.0, abs=1e-15)
-        assert gn_measure(0.4, 0.4, gm) == 0.0
+        assert gn_cdf(1, gm) - gn_cdf(0, gm) == pytest.approx(1.0, abs=1e-15)
+        assert gn_cdf(0.4, gm) - gn_cdf(0.4, gm) == 0.0
 
     def test_interval_value_n2(self):
         gm2 = GaussMeasure(NcfParams(2))
         expect = math.log(15 / 14) / math.log(3 / 2)
-        assert gn_measure(1 / 3, 1 / 2, gm2) == pytest.approx(expect, abs=1e-12)
+        assert gn_cdf(1 / 2, gm2) - gn_cdf(1 / 3, gm2) == pytest.approx(expect, abs=1e-12)
         val, _ = integrate.quad(lambda t: gm2.density(t), 1 / 3, 1 / 2, epsabs=1e-13)
         assert val == pytest.approx(expect, abs=1e-10)
-
-    def test_order_required(self, gm):
-        with pytest.raises(ValueError):
-            gn_measure(0.6, 0.2, gm)
 
 
 class TestSampling:
@@ -117,7 +111,7 @@ class TestSampling:
 class TestDigitLaw:
     def test_sums_to_one(self, gm):
         n = gm.n
-        head = sum(digit_law(i, gm) for i in range(n, n + 2000))
+        head = sum(core.digit_probability(i, gm.params) for i in range(n, n + 2000))
         # telescoping tail: mass beyond i_max is log((i+1)/i * (N+1)/N ... )
         i_top = n + 2000
         tail = math.log((i_top + 1) / i_top) / gm.log_norm
@@ -126,8 +120,10 @@ class TestDigitLaw:
     def test_known_values(self):
         gm1 = GaussMeasure(NcfParams(1))
         gm2 = GaussMeasure(NcfParams(2))
-        assert digit_law(1, gm1) == pytest.approx(math.log(4 / 3) / math.log(2), abs=1e-14)
-        assert digit_law(2, gm2) == pytest.approx(math.log(9 / 8) / math.log(3 / 2), abs=1e-14)
+        assert core.digit_probability(1, gm1.params) == pytest.approx(
+            math.log(4 / 3) / math.log(2), abs=1e-14)
+        assert core.digit_probability(2, gm2.params) == pytest.approx(
+            math.log(9 / 8) / math.log(3 / 2), abs=1e-14)
 
     def test_quadrature_oracle(self, gm):
         # mass of the first-digit cell (N/(i+1), N/i]
@@ -135,15 +131,15 @@ class TestDigitLaw:
         for i in range(n, n + 6):
             val, _ = integrate.quad(lambda t: gm.density(t), n / (i + 1), n / i,
                                     epsabs=1e-13)
-            assert digit_law(i, gm) == pytest.approx(val, abs=1e-10)
+            assert core.digit_probability(i, gm.params) == pytest.approx(val, abs=1e-10)
 
     def test_decreasing_in_i(self, gm):
-        vals = [digit_law(i, gm) for i in range(gm.n, gm.n + 40)]
+        vals = [core.digit_probability(i, gm.params) for i in range(gm.n, gm.n + 40)]
         assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
 
     def test_domain(self, gm):
         with pytest.raises(ValueError):
-            digit_law(gm.n - 1, gm)
+            core.digit_probability(gm.n - 1, gm.params)
 
     @pytest.mark.parametrize("n", [10**6, 10**9])
     def test_large_digits_to_rounding(self, n):
@@ -155,14 +151,14 @@ class TestDigitLaw:
                 d = decimal.Decimal
                 want = float(((d(i + 1) ** 2) / (d(i) * d(i + 2))).ln()
                              / (d(n + 1) / d(n)).ln())
-            assert abs(digit_law(i, gm) - want) <= 1e-14 * want
+            assert abs(core.digit_probability(i, gm.params) - want) <= 1e-14 * want
 
     def test_independent_of_n_up_to_normalizer(self):
         gm1 = GaussMeasure(NcfParams(1))
         gm3 = GaussMeasure(NcfParams(3))
         for i in range(3, 30):
-            lhs = digit_law(i, gm1) * gm1.log_norm
-            rhs = digit_law(i, gm3) * gm3.log_norm
+            lhs = core.digit_probability(i, gm1.params) * gm1.log_norm
+            rhs = core.digit_probability(i, gm3.params) * gm3.log_norm
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_monte_carlo_frequencies(self, gm):
@@ -172,7 +168,7 @@ class TestDigitLaw:
         x = x[x > 0]
         first_digit = np.floor(gm.n / x)
         for i in range(gm.n, gm.n + 21):
-            p = digit_law(i, gm)
+            p = core.digit_probability(i, gm.params)
             freq = float(np.mean(first_digit == i))
             se = math.sqrt(p * (1 - p) / k)
             assert abs(freq - p) <= 4 * se + 1e-9
@@ -192,10 +188,10 @@ class TestMapInvarianceAtIntervalLevel:
                 lo = n / (u + i)
                 hi = min(n / i, 1.0)
                 if hi > lo:
-                    total += gn_measure(lo, hi, gm)
+                    total += gn_cdf(hi, gm) - gn_cdf(lo, gm)
             # the sliver masses telescope beyond i_max: log(1 + u/i_max)
             total += math.log1p(u / i_max) / gm.log_norm
-            assert total == pytest.approx(gn_measure(0.0, u, gm), abs=1e-9)
+            assert total == pytest.approx(gn_cdf(u, gm) - gn_cdf(0.0, gm), abs=1e-9)
 
 
 class TestDensityFunction:

@@ -14,7 +14,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from ncf import (  # noqa: E402
-    MealySystem,
     NcfParams,
     contraction_coefficients,
     core,
@@ -66,7 +65,7 @@ _PROBABILITIES = ("0", "0.3", "1", "-0.0", "1.5", "-0.2", "nan", "inf")
 # does not exist, and the directory itself
 _VALUES = {
     "--format": ("json", "csv"), "--out": ("<file>", "<missing>", "<dir>"),
-    "--n": ("1", "2", "7", "1000", "0", "-1", "1" + "0" * 29),
+    "--n": ("1", "2", "7", "1000", "0", "-1", "1" + "0" * 29, "1" + "0" * 400),
     "--grid": _SIZES, "--nmax": _SIZES + ("40",), "--kmax": _SIZES, "--max-len": _SIZES,
     "--alpha": _PROBABILITIES, "--beta": _PROBABILITIES,
     "--starts": ("0", "1", "0,0.25,1", "1e-320,0.5", "0.5,2", "-0.5", "nan", "0,,1", "x"),
@@ -100,6 +99,7 @@ def _argvs(draw):
 @given(argv=_argvs())
 @example(argv=["expand", "--x", "3/7", "--out", "<missing>"]).via("an unwritable --out")
 @example(argv=["expand", "--x", "3/7", "--out", "<dir>"]).via("a directory as --out")
+@example(argv=["regularity", "--n", "1" + "0" * 400]).via("an --n with no float value")
 def test_every_argv_has_a_documented_exit_code(argv):
     # main in-process on drawn argv: it returns, or argparse exits, with 0, 2,
     # 3 or 4, never a traceback
@@ -205,14 +205,13 @@ def test_vector_map_step_is_the_scalar_map(n, ys):
 def test_finite_cesaro_is_the_exact_average(alpha, beta, n):
     # the two-state closed form against (1/n) sum_k K^k in exact rationals,
     # from both states to both states
-    m = MealySystem(alpha / 100, beta / 100)
-    k = m.kernel_exact()
+    k = core.mealy_kernel(Fraction(alpha / 100), Fraction(beta / 100))
     p = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     acc = [[Fraction(0)] * 2 for _ in range(2)]
     for _ in range(n):
         p = [[sum(p[i][t] * k[t][j] for t in range(2)) for j in range(2)] for i in range(2)]
         acc = [[acc[i][j] + p[i][j] for j in range(2)] for i in range(2)]
-    sys_ = make_mealy_rscc(m.alpha, m.beta)
+    sys_ = make_mealy_rscc(alpha / 100, beta / 100)
     for i, source in enumerate(sys_.states):
         for j, target in enumerate(sys_.states):
             got = q_cesaro(sys_, n, source, [target])

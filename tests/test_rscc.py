@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,19 +12,17 @@ from scipy import integrate, special
 from ncf import (
     BudgetExceededError,
     GaussMeasure,
-    MealySystem,
     NcfParams,
     RsccSystem,
     TailSet,
     contraction_coefficients,
-    digit_law,
+    core,
     fixed_point,
-    gn_measure,
+    gn_cdf,
     kernel_matrix,
     limit_path_law,
     make_mealy_rscc,
     make_ncf_rscc,
-    mealy_dot_export,
     path_probability,
     q_cesaro,
     q_kernel,
@@ -31,7 +30,6 @@ from ncf import (
     q_kernel_interval_bruteforce,
     q_step,
     q_step_mc,
-    regularity_witness,
     shifted_path_probability,
     simulate_paths,
 )
@@ -159,6 +157,30 @@ class TestQKernel:
             assert q_kernel_interval(sys_, np.array([0.5, x]), u)[1] == got
             assert q_kernel_interval_bruteforce(sys_, x, u) == pytest.approx(want, abs=1e-12)
 
+    def test_array_path_keeps_cores_guard(self, monkeypatch):
+        # from N/u = 2^49 on core lets the floats stand; the array path sent
+        # every point of such a u through its per-point Python loop
+        sys_, u = make_ncf_rscc(NcfParams(1)), 2.0 ** -50
+        x = np.linspace(0.0, 1.0, 8193)
+        want = [core.kernel_interval(1, v, u) for v in x.tolist()]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return core.kernel_interval(*args)
+
+        monkeypatch.setattr(rscc, "kernel_interval", counting)
+        assert q_kernel_interval(sys_, x, u).tolist() == want
+        assert calls == []
+
+    def test_array_path_at_the_least_subnormal(self):
+        # N/u overflows to inf: no branch lands, and t - e was inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = q_kernel_interval(make_ncf_rscc(NcfParams(1)), np.linspace(0.0, 1.0, 9),
+                                    5e-324)
+        assert got.tolist() == [0.0] * 9
+
     def test_full_interval_has_mass_one(self, ncf_sys):
         for x in (0.25, 0.5, 1.0):
             assert q_kernel_interval(ncf_sys, x, 1.0) == pytest.approx(1.0, abs=1e-15)
@@ -192,7 +214,7 @@ class TestQKernel:
             val, _ = integrate.quad(
                 lambda x: q_kernel_interval(ncf_sys, x, u) * gm.density(x),
                 0.0, 1.0, epsabs=1e-13, points=pts)
-            assert val == pytest.approx(gn_measure(0.0, u, gm), abs=1e-10)
+            assert val == pytest.approx(gn_cdf(u, gm) - gn_cdf(0.0, gm), abs=1e-10)
 
     def test_domain_errors(self, ncf_sys):
         with pytest.raises(ValueError):
@@ -241,7 +263,7 @@ class TestQStep:
     def test_converges_to_stationary_mass(self):
         sys = make_ncf_rscc(NcfParams(1))
         gm = GaussMeasure(sys.params)
-        want = gn_measure(0.2, 0.6, gm)
+        want = gn_cdf(0.6, gm) - gn_cdf(0.2, gm)
         errs = [abs(q_step(sys, k, 0.3, (0.2, 0.6), grid_m=2048) - want)
                 for k in (2, 4, 8)]
         assert errs[-1] < errs[0]
@@ -360,22 +382,21 @@ class TestMealy:
     def test_kernel_rows_sum_to_one(self, mealy_sys):
         k = kernel_matrix(mealy_sys)
         assert np.allclose(k.sum(axis=1), 1.0, atol=1e-15)
-        assert np.array_equal(k, MealySystem(0.3, 0.6).kernel())
+        assert np.array_equal(k, np.array(core.mealy_kernel(0.3, 0.6)))
 
     def test_stationary_is_fixed(self):
-        m = MealySystem(0.3, 0.6)
-        pi = m.stationary()
-        assert np.max(np.abs(pi @ m.kernel() - pi)) <= 1e-15
+        kernel = core.mealy_kernel(0.3, 0.6)
+        pi = np.array(core.mealy_cesaro(kernel, math.inf)[0])
+        assert np.max(np.abs(pi @ np.array(kernel) - pi)) <= 1e-15
         assert pi.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_stationary_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            MealySystem(1.0, 0.0).stationary()
+            core.mealy_cesaro(core.mealy_kernel(1.0, 0.0), math.inf)
 
     def test_chapman_kolmogorov_exact(self):
         # in exact rational arithmetic K^(m+n) = K^m K^n with no error at all
-        m = MealySystem(0.3, 0.6)
-        k = m.kernel_exact()
+        k = core.mealy_kernel(Fraction(0.3), Fraction(0.6))
 
         def matmul(a, b):
             return [[sum(a[i][t] * b[t][j] for t in range(2)) for j in range(2)]
@@ -388,9 +409,8 @@ class TestMealy:
         assert all(sum(row) == Fraction(1) for row in k5)
 
     def test_exact_kernel_matches_float(self):
-        m = MealySystem(0.3, 0.6)
-        exact = m.kernel_exact()
-        approx = m.kernel()
+        exact = core.mealy_kernel(Fraction(0.3), Fraction(0.6))
+        approx = np.array(core.mealy_kernel(0.3, 0.6))
         for i in range(2):
             for j in range(2):
                 assert float(exact[i][j]) == pytest.approx(approx[i, j], abs=1e-15)
@@ -405,7 +425,7 @@ class TestMealy:
             dist = dist_next
 
     def test_cesaro_reaches_stationary_at_huge_n(self, mealy_sys):
-        pi = MealySystem(0.3, 0.6).stationary()
+        pi = core.mealy_cesaro(core.mealy_kernel(0.3, 0.6), math.inf)[0]
         for source in (1.0, 2.0):
             for target, want in (([1.0], pi[0]), ([2.0], pi[1])):
                 got = q_cesaro(mealy_sys, 10**10, source, target)
@@ -439,7 +459,7 @@ class TestMealy:
             q_cesaro(sys_, 10, 1.0, [1.0])
 
     def test_dot_export(self):
-        dot = mealy_dot_export(MealySystem(0.3, 0.6))
+        dot = core.mealy_dot(core.mealy_kernel(0.3, 0.6))
         assert dot.startswith("digraph")
         assert '1 -> 1 [label="1/0.3"];' in dot
         assert '1 -> 2 [label="2/0.7"];' in dot
@@ -551,47 +571,43 @@ class TestContraction:
 class TestRegularity:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_orbits_collapse_to_fixed_point(self, n):
-        sys = make_ncf_rscc(NcfParams(n))
-        rep = regularity_witness(sys, [0.0, 0.25, 0.5, 1.0], 80)
-        assert rep.x_star == pytest.approx(fixed_point(sys.params), abs=1e-15)
-        for curve in rep.dist_curves:
+        params = NcfParams(n)
+        x_star, _, orbits = core.lowest_branch_orbits(params, [0.0, 0.25, 0.5, 1.0], 80)
+        assert x_star == pytest.approx(fixed_point(params), abs=1e-15)
+        for curve in (np.fromiter(o, float, 80) for o in orbits):
             assert curve[-1] <= 1e-14
             # strictly contracting until the rounding floor is reached
             above = curve > 1e-13
             assert np.all(curve[1:][above[1:]] < curve[:-1][above[1:]])
 
     def test_ratio_limit_matches_observed(self):
-        sys = make_ncf_rscc(NcfParams(2))
-        rep = regularity_witness(sys, [0.1], 30)
-        curve = rep.dist_curves[0]
+        _, ratio_limit, (orbit,) = core.lowest_branch_orbits(NcfParams(2), [0.1], 30)
+        curve = np.fromiter(orbit, float, 30)
         observed = curve[15] / curve[14]
-        assert observed == pytest.approx(rep.ratio_limit, abs=1e-6)
+        assert observed == pytest.approx(ratio_limit, abs=1e-6)
 
     def test_analytic_ratio_formula(self):
         for n in (1, 2, 5):
-            sys = make_ncf_rscc(NcfParams(n))
-            rep = regularity_witness(sys, [0.5], 5)
-            x_star = rep.x_star
-            assert rep.ratio_limit == pytest.approx(n / (x_star + n) ** 2, abs=1e-15)
-            assert 0.0 < rep.ratio_limit < 1.0
+            x_star, ratio_limit, _ = core.lowest_branch_orbits(NcfParams(n), [0.5], 5)
+            assert ratio_limit == pytest.approx(n / (x_star + n) ** 2, abs=1e-15)
+            assert 0.0 < ratio_limit < 1.0
 
     def test_orbit_steps_charged_before_allocation(self, monkeypatch):
-        # one unit an orbit step, charged before the n_max floats a start
-        sys = make_ncf_rscc(NcfParams(1))
+        # one unit an orbit step, charged before any orbit is started
+        params = NcfParams(1)
         monkeypatch.setenv("NCF_BUDGET", "30")
-        regularity_witness(sys, [0.0, 0.5, 1.0], 10)
+        core.lowest_branch_orbits(params, [0.0, 0.5, 1.0], 10)
         monkeypatch.setenv("NCF_BUDGET", "29")
+        with pytest.raises(BudgetExceededError, match="regularity orbit steps"):
+            core.lowest_branch_orbits(params, [0.0, 0.5, 1.0], 10)
         with pytest.raises(BudgetExceededError):
-            regularity_witness(sys, [0.0, 0.5, 1.0], 10)
-        with pytest.raises(BudgetExceededError):
-            regularity_witness(sys, [0.5], 10**15)  # 8 PB of distances
+            core.lowest_branch_orbits(params, [0.5], 10**15)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
                                      -0.1, 1.5, 2.0])
     def test_start_outside_unit_interval_rejected(self, bad):
-        sys = make_ncf_rscc(NcfParams(1))
         with pytest.raises(ValueError, match="start"):
-            regularity_witness(sys, [0.5, bad], 10)
+            core.lowest_branch_orbits(NcfParams(1), [0.5, bad], 10)
 
 
 class TestShiftedPathLaw:
@@ -611,7 +627,7 @@ class TestShiftedPathLaw:
         rng = np.random.default_rng(31337)
         est = shifted_path_probability(sys, 0.5, 30, 1, [(1,)],
                                        n_paths=100_000, rng=rng)
-        assert abs(est.value - digit_law(1, gm)) <= 4 * est.se + 1e-4
+        assert abs(est.value - core.digit_probability(1, gm.params)) <= 4 * est.se + 1e-4
 
     def test_tail_set_word(self):
         sys = make_ncf_rscc(NcfParams(2))
@@ -672,7 +688,7 @@ class TestLimitPathLaw:
         gm = GaussMeasure(sys.params)
         for i in range(n, n + 5):
             assert limit_path_law(sys, 1, [(i,)]) == pytest.approx(
-                digit_law(i, gm), abs=1e-10)
+                core.digit_probability(i, gm.params), abs=1e-10)
 
     def test_two_letter_words_sum_to_marginal(self):
         # summing the second letter recovers the one-letter law
