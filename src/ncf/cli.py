@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import dataclasses
 import functools
 import json
 import math
@@ -18,7 +17,8 @@ import sys as _sys
 from fractions import Fraction
 
 # `transfer`, `gap`, `gk` and `contraction` import NumPy and its layers
-# themselves; every other command runs on the pure-Python `core` alone
+# themselves (`gk` and `contraction` `dataclasses` too); every other command
+# runs on the pure-Python `core` alone
 from . import core
 from .errors import BudgetExceededError, FitError, charge
 
@@ -122,6 +122,7 @@ _MEASURES = ("lebesgue", "gauss", "tilted")
 
 
 def _cmd_gk(args):
+    import dataclasses
     import numpy as np
     from . import gausskuzmin
     params = core.NcfParams(args.n)
@@ -148,6 +149,7 @@ def _cmd_rscc_mealy(args):
 
 
 def _cmd_contraction(args):
+    import dataclasses
     from . import rscc
     sys_ = rscc.make_ncf_rscc(core.NcfParams(args.n))
     # --seed is accepted and has no effect: no state pair is drawn at random
@@ -163,6 +165,21 @@ def _cmd_regularity(args):
     return ({"x_star": x_star, "ratio_limit": ratio_limit,
              "starts": starts, "final_distances": final},
             ("start", "final_distance"), zip(starts, final))
+
+
+def _n_overflow(args, exc):
+    """The message for an OverflowError that --n caused, else None: N has no
+    binary64 value from about 1.8e308 on, and N^2 none from about 1.3e154,
+    where `regularity`'s N^2 + 4N and `digit-law`'s N(N + 2) stop converting."""
+    if not isinstance(exc, OverflowError) or "n" not in args:
+        return None
+    squares = args.command in ("regularity", "digit-law")
+    try:
+        float(args.n * args.n if squares else args.n)
+    except OverflowError:
+        limit, what = ("1.3e154", "N^2") if squares else ("1.8e308", "N")
+        return f"--n must stay below about {limit}, where {what} has no binary64 value"
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,9 +267,8 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"ncf: fit error: {exc}", file=_sys.stderr)
         return 4
-    # OverflowError: an --n too large for a float, wherever N meets one
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        print(f"ncf: error: {exc}", file=_sys.stderr)
+        print(f"ncf: error: {_n_overflow(args, exc) or exc}", file=_sys.stderr)
         return 2
     try:
         if args.out:

@@ -12,7 +12,7 @@ state kernel and its invariance integrals, and the Mealy machine's averages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -38,23 +38,41 @@ GL_WEIGHTS = (
 _TIE = 2.0 ** -50
 
 
-@dataclass(frozen=True)
-class NcfParams:
+# Plain classes rather than dataclasses: `import dataclasses` brings in
+# `inspect` and `ast`, several ms of every process that runs on `core` alone.
+class NcfParams(namedtuple("NcfParams", "n_param")):
     """The expansion parameter N >= 1."""
 
-    n_param: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n_param, int) or self.n_param < 1:
-            raise ValueError(f"n_param must be an integer >= 1, got {self.n_param!r}")
+    def __new__(cls, n_param: int):
+        if not isinstance(n_param, int) or n_param < 1:
+            raise ValueError(f"n_param must be an integer >= 1, got {n_param!r}")
+        return super().__new__(cls, n_param)
 
 
-@dataclass(frozen=True)
 class DigitSequence:
-    """Partial quotients of an expansion; terminated means the orbit hit 0."""
+    """Partial quotients of an expansion; terminated means the orbit hit 0.
 
-    digits: tuple
-    terminated: bool
+    Immutable, equal and hashed by value; len and iteration run over the
+    digits (so it is no tuple: a namedtuple's copy and pickle iterate it)."""
+
+    def __init__(self, digits: tuple, terminated: bool):
+        self.__dict__.update(digits=digits, terminated=terminated)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is DigitSequence else NotImplemented
+
+    def __hash__(self):
+        return hash((self.digits, self.terminated))
+
+    def __repr__(self):
+        return f"DigitSequence(digits={self.digits!r}, terminated={self.terminated!r})"
 
     def __len__(self):
         return len(self.digits)

@@ -356,7 +356,9 @@ def _r_k_estimate(sys: RsccSystem, k: int, w1: np.ndarray, w2: np.ndarray) -> fl
         n = sys.params.n_param
         width = max(2, int(round(_EVENT_CAP ** (1.0 / k))))
         events = list(range(n, n + width))
-        last, block = np.array(events[::-1])[:, None], max(1, transfer._CHUNK // w1.size)
+        # float, not int64: past 2^63 the events would make an object array
+        last = np.array(events[::-1], dtype=float)[:, None]
+        block = max(1, transfer._CHUNK // w1.size)
     charge(len(events) ** k * w1.size * k, f"r_{k} word enumeration")
     denom = np.abs(w1 - w2)
     total = np.zeros_like(w1)

@@ -314,6 +314,14 @@ def integrate_against(f: GridFunction, gm: GaussMeasure) -> float:
     return float(total)
 
 
+def _median(xs) -> float:
+    """np.median of a few floats, bit for bit, without loading numpy.ma."""
+    if any(x != x for x in xs):  # a NaN, which np.median returns
+        return math.nan
+    s, k = sorted(xs), len(xs) // 2
+    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
+
+
 def _fit_window(errors: np.ndarray):
     """Indices of the admissible log-fit window: above the noise floor, and
     cut where the per-step ratio degrades markedly against the median ratio
@@ -322,7 +330,7 @@ def _fit_window(errors: np.ndarray):
     idx, ratios = [], []
     for j, e in enumerate(errors):
         r = e / errors[idx[-1]] if idx else 0.0
-        slower = len(ratios) >= 3 and r > min(0.95, 1.5 * np.median(ratios[:5]))
+        slower = len(ratios) >= 3 and r > min(0.95, 1.5 * _median(ratios[:5]))
         if e <= floor or r > 0.99 or slower:  # r > 0.99: no usable decay left
             break
         ratios += [r] if idx else []

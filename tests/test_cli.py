@@ -295,6 +295,16 @@ class TestContractionAndRegularity:
         assert payload["certified"] is True
         assert all(0 < r < 1 for r in payload["r_values"])
 
+    @pytest.mark.parametrize("n", [2**63, 10**29])
+    def test_contraction_past_int64(self, n, capsys):
+        # events past 2^63 made an object array and a NumPy casting traceback;
+        # r_1 is about 1/N there (R = 1/(4N) exactly)
+        code, out, err = run_cli(["contraction", "--n", str(n), "--grid", "16"], capsys)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["big_r"] == 1 / (4 * n)
+        assert math.isclose(payload["r_values"][0], 1 / n, rel_tol=1e-6)
+
     def test_contraction_ignores_seed(self, capsys):
         # no state pair is drawn at random: --seed is accepted and inert
         outs = [run_cli(["contraction", "--grid", "64", "--seed", s], capsys)[1]
@@ -425,7 +435,22 @@ class TestOutputPlumbing:
         code, out, err = run_cli(argv + ["--n", _N_PAST_FLOAT], capsys)
         assert code == want, err
         if want == 2:
-            assert out == "" and err.startswith("ncf: error:")
+            assert out == "" and err.startswith("ncf: error: --n must stay below about ")
+            assert ("1.3e154" if argv[0] in ("regularity", "digit-law") else "1.8e308") in err
+
+    @pytest.mark.parametrize("command", ["regularity", "digit-law"])
+    def test_n_squared_past_binary64(self, command, capsys):
+        # N = 10^200 has a float, N^2 has none
+        code, out, err = run_cli([command, "--n", "1" + "0" * 200], capsys)
+        assert code == 2 and out == ""
+        assert err == ("ncf: error: --n must stay below about 1.3e154, "
+                       "where N^2 has no binary64 value\n")
+
+    def test_other_overflows_keep_their_message(self, capsys):
+        # an --nmax with no float value is not blamed on --n
+        code, _, err = run_cli(["rscc-mealy", "--alpha", "0.3", "--beta", "0.6",
+                                "--nmax", _N_PAST_FLOAT], capsys)
+        assert code == 2 and err.startswith("ncf: error:") and "--n" not in err
 
     def test_zero_budget_is_a_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("NCF_BUDGET", "0")
@@ -547,10 +572,25 @@ class TestLazyImports:
             "    code = ncf.cli.main(sys.argv[1:])\n"
             "except SystemExit as exc:\n"
             "    code = exc.code\n"
-            "print(code, 'numpy' in sys.modules, file=sys.stderr)", argv,
+            "print(code, [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules],\n"
+            "      file=sys.stderr)", argv,
             env={**os.environ, "NCF_BUDGET": "1000"})
         assert r.returncode == 0, r.stderr
-        assert r.stderr.splitlines()[-1] == f"{code} False"
+        assert r.stderr.splitlines()[-1] == f"{code} []"
+
+    @pytest.mark.parametrize("argv", [
+        ["gap", "--grid", "64", "--nmax", "10"],
+        ["gk", "--grid", "64", "--nmax", "8"],
+    ], ids=["gap", "gk"])
+    def test_rate_fits_leave_numpy_ma_out(self, argv):
+        # the fit window's median is taken in Python: np.median loads numpy.ma
+        r = _python_child(
+            "import io, contextlib, ncf.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = ncf.cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)", argv)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == ["0 True False"]
 
     def test_every_public_name_is_its_modules_object(self):
         import ncf

@@ -1,13 +1,16 @@
 """Map, digit extraction, exact evaluation, convergents."""
 
+import copy
 import decimal
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from ncf import (
+    DigitSequence,
     NcfParams,
     convergents,
     digits,
@@ -23,6 +26,33 @@ def test_params_validation():
         NcfParams(0)
     with pytest.raises(ValueError):
         NcfParams(-3)
+    with pytest.raises(ValueError, match=r"^n_param must be an integer >= 1, got 1\.0$"):
+        NcfParams(1.0)
+
+
+@pytest.mark.parametrize("value,other,field,text", [
+    (NcfParams(3), NcfParams(n_param=3), "n_param", "NcfParams(n_param=3)"),
+    (DigitSequence((4, 3), True), DigitSequence(digits=(4, 3), terminated=True), "digits",
+     "DigitSequence(digits=(4, 3), terminated=True)"),
+], ids=["NcfParams", "DigitSequence"])
+def test_value_objects(value, other, field, text):
+    # built by position or keyword, equal and hashed by value, frozen, and
+    # rebuilt whole by copy and pickle
+    assert other == value and hash(other) == hash(value) and other is not value
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, field, 5)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
+
+
+def test_digit_sequence_runs_over_its_digits():
+    seq = DigitSequence((4, 3), True)
+    assert len(seq) == 2 and list(seq) == [4, 3]
+    assert seq != DigitSequence((4, 3), False) and seq != (4, 3)
+    assert NcfParams(2) != NcfParams(3)
 
 
 class TestGaussMap:

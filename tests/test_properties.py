@@ -117,6 +117,19 @@ def test_every_argv_has_a_documented_exit_code(argv):
         assert code in (0, 2, 3, 4), (argv, sink.getvalue()[-500:])
 
 
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False), min_size=1,
+                   max_size=5))
+@example(xs=[1.7976931348623157e308] * 2).via("a middle pair whose sum overflows")
+@example(xs=[0.5, float("nan"), 0.25]).via("a NaN, which np.median returns")
+def test_fit_window_median_is_numpys(xs):
+    # the fit window's median, in Python so that numpy.ma stays unloaded
+    with np.errstate(over="ignore"):
+        want = np.median(xs)
+    got = transfer._median(xs)
+    assert type(got) is float and got.hex() == float(want).hex()
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 10**6), m=st.integers(1, 512), data=st.data())
 def test_branch_terms_are_stochastic(n, m, data):
