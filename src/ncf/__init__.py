@@ -17,8 +17,8 @@ _LAYERS = {
     "measure": ("GaussMeasure", "DensityFunction", "gn_cdf", "gn_quantile", "gn_sample"),
     "transfer": ("GridFunction", "LipschitzNormEstimate", "GapEstimate", "apply_transfer",
                  "lipschitz_norm", "estimate_gap", "integrate_against"),
-    "rscc": ("RsccSystem", "TailSet", "ContractionReport", "Estimate", "make_ncf_rscc",
-             "make_mealy_rscc", "path_probability", "simulate_paths", "q_kernel_interval",
+    "rscc": ("RsccSystem", "ContractionReport", "Estimate", "make_ncf_rscc", "make_mealy_rscc",
+             "path_probability", "simulate_paths", "q_kernel_interval",
              "q_kernel_interval_bruteforce", "q_kernel", "q_step", "q_step_mc", "q_cesaro",
              "kernel_matrix", "contraction_coefficients", "shifted_path_probability",
              "limit_path_law"),

@@ -12,6 +12,7 @@ state kernel and its invariance integrals, and the Mealy machine's averages.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence, Union
@@ -288,6 +289,8 @@ def mealy_cesaro(rows, n) -> list:
     if k12 + k21 == 0:
         raise ValueError("no unique stationary vector when alpha=1, beta=0")
     pi = (k21 / (k12 + k21), k12 / (k12 + k21))
+    if n > sys.float_info.max:  # lam^n and n have no float: the average is pi to rounding
+        n = math.inf
     # for lam near 1 and small n, lam^n rounds next to 1 and 1 - lam^n would
     # cancel its digits; expm1 keeps them, and lam - 1 is exact from lam = 1/2 on
     drop = -math.expm1(n * math.log1p(lam - 1.0)) if lam > 0.5 else 1 - lam ** n

@@ -1,6 +1,7 @@
 """Shared exception types and the compute-budget guard."""
 
 import os
+from decimal import Decimal
 
 DEFAULT_BUDGET = 200_000_000
 
@@ -29,7 +30,11 @@ def budget_cap() -> int:
 def charge(cost: float, what: str) -> None:
     cap = budget_cap()
     if cost > cap:
+        try:
+            shown = f"{cost:.3g}"
+        except OverflowError:  # an int with no binary64 value, such as a 401-digit flag
+            shown = f"{Decimal(cost):.3g}"
         raise BudgetExceededError(
-            f"{what}: estimated cost {cost:.3g} exceeds budget {cap} "
+            f"{what}: estimated cost {shown} exceeds budget {cap} "
             "(set NCF_BUDGET to raise the cap)"
         )

@@ -10,12 +10,13 @@ u(w, x) and a place-dependent probability P(w, x) with sum_x P(w, x) = 1
 * a two-state Mealy machine with alphabet {1, 2}, u(i, j) = j and
   transition probabilities parameterized by (alpha, beta).
 
-On top of the instances: path probabilities, one- and k-step state kernels,
-Cesaro kernel averages, contraction-coefficient estimation, shifted path
-laws, and the stationary path law computed by quadrature against the
-invariant measure.  The Mealy machine's kernel, stationary law and diagram,
-and the lowest-branch orbits that witness regularity, are scalar closed
-forms in `core`.
+Every system has its path probabilities; a finite one also its kernel
+matrix and, with two states, its Cesaro kernel averages.  The
+continued-fraction system has one- and k-step state kernels and their Cesaro
+averages, contraction-coefficient estimation, shifted path laws, and the
+stationary path law computed by quadrature against the invariant measure.
+The Mealy machine's kernel, stationary law and diagram, and the lowest-branch
+orbits that witness regularity, are scalar closed forms in `core`.
 """
 
 from __future__ import annotations
@@ -53,13 +54,6 @@ class RsccSystem:
     @property
     def finite(self) -> bool:
         return self.params is None
-
-
-@dataclass(frozen=True)
-class TailSet:
-    """The event set {i : i >= m} of a countable alphabet."""
-
-    m: int
 
 
 @dataclass(frozen=True)
@@ -119,6 +113,13 @@ def make_mealy_rscc(alpha: float, beta: float) -> RsccSystem:
     return RsccSystem(transition=u, probability=p, events=(1, 2), states=(1.0, 2.0))
 
 
+def _cf_n(sys: RsccSystem, what: str) -> int:
+    """N of the continued-fraction system, which `what` needs."""
+    if sys.finite:
+        raise ValueError(f"{what} needs the continued-fraction system")
+    return sys.params.n_param
+
+
 # ---------------------------------------------------------------------------
 # path probabilities
 
@@ -143,9 +144,7 @@ def path_probability(sys: RsccSystem, w, word) -> float:
 def q_kernel_interval(sys: RsccSystem, x, u_end: float):
     """Q(x, [0, u_end)) for the continued-fraction system: `core.kernel_interval`
     at a state x, and at an array of states its floats, core deciding near ties."""
-    if sys.params is None:
-        raise ValueError("q_kernel_interval needs the continued-fraction system")
-    n = sys.params.n_param
+    n = _cf_n(sys, "q_kernel_interval")
     xa = np.asarray(x, dtype=float)
     if not (0.0 <= xa.min() and xa.max() <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x}")
@@ -168,9 +167,7 @@ def q_kernel_interval_bruteforce(sys: RsccSystem, x: float, u_end: float,
                                  i_max: int = 20000) -> float:
     """Branch-by-branch sum with the exact tail remainder; the oracle for the
     closed form above."""
-    if sys.params is None:
-        raise ValueError("needs the continued-fraction system")
-    n = sys.params.n_param
+    n = _cf_n(sys, "q_kernel_interval_bruteforce")
     i = np.arange(n, i_max + 1, dtype=float)
     y = n / (x + i)
     inside = y < u_end
@@ -207,24 +204,10 @@ def kernel_matrix(sys: RsccSystem) -> np.ndarray:
     return k
 
 
-def _kernel_row(sys: RsccSystem, k: int, source) -> np.ndarray:
-    """Row of K^k at a state of a finite system."""
-    return np.linalg.matrix_power(kernel_matrix(sys), k)[sys.states.index(float(source))]
-
-
-def _target_indicator(sys: RsccSystem, target) -> np.ndarray:
-    """Indicator vector of a collection of states of a finite system."""
-    members = set(float(t) for t in target)
-    return np.array([1.0 if s in members else 0.0 for s in sys.states])
-
-
 def q_step(sys: RsccSystem, k: int, source: float, target,
            grid_m: int = 1024) -> float:
-    """k-step kernel Q^(k)(source, target).
-
-    Finite systems: exact matrix power.  The continued-fraction system, where
-    `target` is an (a, b) half-open interval: the kernel recursion
-    Q^(k+1) = U Q^(k), with Q^(1) the closed form `q_kernel` and Q^(2) one
+    """k-step kernel Q^(k)(source, [a, b)) of the continued-fraction system,
+    `target` the pair (a, b): the kernel recursion Q^(k+1) = U Q^(k), with Q^(1) the closed form `q_kernel` and Q^(2) one
     branch sum of that closed form at the source; for k >= 3 the transfer
     operator is iterated k-2 times on a grid of the closed form and the last
     step is taken at the source itself.  `q_step_mc` is the Monte Carlo
@@ -232,8 +215,7 @@ def q_step(sys: RsccSystem, k: int, source: float, target,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if sys.finite:
-        return float(_kernel_row(sys, k, source) @ _target_indicator(sys, target))
+    _cf_n(sys, "q_step")
     a, b = target
     return _kernel_terms(sys, k, source, a, b, grid_m)[-1]
 
@@ -274,12 +256,10 @@ def simulate_paths(sys: RsccSystem, source: float, steps: int, n_paths: int,
     """Terminal states of n_paths seeded chains run for `steps` steps."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if sys.params is None:
-        raise ValueError("simulate_paths needs the continued-fraction system")
+    n = _cf_n(sys, "simulate_paths")
     if rng is None:
         rng = np.random.default_rng(0)
     charge(steps * n_paths, "path simulation")
-    n = sys.params.n_param
     w = np.full(n_paths, float(source))
     for _ in range(steps):
         w = sys.transition(w, _sample_event(n, w, rng.random(n_paths)))
@@ -303,11 +283,12 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
              grid_m: int = 1024) -> float:
     """(1/n) sum_{k<=n} Q^(k)(source, target).
 
-    A finite system (two states) takes `core.mealy_cesaro` of its kernel
-    rows, exact to rounding at every n; the continued-fraction system
-    averages the terms Q^(1..n)(source) of q_step's kernel recursion: Q^(1)
-    in closed form, Q^(2) one branch sum of it, Q^(k >= 3) through the grid
-    with the last operator step taken at the source.
+    A two-state finite system, `target` a collection of states, takes
+    `core.mealy_cesaro` of its kernel rows, exact to rounding at every n; the
+    continued-fraction system, `target` the pair (a, b), averages the terms
+    Q^(1..n)(source) of q_step's kernel recursion: Q^(1) in closed form,
+    Q^(2) one branch sum of it, Q^(k >= 3) through the grid with the last
+    operator step taken at the source.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -315,7 +296,8 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
         if len(sys.states) != 2:
             raise ValueError("q_cesaro has a closed form for two-state systems only")
         row = mealy_cesaro(kernel_matrix(sys).tolist(), n)[sys.states.index(float(source))]
-        return float(np.dot(row, _target_indicator(sys, target)))
+        members = {float(t) for t in target}
+        return float(sum(p for p, s in zip(row, sys.states) if s in members))
     a, b = target
     return sum(_kernel_terms(sys, n, source, a, b, grid_m)) / n
 
@@ -323,112 +305,89 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
 # ---------------------------------------------------------------------------
 # contraction coefficients
 
-_EVENT_CAP = 2048     # r_k cuts a countable alphabet to ~_EVENT_CAP^(1/k) letters
+_EVENT_CAP = 2048     # r_k cuts the alphabet to ~_EVENT_CAP^(1/k) letters
 _MARGIN = 1e-6        # certified when some r_k < 1 - _MARGIN
 
 
-def _pair_grid(sys: RsccSystem, grid: int):
-    """The state pairs (w, w') over which r_k is read.  A finite system: every
-    ordered pair of distinct states.  The continued-fraction system: (j/grid,
-    0) for j = 1..grid, and (0, 1/grid).  Each of its word maps is a Moebius
-    map (a w + b)/(c w + d) with c, d >= 0, a product of the matrices
-    [[0, N], [1, i]], so its difference quotient |ad - bc|/((c w + d)(c w' +
-    d)) falls in w'; P_k(w, x) does not depend on w', so for each w the sup
-    over w' lies at w' = 0.  The sup over w is read on the grid."""
-    if sys.finite:
-        states = np.array(sys.states)
-        w1, w2 = np.meshgrid(states, states)
-        mask = w1 != w2
-        return w1[mask], w2[mask]
+def _width(k: int) -> int:
+    """The leading events i = N..N+width-1 that r_k enumerates at each step."""
+    return max(2, int(round(_EVENT_CAP ** (1.0 / k))))
+
+
+def _pair_grid(grid: int):
+    """The state pairs (w, w') over which r_k is read: (j/grid, 0) for j =
+    1..grid, and (0, 1/grid).  Each word map is a Moebius map (a w + b)/(c w
+    + d) with c, d >= 0, a product of the matrices [[0, N], [1, i]], so its
+    difference quotient |ad - bc|/((c w + d)(c w' + d)) falls in w'; P_k(w,
+    x) does not depend on w', so for each w the sup over w' lies at w' = 0.
+    The sup over w is read on the grid."""
     charge(grid + 1, "contraction state pairs")  # before they are allocated
     nodes = np.linspace(0.0, 1.0, grid + 1)
     return np.append(nodes[1:], 0.0), np.append(np.zeros(grid), nodes[1])
 
 
 def _r_k_estimate(sys: RsccSystem, k: int, w1: np.ndarray, w2: np.ndarray) -> float:
-    """r_k over the pairs (w1, w2), by enumerating the words depth first.
-    The continued-fraction system takes the last letter over blocks of
-    events at once, of about transfer._CHUNK (event, pair) entries, and adds
-    the leaves in the order the stack would pop them, last event first."""
-    if sys.finite:
-        events = list(sys.events)
-    else:
-        n = sys.params.n_param
-        width = max(2, int(round(_EVENT_CAP ** (1.0 / k))))
-        events = list(range(n, n + width))
-        # float, not int64: past 2^63 the events would make an object array
-        last = np.array(events[::-1], dtype=float)[:, None]
-        block = max(1, transfer._CHUNK // w1.size)
-    charge(len(events) ** k * w1.size * k, f"r_{k} word enumeration")
+    """r_k over the pairs (w1, w2), by enumerating the words of _width(k)
+    letters depth first.  The last letter is taken over blocks of events at
+    once, of about transfer._CHUNK (event, pair) entries, and the leaves are
+    added in the order the stack would pop them, last event first."""
+    n, width = sys.params.n_param, _width(k)
+    events, m = list(range(n, n + width)), n + width
+    # float, not int64: past 2^63 the events would make an object array
+    last = np.array(events[::-1], dtype=float)[:, None]
+    block = max(1, transfer._CHUNK // w1.size)
     denom = np.abs(w1 - w2)
     total = np.zeros_like(w1)
     stack = [(0, w1, w2, np.ones_like(w1))]
     while stack:
         depth, a, b, prob = stack.pop()
-        if depth == k:
-            total += prob * np.abs(a - b) / denom
+        # events beyond the truncation, bounded by the derivative envelope
+        # |du/dw| <= N/i^2 at this step and N/N^2 after it
+        total += (prob * _tail_mass(n, a, m) * (np.abs(a - b) / denom)
+                  * (n / (m * m)) * (n / (n * n)) ** (k - depth - 1))
+        if depth == k - 1:
+            for j in range(0, width, block):
+                x = last[j:j + block]
+                leaves = (prob * sys.probability(a, x)
+                          * np.abs(sys.transition(a, x) - sys.transition(b, x)) / denom)
+                for leaf in leaves:
+                    total += leaf
             continue
-        if not sys.finite:
-            # events beyond the truncation, bounded by the derivative
-            # envelope |du/dw| <= N/i^2 at this step and N/N^2 after it
-            m = events[-1] + 1
-            total += (prob * _tail_mass(n, a, m) * (np.abs(a - b) / denom)
-                      * (n / (m * m)) * (n / (n * n)) ** (k - depth - 1))
-            if depth == k - 1:
-                for j in range(0, width, block):
-                    x = last[j:j + block]
-                    leaves = (prob * sys.probability(a, x)
-                              * np.abs(sys.transition(a, x) - sys.transition(b, x)) / denom)
-                    for leaf in leaves:
-                        total += leaf
-                continue
         for x in events:
             stack.append((depth + 1, sys.transition(a, x), sys.transition(b, x),
                           prob * sys.probability(a, x)))
     return float(np.max(total))
 
 
-def _big_r(sys: RsccSystem, w1: np.ndarray, w2: np.ndarray) -> float:
-    """R = sup |P(w, A) - P(w', A)| / |w - w'| over event sets A and state
-    pairs.  Over A the sup is the total variation sum_x (P(w, x) -
-    P(w', x))+, taken over every pair of a finite system.  For the
-    continued-fraction system P(w, i)/P(w', i) is monotone in i, so the
-    variation is a tail difference, (m-N)|w-w'|/((w+m)(w'+m)) <= (m-N)/m^2
-    <= 1/(4N), approached at m = 2N as w, w' -> 0: R = 1/(4N)."""
-    if not sys.finite:
-        return 1 / (4 * sys.params.n_param)
-    variation = sum(np.maximum(sys.probability(w1, x) - sys.probability(w2, x), 0.0)
-                    for x in sys.events)
-    return float(np.max(variation / np.abs(w1 - w2)))
-
-
 def contraction_coefficients(sys: RsccSystem, k_max: int = 2, grid: int = 512,
                              rng: Optional[np.random.Generator] = None) -> ContractionReport:
-    """The trajectory-contraction coefficients r_k, read over the state pairs
-    of _pair_grid (grid + 1 of them for the continued-fraction system), and
-    the event Lipschitz constant R (_big_r); certified when some r_k is
-    bounded away from 1.  rng has no effect: no pair is drawn at random."""
+    """The trajectory-contraction coefficients r_k of the continued-fraction
+    system, read over the grid + 1 state pairs of _pair_grid, and the event
+    Lipschitz constant R; certified when some r_k is bounded away from 1.
+    Every r_k is charged before r_1 is computed.  rng has no effect: no pair
+    is drawn at random.
+
+    R = sup |P(w, A) - P(w', A)| / |w - w'| over event sets A and state pairs.
+    P(w, i)/P(w', i) is monotone in i, so the sup over A is a tail
+    difference, (m-N)|w-w'|/((w+m)(w'+m)) <= (m-N)/m^2 <= 1/(4N), approached
+    at m = 2N as w, w' -> 0: R = 1/(4N)."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    w1, w2 = _pair_grid(sys, grid)
+    n = _cf_n(sys, "contraction_coefficients")
+    w1, w2 = _pair_grid(grid)
+    for k in range(1, k_max + 1):
+        charge(_width(k) ** k * w1.size * k, f"r_{k} word enumeration")
     r_values = tuple(_r_k_estimate(sys, k, w1, w2) for k in range(1, k_max + 1))
     certified = math.isfinite(r_values[0]) and any(r < 1.0 - _MARGIN for r in r_values)
-    return ContractionReport(r_values=r_values, big_r=_big_r(sys, w1, w2), certified=certified)
+    return ContractionReport(r_values=r_values, big_r=1 / (4 * n), certified=certified)
 
 
 # ---------------------------------------------------------------------------
 # shifted path laws and their limit
 
 
-def _checked_words(sys: RsccSystem, r: int, word_set):
-    """A word set of r-letter words: a list of tuples, or a TailSet when r = 1
-    and the alphabet is countable."""
-    if isinstance(word_set, TailSet):
-        if r != 1:
-            raise ValueError("tail sets are one-letter word sets: r = 1")
-        if sys.finite:
-            raise ValueError("tail sets need a countable alphabet")
-        return word_set
+def _checked_words(r: int, word_set) -> list:
+    """A word set as a list of r-letter tuples."""
     words = [tuple(word) for word in word_set]
     if any(len(word) != r for word in words):
         raise ValueError("every word must have length r")
@@ -436,10 +395,7 @@ def _checked_words(sys: RsccSystem, r: int, word_set):
 
 
 def _word_set_probability(sys: RsccSystem, w, word_set) -> np.ndarray:
-    """P_r(w, A) for a finite collection of words (or a one-letter tail set),
-    vectorized over w."""
-    if isinstance(word_set, TailSet):
-        return _tail_mass(sys.params.n_param, w, word_set.m)
+    """P_r(w, A) for a finite collection of words, vectorized over w."""
     total = np.zeros_like(np.asarray(w, dtype=float))
     for word in word_set:
         total = total + path_probability(sys, w, word)
@@ -449,19 +405,14 @@ def _word_set_probability(sys: RsccSystem, w, word_set) -> np.ndarray:
 def shifted_path_probability(sys: RsccSystem, w: float, n: int, r: int, word_set,
                              n_paths: int = 100_000,
                              rng: Optional[np.random.Generator] = None) -> Estimate:
-    """Probability that the events at positions n..n+r-1 form a word in the set.
-
-    Exact via the kernel matrix for finite systems; for the
-    continued-fraction system the n-1 burn-in steps are simulated and the
-    final word probability is taken conditionally on the terminal state,
-    which removes the last layer of sampling noise.
+    """Probability that the events at positions n..n+r-1 of the
+    continued-fraction system form a word in the set: the n-1 burn-in steps
+    are simulated and the final word probability is taken conditionally on
+    the terminal state, which removes the last layer of sampling noise.
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
-    word_set = _checked_words(sys, r, word_set)
-    if sys.finite:
-        probs = _word_set_probability(sys, np.array(sys.states), word_set)
-        return Estimate(float(_kernel_row(sys, n - 1, w) @ probs), 0.0)
+    word_set = _checked_words(r, word_set)
     states = simulate_paths(sys, w, n - 1, n_paths, rng)
     vals = _word_set_probability(sys, states, word_set)
     mean = float(np.mean(vals))
@@ -472,11 +423,10 @@ def shifted_path_probability(sys: RsccSystem, w: float, n: int, r: int, word_set
 def limit_path_law(sys: RsccSystem, r: int, word_set) -> float:
     """Stationary law of r-letter words: quadrature of P_r(., A) against the
     invariant measure of the continued-fraction system."""
-    if sys.params is None:
-        raise ValueError("limit_path_law needs the continued-fraction system")
+    _cf_n(sys, "limit_path_law")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    word_set = _checked_words(sys, r, word_set)
+    word_set = _checked_words(r, word_set)
     gm = GaussMeasure(sys.params)
     # the integrand is rational with its poles at w <= -1
     return _gauss_legendre(

@@ -280,6 +280,16 @@ class TestRsccMealy:
         assert payload["stationary"] == np.array(
             core.mealy_cesaro(core.mealy_kernel(0.3, 0.6), math.inf)[0]).tolist()
 
+    def test_nmax_past_binary64(self, capsys):
+        # lam ** n raised "int too large to convert to float" (exit 2); at
+        # such an n the average is the stationary law to rounding
+        code, out, err = run_cli(["rscc-mealy", "--alpha", "0.3", "--beta", "0.6",
+                                  "--nmax", _N_PAST_FLOAT], capsys)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["cesaro_from_1"] == payload["stationary"]
+        assert payload["cesaro_steps"] == int(_N_PAST_FLOAT)
+
     def test_identity_kernel_has_no_stationary_law(self, capsys):
         code, out, err = run_cli(["rscc-mealy", "--alpha", "1", "--beta", "0"], capsys)
         assert code == 2 and out == ""
@@ -446,11 +456,37 @@ class TestOutputPlumbing:
         assert err == ("ncf: error: --n must stay below about 1.3e154, "
                        "where N^2 has no binary64 value\n")
 
-    def test_other_overflows_keep_their_message(self, capsys):
-        # an --nmax with no float value is not blamed on --n
-        code, _, err = run_cli(["rscc-mealy", "--alpha", "0.3", "--beta", "0.6",
-                                "--nmax", _N_PAST_FLOAT], capsys)
-        assert code == 2 and err.startswith("ncf: error:") and "--n" not in err
+    def test_other_overflows_keep_their_message(self, capsys, monkeypatch):
+        # an overflow that N's float did not cause is not blamed on --n
+        def overflow(*args):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(core, "digit_probability", overflow)
+        code, _, err = run_cli(["digit-law", "--n", "2"], capsys)
+        assert code == 2 and err == "ncf: error: int too large to convert to float\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--x", "0.5", "--max-len"], ["digit-law", "--grid"],
+        ["invariance", "--grid"], ["regularity", "--nmax"], ["transfer", "--nmax"],
+        ["gap", "--nmax"], ["gk", "--nmax"], ["contraction", "--grid"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_size_flag_past_binary64(self, argv, capsys):
+        # the refused cost was formatted as a float: exit 2, "int too large
+        # to convert to float", in place of the budget error
+        code, out, err = run_cli(argv + [_N_PAST_FLOAT], capsys)
+        assert code == 3 and out == "", err
+        assert err.startswith("ncf: budget error:") and "e+40" in err
+
+    def test_contraction_charges_every_r_k_first(self, capsys, monkeypatch):
+        # r_1..r_22 were computed, for minutes, before r_23 was refused
+        from ncf import rscc
+        calls = []
+        monkeypatch.setattr(rscc, "_r_k_estimate", lambda *args: calls.append(args) or 0.5)
+        code, out, err = run_cli(["contraction", "--kmax", "30", "--grid", "4"], capsys)
+        assert code == 3 and out == "" and calls == []
+        assert err.startswith("ncf: budget error: r_21 word enumeration:")
+        assert run_cli(["contraction", "--kmax", "20", "--grid", "4"], capsys)[0] == 0
+        assert len(calls) == 20
 
     def test_zero_budget_is_a_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("NCF_BUDGET", "0")
@@ -594,7 +630,7 @@ class TestLazyImports:
 
     def test_every_public_name_is_its_modules_object(self):
         import ncf
-        assert len(ncf.__all__) == len(set(ncf.__all__)) == 47
+        assert len(ncf.__all__) == len(set(ncf.__all__)) == 46
         for name in ncf.__all__:
             obj = getattr(ncf, name)
             assert obj.__module__.startswith("ncf.")

@@ -13,6 +13,7 @@ from ncf import (
     DigitSequence,
     NcfParams,
     convergents,
+    core,
     digits,
     evaluate,
     fixed_point,
@@ -271,3 +272,18 @@ class TestFixedPoint:
         seq = digits(x_star, p, 5)
         assert seq.digits == (n,) * 5
         assert seq.digits[0] == math.floor(x_star + n)
+
+
+class TestMealyCesaro:
+    # an n with no binary64 value raised "int too large to convert to float"
+    # from lam ** n, and for lam > 1/2 from n * log1p(lam - 1)
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.6), (0.9, 0.2)],
+                             ids=["lam<=1/2", "lam>1/2"])
+    def test_past_binary64_is_the_stationary_law(self, alpha, beta):
+        kernel = core.mealy_kernel(alpha, beta)
+        stationary = core.mealy_cesaro(kernel, math.inf)
+        assert core.mealy_cesaro(kernel, 10**400) == stationary
+        assert core.mealy_cesaro(kernel, 10**300) == stationary  # to rounding already
+
+    def test_identity_kernel_keeps_its_rows(self):
+        assert core.mealy_cesaro(core.mealy_kernel(1.0, 0.0), 10**400) == [[1.0, 0.0], [0.0, 1.0]]
