@@ -80,7 +80,9 @@ def make_ncf_rscc(params: NcfParams) -> RsccSystem:
 
     def p(w, i):
         w = np.asarray(w, dtype=float)
-        return (w + n) / ((w + i) * (w + i + 1.0))
+        if np.max(i) < 2.0 ** 511:
+            return (w + n) / ((w + i) * (w + i + 1.0))
+        return (w + n) / (w + i) / (w + i + 1.0)  # the product would overflow
 
     return RsccSystem(transition=u, probability=p, params=params)
 
@@ -158,8 +160,19 @@ def q_kernel_interval(sys: RsccSystem, x, u_end: float):
     # core's test of a tie, under its guard: from t = 2^49 on (t = inf too,
     # where t - e is undefined) the floats stand
     if n < 2.0 ** 49 * u_end:
-        near = np.abs(t - e + 0.5) >= 0.5 - _TIE * (t + 1.0)
-        out[near] = [kernel_interval(n, v, u_end) for v in xa[near].tolist()]
+        near = np.flatnonzero(np.abs(t - e + 0.5) >= 0.5 - _TIE * (t + 1.0))
+        if near.size:
+            # N/u - x - k = (q - k - x) + r/u exactly, for q = fl(N/u), the
+            # remainder r = N - q u a float, and q - k exact (1 <= q < 2^49,
+            # |q - k| <= 2): the sign of q - k - x decides where it exceeds |r|/u
+            q = n / u_end
+            r = float(n - Fraction(q) * Fraction(u_end))
+            xs = xa[near]
+            k = np.round(t[near])
+            s = (q - k) - xs
+            sure = (np.abs(s) > 2.0 * abs(r) / u_end) | (r == 0.0)
+            out[near] = (xs + n) / (xs + np.where(s >= 0.0, k + 1.0, k))
+            out[near[~sure]] = [kernel_interval(n, v, u_end) for v in xs[~sure].tolist()]
     return out
 
 

@@ -6,12 +6,16 @@ branches x -> N/(x+i), i >= N, with weights (x+N)/((x+i)(x+i+1)).  The far
 branches accumulate at 0; those landing in one grid cell enter as one term,
 by their exact mass and first moment, which both telescope, so grid
 functions, linear on each cell, get the whole series in about 2 sqrt(NM)
-terms a point, each placed by its cell index.  On a grid the operator is a
-fixed stochastic matrix: iterates() assembles it once per (N, M) from the
-same terms, as a dense block for the groups and the singles that land low,
-and rows of equal width for the first singles, which land high, and steps
-it by one BLAS product plus the gathered rows.  It keeps the operator,
-read-only, until another grid needs the slot: at most one is held.
+terms a point, each placed by its cell index.  apply_transfer forms those
+groups once a call instead: on the nodes each group is analytic in j but
+where a branch crosses a cell edge, so all of them enter as one short
+Chebyshev series in j, and each crossing as a series of its own, summed over
+the nodes it reaches.  On a grid the operator is a fixed stochastic matrix:
+iterates() assembles it once per (N, M) from the per-point terms, as a dense
+block for the groups and the singles that land low, and rows of equal width
+for the first singles, which land high, and steps it by one BLAS product plus
+the gathered rows.  It keeps the operator, read-only, until another grid
+needs the slot: at most one is held.
 """
 
 from __future__ import annotations
@@ -93,6 +97,14 @@ def default_branch_cutoff(params: NcfParams) -> int:
 _CHUNK = 25_000
 # cells of width 2^-20 group the far branches of a callable f
 _CALLABLE_CELLS = 1 << 20
+# apply_transfer's series in the node index j on [0, M]: _CHEB terms, from
+# samples at the Chebyshev points M _CHEB_AT, by the cosine matrix _CHEB_COEF.
+# Their poles lie at least 39 half-widths from the middle of [0, M], where
+# the terms fall like 78^-k: 10 are exact to rounding
+_CHEB = 10
+_CHEB_AT = np.array([(1.0 + math.cos(math.pi * (i + 0.5) / _CHEB)) / 2 for i in range(_CHEB)])
+_CHEB_COEF = np.array([[(2 - (k == 0)) / _CHEB * math.cos(k * math.pi * (i + 0.5) / _CHEB)
+                        for i in range(_CHEB)] for k in range(_CHEB)])
 
 
 # the trigamma series' coefficients of u^3, u^5, ..., u^13, and for each the
@@ -113,6 +125,14 @@ def _cubic_rest(u: np.ndarray, first: float = 20.0) -> np.ndarray:
         out += c
         out *= v
     return out * u
+
+
+def _fold(x: np.ndarray, cut: int) -> np.ndarray:
+    """(x + cut) S(x + cut) for cut < 20, by S(z) = 1/(z^2 (z+1)) + S(z+1) up
+    to z = x + 20: NM times it is M y at the mean of the branches from cut on."""
+    u = 1.0 / (x + 20.0)
+    return (x + cut) * (u * u / 2 + _cubic_rest(u) + sum(
+        1.0 / ((x + j) ** 2 * (x + j + 1.0)) for j in range(cut, 20)))
 
 
 def _grid_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]):
@@ -146,9 +166,7 @@ def _grid_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]):
     k1 = np.append(np.arange(top + 1, max(nm // cut, 1), -1, dtype=float), 1.0)
     g, terms = first - n, first - n + k1.size
     charge(len(x) * terms, "transfer operator")
-    xc, u = x[:, None], 1.0 / (x[:, None] + 20.0)  # S(z) = 1/(z^2 (z+1)) + S(z+1)
-    fold = None if cut >= 20 else (xc + cut) * (u * u / 2 + _cubic_rest(u) + sum(
-        1.0 / ((xc + j) ** 2 * (xc + j + 1.0)) for j in range(cut, 20)))
+    fold = None if cut >= 20 else _fold(x[:, None], cut)
     rows, singles = max(1, _CHUNK // terms), np.arange(n, first, dtype=float)
     cells = (k1[:-1] - 1.0).astype(np.intp)
 
@@ -207,15 +225,118 @@ def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndar
     return out
 
 
+def _clenshaw(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k c[:, k] T_k(s), by Clenshaw's recurrence, a row of c at each s."""
+    b1 = b2 = 0.0
+    for k in range(c.shape[1] - 1, 0, -1):
+        b1, b2 = c[:, k] + 2.0 * s * b1 - b2, b1
+    return c[:, 0] + s * b1 - b2
+
+
 def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = None) -> GridFunction:
-    """One application of the transfer operator, at the nodes of f, by the
-    terms of _grid_terms: transfer_at there, to rounding.  With i_max, the
-    branches above it enter as one term at their mean (see transfer_at)."""
-    v, d = f.values, np.diff(f.values)
-    out = np.empty(v.size)
-    for r0, xn, du, p, k, a, b in _grid_terms(params, f.nodes, f.resolution, i_max):
-        c, w, h = _point_terms(xn, du, p, f.resolution)
-        out[r0:r0 + xn.size] = (w * v[c] + h * d[c]).sum(axis=1) + xn * (a @ v[k] + b @ d[k])
+    """One application of the transfer operator at the nodes j/M of f: the
+    terms of _grid_terms, and transfer_at there to rounding, with the groups
+    formed once a call, not once a node.  The singles N..I-1, I = max(N+1,
+    20), and the last term, at its exact mean, are point terms at every node.
+    Branch i of node j sits at L = M i + j; threshold t, where the group of
+    cell t-1 starts, at L = M (NM // t) + j, or M later where j < r_t =
+    M (NM % t) // t + 1.  With every threshold at M (NM // t) + j, the
+    groups' masses a and offsets b (_grid_terms) are analytic in j, so their
+    sum is one series in T_k(2j/M - 1), from _CHEB samples.  Where j < r_t the
+    branch at M (NM // t) + j lies in cell t, not t-1, which adds
+    b (d_t - d_t-1), b its offset in cell t: a series for each threshold,
+    summed over the nodes j < r_t by suffix sums.  The nodes are taken a
+    block at a time.  Charges the point terms and coefficients at every
+    node, and the samples."""
+    n, m, v, d = params.n_param, f.resolution, f.values, np.diff(f.values)
+    if i_max is not None and i_max < n - 1:  # the fold's mass would exceed 1
+        raise ValueError(f"i_max must be >= N - 1 = {n - 1}, got {i_max}")
+    nm = n * m
+    cut = math.inf if i_max is None else i_max + 1
+    first = min(max(n + 1, 20), cut)  # the singles are N..first-1
+    top = nm // first if first < cut else 0  # the top group's cell (0: no group)
+    low = 0 if cut > nm else nm // cut  # the cell of the last group, which the cut ends
+    t = np.arange(top, low, -1)  # the thresholds after the top group's start
+    big = t if nm < 2 ** 63 else t.astype(object)  # Python ints past int64
+    q, r = nm // big, nm % big
+    rt = (r * m // t + 1).astype(np.intp)
+    qb = np.concatenate(([first], q, [cut] if low else []))  # the groups' ends, over M
+    cells = top - np.arange(qb.size - 1) if top else t[:0]
+    charge((m + 1) * (first - n + 1 + _CHEB) + _CHEB * (cells.size + t.size), "transfer operator")
+    x, per = f.nodes, max(1, _CHUNK // _CHEB)
+    jm = m * _CHEB_AT[:, None]  # the samples, a row each
+    jh = 134217729.0 * jm  # Dekker's split: jh has 26 bits, so k jh is exact
+    jh -= jh - jm
+    jl = jm - jh
+
+    def terms(lo, cnt, k, c):
+        """a and b of cnt branches in cell k from L = lo + j on, at the
+        samples; c = M (NM - k lo/M), so NM u - k = (c - k jh - k jl) u / M
+        loses no bits to k."""
+        u0, u1 = m / (jm + lo), m / (jm + lo + m * cnt)
+        z = float(lo.min()) / m
+        a = u0 * u1 * cnt  # u0 - u1, without its cancellation
+        b0 = (c - k * jh - k * jl) * u0
+        b1 = (c - m * cnt * k - k * jh - k * jl) * u1
+        return a, a * (b0 + b1) / (2 * m) + nm * (_cubic_rest(u0, z) - _cubic_rest(u1, z))
+
+    def point(u, p):
+        """Point terms of mass u (x+N) at M y = p, over x+N, in place of p."""
+        c = p.astype(np.intp)
+        np.minimum(c, m - 1, out=c)
+        p -= c
+        p *= d[c]
+        p += v[c]
+        p *= u
+        return p
+
+    # the groups, summed at the samples along rows: the first sample, and the
+    # others' differences from it, whose rounding the series then scales down
+    base = np.zeros(_CHEB)
+    for g0 in range(0, cells.size, per):
+        k, qs = cells[g0:g0 + per], qb[g0:g0 + per + 1]
+        a, b = terms(m * qs[:-1].astype(float), np.diff(qs).astype(float), k,
+                     m * (nm - k * qs[:-1]).astype(float))
+        base[0] += a[0] @ v[k] + b[0] @ d[k]
+        base[1:] += (a[1:] - a[0]) @ v[k] + (b[1:] - b[0]) @ d[k]
+    coef = np.append(0.0, base[1:]) @ _CHEB_COEF.T
+    coef[0] += base[0]
+    # a block of nodes at a time, from the last, its nodes falling from j1 - 1
+    # as the rows of its crossings' suffix sums over r_t
+    order = np.argsort(rt, kind="stable")
+    at, carry, out = rt[order], np.zeros(_CHEB), np.empty(m + 1)
+    for j1 in range(m + 1, 0, -per):
+        j0 = max(0, j1 - per)
+        down = slice(j1 - 1, j0 - 1 if j0 else None, -1)
+        j, s = np.arange(j1 - 1.0, j0 - 1.0, -1.0), x[down] * 2.0 - 1.0
+        # the terms, the least first: the last term, at its exact mean
+        if top and not low:  # from threshold 1
+            u = m / (m * float(q[-1]) + j + m * (j < rt[-1]))
+        else:  # from I or i_max + 1
+            u = m / (m * float(cut if top else first) + j)
+        acc = point(u, nm * _fold(x[down], cut) if cut < 20 else
+                    nm / 2 * u + nm * _cubic_rest(u, 1.0 / float(u.max())) / u)
+        acc += _clenshaw(coef[None, :], s)
+        ev = np.zeros((j1 - j0 + 1, _CHEB))
+        e0, e1 = np.searchsorted(at, [j0, j1])
+        for s0 in range(e0, e1, per):
+            sel = order[s0:min(e1, s0 + per)]
+            ts = t[sel]
+            a, b = terms(m * q[sel].astype(float), 1.0, ts, m * r[sel].astype(float))
+            last = ts == 1  # the branch leaves the last term: it adds a v_1 + b d_1
+            np.add.at(ev, j1 - rt[sel], (_CHEB_COEF @ (np.where(last, v[1], 0.0) * a + np.where(
+                last, d[ts], d[ts] - d[ts - 1]) * b)).T)
+        ev = np.cumsum(ev, axis=0) + carry  # row i: the crossings at r_t >= j1 - i
+        acc += _clenshaw(ev[:-1], s)
+        carry = ev[-1]
+        # the singles, from the last
+        u = m / (m * float(first) + j)
+        for i in range(first - 1, n - 1, -1):
+            lo = m * float(i) + j
+            u0 = m / lo
+            acc += point(u0 * u, nm * m / lo)  # u0 - u, without its cancellation
+            u = u0
+        out[down] = acc * (x[down] + n)
     return GridFunction(out)
 
 

@@ -124,7 +124,7 @@ def test_criterion_04_transfer_fixed_point_and_adjoint():
                   - integrate_against(f, gm))
         adjoint_worst = max(adjoint_worst, gap)
     elapsed = time.perf_counter() - t0
-    _report(4, unit_worst <= 1e-14 and adjoint_worst < 1e-8 and elapsed < 5.0,
+    _report(4, unit_worst <= 1e-14 and adjoint_worst < 1e-8 and elapsed < 2.0,
             f"unit fixed point {unit_worst:.2e}, adjoint gap {adjoint_worst:.2e}, "
             f"{elapsed:.1f}s")
 

@@ -315,6 +315,13 @@ class TestContractionAndRegularity:
         assert payload["big_r"] == 1 / (4 * n)
         assert math.isclose(payload["r_values"][0], 1 / n, rel_tol=1e-6)
 
+    def test_contraction_past_squares_is_quiet(self):
+        # N = 10^200: the branch masses (w+N)/((w+i)(w+i+1)) overflowed in the
+        # product, with a RuntimeWarning on stderr; r_1 is about 1/N
+        r = _cli_child(["contraction", "--n", "1" + "0" * 200, "--grid", "16"])
+        assert r.returncode == 0 and r.stderr == ""
+        assert math.isclose(json.loads(r.stdout)["r_values"][0], 1e-200, rel_tol=1e-6)
+
     def test_contraction_ignores_seed(self, capsys):
         # no state pair is drawn at random: --seed is accepted and inert
         outs = [run_cli(["contraction", "--grid", "64", "--seed", s], capsys)[1]
@@ -455,6 +462,14 @@ class TestOutputPlumbing:
         assert code == 2 and out == ""
         assert err == ("ncf: error: --n must stay below about 1.3e154, "
                        "where N^2 has no binary64 value\n")
+
+    def test_n_times_grid_past_binary64(self, capsys):
+        # invariance takes N/u from u = 1/grid on: N = 10^308 has a float and
+        # 8 N none, which was "cannot convert float infinity to integer"
+        code, out, err = run_cli(["invariance", "--n", "1" + "0" * 308, "--grid", "8"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("ncf: error: --n must stay below about 2.2e307 at --grid 8, "
+                       "where N * grid has no binary64 value\n")
 
     def test_other_overflows_keep_their_message(self, capsys, monkeypatch):
         # an overflow that N's float did not cause is not blamed on --n

@@ -172,6 +172,27 @@ class TestQKernel:
         assert q_kernel_interval(sys_, x, u).tolist() == want
         assert calls == []
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 2**40])
+    @pytest.mark.parametrize("u", [2.0 ** -48, 2.0 ** -45, 2.0 ** -40, 1 / 3])
+    def test_array_path_decides_near_ties_in_floats(self, n, u, monkeypatch):
+        # below the guard the array path sent every point near a tie to
+        # core's per-point Fraction path: 4,354 of 8,193 points at N=1,
+        # u = 2^-48, about 42 ms.  It now decides them in floats, bit for bit,
+        # but for the points within 2 |r|/u of a tie, r = N - fl(N/u) u: none
+        # for u a power of 2, where r = 0, and 2 to 9 of these 9,193 at u = 1/3
+        sys_ = make_ncf_rscc(NcfParams(n))
+        x = np.append(np.linspace(0.0, 1.0, 8193), np.random.default_rng(n).random(1000))
+        want = [core.kernel_interval(n, v, u) for v in x.tolist()]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return core.kernel_interval(*args)
+
+        monkeypatch.setattr(rscc, "kernel_interval", counting)
+        assert q_kernel_interval(sys_, x, u).tolist() == want
+        assert len(calls) <= (9 if u == 1 / 3 else 0)
+
     def test_array_path_at_the_least_subnormal(self):
         # N/u overflows to inf: no branch lands, and t - e was inf - inf
         with warnings.catch_warnings():

@@ -232,6 +232,67 @@ class TestExactOperator:
         assert n < m or terms <= m + 1
 
 
+def _mp_branch_sum(f, n, x):
+    """The operator on the grid function f at the points x, at 30 digits:
+    the branches N..NM one by one, and the rest, which lands in cell 0, at
+    its exact mass and first moment."""
+    m = f.resolution
+    with mpmath.workdps(30):
+        v = [mpmath.mpf(float(t)) for t in f.values]
+        out = []
+        for t in map(mpmath.mpf, map(float, x)):
+            total = mpmath.mpf(0)
+            for i in range(n, n * m + 1):
+                z = t + i
+                my = n * m / z
+                c = min(int(my), m - 1)
+                total += (t + n) / (z * (z + 1)) * (v[c] + (my - c) * (v[c + 1] - v[c]))
+            z = t + n * m + 1
+            total += (t + n) * (v[0] / z + n * m * (mpmath.psi(1, z) - 1 / z) * (v[1] - v[0]))
+            out.append(float(total))
+        return np.array(out)
+
+
+class TestGridKernel:
+    """apply_transfer forms the groups once a call, as series in the node
+    index, and the singles and the last term at every node: the operator
+    at the nodes, as _step of the assembled operator and transfer_at give it."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 77, 1024, 8192])
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 1000, 10**6, 10**20])
+    def test_matches_the_operator_at_the_nodes(self, n, m):
+        # every cut-off of interest: below, at and past I = max(N+1, 20), and
+        # at and past NM, where it leaves no branch out.  f has Lipschitz norm
+        # 1 and is linear where the fold lands, [0, N/(i_max+1)], so every cut
+        # gives the whole operator.  M < 2048 also covers NM < I, where cell 0
+        # is the only group, and N >= M; N = 10^20 puts NM past 2^63.  At
+        # M = 8192 the point form stands in for the assembled operator, which
+        # would not fit in memory at N >= 50
+        params, first = NcfParams(n), max(n + 1, 20)
+        x, v = np.linspace(0.0, 1.0, m + 1), np.random.default_rng(n + m).random(m + 1)
+        op, at = (None, slice(None, None, 64)) if m > 2048 else (transfer._assemble(params, m),
+                                                                  slice(None))
+        for i_max in (None, n - 1, 19, first - 1, first, n * m, n * m + 1):
+            if i_max is not None and i_max < n - 1:
+                continue
+            g = v if i_max is None else np.where(x <= n / (i_max + 1) + 1.0 / m, 0.25 + 0.5 * x, v)
+            f = GridFunction(g / lipschitz_norm(GridFunction(g)).total)
+            want = (transfer.transfer_at(f, params, x[at], i_max) if op is None
+                    else transfer._step(op, f.values))
+            got = apply_transfer(f, params, i_max).values[at]
+            assert np.max(np.abs(got - want)) <= 1e-14, i_max
+
+    def test_white_noise_against_thirty_digits(self):
+        # raw white noise, slopes up to M: 8.3e-15 at the checked nodes, where
+        # the per-node branch sum it replaced was 8.4e-15 off; the bound is
+        # twice that
+        n, m = 5, 1024
+        f = _random_grid(m, seed=2024)
+        x = f.nodes[::64]
+        got = apply_transfer(f, NcfParams(n)).values[::64]
+        assert np.max(np.abs(got - _mp_branch_sum(f, n, x))) <= 1.7e-14
+
+
 class TestCutOperator:
     """With i_max the branches N..i_max are summed and the rest folds into one
     term at its exact mean; the branches below i_max are grouped on the
@@ -412,31 +473,38 @@ class TestOperatorWork:
 
     @pytest.mark.parametrize("n,i_max", [(1, None), (5, 4000), (5, 100), (5, 10)])
     def test_budget_counts_row_branch_entries(self, n, i_max, monkeypatch):
-        # one evaluation costs its points times its terms per row: the
-        # branches N..I-1 and the groups of cells NM // I..0, with
-        # I = max(N+1, 20, isqrt(NM) + 1).  i_max leaves out the cells below
-        # NM // (i_max + 1), whose groups lie above it (none once
-        # i_max >= NM); below I it leaves the branches N..i_max and one group
-        params, m = NcfParams(n), 64
+        # an assembly costs its points times its terms per row: the branches
+        # N..I-1 and the groups of cells NM // I..0, with I = max(N+1, 20,
+        # isqrt(NM) + 1).  apply_transfer costs, at each point, its singles
+        # N..I-1, I = max(N+1, 20), its last term and its _CHEB coefficients,
+        # and _CHEB samples for each group and each threshold between them.
+        # i_max leaves out the cells below NM // (i_max + 1), whose groups lie
+        # above it (none once i_max >= NM); below I it leaves the branches
+        # N..i_max and the last term
+        params, m, cheb = NcfParams(n), 64, transfer._CHEB
         first = max(n + 1, 20, math.isqrt(n * m) + 1)
+        build = (m + 1) * (first - n + n * m // first + 1)
+        first = max(n + 1, 20)
         if i_max is None or i_max >= n * m:
-            terms = first - n + n * m // first + 1
-        elif i_max + 1 >= first:
-            terms = first - n + n * m // first - n * m // (i_max + 1) + 2
+            singles, groups, thresholds = first - n, n * m // first, n * m // first
+        elif i_max + 1 > first:
+            thresholds = n * m // first - n * m // (i_max + 1)
+            singles, groups = first - n, thresholds + 1
         else:
-            terms = i_max - n + 2
-        cost = (m + 1) * terms
+            singles, groups, thresholds = i_max - n + 1, 0, 0
+        cost = (m + 1) * (singles + 1 + cheb) + cheb * (groups + thresholds)
         f = GridFunction.constant(1.0, m)
-        steps = 3 if i_max is None else 0  # iterates never cuts the branches
         monkeypatch.setenv("NCF_BUDGET", str(cost))
         apply_transfer(f, params, i_max)
-        list(transfer.iterates(f, params, steps))
         monkeypatch.setenv("NCF_BUDGET", str(cost - 1))
         with pytest.raises(BudgetExceededError, match="transfer operator"):
             apply_transfer(f, params, i_max)
-        if steps:
+        if i_max is None:  # iterates never cuts the branches
+            monkeypatch.setenv("NCF_BUDGET", str(build))
+            list(transfer.iterates(f, params, 3))
+            monkeypatch.setenv("NCF_BUDGET", str(build - 1))
             with pytest.raises(BudgetExceededError, match="transfer operator"):
-                list(transfer.iterates(f, params, steps))
+                list(transfer.iterates(f, params, 3))
 
     def test_one_charge_per_evaluation(self, monkeypatch):
         charges = []
@@ -449,7 +517,10 @@ class TestOperatorWork:
         assert charges == [129, 129 * 40, 129 * 26]
         charges.clear()
         list(transfer.iterates(f, params, 2))
-        assert charges == [129 * 26] * 2  # two branch sums
+        # two applications: at each of the 129 points the singles 1..19, the
+        # last term and 10 coefficients, and 10 samples for each of the groups
+        # of cells 6..1 and for each of their 6 thresholds
+        assert charges == [129 * 30 + 10 * 12] * 2
 
     def test_grid_kernel_takes_no_point_values(self, monkeypatch):
         # apply_transfer places every term by its cell index and every group
