@@ -171,8 +171,8 @@ def _n_overflow(args, exc):
     """The message for an OverflowError that --n caused, else None: N has no
     binary64 value from about 1.8e308 on, and N^2 none from about 1.3e154,
     where `regularity`'s N^2 + 4N and `digit-law`'s N(N + 2) stop converting;
-    `invariance` takes N/u from u = 1/grid on, which overflows from about
-    1.8e308/grid."""
+    a command with --grid takes N * grid (`invariance` as N/u from u =
+    1/grid on), which overflows from about 1.8e308/grid."""
     if not isinstance(exc, OverflowError) or "n" not in args:
         return None
     squares = args.command in ("regularity", "digit-law")
@@ -181,7 +181,7 @@ def _n_overflow(args, exc):
     except OverflowError:
         limit, what = ("1.3e154", "N^2") if squares else ("1.8e308", "N")
         return f"--n must stay below about {limit}, where {what} has no binary64 value"
-    if args.command == "invariance" and math.isinf(n / (1.0 / args.grid)):
+    if "grid" in args and math.isinf(n / (1.0 / args.grid)):
         limit = f"{_sys.float_info.max / args.grid:.1e}".replace("e+", "e")
         return (f"--n must stay below about {limit} at --grid {args.grid}, "
                 "where N * grid has no binary64 value")

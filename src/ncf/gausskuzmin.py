@@ -74,6 +74,8 @@ def pushforward_density(mu: DensityFunction, params: NcfParams, m: int = 1024) -
 _INV_GRID = 4096
 # points of the x grid on which run_experiment takes each sup error
 _X_GRID = 257
+# Monte Carlo paths of each of run_experiment's spot checks
+_SPOT_PATHS = 100_000
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -149,8 +151,7 @@ def distribution_at(mu: DensityFunction, n: int, x: float, params: NcfParams,
 
 
 def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
-                   m: int = 1024, spot_paths: int = 100_000,
-                   rng: Optional[np.random.Generator] = None,
+                   m: int = 1024, rng: Optional[np.random.Generator] = None,
                    require_fit: bool = True) -> GkReport:
     """Per-n sup error against the limit law, geometric-rate fit, and
     operator-vs-Monte-Carlo spot checks."""
@@ -191,8 +192,8 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
         # the operator side is read off the iterates above: U^n_spot f0
         op = float(np.interp(x_spot, f0.nodes, spot_cdfs[n_spot]))
         mc = distribution_at(mu, n_spot, x_spot, params, method="montecarlo",
-                             n_paths=spot_paths, rng=rng)
-        band = 4.0 * math.sqrt(max(mc * (1 - mc), 1e-12) / spot_paths) + 1e-4
+                             n_paths=_SPOT_PATHS, rng=rng)
+        band = 4.0 * math.sqrt(max(mc * (1 - mc), 1e-12) / _SPOT_PATHS) + 1e-4
         cells.append({"n": n_spot, "x": x_spot, "operator": op,
                       "montecarlo": mc, "band": band})
     return GkReport(

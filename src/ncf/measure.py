@@ -20,16 +20,15 @@ _GL_NODES, _GL_WEIGHTS = np.array(GL_NODES), np.array(GL_WEIGHTS)  # the rule on
 _MASS_PANELS = 64
 
 
-def _gauss_legendre(f, a: float, b: float, breaks=(), panels: int = 1) -> float:
+def _gauss_legendre(f, a: float, b: float, panels: int = 1) -> float:
     """Integral of f over [a, b]: the 20-point Gauss-Legendre rule on
-    `panels` equal panels of each piece between the breakpoints.
+    `panels` equal panels.
 
     f is called once, on the array of all nodes.  An integrand analytic on
-    each piece, with no pole near [a, b], is integrated to rounding.
+    [a, b], with no pole near it, is integrated to rounding.
     """
-    edges = np.array([a, *sorted(t for t in breaks if a < t < b), b])
-    h = np.diff(edges)[:, None, None] / panels  # (piece, panel, node)
-    x = edges[:-1, None, None] + h * (np.arange(panels)[:, None] + _GL_NODES)
+    h = (b - a) / panels
+    x = a + h * (np.arange(panels)[:, None] + _GL_NODES)  # (panel, node)
     return float(np.sum(h * _GL_WEIGHTS * f(x.ravel()).reshape(x.shape)))
 
 

@@ -115,7 +115,7 @@ _CUBIC_CUTS = (math.inf, 120047985.43743077, 10072.689097953516, 493.30815180748
                115.98641751630653, 50.57252535314638)
 
 
-def _cubic_rest(u: np.ndarray, first: float = 20.0) -> np.ndarray:
+def _cubic_rest(u: np.ndarray, first: float) -> np.ndarray:
     """S(z) - u^2/2 at u = 1/z, S(z) = psi_1(z) - 1/z, by the trigamma series
     (S exact to rounding for z >= 20): its terms above 2^-56 of u^3/6 at first."""
     cs = _CUBIC[:sum(first < z for z in _CUBIC_CUTS)]
@@ -127,23 +127,14 @@ def _cubic_rest(u: np.ndarray, first: float = 20.0) -> np.ndarray:
     return out * u
 
 
-def _fold(x: np.ndarray, cut: int) -> np.ndarray:
-    """(x + cut) S(x + cut) for cut < 20, by S(z) = 1/(z^2 (z+1)) + S(z+1) up
-    to z = x + 20: NM times it is M y at the mean of the branches from cut on."""
-    u = 1.0 / (x + 20.0)
-    return (x + cut) * (u * u / 2 + _cubic_rest(u) + sum(
-        1.0 / ((x + j) ** 2 * (x + j + 1.0)) for j in range(cut, 20)))
-
-
 def _grid_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]):
     """The terms of the operator at the points x, exact for f linear on each
     of m cells: the one place their starts, masses and moments are formed.
     The branches i < I = max(N+1, 20, isqrt(NM) + 1) are singles; past I,
     those in cell k, i in (NM/(k+1) - x, NM/k - x], form a group, for k
     falling, and the last term runs to infinity.  With i_max, no group starts
-    past i_max + 1: the rest folds into the last term, the cells below
-    NM // (i_max + 1) (all, once i_max < I) are left out, and for i_max < 19
-    the fold's mean is summed branch by branch up to 20.  Charges len(x) times
+    past i_max + 1: the rest folds into the last term, and the cells below
+    NM // (i_max + 1) (all, once i_max < I) are left out.  Charges len(x) times
     the terms a row, and returns a generator of chunks of about _CHUNK
     entries (at least a row): (r0, xn, du, p, cells, a, b) for the rows from
     r0, xn = x+N, with the mass over xn of every term, du, and the point
@@ -158,15 +149,14 @@ def _grid_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]):
     n = params.n_param
     nm = n * m
     first = max(n + 1, 20, math.isqrt(nm) + 1)  # every group mean stays below 1
-    if i_max is not None and i_max < n - 1:  # the fold's mass would exceed 1
-        raise ValueError(f"i_max must be >= N - 1 = {n - 1}, got {i_max}")
+    if i_max is not None and i_max < max(n - 1, 19):  # fold mass <= 1, mean by _cubic_rest
+        raise ValueError(f"i_max must be >= max(N - 1, 19) = {max(n - 1, 19)}, got {i_max}")
     cut = math.inf if i_max is None else i_max + 1  # no group starts later
     top = nm // first if cut >= first else 0  # K, the first group's cell (0: no group but the last)
     first = min(first, cut)
     k1 = np.append(np.arange(top + 1, max(nm // cut, 1), -1, dtype=float), 1.0)
     g, terms = first - n, first - n + k1.size
     charge(len(x) * terms, "transfer operator")
-    fold = None if cut >= 20 else _fold(x[:, None], cut)
     rows, singles = max(1, _CHUNK // terms), np.arange(n, first, dtype=float)
     cells = (k1[:-1] - 1.0).astype(np.intp)
 
@@ -183,7 +173,7 @@ def _grid_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]):
             ug, uf, a = u[:, g:-1], u[:, -2:-1], du[:, g:-1]  # ug: the groups' starts, then uf
             rest = nm * _cubic_rest(ug, float(z[:, g].min()))  # the least start of a row
             b = a * (nm / 2 * (ug[:, :-1] + ug[:, 1:]) - cells) + (rest[:, :-1] - rest[:, 1:])
-            pf = nm / 2 * uf + rest[:, -1:] / uf if fold is None else nm * fold[r0:r0 + len(xn)]
+            pf = nm / 2 * uf + rest[:, -1:] / uf
             yield r0, xn, du, np.append(nm / z[:, :g], pf, axis=1), cells, a, b
 
     return chunks()
@@ -213,10 +203,10 @@ def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndar
     the same terms on grids by cell index.  The far branches of a
     GridFunction are grouped on its cells, which is exact.  Those of any
     other f, called on arrays, are grouped on cells of width 2^-20, exact for
-    f linear on each of them.  With i_max, the branches above it fold into
-    one term at their exact mean; those below it stay grouped, so the cut-off
-    sum equals, to rounding, the one taken branch by branch, and costs no
-    more terms than the exact one."""
+    f linear on each of them.  With i_max >= max(N - 1, 19), the branches
+    above it fold into one term at their exact mean; those below it stay
+    grouped, so the cut-off sum equals, to rounding, the one taken branch by
+    branch, and costs no more terms than the exact one."""
     x = np.asarray(x, dtype=float)
     m = f.resolution if isinstance(f, GridFunction) else _CALLABLE_CELLS
     out = np.empty(x.shape[0])
@@ -249,8 +239,8 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     block at a time.  Charges the point terms and coefficients at every
     node, and the samples."""
     n, m, v, d = params.n_param, f.resolution, f.values, np.diff(f.values)
-    if i_max is not None and i_max < n - 1:  # the fold's mass would exceed 1
-        raise ValueError(f"i_max must be >= N - 1 = {n - 1}, got {i_max}")
+    if i_max is not None and i_max < max(n - 1, 19):  # fold mass <= 1, mean by _cubic_rest
+        raise ValueError(f"i_max must be >= max(N - 1, 19) = {max(n - 1, 19)}, got {i_max}")
     nm = n * m
     cut = math.inf if i_max is None else i_max + 1
     first = min(max(n + 1, 20), cut)  # the singles are N..first-1
@@ -314,8 +304,7 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
             u = m / (m * float(q[-1]) + j + m * (j < rt[-1]))
         else:  # from I or i_max + 1
             u = m / (m * float(cut if top else first) + j)
-        acc = point(u, nm * _fold(x[down], cut) if cut < 20 else
-                    nm / 2 * u + nm * _cubic_rest(u, 1.0 / float(u.max())) / u)
+        acc = point(u, nm / 2 * u + nm * _cubic_rest(u, 1.0 / float(u.max())) / u)
         acc += _clenshaw(coef[None, :], s)
         ev = np.zeros((j1 - j0 + 1, _CHEB))
         e0, e1 = np.searchsorted(at, [j0, j1])

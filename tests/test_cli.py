@@ -471,6 +471,20 @@ class TestOutputPlumbing:
         assert err == ("ncf: error: --n must stay below about 2.2e307 at --grid 8, "
                        "where N * grid has no binary64 value\n")
 
+    @pytest.mark.parametrize("argv,limit", [
+        (["gap", "--n", "1" + "0" * 305], "8.8e304 at --grid 2048"),
+        (["transfer", "--n", "2" + "0" * 305], "1.8e305 at --grid 1024"),
+        (["gk", "--n", "2" + "0" * 305], "1.8e305 at --grid 1024"),
+    ], ids=["gap", "transfer", "gk"])
+    def test_n_times_operator_grid_past_binary64(self, argv, limit, capsys):
+        # the operator's grid has N M cells: at the default grids these N
+        # have a float and N M none, which was "int too large to convert to
+        # float"
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == (f"ncf: error: --n must stay below about {limit}, "
+                       "where N * grid has no binary64 value\n")
+
     def test_other_overflows_keep_their_message(self, capsys, monkeypatch):
         # an overflow that N's float did not cause is not blamed on --n
         def overflow(*args):
@@ -676,3 +690,30 @@ class TestLazyImports:
             f"print([m in sys.modules for m in {layers!r}])")
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines() == [str([False] * 5), str([True] * 4)]
+
+
+# every command that takes --n, at small sizes; eval's digits are N itself
+_N_FORMS = [
+    ["expand", "--x", "3/7", "--max-len", "8"], ["eval", "--digits", "{n},{n}"],
+    ["digit-law", "--grid", "4"], ["invariance", "--grid", "8"],
+    ["transfer", "--grid", "8", "--nmax", "5"], ["gap", "--grid", "8", "--nmax", "5"],
+    *(["gk", "--mu", mu, "--grid", "8", "--nmax", "5"] for mu in ("lebesgue", "gauss", "tilted")),
+    ["contraction", "--grid", "4", "--kmax", "1"], ["regularity", "--nmax", "5"],
+]
+# the texts of Python's and NumPy's own overflow errors
+_RAW_OVERFLOWS = ("too large to convert", "cannot convert float", "out of range",
+                  "math range error", "overflow")
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 10**3, 10**6, 10**9, 2**53, 10**18, 10**154,
+                               10**305, 10**308, 10**309])
+def test_every_command_at_every_n(n, capsys):
+    # the family from N = 1 to past binary64: each command answers or
+    # refuses with a documented exit code, and an exit-2 message is the
+    # command's own, never the text of an overflow inside it
+    for form in _N_FORMS:
+        argv = [t.format(n=n) for t in form] + ["--n", str(n)]
+        code, _, err = run_cli(argv, capsys)
+        assert code in (0, 2, 3, 4), (argv[0], err)
+        if code == 2:
+            assert not any(t in err.lower() for t in _RAW_OVERFLOWS), (argv[0], err)

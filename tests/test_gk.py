@@ -182,12 +182,12 @@ class TestRunExperiment:
             run_experiment(lebesgue_measure(), NcfParams(1), n_max=3)
 
     @pytest.mark.parametrize("n_max", [5, 8])
-    def test_spot_checks_equal_distribution_at(self, n_max):
+    def test_spot_checks_equal_distribution_at(self, n_max, monkeypatch):
         # the operator side of each spot check is read off the experiment's
         # own iterates; n_max = 5 clamps the n = 6 check to n = 5
+        monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
         params, mu = NcfParams(1), tilted_measure()
-        rep = run_experiment(mu, params, n_max=n_max, m=256, spot_paths=1000,
-                             require_fit=False)
+        rep = run_experiment(mu, params, n_max=n_max, m=256, require_fit=False)
         for cell in rep.method_agreement:
             assert cell["operator"] == distribution_at(
                 mu, cell["n"], cell["x"], params, method="operator", m=256)
@@ -214,13 +214,14 @@ class TestRunExperiment:
         monkeypatch.setattr(transfer, "_assemble", counting_assemble)
         monkeypatch.setattr(transfer, "_step", counting_step)
         monkeypatch.setattr(transfer, "apply_transfer", counting_apply)
+        monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
         run_experiment(lebesgue_measure(), NcfParams(1), n_max=40, m=128,
-                       spot_paths=1000, rng=np.random.default_rng(3))
+                       rng=np.random.default_rng(3))
         assert builds == [128]
         assert steps == [129] * 40
         assert branch_sums == []
         run_experiment(gausskuzmin.tilted_measure(), NcfParams(1), n_max=40, m=128,
-                       spot_paths=1000, rng=np.random.default_rng(4))
+                       rng=np.random.default_rng(4))
         assert builds == [128]
         assert steps == [129] * 80
         assert branch_sums == []

@@ -232,9 +232,11 @@ class TestGaussLegendre:
             want, _ = integrate.quad(
                 lambda x: q_kernel_interval(sys_, float(x), u) * gm.density(x),
                 0.0, 1.0, points=pts, limit=200, epsabs=1e-14)
-            got = _gauss_legendre(
-                lambda x: q_kernel_interval(sys_, x, u) * gm.density(x),
-                0.0, 1.0, breaks=(brk,))
+            # two pieces, one call on each side of the break
+            edges = [0.0, *(pts or []), 1.0]
+            got = sum(_gauss_legendre(
+                lambda x: q_kernel_interval(sys_, x, u) * gm.density(x), a, b)
+                for a, b in zip(edges, edges[1:]))
             assert abs(got - want) <= 1e-14
 
     def test_rule_is_leggauss_moved_to_the_unit_interval(self):
@@ -244,7 +246,11 @@ class TestGaussLegendre:
         assert core.GL_WEIGHTS == tuple((weights / 2.0).tolist())
 
     def test_breaks_and_panels(self):
-        # breakpoints outside (a, b) are ignored; each piece gets its panels
+        # a caller breaks the interval at a kink, with one call a piece, and
+        # each call spreads its rule over its panels: a kink at a panel edge
+        # is integrated exactly too
         f = lambda x: np.where(x < 0.3, 1.0, 3.0 * x * x)
-        got = _gauss_legendre(f, 0.0, 1.0, breaks=(1.5, 0.3, -1.0), panels=4)
+        got = _gauss_legendre(f, 0.0, 0.3, panels=4) + _gauss_legendre(f, 0.3, 1.0, panels=4)
         assert got == pytest.approx(0.3 + (1.0 - 0.3 ** 3), abs=1e-15)
+        g = lambda x: np.abs(x - 0.25)
+        assert _gauss_legendre(g, 0.0, 1.0, panels=4) == pytest.approx(0.3125, abs=1e-15)

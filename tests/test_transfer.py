@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -110,7 +111,18 @@ class TestApplyTransfer:
         with pytest.raises(ValueError, match="i_max"):
             transfer.transfer_at(np.cos, NcfParams(n), f.nodes, i_max)
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("n,i_max", [(1, 0), (1, 18), (5, 4), (5, 18)])
+    def test_cutoff_below_nineteen_rejected(self, n, i_max):
+        # below 20 the fold's mean would need branches one by one: no caller
+        # cuts there, so the cut-off's least value is max(N - 1, 19)
+        f = GridFunction.constant(1.0, 8)
+        bound = r"i_max must be >= max\(N - 1, 19\) = 19"
+        with pytest.raises(ValueError, match=bound):
+            apply_transfer(f, NcfParams(n), i_max=i_max)
+        with pytest.raises(ValueError, match=bound):
+            transfer.transfer_at(np.cos, NcfParams(n), f.nodes, i_max)
+
+    @pytest.mark.parametrize("n", [20, 50])
     def test_cutoff_n_minus_one_is_all_tail(self, n):
         # no branch is kept; the tail carries mass exactly 1
         out = apply_transfer(GridFunction.constant(1.0, 8), NcfParams(n), i_max=n - 1)
@@ -273,7 +285,7 @@ class TestGridKernel:
         op, at = (None, slice(None, None, 64)) if m > 2048 else (transfer._assemble(params, m),
                                                                   slice(None))
         for i_max in (None, n - 1, 19, first - 1, first, n * m, n * m + 1):
-            if i_max is not None and i_max < n - 1:
+            if i_max is not None and i_max < max(n - 1, 19):
                 continue
             g = v if i_max is None else np.where(x <= n / (i_max + 1) + 1.0 / m, 0.25 + 0.5 * x, v)
             f = GridFunction(g / lipschitz_norm(GridFunction(g)).total)
@@ -303,13 +315,13 @@ class TestCutOperator:
     def test_matches_branch_by_branch_sum(self, n, m):
         # f is random, scaled to Lipschitz norm 1 as in criterion 04: a term
         # point rounded by one ulp moves f(y) by ulp(y) |f'|, and the slopes
-        # of raw random samples (up to M) would make that 1e-13 at i_max = N-1
+        # of raw random samples (up to M) would make that 1e-13 at low cut-offs
         params = NcfParams(n)
         v = np.random.default_rng(7 * n + m).random(m + 1)
         f = GridFunction(v / lipschitz_norm(GridFunction(v)).total)
         x = f.nodes[::4]
         first = max(n + 1, 20, math.isqrt(n * m) + 1)
-        for i_max in sorted({n - 1, 19, 20, first - 1, first, first + 1, 1000, 4000}):
+        for i_max in sorted({19, 20, first - 1, first, first + 1, 1000, 4000}):
             want = _branch_by_branch(f, n, x, i_max - n + 1)
             got = transfer.transfer_at(f, params, x, i_max)
             assert np.max(np.abs(got - want)) <= 1e-15, i_max  # 2.1e-16 measured
@@ -386,7 +398,7 @@ class TestAssembledOperator:
             g = apply_transfer(g, params)
             assert np.max(np.abs(h.values - g.values)) <= 1e-13, k
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("n", [20, 50])
     def test_all_tail_cutoff(self, n):
         # i_max = N - 1 keeps no branch: one term carries every branch at
         # their exact mean, so the identity, linear everywhere, is mapped
@@ -451,6 +463,23 @@ class TestOperatorWork:
         assert r.returncode == 0, r.stderr
         assert int(r.stdout) / 1024 < 120
 
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_branch_sum_peak_per_unit(self, n, monkeypatch):
+        # apply_transfer takes its nodes, groups and thresholds a block at a
+        # time: at M = 2^18 its traced peak is 1.0 (N=1) and 3.1 (N=50) bytes
+        # a charged unit, where one pass over every node at once took 9.9
+        # and 36.8
+        charges = []
+        monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(cost))
+        f = _random_grid(2 ** 18, seed=8)
+        tracemalloc.start()
+        try:
+            apply_transfer(f, NcfParams(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / sum(charges) <= 6
+
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 1024), (5, 1024), (50, 256), (1000, 512),
                                      (10**6, 256)])
     def test_build_is_one_branch_sum(self, n, m, monkeypatch):
@@ -471,7 +500,7 @@ class TestOperatorWork:
         assert len(passes) == 1 and ends == passes
         assert sum(a.nbytes for a in op) <= 24 * sum(charges)
 
-    @pytest.mark.parametrize("n,i_max", [(1, None), (5, 4000), (5, 100), (5, 10)])
+    @pytest.mark.parametrize("n,i_max", [(1, None), (5, 4000), (5, 100), (5, 19)])
     def test_budget_counts_row_branch_entries(self, n, i_max, monkeypatch):
         # an assembly costs its points times its terms per row: the branches
         # N..I-1 and the groups of cells NM // I..0, with I = max(N+1, 20,
@@ -509,9 +538,9 @@ class TestOperatorWork:
     def test_one_charge_per_evaluation(self, monkeypatch):
         charges = []
         monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(cost))
+        monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
         params, f = NcfParams(1), GridFunction.constant(1.0, 128)
-        gausskuzmin.run_experiment(gausskuzmin.lebesgue_measure(), params, n_max=40,
-                                   m=128, spot_paths=1000)
+        gausskuzmin.run_experiment(gausskuzmin.lebesgue_measure(), params, n_max=40, m=128)
         # the grid's samples, the 40 steps' products, then one assembly for
         # them: at N=1, M=128 the branches 1..19 and the groups of cells 6..0
         assert charges == [129, 129 * 40, 129 * 26]
@@ -530,7 +559,7 @@ class TestOperatorWork:
         monkeypatch.setattr(GridFunction, "__call__", lambda f, y: calls.append("f(y)"))
         monkeypatch.setattr(transfer, "_branch_terms", lambda *args: calls.append("points"))
         f = _random_grid(1024, seed=2)
-        for n, i_max in ((1, None), (5, None), (5, 4000), (5, 10), (2, 1), (1000, None)):
+        for n, i_max in ((1, None), (5, None), (5, 4000), (5, 19), (20, 19), (1000, None)):
             apply_transfer(f, NcfParams(n), i_max)
         list(transfer.iterates(f, NcfParams(2), 3))
         assert calls == []
