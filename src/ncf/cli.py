@@ -3,7 +3,7 @@
 Every command is deterministic given its flags (including --seed); floats are
 emitted in shortest round-trip form in JSON and with 17 significant digits in
 CSV.  Exit codes: 0 success, 2 usage/domain error, 3 compute-budget error,
-4 fit failure.
+4 fit failure, or a `gk` Monte Carlo spot check outside its band.
 """
 
 from __future__ import annotations
@@ -133,6 +133,10 @@ def _cmd_gk(args):
     report = gausskuzmin.run_experiment(
         mu, params, n_max=args.nmax, m=args.grid, rng=rng,
         require_fit=args.require_fit or args.mu != "gauss")
+    bad = [c for c in report.method_agreement if not c["agrees"]]
+    if bad:  # exit 4, as for a fit that cannot be made
+        raise FitError("Monte Carlo check at n={n}, x={x} out of band: operator {operator:.4g}, "
+                       "montecarlo {montecarlo:.4g}, band {band:.2g}".format(**bad[0]))
     return ({"mu": args.mu, "seed": args.seed, **dataclasses.asdict(report)},
             ("step", "sup_error"), zip(report.n_values, report.sup_errors))
 

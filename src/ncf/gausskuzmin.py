@@ -31,7 +31,7 @@ class GkReport:
     theta_bound: Optional[float]
     fit_window: Optional[tuple]
     fit_residuals: tuple
-    method_agreement: tuple   # dicts with n, x, operator, montecarlo, band
+    method_agreement: tuple   # dicts with n, x, operator, montecarlo, band, agrees
 
 
 def lebesgue_measure() -> DensityFunction:
@@ -154,7 +154,7 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
                    m: int = 1024, rng: Optional[np.random.Generator] = None,
                    require_fit: bool = True) -> GkReport:
     """Per-n sup error against the limit law, geometric-rate fit, and
-    operator-vs-Monte-Carlo spot checks."""
+    operator-vs-Monte-Carlo spot checks, each agreeing within its band or not."""
     if n_max < 5:
         raise ValueError(f"n_max must be >= 5, got {n_max}")
     if rng is None:
@@ -194,8 +194,8 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
         mc = distribution_at(mu, n_spot, x_spot, params, method="montecarlo",
                              n_paths=_SPOT_PATHS, rng=rng)
         band = 4.0 * math.sqrt(max(mc * (1 - mc), 1e-12) / _SPOT_PATHS) + 1e-4
-        cells.append({"n": n_spot, "x": x_spot, "operator": op,
-                      "montecarlo": mc, "band": band})
+        cells.append({"n": n_spot, "x": x_spot, "operator": op, "montecarlo": mc,
+                      "band": band, "agrees": abs(op - mc) <= band})
     return GkReport(
         n_values=tuple(range(1, n_max + 1)),
         sup_errors=tuple(sup_errors),

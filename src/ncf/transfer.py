@@ -6,16 +6,12 @@ branches x -> N/(x+i), i >= N, with weights (x+N)/((x+i)(x+i+1)).  The far
 branches accumulate at 0; those landing in one grid cell enter as one term,
 by their exact mass and first moment, which both telescope, so grid
 functions, linear on each cell, get the whole series in about 2 sqrt(NM)
-terms a point, each placed by its cell index.  apply_transfer forms those
-groups once a call instead: on the nodes each group is analytic in j but
-where a branch crosses a cell edge, so all of them enter as one short
-Chebyshev series in j, and each crossing as a series of its own, summed over
-the nodes it reaches.  On a grid the operator is a fixed stochastic matrix:
-iterates() assembles it once per (N, M) from the per-point terms, as a dense
-block for the groups and the singles that land low, and rows of equal width
-for the first singles, which land high, and steps it by one BLAS product plus
-the gathered rows.  It keeps the operator, read-only, until another grid
-needs the slot: at most one is held.
+terms a point.  One set of formulas forms every term from exact integer
+thresholds: _grid_terms at each point, for the assembled operator and the
+point form, and apply_transfer once a call, as Chebyshev series in the node
+index.  iterates() assembles the operator once per (N, M), steps it by one
+BLAS product plus gathered rows, and keeps it, read-only, until another
+grid needs the slot: at most one is held.
 """
 
 from __future__ import annotations
@@ -127,86 +123,111 @@ def _cubic_rest(u: np.ndarray, first: float) -> np.ndarray:
     return out * u
 
 
-def _grid_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]):
-    """The terms of the operator at the points x, exact for f linear on each
-    of m cells: the one place their starts, masses and moments are formed.
-    The branches i < I = max(N+1, 20, isqrt(NM) + 1) are singles; past I,
-    those in cell k, i in (NM/(k+1) - x, NM/k - x], form a group, for k
-    falling, and the last term runs to infinity.  With i_max, no group starts
-    past i_max + 1: the rest folds into the last term, and the cells below
-    NM // (i_max + 1) (all, once i_max < I) are left out.  Charges len(x) times
-    the terms a row, and returns a generator of chunks of about _CHUNK
-    entries (at least a row): (r0, xn, du, p, cells, a, b) for the rows from
-    r0, xn = x+N, with the mass over xn of every term, du, and the point
-    terms' places p.  A point term (a single, or the last term at its mean)
-    of mass w at M y = p = c + t, c = min(floor(p), M-1), adds w f_c +
-    h (f_{c+1} - f_c), h = w t (_point_terms).  The group of cell k, i = i0..i1, adds
-    w f_k + (M m - k w)(f_{k+1} - f_k), by its mass w = (x+N)(u_i0 - u_i1+1),
-    u = 1/(x+i), and first moment m = N (x+N) (S(x+i0) - S(x+i1+1)),
-    S(z) = psi_1(z) - 1/z, which telescope: a = w/xn, b = (M m - k w)/xn =
-    a (NM (u_i0 + u_i1+1)/2 - k) + NM (C(u_i0) - C(u_i1+1)), C = _cubic_rest,
-    so M m and k w do not cancel."""
-    n = params.n_param
-    nm = n * m
-    first = max(n + 1, 20, math.isqrt(nm) + 1)  # every group mean stays below 1
+def _layout(n: int, m: int, i_max: Optional[int], per_point: bool):
+    """The terms on m cells, counted, not formed: (NM, s, I, cut, K, low, terms
+    a point).  Branch i of x sits at L = s (x+i), s = M / 2^e, e the least that
+    keeps s NM below 2^1000.  The singles are N..I-1, I = max(N+1, 20), past
+    isqrt(NM) per_point; the groups' cells fall from K = NM // I to 1, or low."""
     if i_max is not None and i_max < max(n - 1, 19):  # fold mass <= 1, mean by _cubic_rest
         raise ValueError(f"i_max must be >= max(N - 1, 19) = {max(n - 1, 19)}, got {i_max}")
-    cut = math.inf if i_max is None else i_max + 1  # no group starts later
-    top = nm // first if cut >= first else 0  # K, the first group's cell (0: no group but the last)
+    nm, cut = n * m, math.inf if i_max is None else i_max + 1
+    s = m if nm * m < 2 ** 1000 else math.ldexp(m, 1000 - (nm * m).bit_length())
+    first = max(n + 1, 20, math.isqrt(nm) + 1 if per_point else 0)
+    top, low = nm // first if first < cut else 0, 0 if cut > nm else nm // cut
     first = min(first, cut)
-    k1 = np.append(np.arange(top + 1, max(nm // cut, 1), -1, dtype=float), 1.0)
-    g, terms = first - n, first - n + k1.size
-    charge(len(x) * terms, "transfer operator")
-    rows, singles = max(1, _CHUNK // terms), np.arange(n, first, dtype=float)
-    cells = (k1[:-1] - 1.0).astype(np.intp)
-
-    def chunks():
-        for r0 in range(0, len(x), rows):
-            xr = x[r0:r0 + rows, None]
-            z = np.empty((xr.shape[0], terms + 1))  # each term's first x+i, and infinity
-            np.add(xr, singles, out=z[:, :g])
-            z[:, -1] = np.inf
-            np.add(np.minimum(np.maximum(np.floor(nm / k1 - xr) + 1.0, first), cut), xr,
-                   out=z[:, g:-1])
-            xn, u = xr[:, 0] + n, 1.0 / z
-            du = u[:, :-1] - u[:, 1:]
-            ug, uf, a = u[:, g:-1], u[:, -2:-1], du[:, g:-1]  # ug: the groups' starts, then uf
-            rest = nm * _cubic_rest(ug, float(z[:, g].min()))  # the least start of a row
-            b = a * (nm / 2 * (ug[:, :-1] + ug[:, 1:]) - cells) + (rest[:, :-1] - rest[:, 1:])
-            pf = nm / 2 * uf + rest[:, -1:] / uf
-            yield r0, xn, du, np.append(nm / z[:, :g], pf, axis=1), cells, a, b
-
-    return chunks()
+    return nm, s, first, cut, top, low, first - n + (top - low + (low > 0) if top else 0) + 1
 
 
-def _point_terms(xn: np.ndarray, du: np.ndarray, p: np.ndarray, m: int):
-    """The point terms of a chunk of _grid_terms by cell index: (c, w, h)."""
-    w = xn[:, None] * np.append(du[:, :p.shape[1] - 1], du[:, -1:], axis=1)
-    c = np.minimum(p, m - 1).astype(np.intp)
-    return c, w, (p - c) * w
+def _thresholds(nm: int, first: int, cut, top: int, low: int):
+    """The groups of _layout, exact, in Python ints past int64: the group of
+    cell t-1 starts past branch q, q, r = divmod(NM, t), at x > r/t, and past
+    q+1 below, where q lands in cell t.  Returns t = K..low+1, q, r, the ends
+    at x > r/t (I, each q, and a cut that ends a group), and the cell each ends."""
+    t = np.arange(top, low, -1)
+    big = t if nm < 2 ** 63 else t.astype(object)
+    q, r = nm // big, nm % big
+    ends = np.concatenate(([first], q, [cut] if low else [])) if top else np.array([first])
+    return t, q, r, ends, top + 1 - np.arange(ends.size)
+
+
+def _masses(u0: np.ndarray, u1: np.ndarray, cnt) -> np.ndarray:
+    """Over x+N, the masses u0 u1 cnt = u0 - u1 of cnt branches between ends u = 1/(x+i)."""
+    return u0 * (u1 * cnt)
+
+
+def _places(ends: np.ndarray, s, nm: int) -> np.ndarray:
+    """The places M y = NM s / L, in one rounding, of the single branches at L = s (x+i)."""
+    return nm * s / ends
+
+
+def _groups(j, u, cnt, k, c, s, nm: int, first: float):
+    """The groups of cnt branches between consecutive ends u = s / L = 1/(x+i)
+    on the first axis, at x = j/s, with k, the cell of the group an end ends,
+    and c = s (NM - k i), exact, at each.  Returns C(u) (_cubic_rest) at the
+    ends, and each group's mass a and offset b over x+N: b = a (NM (u0 + u1)/2
+    - k) + NM (C(u0) - C(u1)), s (NM u - k) = (c - k j) u, exact in k j."""
+    jh = 134217729.0 * j  # Dekker's split: jh has 26 bits, so k jh is exact
+    jh -= jh - j
+    e, c = (c - k * jh - k * (j - jh)) * u, _cubic_rest(u, first)
+    a = _masses(u[:-1], u[1:], cnt)
+    return c, a, a * (e[:-1] + s + e[1:]) / (2 * s) + nm * (c[:-1] - c[1:])
+
+
+def _mean(u: np.ndarray, c: np.ndarray, nm: int) -> np.ndarray:
+    """The last term's place M y, its exact mean NM S(1/u) / u, from u = 1/(x+i) at its start
+    and C(u), S(1/u) = u^2/2 + C(u)."""
+    return nm / 2 * u + nm * c / u
+
+
+def _grid_terms(params: NcfParams, j: np.ndarray, m: int, i_max: Optional[int]):
+    """The terms of the operator at x = j/M, exact for f linear on each of m
+    cells, by apply_transfer's formulas: the one place they are formed for the
+    assembly and the point form.  Charges len(j) times the terms a point, and
+    yields chunks of about _CHUNK entries, a point a row: (r0, x+N, w, p, k, a,
+    b), the masses w over x+N and places p of the singles and the last term,
+    each adding w f_c + w (p - c) (f_{c+1} - f_c), c = min(floor(p), M-1), and
+    the groups' cells k, masses a and offsets b, each a f_k + b (f_{k+1} - f_k)."""
+    n = params.n_param
+    nm, s, first, cut, top, low, terms = _layout(n, m, i_max, True)
+    charge(len(j) * terms, "transfer operator")
+    t, q, r, ends, k = _thresholds(nm, first, cut, top, low)
+    c = s * (nm - k * ends).astype(float)[:, None]  # the ends down columns, the points along rows
+    cnt, mr = np.diff(ends).astype(float)[:, None], (m * r / t).astype(float)[:, None]
+    g, rows, k = first - n, max(1, _CHUNK // terms), k.astype(float)[:, None]
+    at = s * np.append(n + np.arange(first - n, dtype=float), ends.astype(float))[:, None]
+    for r0 in range(0, len(j), rows):
+        jr = j[r0:r0 + rows]
+        late = np.zeros((g + ends.size, jr.size))  # 1 where branch q still lands in cell t
+        np.less_equal(jr, mr, out=late[g + 1:g + 1 + t.size])
+        js = jr * (s / m)
+        ends_x = at + js + s * late  # the singles' ends, then the groups'
+        u = s / ends_x
+        cr, a, b = _groups(js, u[g:], cnt + np.diff(late[g:], axis=0), k, c - s * k * late[g:], s,
+                           nm, first + float(jr.min()) / m)
+        yield (r0, jr / m + n, np.append(_masses(u[:g], u[1:g + 1], 1.0), u[-1:], axis=0).T,
+               np.append(_places(ends_x[:g], s, nm), _mean(u[-1:], cr[-1:], nm), axis=0).T,
+               k[1:, 0], a.T, b.T)
 
 
 def _branch_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int] = None):
     """The terms of _grid_terms as point evaluations: (U f)(x[r0 + j]) is the
     sum of row j of w * f(y), for each (r0, w, y) yielded.  A point term sits
-    at y = p/M, a group at its mean, M y = k + b/a, with b clipped to [0, a]
-    against rounding; an empty group, of weight 0, at its cell's edge.  Along
-    a row the points fall and the weights telescope to 1."""
-    for r0, xn, du, p, k, a, b in _grid_terms(params, x, m, i_max):
+    at y = p/M, a group at its mean, M y = k + b/a, b clipped to [0, a], an
+    empty group at its cell's edge: along a row the points fall."""
+    for r0, xn, w, p, k, a, b in _grid_terms(params, m * x, m, i_max):
         t = np.divide(np.minimum(np.maximum(b, 0.0), a), a, out=np.zeros_like(a), where=a > 0)
-        yield r0, xn[:, None] * du, np.concatenate((p[:, :-1], k + t, p[:, -1:]), axis=1) / m
+        yield (r0, xn[:, None] * np.concatenate((w[:, :-1], a, w[:, -1:]), axis=1),
+               np.concatenate((p[:, :-1], k + t, p[:, -1:]), axis=1) / m)
 
 
 def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndarray:
-    """The transfer operator applied to f, evaluated at the points x, by the
-    terms of _grid_terms as point values; apply_transfer and iterates() take
-    the same terms on grids by cell index.  The far branches of a
-    GridFunction are grouped on its cells, which is exact.  Those of any
-    other f, called on arrays, are grouped on cells of width 2^-20, exact for
-    f linear on each of them.  With i_max >= max(N - 1, 19), the branches
-    above it fold into one term at their exact mean; those below it stay
-    grouped, so the cut-off sum equals, to rounding, the one taken branch by
-    branch, and costs no more terms than the exact one."""
+    """The transfer operator applied to f at the points x, by the terms of
+    _grid_terms as point values.  The far branches of a GridFunction are
+    grouped on its cells, which is exact; those of any other f, called on
+    arrays, on cells of width 2^-20, exact for f linear on each.  With i_max
+    >= max(N - 1, 19), the branches above it fold into one term at their
+    exact mean, so the cut-off sum equals, to rounding, the branch-by-branch
+    one, and costs no more terms than the exact one."""
     x = np.asarray(x, dtype=float)
     m = f.resolution if isinstance(f, GridFunction) else _CALLABLE_CELLS
     out = np.empty(x.shape[0])
@@ -225,55 +246,26 @@ def _clenshaw(c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = None) -> GridFunction:
     """One application of the transfer operator at the nodes j/M of f: the
-    terms of _grid_terms, and transfer_at there to rounding, with the groups
-    formed once a call, not once a node.  The singles N..I-1, I = max(N+1,
-    20), and the last term, at its exact mean, are point terms at every node.
-    Branch i of node j sits at L = M i + j; threshold t, where the group of
-    cell t-1 starts, at L = M (NM // t) + j, or M later where j < r_t =
-    M (NM % t) // t + 1.  With every threshold at M (NM // t) + j, the
-    groups' masses a and offsets b (_grid_terms) are analytic in j, so their
-    sum is one series in T_k(2j/M - 1), from _CHEB samples.  Where j < r_t the
-    branch at M (NM // t) + j lies in cell t, not t-1, which adds
-    b (d_t - d_t-1), b its offset in cell t: a series for each threshold,
-    summed over the nodes j < r_t by suffix sums.  The nodes are taken a
-    block at a time.  Charges the point terms and coefficients at every
-    node, and the samples."""
+    terms of _grid_terms, by its formulas, with the groups formed once a
+    call.  The singles N..I-1, I = max(N+1, 20), and the last term are point
+    terms at every node.  Branch i of node j sits at L = M i + j, threshold t
+    at M q + j, or M later where j < r_t = M r // t + 1 (_thresholds).  With
+    every threshold at M q + j, the groups are analytic in j: one series in
+    T_k(2j/M - 1), from _CHEB samples.  Where j < r_t the branch at M q + j
+    lies in cell t, not t-1, which adds b (d_t - d_t-1), b its offset there:
+    a series for each threshold, summed over the nodes j < r_t by suffix
+    sums, a block of nodes at a time.  Charges the point terms and
+    coefficients at every node, and the samples."""
     n, m, v, d = params.n_param, f.resolution, f.values, np.diff(f.values)
-    if i_max is not None and i_max < max(n - 1, 19):  # fold mass <= 1, mean by _cubic_rest
-        raise ValueError(f"i_max must be >= max(N - 1, 19) = {max(n - 1, 19)}, got {i_max}")
-    nm = n * m
-    cut = math.inf if i_max is None else i_max + 1
-    first = min(max(n + 1, 20), cut)  # the singles are N..first-1
-    top = nm // first if first < cut else 0  # the top group's cell (0: no group)
-    low = 0 if cut > nm else nm // cut  # the cell of the last group, which the cut ends
-    t = np.arange(top, low, -1)  # the thresholds after the top group's start
-    big = t if nm < 2 ** 63 else t.astype(object)  # Python ints past int64
-    q, r = nm // big, nm % big
+    nm, sc, first, cut, top, low, _ = _layout(n, m, i_max, False)
+    t, q, r, qb, ks = _thresholds(nm, first, cut, top, low)
     rt = (r * m // t + 1).astype(np.intp)
-    qb = np.concatenate(([first], q, [cut] if low else []))  # the groups' ends, over M
-    cells = top - np.arange(qb.size - 1) if top else t[:0]
-    charge((m + 1) * (first - n + 1 + _CHEB) + _CHEB * (cells.size + t.size), "transfer operator")
-    x, per = f.nodes, max(1, _CHUNK // _CHEB)
-    jm = m * _CHEB_AT[:, None]  # the samples, a row each
-    jh = 134217729.0 * jm  # Dekker's split: jh has 26 bits, so k jh is exact
-    jh -= jh - jm
-    jl = jm - jh
-
-    def terms(lo, cnt, k, c):
-        """a and b of cnt branches in cell k from L = lo + j on, at the
-        samples; c = M (NM - k lo/M), so NM u - k = (c - k jh - k jl) u / M
-        loses no bits to k."""
-        u0, u1 = m / (jm + lo), m / (jm + lo + m * cnt)
-        z = float(lo.min()) / m
-        a = u0 * u1 * cnt  # u0 - u1, without its cancellation
-        b0 = (c - k * jh - k * jl) * u0
-        b1 = (c - m * cnt * k - k * jh - k * jl) * u1
-        return a, a * (b0 + b1) / (2 * m) + nm * (_cubic_rest(u0, z) - _cubic_rest(u1, z))
+    charge((m + 1) * (first - n + 1 + _CHEB) + _CHEB * (qb.size - 1 + t.size), "transfer operator")
+    x, per, jm = f.nodes, max(1, _CHUNK // _CHEB), sc * _CHEB_AT  # jm: the samples, scaled
 
     def point(u, p):
         """Point terms of mass u (x+N) at M y = p, over x+N, in place of p."""
-        c = p.astype(np.intp)
-        np.minimum(c, m - 1, out=c)
+        c = np.minimum(p.astype(np.intp), m - 1)
         p -= c
         p *= d[c]
         p += v[c]
@@ -283,12 +275,13 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     # the groups, summed at the samples along rows: the first sample, and the
     # others' differences from it, whose rounding the series then scales down
     base = np.zeros(_CHEB)
-    for g0 in range(0, cells.size, per):
-        k, qs = cells[g0:g0 + per], qb[g0:g0 + per + 1]
-        a, b = terms(m * qs[:-1].astype(float), np.diff(qs).astype(float), k,
-                     m * (nm - k * qs[:-1]).astype(float))
-        base[0] += a[0] @ v[k] + b[0] @ d[k]
-        base[1:] += (a[1:] - a[0]) @ v[k] + (b[1:] - b[0]) @ d[k]
+    for g0 in range(0, qb.size - 1, per):
+        qs, k = qb[g0:g0 + per + 1, None], ks[g0:g0 + per + 1, None]
+        _, a, b = _groups(jm, sc / (jm + sc * qs.astype(float)), np.diff(qs, axis=0).astype(float),
+                          k, sc * (nm - k * qs).astype(float), sc, nm, float(qs[0, 0]))
+        k = k[1:, 0]
+        base[0] += v[k] @ a[:, 0] + d[k] @ b[:, 0]
+        base[1:] += v[k] @ (a[:, 1:] - a[:, :1]) + d[k] @ (b[:, 1:] - b[:, :1])
     coef = np.append(0.0, base[1:]) @ _CHEB_COEF.T
     coef[0] += base[0]
     # a block of nodes at a time, from the last, its nodes falling from j1 - 1
@@ -299,50 +292,52 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
         j0 = max(0, j1 - per)
         down = slice(j1 - 1, j0 - 1 if j0 else None, -1)
         j, s = np.arange(j1 - 1.0, j0 - 1.0, -1.0), x[down] * 2.0 - 1.0
-        # the terms, the least first: the last term, at its exact mean
-        if top and not low:  # from threshold 1
-            u = m / (m * float(q[-1]) + j + m * (j < rt[-1]))
-        else:  # from I or i_max + 1
-            u = m / (m * float(cut if top else first) + j)
-        acc = point(u, nm / 2 * u + nm * _cubic_rest(u, 1.0 / float(u.max())) / u)
+        js = j * (sc / m)
+        # the terms, the least first: the last term, from I, i_max + 1 or threshold 1
+        u = sc / (sc * float(qb[-1]) + js + sc * (top and not low and j < rt[-1]))
+        acc = point(u, _mean(u, _cubic_rest(u, 1.0 / float(u.max())), nm))
         acc += _clenshaw(coef[None, :], s)
         ev = np.zeros((j1 - j0 + 1, _CHEB))
         e0, e1 = np.searchsorted(at, [j0, j1])
         for s0 in range(e0, e1, per):
             sel = order[s0:min(e1, s0 + per)]
-            ts = t[sel]
-            a, b = terms(m * q[sel].astype(float), 1.0, ts, m * r[sel].astype(float))
+            ts, qs, rs = t[sel], q[sel], r[sel]
+            lo = jm[:, None] + sc * qs.astype(float)  # branch q to q+1: a group of one in cell t
+            _, a, b = _groups(jm[:, None], sc / np.stack((lo, lo + sc)), 1.0,
+                              np.stack((ts + 1, ts))[:, None],
+                              sc * np.stack((rs - qs, rs - ts))[:, None].astype(float), sc, nm,
+                              float(qs.min()))
             last = ts == 1  # the branch leaves the last term: it adds a v_1 + b d_1
-            np.add.at(ev, j1 - rt[sel], (_CHEB_COEF @ (np.where(last, v[1], 0.0) * a + np.where(
-                last, d[ts], d[ts] - d[ts - 1]) * b)).T)
+            np.add.at(ev, j1 - rt[sel], (_CHEB_COEF @ (np.where(last, v[1], 0.0) * a[0] + np.where(
+                last, d[ts], d[ts] - d[ts - 1]) * b[0])).T)
         ev = np.cumsum(ev, axis=0) + carry  # row i: the crossings at r_t >= j1 - i
         acc += _clenshaw(ev[:-1], s)
         carry = ev[-1]
         # the singles, from the last
-        u = m / (m * float(first) + j)
+        u = sc / (sc * float(first) + js)
         for i in range(first - 1, n - 1, -1):
-            lo = m * float(i) + j
-            u0 = m / lo
-            acc += point(u0 * u, nm * m / lo)  # u0 - u, without its cancellation
+            lo = sc * float(i) + js
+            u0 = sc / lo
+            acc += point(_masses(u0, u, 1.0), _places(lo, sc, nm))
             u = u0
         out[down] = acc * (x[down] + n)
     return GridFunction(out)
 
 
 def _assemble(params: NcfParams, m: int):
-    """The operator on grids of m cells, from one pass of _grid_terms:
-    (dense, cols, lo, hi).  The singles i = N..max(N+1, I // 3) - 1, which
-    land highest, stay gathered: row j puts lo[j] on the columns cols[j] and
-    hi[j] on cols[j] + 1, and _step sums repeated columns.  dense, (m+1) x W,
-    takes the groups of the cells K..1, K = NM // I, by shifted slices, b
-    clipped to [0, a] against rounding, and the other point terms on their
-    two columns each.  Folding the single i adds about NM / i^2 columns and
-    drops a triple: from I/3 on, about the 2I columns whose bytes its 2I/3
-    triples held, and a step reads each triple as 3 columns of one BLAS
-    product."""
-    op, x, n = None, np.linspace(0.0, 1.0, m + 1), params.n_param
-    for r0, xn, du, p, _, a, b in _grid_terms(params, x, m, None):
-        c, w, h = _point_terms(xn, du, p, m)
+    """The operator on grids of m cells, from one pass of _grid_terms: (dense,
+    cols, lo, hi).  The singles i = N..max(N+1, I // 3) - 1, which land
+    highest, stay gathered: row j puts lo[j] on the columns cols[j] and hi[j]
+    on cols[j] + 1, and _step sums repeated columns.  dense, (m+1) x W, takes
+    the groups of the cells K..1, K = NM // I, by shifted slices, b clipped to
+    [0, a] against rounding, and the other point terms on their two columns
+    each.  Folding the single i adds about NM / i^2 columns and drops a triple:
+    from I/3 on, about the 2I columns whose bytes its 2I/3 triples held, and a
+    step reads each triple as 3 columns of one BLAS product."""
+    op, n = None, params.n_param
+    for r0, xn, w, p, _, a, b in _grid_terms(params, np.arange(m + 1.0), m, None):
+        c, w = np.minimum(p, m - 1).astype(np.intp), xn[:, None] * w
+        h = (p - c) * w
         w -= h  # a point term puts w - h on its cell and h on the next
         k, g = a.shape[1], c.shape[1] - 1  # the groups K..1, the singles N..I-1
         s = min(g, max(1, (n + g) // 3 - n))  # the singles kept gathered
@@ -394,8 +389,8 @@ def iterates(f: GridFunction, params: NcfParams, n: int):
         op = _slot[key] = _assemble(params, f.resolution)
         for a in op:
             a.setflags(write=False)  # a step never writes the operator, nor may a caller
-    else:
-        _grid_terms(params, f.nodes, f.resolution, None)  # the build's charge only
+    else:  # the build's charge only, counted without forming a term
+        charge((key[1] + 1) * _layout(*key, None, True)[-1], "transfer operator")
     v = f.values
     for _ in range(n):
         v = _step(op, v)

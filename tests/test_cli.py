@@ -220,6 +220,16 @@ class TestGk:
             assert code == 0
         assert peaks[1] - peaks[0] < 2e6
 
+    @pytest.mark.parametrize("n", [10**11, 10**13, 10**18])
+    def test_monte_carlo_disagreement_exits_4(self, n, capsys):
+        # the float map loses frac(N/y) past 2^53: at N = 10^13 the spot
+        # checks read 0.3077, 0.5225 and 0.8268 against the operator's 0.25,
+        # 0.5 and 0.75, with bands of 0.005-0.006, and the command exited 0
+        code, _, err = run_cli(["gk", "--mu", "gauss", "--grid", "8", "--nmax", "5",
+                                "--n", str(n)], capsys)
+        assert code == 4
+        assert all(word in err for word in ("n=", "x=", "operator", "montecarlo", "band"))
+
     def test_unknown_measure(self, capsys):
         code, _, err = run_cli(["gk", "--mu", "cauchy"], capsys)
         assert code == 2

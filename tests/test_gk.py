@@ -150,6 +150,17 @@ class TestRunExperiment:
         assert max(abs(r) for r in rep.fit_residuals) < 0.5
         for cell in rep.method_agreement:
             assert abs(cell["operator"] - cell["montecarlo"]) <= cell["band"]
+            assert cell["agrees"] is True
+
+    def test_verdict_is_the_band(self, monkeypatch):
+        # each spot check carries its verdict: |operator - montecarlo| <= band
+        monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 100)
+        rep = run_experiment(tilted_measure(), NcfParams(2), n_max=6, m=64,
+                             require_fit=False, rng=np.random.default_rng(5))
+        verdicts = [cell["agrees"] for cell in rep.method_agreement]
+        assert verdicts == [abs(cell["operator"] - cell["montecarlo"]) <= cell["band"]
+                            for cell in rep.method_agreement]
+        assert all(type(v) is bool for v in verdicts)
 
     def test_invariant_start_is_flat(self):
         # starting from the invariant measure there is nothing to decay

@@ -294,6 +294,21 @@ class TestGridKernel:
             got = apply_transfer(f, params, i_max).values[at]
             assert np.max(np.abs(got - want)) <= 1e-14, i_max
 
+    @pytest.mark.parametrize("n,m", [(10**160, 64), (10**300, 64), (10**303, 1024)])
+    def test_past_the_square_root_of_binary64(self, n, m):
+        # f(x) = x is mapped to N (x+N) S(x+N) = 1/2 to rounding.  apply_transfer
+        # was 0.5 off at N = 10^200, M = 64: its group masses u0 u1 cnt
+        # underflowed in u0 u1 past x+i = 1e154, and M (x+i) overflowed once
+        # N M^2 passed binary64 (N = 10^303 at M = 1024).  The assembly and
+        # the point form, which formed u0 - u1 instead, were right, and now
+        # share its formulas.  Near 10^306, where the masses turn subnormal,
+        # all three lose bits alike: 6.5e-12 at M = 64
+        params, f = NcfParams(n), GridFunction.from_callable(lambda x: x, m)
+        with np.errstate(over="raise", invalid="raise"):
+            for got in (apply_transfer(f, params).values, transfer.transfer_at(f, params, f.nodes),
+                        transfer._step(transfer._assemble(params, m), f.values)):
+                assert np.max(np.abs(got - 0.5)) <= 1e-15
+
     def test_white_noise_against_thirty_digits(self):
         # raw white noise, slopes up to M: 8.3e-15 at the checked nodes, where
         # the per-node branch sum it replaced was 8.4e-15 off; the bound is
@@ -303,6 +318,38 @@ class TestGridKernel:
         x = f.nodes[::64]
         got = apply_transfer(f, NcfParams(n)).values[::64]
         assert np.max(np.abs(got - _mp_branch_sum(f, n, x))) <= 1.7e-14
+
+
+class TestGroupTerms:
+    """_grid_terms forms each group's mass and offset by the formulas that
+    apply_transfer sums: from the exact thresholds, u0 u1 cnt for the mass,
+    and the offset from exact integer numerators."""
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_against_forty_digits(self, n):
+        # every 1024th node at M = 8192: the masses were 1.8e-14 (N=1) and
+        # 4.6e-14 (N=5) off relative, from u0 - u1, and are now 3.2e-16; the
+        # offsets b/a were 2.1e-14 and 5.7e-14 off, and are now 0.93e-14 and
+        # 2.5e-14, the rest from NM (C(u0) - C(u1))
+        m, nm = 8192, n * 8192
+        first = max(n + 1, 20, math.isqrt(nm) + 1)
+        js = np.arange(0, m + 1, 1024)
+        mass = offset = 0.0
+        with mpmath.workdps(40):
+            s = lambda z: mpmath.psi(1, z) - 1 / z
+            for r0, _, _, _, k, a, b in transfer._grid_terms(NcfParams(n), js.astype(float), m, None):
+                for row, j in enumerate(js[r0:r0 + a.shape[0]]):
+                    x = mpmath.mpf(int(j)) / m
+                    for col, cell in enumerate(k.astype(int)):
+                        # the branches i with NM/(x+i) in cell k, from I on
+                        i0, i1 = (max(first, (nm * m // c - j) // m + 1) for c in (cell + 1, cell))
+                        if i0 < i1:
+                            want = 1 / (x + i0) - 1 / (x + i1)
+                            mass = max(mass, abs(a[row, col] / want - 1))
+                            moment = nm * (s(x + i0) - s(x + i1)) - cell * want
+                            offset = max(offset, abs((b[row, col] - moment) / want))
+        assert mass <= 1e-15
+        assert offset <= 4e-14
 
 
 class TestCutOperator:
