@@ -118,10 +118,11 @@ def _iterate_map(y: np.ndarray, n: int, n_param: int) -> np.ndarray:
     Each step is one division, left as zero where y = 0, then the floor
     subtracted in place.  Every point gets the two operations of
     core.gauss_map, so the values, and the estimates, are unchanged to the
-    bit.
+    bit.  From N/y = 2^53 on the fraction is 0, so a path whose N/y would
+    pass 2^1023, and might have no binary64 value, is left at 0 as y = 0 is.
     """
     for _ in range(n):
-        y = np.divide(n_param, y, out=np.zeros_like(y), where=y > 0.0)
+        y = np.divide(n_param, y, out=np.zeros_like(y), where=y > n_param * 2.0 ** -1023)
         y -= np.floor(y)
     return y
 

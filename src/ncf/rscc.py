@@ -145,7 +145,7 @@ def path_probability(sys: RsccSystem, w, word) -> float:
 
 def q_kernel_interval(sys: RsccSystem, x, u_end: float):
     """Q(x, [0, u_end)) for the continued-fraction system: `core.kernel_interval`
-    at a state x, and at an array of states its floats, core deciding near ties."""
+    at a state x, and at an array of states its floats, core's at each point near a tie."""
     n = _cf_n(sys, "q_kernel_interval")
     xa = np.asarray(x, dtype=float)
     if not (0.0 <= xa.min() and xa.max() <= 1.0):
@@ -161,18 +161,7 @@ def q_kernel_interval(sys: RsccSystem, x, u_end: float):
     # where t - e is undefined) the floats stand
     if n < 2.0 ** 49 * u_end:
         near = np.flatnonzero(np.abs(t - e + 0.5) >= 0.5 - _TIE * (t + 1.0))
-        if near.size:
-            # N/u - x - k = (q - k - x) + r/u exactly, for q = fl(N/u), the
-            # remainder r = N - q u a float, and q - k exact (1 <= q < 2^49,
-            # |q - k| <= 2): the sign of q - k - x decides where it exceeds |r|/u
-            q = n / u_end
-            r = float(n - Fraction(q) * Fraction(u_end))
-            xs = xa[near]
-            k = np.round(t[near])
-            s = (q - k) - xs
-            sure = (np.abs(s) > 2.0 * abs(r) / u_end) | (r == 0.0)
-            out[near] = (xs + n) / (xs + np.where(s >= 0.0, k + 1.0, k))
-            out[near[~sure]] = [kernel_interval(n, v, u_end) for v in xs[~sure].tolist()]
+        out[near] = [kernel_interval(n, v, u_end) for v in xa[near].tolist()]
     return out
 
 

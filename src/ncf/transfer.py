@@ -103,21 +103,16 @@ _CHEB_COEF = np.array([[(2 - (k == 0)) / _CHEB * math.cos(k * math.pi * (i + 0.5
                         for i in range(_CHEB)] for k in range(_CHEB)])
 
 
-# the trigamma series' coefficients of u^3, u^5, ..., u^13, and for each the
-# least z, to the float, at which its term at u = 1/z falls to 2^-56 of u^3/6
-# (6 |c| <= 2^-56 z^(2j)); the cuts fall with j, so the kept terms are a prefix
+# the trigamma series' coefficients of u^3, u^5, ..., u^13
 _CUBIC = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
-_CUBIC_CUTS = (math.inf, 120047985.43743077, 10072.689097953516, 493.308151807486,
-               115.98641751630653, 50.57252535314638)
 
 
-def _cubic_rest(u: np.ndarray, first: float) -> np.ndarray:
-    """S(z) - u^2/2 at u = 1/z, S(z) = psi_1(z) - 1/z, by the trigamma series
-    (S exact to rounding for z >= 20): its terms above 2^-56 of u^3/6 at first."""
-    cs = _CUBIC[:sum(first < z for z in _CUBIC_CUTS)]
+def _cubic_rest(u: np.ndarray) -> np.ndarray:
+    """S(z) - u^2/2 at u = 1/z, S(z) = psi_1(z) - 1/z, by the trigamma series:
+    S exact to rounding for z >= 20, where every term starts (I, i_max + 1 >= 20)."""
     v = u * u
-    out = cs[-1] * v
-    for c in cs[-2::-1]:
+    out = _CUBIC[-1] * v
+    for c in _CUBIC[-2::-1]:
         out += c
         out *= v
     return out * u
@@ -126,8 +121,10 @@ def _cubic_rest(u: np.ndarray, first: float) -> np.ndarray:
 def _layout(n: int, m: int, i_max: Optional[int], per_point: bool):
     """The terms on m cells, counted, not formed: (NM, s, I, cut, K, low, terms
     a point).  Branch i of x sits at L = s (x+i), s = M / 2^e, e the least that
-    keeps s NM below 2^1000.  The singles are N..I-1, I = max(N+1, 20), past
-    isqrt(NM) per_point; the groups' cells fall from K = NM // I to 1, or low."""
+    keeps s NM below 2^1000, at u = M/L = 2^e/(x+i): masses and offsets over x+N
+    are carried at 4^e, x+N at 4^-e, so none is subnormal.  The singles are
+    N..I-1, I = max(N+1, 20), past isqrt(NM) per_point; the groups' cells fall
+    from K = NM // I to 1, or low."""
     if i_max is not None and i_max < max(n - 1, 19):  # fold mass <= 1, mean by _cubic_rest
         raise ValueError(f"i_max must be >= max(N - 1, 19) = {max(n - 1, 19)}, got {i_max}")
     nm, cut = n * m, math.inf if i_max is None else i_max + 1
@@ -151,7 +148,8 @@ def _thresholds(nm: int, first: int, cut, top: int, low: int):
 
 
 def _masses(u0: np.ndarray, u1: np.ndarray, cnt) -> np.ndarray:
-    """Over x+N, the masses u0 u1 cnt = u0 - u1 of cnt branches between ends u = 1/(x+i)."""
+    """Over x+N, at 4^e, the masses u0 u1 cnt = 2^e (u0 - u1) of cnt branches between ends
+    u = 2^e/(x+i)."""
     return u0 * (u1 * cnt)
 
 
@@ -160,22 +158,24 @@ def _places(ends: np.ndarray, s, nm: int) -> np.ndarray:
     return nm * s / ends
 
 
-def _groups(j, u, cnt, k, c, s, nm: int, first: float):
-    """The groups of cnt branches between consecutive ends u = s / L = 1/(x+i)
-    on the first axis, at x = j/s, with k, the cell of the group an end ends,
-    and c = s (NM - k i), exact, at each.  Returns C(u) (_cubic_rest) at the
-    ends, and each group's mass a and offset b over x+N: b = a (NM (u0 + u1)/2
-    - k) + NM (C(u0) - C(u1)), s (NM u - k) = (c - k j) u, exact in k j."""
+def _groups(j, u, cnt, k, c, m: int, nm: int):
+    """The groups of cnt branches between consecutive ends u = M / L = 2^e v,
+    v = 1/(x+i), on the first axis, at x = j/s, with k, the cell of the group
+    an end ends, and c = s (NM - k i), exact, at each.  Returns C(u)
+    (_cubic_rest) at the ends, and each group's mass a and offset b over x+N,
+    at 4^e: b = a (NM (v0 + v1)/2 - k) + NM (C(v0) - C(v1)), M (NM v - k) = (c -
+    k j) u, exact in k j.  Past e = 0, C(u) underflows to 0 and NM C(v) lies
+    below the rounding of b."""
     jh = 134217729.0 * j  # Dekker's split: jh has 26 bits, so k jh is exact
     jh -= jh - j
-    e, c = (c - k * jh - k * (j - jh)) * u, _cubic_rest(u, first)
+    e, c = (c - k * jh - k * (j - jh)) * u, _cubic_rest(u)
     a = _masses(u[:-1], u[1:], cnt)
-    return c, a, a * (e[:-1] + s + e[1:]) / (2 * s) + nm * (c[:-1] - c[1:])
+    return c, a, a * (e[:-1] + m + e[1:]) / (2 * m) + nm * (c[:-1] - c[1:])
 
 
-def _mean(u: np.ndarray, c: np.ndarray, nm: int) -> np.ndarray:
-    """The last term's place M y, its exact mean NM S(1/u) / u, from u = 1/(x+i) at its start
-    and C(u), S(1/u) = u^2/2 + C(u)."""
+def _mean(u: np.ndarray, c: np.ndarray, nm) -> np.ndarray:
+    """The last term's place M y, its exact mean NM S(1/v) / v, S(1/v) = v^2/2 + C(v), from
+    v = 1/(x+i) at its start: nm = NM / 2^e, u = 2^e v and c = C(u), 0 past e = 0."""
     return nm / 2 * u + nm * c / u
 
 
@@ -201,11 +201,12 @@ def _grid_terms(params: NcfParams, j: np.ndarray, m: int, i_max: Optional[int]):
         np.less_equal(jr, mr, out=late[g + 1:g + 1 + t.size])
         js = jr * (s / m)
         ends_x = at + js + s * late  # the singles' ends, then the groups'
-        u = s / ends_x
-        cr, a, b = _groups(js, u[g:], cnt + np.diff(late[g:], axis=0), k, c - s * k * late[g:], s,
-                           nm, first + float(jr.min()) / m)
-        yield (r0, jr / m + n, np.append(_masses(u[:g], u[1:g + 1], 1.0), u[-1:], axis=0).T,
-               np.append(_places(ends_x[:g], s, nm), _mean(u[-1:], cr[-1:], nm), axis=0).T,
+        u = m / ends_x
+        cr, a, b = _groups(js, u[g:], cnt + np.diff(late[g:], axis=0), k, c - s * k * late[g:], m,
+                           nm)
+        yield (r0, (jr / m + n) * (s / m) ** 2,
+               np.append(_masses(u[:g], u[1:g + 1], 1.0), u[-1:] * (m / s), axis=0).T,
+               np.append(_places(ends_x[:g], s, nm), _mean(u[-1:], cr[-1:], nm * s / m), axis=0).T,
                k[1:, 0], a.T, b.T)
 
 
@@ -277,8 +278,8 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     base = np.zeros(_CHEB)
     for g0 in range(0, qb.size - 1, per):
         qs, k = qb[g0:g0 + per + 1, None], ks[g0:g0 + per + 1, None]
-        _, a, b = _groups(jm, sc / (jm + sc * qs.astype(float)), np.diff(qs, axis=0).astype(float),
-                          k, sc * (nm - k * qs).astype(float), sc, nm, float(qs[0, 0]))
+        _, a, b = _groups(jm, m / (jm + sc * qs.astype(float)), np.diff(qs, axis=0).astype(float),
+                          k, sc * (nm - k * qs).astype(float), m, nm)
         k = k[1:, 0]
         base[0] += v[k] @ a[:, 0] + d[k] @ b[:, 0]
         base[1:] += v[k] @ (a[:, 1:] - a[:, :1]) + d[k] @ (b[:, 1:] - b[:, :1])
@@ -294,8 +295,8 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
         j, s = np.arange(j1 - 1.0, j0 - 1.0, -1.0), x[down] * 2.0 - 1.0
         js = j * (sc / m)
         # the terms, the least first: the last term, from I, i_max + 1 or threshold 1
-        u = sc / (sc * float(qb[-1]) + js + sc * (top and not low and j < rt[-1]))
-        acc = point(u, _mean(u, _cubic_rest(u, 1.0 / float(u.max())), nm))
+        u = m / (sc * float(qb[-1]) + js + sc * (top and not low and j < rt[-1]))
+        acc = point(u * (m / sc), _mean(u, _cubic_rest(u), nm * sc / m))
         acc += _clenshaw(coef[None, :], s)
         ev = np.zeros((j1 - j0 + 1, _CHEB))
         e0, e1 = np.searchsorted(at, [j0, j1])
@@ -303,10 +304,9 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
             sel = order[s0:min(e1, s0 + per)]
             ts, qs, rs = t[sel], q[sel], r[sel]
             lo = jm[:, None] + sc * qs.astype(float)  # branch q to q+1: a group of one in cell t
-            _, a, b = _groups(jm[:, None], sc / np.stack((lo, lo + sc)), 1.0,
+            _, a, b = _groups(jm[:, None], m / np.stack((lo, lo + sc)), 1.0,
                               np.stack((ts + 1, ts))[:, None],
-                              sc * np.stack((rs - qs, rs - ts))[:, None].astype(float), sc, nm,
-                              float(qs.min()))
+                              sc * np.stack((rs - qs, rs - ts))[:, None].astype(float), m, nm)
             last = ts == 1  # the branch leaves the last term: it adds a v_1 + b d_1
             np.add.at(ev, j1 - rt[sel], (_CHEB_COEF @ (np.where(last, v[1], 0.0) * a[0] + np.where(
                 last, d[ts], d[ts] - d[ts - 1]) * b[0])).T)
@@ -314,13 +314,13 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
         acc += _clenshaw(ev[:-1], s)
         carry = ev[-1]
         # the singles, from the last
-        u = sc / (sc * float(first) + js)
+        u = m / (sc * float(first) + js)
         for i in range(first - 1, n - 1, -1):
             lo = sc * float(i) + js
-            u0 = sc / lo
+            u0 = m / lo
             acc += point(_masses(u0, u, 1.0), _places(lo, sc, nm))
             u = u0
-        out[down] = acc * (x[down] + n)
+        out[down] = acc * ((x[down] + n) * (sc / m) ** 2)
     return GridFunction(out)
 
 

@@ -208,15 +208,16 @@ class TestExactOperator:
         got = transfer._step(transfer._assemble(params, m), f.values)[::4]
         assert np.max(np.abs(got - want)) <= 1e-14
 
-    def test_cubic_cuts_are_the_per_term_test(self):
-        # each cut is the least float z at which the u^(2j+3) term fails
-        # 6 |c| > 2^-56 z^(2j), so the terms kept below a cut are the ones
-        # that test keeps term by term
-        for j, (c, z) in enumerate(zip(transfer._CUBIC, transfer._CUBIC_CUTS)):
-            if j:
-                assert not 6 * abs(c) > 2.0 ** -56 * z ** (2 * j)
-                assert 6 * abs(c) > 2.0 ** -56 * math.nextafter(z, 0.0) ** (2 * j)
-        assert list(transfer._CUBIC_CUTS) == sorted(transfer._CUBIC_CUTS, reverse=True)
+    def test_trigamma_series_within_an_ulp(self):
+        # S(z) = psi_1(z) - 1/z is u^2/2 + _cubic_rest(u) at u = 1/z, to within
+        # 1 ulp from z = 20, the least z a term starts at, to 1e300; psi_1(z)
+        # - 1/z cancels about log10 z digits, so mpmath works with that many more
+        z = np.concatenate((np.linspace(20.0, 100.0, 17), np.geomspace(100.0, 1e300, 60)))
+        u = 1.0 / z
+        for v, got in zip(u.tolist(), (u * u / 2 + transfer._cubic_rest(u)).tolist()):
+            with mpmath.workdps(20 + int(math.log10(1 / v))):
+                want = float(mpmath.psi(1, 1 / mpmath.mpf(v)) - v)
+            assert abs(got - want) <= math.ulp(want), 1 / v
 
     @pytest.mark.parametrize("n,m", [(1, 8192), (5, 8192), (1000, 1024)])
     def test_identity_is_the_trigamma_moment(self, n, m):
@@ -294,15 +295,17 @@ class TestGridKernel:
             got = apply_transfer(f, params, i_max).values[at]
             assert np.max(np.abs(got - want)) <= 1e-14, i_max
 
-    @pytest.mark.parametrize("n,m", [(10**160, 64), (10**300, 64), (10**303, 1024)])
+    @pytest.mark.parametrize("n,m", [(10**160, 64), (10**300, 64), (10**303, 1024),
+                                     (10**305, 1024), (10**306, 64)])
     def test_past_the_square_root_of_binary64(self, n, m):
         # f(x) = x is mapped to N (x+N) S(x+N) = 1/2 to rounding.  apply_transfer
         # was 0.5 off at N = 10^200, M = 64: its group masses u0 u1 cnt
         # underflowed in u0 u1 past x+i = 1e154, and M (x+i) overflowed once
         # N M^2 passed binary64 (N = 10^303 at M = 1024).  The assembly and
         # the point form, which formed u0 - u1 instead, were right, and now
-        # share its formulas.  Near 10^306, where the masses turn subnormal,
-        # all three lose bits alike: 6.5e-12 at M = 64
+        # share its formulas.  Near the top of binary64 all three lost bits
+        # alike where the masses over x+N turned subnormal: 1.2e-12 at
+        # N = 10^305, M = 1024 and 6.5e-12 at N = 10^306, M = 64
         params, f = NcfParams(n), GridFunction.from_callable(lambda x: x, m)
         with np.errstate(over="raise", invalid="raise"):
             for got in (apply_transfer(f, params).values, transfer.transfer_at(f, params, f.nodes),
