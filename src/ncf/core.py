@@ -34,9 +34,6 @@ GL_WEIGHTS = (
     0.07458649323630212, 0.07637669356536314, 0.07637669356536314, 0.07458649323630212,
     0.0710480546591912, 0.06584431922458844, 0.0590972659807593, 0.05096505990862035,
     0.04163837078835236, 0.031336024167054395, 0.020300714900193223, 0.008807003569575447)
-# N/u - x and N/(x+i) lie within 2^-52 relative of their exact values: a
-# float this near a tie (with room to spare) is decided in exact rationals
-_TIE = 2.0 ** -50
 
 
 # Plain classes rather than dataclasses: `import dataclasses` brings in
@@ -223,21 +220,26 @@ def digit_probability(i: int, params: NcfParams) -> float:
     return math.log1p(1.0 / (i * (i + 2))) / log_norm(params)
 
 
-def kernel_interval(n: int, x: float, u: float) -> float:
-    """Q(x, [0, u)) of the continued-fraction system at a state x in [0, 1],
-    for u in (0, 1].  A branch i lands in [0, u) iff N/(x+i) < u iff i >= E
-    where E = floor(N/u - x) + 1, which is >= N on the domain; the branch
-    masses telescope, leaving (x+N)/(x+E).  Where N/u - x lies within its
-    rounding of an integer, a branch point lies within rounding of u and the
-    last bit would decide its side: E is taken exactly there."""
-    t = n / u - x
-    e = math.floor(t) + 1.0 if t < math.inf else t  # N/u overflows: no branch lands
-    # t - e + 1/2 = frac(t) - 1/2, which is near +-1/2 where t is near an
-    # integer; from t = 2^49 on every t is that near, but one branch moves Q
-    # by a relative 1/t there, so the floats stand
-    if abs(t - e + 0.5) >= 0.5 - _TIE * (t + 1.0) and n < 2.0 ** 49 * u:
-        e = math.floor(Fraction(n) / Fraction(u) - Fraction(x)) + 1
-    return (x + n) / (x + e)
+def _kernel_jump(n: int, u: Real) -> tuple:
+    """The one jump of E = floor(N/u - x) + 1 over x in [0, 1]: with N/u = f + r/p exactly, E is
+    f + 1 up to r/p and f past it.  Returns (largest float <= r/p, f + 1, f), inf past binary64."""
+    p, q = (u if hasattr(u, "as_integer_ratio") else float(u)).as_integer_ratio()  # NumPy ints
+    f, r = divmod(n * q, p)
+    phi = r / p
+    a, b = phi.as_integer_ratio()
+    phi = math.nextafter(phi, 0.0) if a * p > r * b else phi  # r/p rounded up: step down
+    try:
+        return phi, float(f + 1), float(f)
+    except OverflowError:  # 2^1024 - 2^970 is the least integer float() rejects
+        return phi, math.inf, float(f) if f < 2 ** 1024 - 2 ** 970 else math.inf
+
+
+def kernel_interval(n: int, x: float, u: Real) -> float:
+    """Q(x, [0, u)) of the continued-fraction system at a state x in [0, 1], u in (0, 1]: the
+    branch i lands in [0, u) iff N/(x+i) < u iff i >= E (`_kernel_jump`), and the masses
+    telescope to (x+N)/(x+E); 0 where E has no binary64 value, though they carry about u."""
+    phi, e_lo, e_hi = _kernel_jump(n, u)
+    return (x + n) / (x + (e_lo if x <= phi else e_hi))
 
 
 def invariance_rows(params: NcfParams, grid: int) -> list:
@@ -251,10 +253,11 @@ def invariance_rows(params: NcfParams, grid: int) -> list:
     rows = []
     for j in range(grid):
         u = j * step + start if j < grid - 1 else 1.0
-        # the kernel jumps where a branch point N/(x+i) crosses u
-        brk = n / u - math.floor(n / u)
+        phi, e_lo, e_hi = _kernel_jump(n, u)
+        brk = n / u - math.floor(n / u)  # the jump, where a branch point crosses u, in floats
         edges = (0.0, brk, 1.0) if 0.0 < brk < 1.0 else (0.0, 1.0)
-        val = math.fsum((b - a) * w * (kernel_interval(n, x, u) * (1.0 / ((x + n) * norm)))
+        val = math.fsum((b - a) * w * ((x + n) / (x + (e_lo if x <= phi else e_hi))
+                                       * (1.0 / ((x + n) * norm)))
                         for a, b in zip(edges, edges[1:])
                         for x, w in zip([a + (b - a) * t for t in GL_NODES], GL_WEIGHTS))
         cdf = math.log1p(u / n) / norm  # u/N <= 1/N: at most 1

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import _TIE, NcfParams, kernel_interval, mealy_cesaro, mealy_kernel
+from .core import NcfParams, _kernel_jump, kernel_interval, mealy_cesaro, mealy_kernel
 from .errors import charge
 from .measure import GaussMeasure, _gauss_legendre
 from . import transfer
@@ -144,8 +144,8 @@ def path_probability(sys: RsccSystem, w, word) -> float:
 
 
 def q_kernel_interval(sys: RsccSystem, x, u_end: float):
-    """Q(x, [0, u_end)) for the continued-fraction system: `core.kernel_interval`
-    at a state x, and at an array of states its floats, core's at each point near a tie."""
+    """Q(x, [0, u_end)) for the continued-fraction system, 0 where E has no binary64 value:
+    `core.kernel_interval` at a state x, at an array of states each side of its jump at once."""
     n = _cf_n(sys, "q_kernel_interval")
     xa = np.asarray(x, dtype=float)
     if not (0.0 <= xa.min() and xa.max() <= 1.0):
@@ -154,15 +154,11 @@ def q_kernel_interval(sys: RsccSystem, x, u_end: float):
         raise ValueError(f"u_end must lie in (0, 1], got {u_end}")
     if xa.ndim == 0:
         return kernel_interval(n, float(xa), u_end)
-    t = n / u_end - xa
-    e = np.floor(t) + 1.0
-    out = (xa + n) / (xa + e)
-    # core's test of a tie, under its guard: from t = 2^49 on (t = inf too,
-    # where t - e is undefined) the floats stand
-    if n < 2.0 ** 49 * u_end:
-        near = np.flatnonzero(np.abs(t - e + 0.5) >= 0.5 - _TIE * (t + 1.0))
-        out[near] = [kernel_interval(n, v, u_end) for v in xa[near].tolist()]
-    return out
+    phi, e_lo, e_hi = _kernel_jump(n, u_end)
+    return (xa + n) / (xa + np.where(xa <= phi, e_lo, e_hi))
+
+
+_TIE = 2.0 ** -50  # N/(x+i) is within 2^-52 relative: a point this near u is decided exactly
 
 
 def q_kernel_interval_bruteforce(sys: RsccSystem, x: float, u_end: float,

@@ -1,6 +1,7 @@
 """Place-dependent systems: kernels, contraction, regularity, path laws."""
 
 import math
+import random
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -156,12 +157,33 @@ class TestQKernel:
             assert q_kernel_interval(sys_, np.array([0.5, x]), u)[1] == got
             assert q_kernel_interval_bruteforce(sys_, x, u) == pytest.approx(want, abs=1e-12)
 
-    def test_array_path_keeps_cores_guard(self, monkeypatch):
-        # from N/u = 2^49 on core lets the floats stand; the array path sent
-        # every point of such a u through its per-point Python loop
+    @pytest.mark.parametrize("n", [1, 2, 5, 1000, 2**40, 10**15, 10**20, 10**100, 10**300])
+    def test_closed_form_is_exact(self, n):
+        # Q(x, [0, u)) is (x+N)/(x+E) with E = floor(N/u - x) + 1 in exact
+        # rationals at every N and u, past N/u = 2^49 too; where E has no
+        # binary64 value, Q is taken as 0
+        def exact(x, u):
+            e = math.floor(Fraction(n) / Fraction(u) - Fraction(x)) + 1
+            return (x + n) / (x + e) if e < 2 ** 1024 - 2 ** 970 else 0.0
+
+        rnd = random.Random(n)
+        xs = [0.0, 1.0, *(rnd.random() for _ in range(6))]
+        us = [*(rnd.uniform(1e-3, 1.0) for _ in range(6)),
+              *(2.0 ** -k for k in (0, 1, 3, 20, 48, 49, 50, 60, 200)),
+              *(n / (x + rnd.randrange(n, 11 * n + 1)) for x in xs for _ in range(2))]
+        sys_ = make_ncf_rscc(NcfParams(n))
+        for u in us:
+            want = [exact(x, u) for x in xs]
+            assert [core.kernel_interval(n, x, u) for x in xs] == want, u
+            assert q_kernel_interval(sys_, np.array(xs), u).tolist() == want, u
+
+    def test_array_path_is_exact_past_two_to_the_49(self, monkeypatch):
+        # N/u = 2^50: the floats of N/u - x cannot place the jump; the array
+        # path takes it from the exact threshold, with no per-point call
         sys_, u = make_ncf_rscc(NcfParams(1)), 2.0 ** -50
         x = np.linspace(0.0, 1.0, 8193)
-        want = [core.kernel_interval(1, v, u) for v in x.tolist()]
+        want = [(v + 1) / (v + (math.floor(1 / Fraction(u) - Fraction(v)) + 1))
+                for v in x.tolist()]
         calls = []
 
         def counting(*args):
@@ -175,9 +197,9 @@ class TestQKernel:
     @pytest.mark.parametrize("n", [1, 2, 5, 2**40])
     @pytest.mark.parametrize("u", [2.0 ** -48, 2.0 ** -45, 2.0 ** -40, 1 / 3])
     def test_array_path_decides_near_ties_in_floats(self, n, u):
-        # the array path equals core's per-point decision at every point: its
-        # floats where no tie is near, and core itself at the points near one,
-        # 4,895 of these 9,193 at N=1, u = 2^-48
+        # the array path equals core at every point, the near ties among them:
+        # at N=1, u = 2^-48, N/u - x lies within its rounding of an integer
+        # at 4,895 of these 9,193 points
         sys_ = make_ncf_rscc(NcfParams(n))
         x = np.append(np.linspace(0.0, 1.0, 8193), np.random.default_rng(n).random(1000))
         want = [core.kernel_interval(n, v, u) for v in x.tolist()]
