@@ -25,20 +25,22 @@ from .errors import BudgetExceededError, FitError, charge
 SCHEMA_VERSION = 1
 
 
-def _parse_x(text: str) -> object:
-    """Accept 'p/q' exactly or a decimal literal."""
-    return Fraction(text) if "/" in text else float(text)
+def _typed(read, form: str):
+    """An argparse type: read(text), or a usage error quoting the text and the form expected."""
+    def parse(text: str):
+        try:
+            return read(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+    return parse
 
 
+@functools.partial(_typed, form="a positive integer")
 def _positive_int(text: str) -> int:
-    """argparse type of the size flags: --grid, --nmax, --kmax, --max-len."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+    """The size flags --grid, --nmax, --kmax and --max-len."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
 
 
 def _render(args, fields: dict, header: tuple, rows) -> str:
@@ -56,19 +58,17 @@ def _render(args, fields: dict, header: tuple, rows) -> str:
 
 def _cmd_expand(args):
     params = core.NcfParams(args.n)
-    x = _parse_x(args.x)
     charge(args.max_len, "expand digits")
-    seq = core.digits(x, params, args.max_len)
+    seq = core.digits(args.x, params, args.max_len)
     return ({"digits": seq.digits, "terminated": seq.terminated},
             ("k", "digit"), enumerate(seq.digits, 1))
 
 
 def _cmd_eval(args):
     params = core.NcfParams(args.n)
-    ds = [int(t) for t in args.digits.split(",")]
-    value = core.evaluate(ds, params)
-    convs = core.convergents(ds, params)
-    return ({"digits": ds, "value": str(value), "value_float": float(value),
+    value = core.evaluate(args.digits, params)
+    convs = core.convergents(args.digits, params)
+    return ({"digits": args.digits, "value": str(value), "value_float": float(value),
              "convergents": [str(c) for c in convs]},
             ("k", "convergent", "convergent_float"),
             [(k, str(c), float(c)) for k, c in enumerate(convs, 1)])
@@ -163,12 +163,11 @@ def _cmd_contraction(args):
 
 def _cmd_regularity(args):
     params = core.NcfParams(args.n)
-    starts = [float(t) for t in args.starts.split(",")]
-    x_star, ratio_limit, orbits = core.lowest_branch_orbits(params, starts, args.nmax)
+    x_star, ratio_limit, orbits = core.lowest_branch_orbits(params, args.starts, args.nmax)
     final = [collections.deque(o, maxlen=1).pop() for o in orbits]  # O(1) in --nmax
     return ({"x_star": x_star, "ratio_limit": ratio_limit,
-             "starts": starts, "final_distances": final},
-            ("start", "final_distance"), zip(starts, final))
+             "starts": args.starts, "final_distances": final},
+            ("start", "final_distance"), zip(args.starts, final))
 
 
 def _n_overflow(args, exc):
@@ -212,13 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     p = command("expand", help="digit expansion of a point")
-    p.add_argument("--x", required=True, help="point in (0,1], 'p/q' or decimal")
+    p.add_argument("--x", required=True, help="point in (0,1], 'p/q' or decimal", type=_typed(
+        lambda t: Fraction(t) if "/" in t else float(t), "'p/q' with q nonzero, or a decimal"))
     p.add_argument("--max-len", type=_positive_int, default=64)
     flags(p)
     p.set_defaults(fn=_cmd_expand)
 
     p = command("eval", help="evaluate a finite digit sequence exactly")
-    p.add_argument("--digits", required=True, help="comma-separated digits")
+    p.add_argument("--digits", required=True, help="comma-separated digits", type=_typed(
+        lambda t: [int(d) for d in t.split(",")], "comma-separated integers"))
     flags(p)
     p.set_defaults(fn=_cmd_eval)
 
@@ -259,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_contraction)
 
     p = command("regularity", help="orbit witness of kernel-support collapse")
-    p.add_argument("--starts", default="0,0.25,0.5,0.75,1")
+    p.add_argument("--starts", default="0,0.25,0.5,0.75,1", type=_typed(
+        lambda t: [float(x) for x in t.split(",")], "comma-separated numbers"))
     flags(p, nmax=200)
     p.set_defaults(fn=_cmd_regularity)
 

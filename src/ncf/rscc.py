@@ -21,6 +21,7 @@ orbits that witness regularity, are scalar closed forms in `core`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ import numpy as np
 from .core import NcfParams, _kernel_jump, kernel_interval, mealy_cesaro, mealy_kernel
 from .errors import charge
 from .measure import GaussMeasure, _gauss_legendre
-from . import transfer
+from . import core, transfer
 
 
 @dataclass(frozen=True)
@@ -205,12 +206,8 @@ def kernel_matrix(sys: RsccSystem) -> np.ndarray:
 def q_step(sys: RsccSystem, k: int, source: float, target,
            grid_m: int = 1024) -> float:
     """k-step kernel Q^(k)(source, [a, b)) of the continued-fraction system,
-    `target` the pair (a, b): the kernel recursion Q^(k+1) = U Q^(k), with Q^(1) the closed form `q_kernel` and Q^(2) one
-    branch sum of that closed form at the source; for k >= 3 the transfer
-    operator is iterated k-2 times on a grid of the closed form and the last
-    step is taken at the source itself.  `q_step_mc` is the Monte Carlo
-    estimate of the same kernel.
-    """
+    `target` the pair (a, b), by the kernel recursion Q^(k+1) = U Q^(k) of
+    `_kernel_terms`.  `q_step_mc` is the Monte Carlo estimate of the same kernel."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _cf_n(sys, "q_step")
@@ -220,33 +217,29 @@ def q_step(sys: RsccSystem, k: int, source: float, target,
 
 def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
                   grid_m: int) -> list:
-    """Q^(k)(source, [a, b)) for k = 1..n: the recursion of q_step.
-
-    Q^(2) is the branch sum of the closed form over the branch points
-    N/(source+i).  For k >= 3 only U^(k-2) Q^(1) lives on the grid of grid_m
-    cells; taking the last step at the source means the grid is never
-    interpolated across a jump of the kernel there.  Each term is computed
-    only if n reaches it: n = 1 is the closed form alone, and the grid is
-    built from n = 3 on.
-    """
-    terms = [q_kernel(sys, float(source), a, b)]
+    """Q^(k)(source, [a, b)) for k = 1..n: Q^(1) the closed form `q_kernel`,
+    and every later step taken at the source by one set of point terms, those
+    of transfer_at for a callable, the far branches N/(source+i) grouped on
+    cells of width 2^-20.  Q^(2) reads Q^(1) at them; U^(k-2) Q^(1), k >= 3,
+    lives on the grid of grid_m cells and is read as a callable, exactly when
+    grid_m divides 2^20: the last step never interpolates the grid across a
+    jump of the kernel at the source.  n = 1 forms no point term, and n < 3
+    no grid."""
+    x = float(source)
+    terms = [q_kernel(sys, x, a, b)]
     if n == 1:
         return terms
-    params = sys.params
 
     def q1(y):
         # an empty target (b <= 0) makes q_kernel the scalar 0
         return np.zeros_like(y) + q_kernel(sys, y, a, b)
 
-    at = np.array([float(source)])
-    terms.append(float(transfer.transfer_at(q1, params, at)[0]))
-    if n > 2:
+    (_, (w,), (y,)), = transfer._branch_terms(sys.params, np.array([x]), transfer._CALLABLE_CELLS)
+    fs = [q1]
+    if n > 2:  # the iterates read one at a time, as they are made
         grid = transfer.GridFunction.from_callable(q1, grid_m)
-        # transfer_at of each iterate at the source, its terms taken once
-        (_, w, y), = transfer._branch_terms(params, at, grid_m)
-        terms += [float(np.sum(w * g(y.ravel()).reshape(y.shape), axis=1)[0])
-                  for g in transfer.iterates(grid, params, n - 2)]
-    return terms
+        fs = itertools.chain(fs, transfer.iterates(grid, sys.params, n - 2))
+    return terms + [float(np.sum(w * f(y))) for f in fs]
 
 
 def simulate_paths(sys: RsccSystem, source: float, steps: int, n_paths: int,
@@ -254,7 +247,10 @@ def simulate_paths(sys: RsccSystem, source: float, steps: int, n_paths: int,
     """Terminal states of n_paths seeded chains run for `steps` steps."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     n = _cf_n(sys, "simulate_paths")
+    core._check_unit_interval(source)
     if rng is None:
         rng = np.random.default_rng(0)
     charge(steps * n_paths, "path simulation")
@@ -268,6 +264,8 @@ def q_step_mc(sys: RsccSystem, k: int, source: float, a: float, b: float,
               n_paths: int = 100_000,
               rng: Optional[np.random.Generator] = None) -> Estimate:
     """Monte Carlo estimate of Q^(k)(source, [a, b)) with its standard error."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     w = simulate_paths(sys, source, k, n_paths, rng)
@@ -284,10 +282,7 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
     A two-state finite system, `target` a collection of states, takes
     `core.mealy_cesaro` of its kernel rows, exact to rounding at every n; the
     continued-fraction system, `target` the pair (a, b), averages the terms
-    Q^(1..n)(source) of q_step's kernel recursion: Q^(1) in closed form,
-    Q^(2) one branch sum of it, Q^(k >= 3) through the grid with the last
-    operator step taken at the source.
-    """
+    Q^(1..n)(source) of q_step's kernel recursion, `_kernel_terms`."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if sys.finite:
@@ -371,6 +366,8 @@ def contraction_coefficients(sys: RsccSystem, k_max: int = 2, grid: int = 512,
     at m = 2N as w, w' -> 0: R = 1/(4N)."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     n = _cf_n(sys, "contraction_coefficients")
     w1, w2 = _pair_grid(grid)
     for k in range(1, k_max + 1):

@@ -591,6 +591,25 @@ class TestSizeFlags:
         assert "positive integer" in captured.err
 
 
+class TestUnreadableFlags:
+    # once `ncf: error: Fraction(1, 0)`, `invalid literal for int() with base
+    # 10: ''` and `could not convert string to float: ''`, naming no flag
+    @pytest.mark.parametrize("argv,flag", [
+        (["expand", "--x", "1/0"], "--x"),
+        (["expand", "--x", "abc"], "--x"),
+        (["eval", "--digits", ""], "--digits"),
+        (["eval", "--digits", "1,,2"], "--digits"),
+        (["regularity", "--starts", ""], "--starts"),
+        (["regularity", "--starts", "0,x"], "--starts"),
+    ])
+    def test_usage_error_names_the_flag(self, argv, flag, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: expected " in err
+        assert f"got {argv[-1]!r}" in err
+
+
 class TestDeterminism:
     def _run(self, argv):
         return subprocess.run(

@@ -328,7 +328,8 @@ class TestQStep:
 def _every_kernel_term(sys_, n, source, a, b, grid_m):
     """Q^(1..n) as the recursion computed them when every call took the
     two-step branch sum and built the grid, whatever n was, and then kept
-    the first n terms."""
+    the first n terms: every step at the source by transfer_at, each grid
+    iterate read as a callable, whose far branches group on 2^-20 cells."""
     def q1(y):
         return np.zeros_like(y) + q_kernel(sys_, y, a, b)
 
@@ -336,9 +337,13 @@ def _every_kernel_term(sys_, n, source, a, b, grid_m):
     terms = [q_kernel(sys_, float(source), a, b),
              float(transfer.transfer_at(q1, params, at)[0])]
     grid = transfer.GridFunction.from_callable(q1, grid_m)
-    terms += [float(transfer.transfer_at(g, params, at)[0])
+    terms += [float(transfer.transfer_at(lambda y, g=g: g(y), params, at)[0])
               for g in transfer.iterates(grid, params, n - 2)]
     return terms[:n]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work this call does not need")
 
 
 class TestShortRecursion:
@@ -357,31 +362,55 @@ class TestShortRecursion:
 
     @pytest.mark.parametrize("big_n", [1, 2, 5, 50])
     def test_grid_terms_are_branch_sums_at_the_source(self, big_n, monkeypatch):
-        # the source's branch terms are taken once for all the grid iterates,
-        # and each term is still transfer_at of its iterate there, to the bit
+        # the source's point terms are taken once, on 2^-20 cells, for Q^(2)
+        # and every grid iterate, and each term is still transfer_at of its
+        # function read as a callable there, to the bit
         sys_ = make_ncf_rscc(NcfParams(big_n))
         rng = np.random.default_rng(300 + big_n)
         cases = [(float(rng.random()), *(float(v) for v in np.sort(rng.random(2))),
                   int(rng.choice([16, 256, 1024]))) for _ in range(5)]
         wants = [_every_kernel_term(sys_, 10, *case) for case in cases]
-        calls = []
-        branch_sum = transfer.transfer_at
-        monkeypatch.setattr(transfer, "transfer_at",
-                            lambda *args: calls.append(args) or branch_sum(*args))
+        cells = []
+        branch_terms = transfer._branch_terms
+        monkeypatch.setattr(transfer, "_branch_terms",
+                            lambda *args: cells.append(args[2]) or branch_terms(*args))
+        monkeypatch.setattr(transfer, "transfer_at", _refuse)
         for case, want in zip(cases, wants):
             assert rscc._kernel_terms(sys_, 10, *case) == want
-        assert len(calls) == len(cases)  # Q^(2) alone, of the callable
+        assert cells == [transfer._CALLABLE_CELLS] * len(cases)  # one point-term set a call
+
+    @pytest.mark.parametrize("grid_m", [16, 1000, 1024])
+    @pytest.mark.parametrize("big_n", [1, 5, 50])
+    def test_matches_the_grid_cell_route(self, big_n, grid_m):
+        # the route that read each grid iterate at the source on the grid's
+        # own cells, a second point-term set: Q^(1) and Q^(2) are its terms to
+        # the bit, and Q^(k >= 3) lie within 1e-15, at 1000 cells too, which
+        # do not divide 2^20
+        sys_ = make_ncf_rscc(NcfParams(big_n))
+        params, rng = sys_.params, np.random.default_rng(700 + big_n)
+        for _ in range(4):
+            src = float(rng.random())
+            a, b = (float(v) for v in np.sort(rng.random(2)))
+
+            def q1(y):
+                return np.zeros_like(y) + q_kernel(sys_, y, a, b)
+
+            at = np.array([src])
+            grid = transfer.GridFunction.from_callable(q1, grid_m)
+            want = [q_kernel(sys_, src, a, b), float(transfer.transfer_at(q1, params, at)[0])]
+            want += [float(transfer.transfer_at(g, params, at)[0])
+                     for g in transfer.iterates(grid, params, 8)]
+            got = rscc._kernel_terms(sys_, 10, src, a, b, grid_m)
+            assert got[:2] == want[:2]
+            assert max(abs(g - w) for g, w in zip(got[2:], want[2:])) <= 1e-15
 
     def test_no_grid_below_three_steps(self, monkeypatch):
         sys_ = make_ncf_rscc(NcfParams(2))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("work the recursion does not need")
-
-        monkeypatch.setattr(transfer.GridFunction, "from_callable", refuse)
+        monkeypatch.setattr(transfer.GridFunction, "from_callable", _refuse)
         q_step(sys_, 2, 0.3, (0.1, 0.7))
         q_cesaro(sys_, 2, 0.3, (0.1, 0.7))
-        monkeypatch.setattr(transfer, "transfer_at", refuse)
+        monkeypatch.setattr(transfer, "transfer_at", _refuse)
+        monkeypatch.setattr(transfer, "_branch_terms", _refuse)
         assert q_step(sys_, 1, 0.3, (0.1, 0.7)) == q_kernel(sys_, 0.3, 0.1, 0.7)
         assert q_cesaro(sys_, 1, 0.3, (0.1, 0.7)) == q_kernel(sys_, 0.3, 0.1, 0.7)
 
@@ -524,6 +553,14 @@ class TestContraction:
     def test_rejects_bad_kmax(self):
         with pytest.raises(ValueError, match="k_max"):
             contraction_coefficients(make_ncf_rscc(NcfParams(1)), k_max=0)
+
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_rejects_bad_grid(self, grid, monkeypatch):
+        # once an IndexError at 0, and NumPy's "Number of samples" at -3;
+        # rejected before the charge
+        monkeypatch.setattr(rscc, "charge", _refuse)
+        with pytest.raises(ValueError, match="grid must"):
+            contraction_coefficients(make_ncf_rscc(NcfParams(1)), grid=grid)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 50, 1000, 10**6])
     def test_big_r_is_a_quarter_over_n(self, n):
@@ -706,6 +743,26 @@ class TestSimulatePaths:
         a = simulate_paths(ncf_sys, 0.5, 5, 100, np.random.default_rng(4))
         b = simulate_paths(ncf_sys, 0.5, 5, 100, np.random.default_rng(4))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("source", [float("nan"), float("inf"), 1.5, -0.5])
+    def test_source_outside_unit_interval_rejected(self, ncf_sys, source):
+        # q_step_mc once gave 0.0 at a NaN source, and 0.41 and 0.32 at 1.5
+        # and -0.5, where q_step raises
+        with pytest.raises(ValueError, match="x must"):
+            simulate_paths(ncf_sys, source, 3, 100)
+        with pytest.raises(ValueError, match="x must"):
+            q_step_mc(ncf_sys, 3, source, 0.2, 0.6, n_paths=100)
+        with pytest.raises(ValueError, match="x must"):
+            shifted_path_probability(ncf_sys, source, 2, 1, [(5,)], n_paths=100)
+
+    def test_steps_and_k_checked(self, ncf_sys):
+        # steps = -1 once returned the sources unstepped, and k = 0 the mass 1
+        with pytest.raises(ValueError, match="steps"):
+            simulate_paths(ncf_sys, 0.5, -1, 100)
+        with pytest.raises(ValueError, match="k must"):
+            q_step_mc(ncf_sys, 0, 0.5, 0.0, 1.0, n_paths=100)
+        # n = 1 takes no burn-in step
+        assert np.array_equal(simulate_paths(ncf_sys, 0.5, 0, 3), [0.5, 0.5, 0.5])
 
     def test_finite_system_rejected(self, mealy_sys):
         # paths are sampled from the continued-fraction system's closed-form
