@@ -6,7 +6,7 @@ digits a_k are integers >= N.  This module provides the map itself (float and
 exact-rational paths), digit extraction, finite-expansion evaluation, the
 convergent recurrence, the attracting point of x -> N/(x+N) and its orbits,
 and the scalar closed forms the NumPy layers share: the first-digit law, the
-state kernel and its invariance integrals, and the Mealy machine's averages.
+state kernel's jump and its invariance integrals, and the Mealy machine's averages.
 """
 
 from __future__ import annotations
@@ -232,14 +232,6 @@ def _kernel_jump(n: int, u: Real) -> tuple:
         return phi, float(f + 1), float(f)
     except OverflowError:  # 2^1024 - 2^970 is the least integer float() rejects
         return phi, math.inf, float(f) if f < 2 ** 1024 - 2 ** 970 else math.inf
-
-
-def kernel_interval(n: int, x: float, u: Real) -> float:
-    """Q(x, [0, u)) of the continued-fraction system at a state x in [0, 1], u in (0, 1]: the
-    branch i lands in [0, u) iff N/(x+i) < u iff i >= E (`_kernel_jump`), and the masses
-    telescope to (x+N)/(x+E); 0 where E has no binary64 value, though they carry about u."""
-    phi, e_lo, e_hi = _kernel_jump(n, u)
-    return (x + n) / (x + (e_lo if x <= phi else e_hi))
 
 
 def invariance_rows(params: NcfParams, grid: int) -> list:

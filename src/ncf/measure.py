@@ -73,7 +73,7 @@ class DensityFunction:
 def gn_cdf(x, gm: GaussMeasure):
     """log((x+N)/N) / log((N+1)/N), clamped to [0, 1]; 0 at x=0, 1 at x=1."""
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0) or np.any(xa > 1):
+    if not np.all((xa >= 0) & (xa <= 1)):  # NaN too
         raise ValueError("gn_cdf argument outside [0, 1]")
     out = np.clip(np.log1p(xa / gm.n) / gm.log_norm, 0.0, 1.0)
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import NcfParams, _kernel_jump, kernel_interval, mealy_cesaro, mealy_kernel
+from .core import NcfParams, _kernel_jump, mealy_cesaro, mealy_kernel
 from .errors import charge
 from .measure import GaussMeasure, _gauss_legendre
 from . import core, transfer
@@ -145,18 +145,20 @@ def path_probability(sys: RsccSystem, w, word) -> float:
 
 
 def q_kernel_interval(sys: RsccSystem, x, u_end: float):
-    """Q(x, [0, u_end)) for the continued-fraction system, 0 where E has no binary64 value:
-    `core.kernel_interval` at a state x, at an array of states each side of its jump at once."""
+    """Q(x, [0, u_end)) of the continued-fraction system, a float at a state x, else an array:
+    branch i lands in [0, u) iff N/(x+i) < u iff i >= E (`core._kernel_jump`), the masses
+    telescope to (x+N)/(x+E), and Q is 0 where E has no binary64 value, though they carry ~u."""
     n = _cf_n(sys, "q_kernel_interval")
     xa = np.asarray(x, dtype=float)
     if not (0.0 <= xa.min() and xa.max() <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if not (0.0 < u_end <= 1.0):
         raise ValueError(f"u_end must lie in (0, 1], got {u_end}")
-    if xa.ndim == 0:
-        return kernel_interval(n, float(xa), u_end)
     phi, e_lo, e_hi = _kernel_jump(n, u_end)
-    return (xa + n) / (xa + np.where(xa <= phi, e_lo, e_hi))
+    if xa.ndim:
+        return (xa + n) / (xa + np.where(xa <= phi, e_lo, e_hi))
+    x = float(xa)  # one state in plain floats: half the cost of the 0-d array
+    return (x + n) / (x + (e_lo if x <= phi else e_hi))
 
 
 _TIE = 2.0 ** -50  # N/(x+i) is within 2^-52 relative: a point this near u is decided exactly
@@ -182,7 +184,7 @@ def q_kernel_interval_bruteforce(sys: RsccSystem, x: float, u_end: float,
 def q_kernel(sys: RsccSystem, x, a: float, b: float):
     """Q(x, [a, b)) for the continued-fraction system, by additivity; x is a
     state or an array of states."""
-    if a > b:
+    if not a <= b:  # NaN at either end too
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     lo = q_kernel_interval(sys, x, a) if a > 0 else 0.0
     hi = q_kernel_interval(sys, x, b) if b > 0 else 0.0
@@ -225,6 +227,8 @@ def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
     grid_m divides 2^20: the last step never interpolates the grid across a
     jump of the kernel at the source.  n = 1 forms no point term, and n < 3
     no grid."""
+    if grid_m < 1:
+        raise ValueError(f"grid_m must be >= 1, got {grid_m}")
     x = float(source)
     terms = [q_kernel(sys, x, a, b)]
     if n == 1:
@@ -266,7 +270,7 @@ def q_step_mc(sys: RsccSystem, k: int, source: float, a: float, b: float,
     """Monte Carlo estimate of Q^(k)(source, [a, b)) with its standard error."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if a > b:
+    if not a <= b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     w = simulate_paths(sys, source, k, n_paths, rng)
     hits = ((w >= a) & (w < b)).astype(float)

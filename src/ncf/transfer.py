@@ -215,6 +215,8 @@ def _branch_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]
     sum of row j of w * f(y), for each (r0, w, y) yielded.  A point term sits
     at y = p/M, a group at its mean, M y = k + b/a, b clipped to [0, a], an
     empty group at its cell's edge: along a row the points fall."""
+    if params.n_param * m >= 2 ** 1024 - 2 ** 970:  # the last end NM, past what float() takes
+        raise ValueError(f"point terms on M = {m} cells need N M < 2^1024 - 2^970")
     for r0, xn, w, p, k, a, b in _grid_terms(params, m * x, m, i_max):
         t = np.divide(np.minimum(np.maximum(b, 0.0), a), a, out=np.zeros_like(a), where=a > 0)
         yield (r0, xn[:, None] * np.concatenate((w[:, :-1], a, w[:, -1:]), axis=1),

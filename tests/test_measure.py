@@ -62,6 +62,12 @@ class TestCdf:
         with pytest.raises(ValueError):
             gn_cdf(1.1, gm)
 
+    @pytest.mark.parametrize("x", [math.nan, [0.2, math.nan]], ids=["scalar", "array"])
+    def test_nan_rejected(self, gm, x):
+        # NaN is neither < 0 nor > 1: it once passed the check and returned NaN
+        with pytest.raises(ValueError, match="outside"):
+            gn_cdf(x, gm)
+
     @pytest.mark.parametrize("n", [3, 10**4, 10**6, 10**9])
     def test_one_at_one_for_every_n(self, n):
         # log((N+1)/N) rounded the quotient first: gn_cdf(1) was 1 + 2.2e-16

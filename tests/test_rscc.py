@@ -174,36 +174,43 @@ class TestQKernel:
         sys_ = make_ncf_rscc(NcfParams(n))
         for u in us:
             want = [exact(x, u) for x in xs]
-            assert [core.kernel_interval(n, x, u) for x in xs] == want, u
+            assert [q_kernel_interval(sys_, x, u) for x in xs] == want, u
             assert q_kernel_interval(sys_, np.array(xs), u).tolist() == want, u
 
-    def test_array_path_is_exact_past_two_to_the_49(self, monkeypatch):
-        # N/u = 2^50: the floats of N/u - x cannot place the jump; the array
-        # path takes it from the exact threshold, with no per-point call
+    def test_array_path_is_exact_past_two_to_the_49(self):
+        # N/u = 2^50: the floats of N/u - x cannot place the jump; the kernel
+        # takes it from the exact threshold
         sys_, u = make_ncf_rscc(NcfParams(1)), 2.0 ** -50
         x = np.linspace(0.0, 1.0, 8193)
         want = [(v + 1) / (v + (math.floor(1 / Fraction(u) - Fraction(v)) + 1))
                 for v in x.tolist()]
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return core.kernel_interval(*args)
-
-        monkeypatch.setattr(rscc, "kernel_interval", counting)
         assert q_kernel_interval(sys_, x, u).tolist() == want
-        assert calls == []
 
     @pytest.mark.parametrize("n", [1, 2, 5, 2**40])
     @pytest.mark.parametrize("u", [2.0 ** -48, 2.0 ** -45, 2.0 ** -40, 1 / 3])
     def test_array_path_decides_near_ties_in_floats(self, n, u):
-        # the array path equals core at every point, the near ties among them:
-        # at N=1, u = 2^-48, N/u - x lies within its rounding of an integer
-        # at 4,895 of these 9,193 points
+        # one float comparison with the jump decides every point as the exact
+        # formula does, the near ties among them: at N=1, u = 2^-48, N/u - x
+        # lies within its rounding of an integer at 4,895 of these 9,193 points
         sys_ = make_ncf_rscc(NcfParams(n))
         x = np.append(np.linspace(0.0, 1.0, 8193), np.random.default_rng(n).random(1000))
-        want = [core.kernel_interval(n, v, u) for v in x.tolist()]
+        p, q = u.as_integer_ratio()
+        want = []
+        for v in x.tolist():  # E = floor(N q/p - a/b) + 1 in integers, x = a/b
+            a, b = v.as_integer_ratio()
+            want.append((v + n) / (v + ((n * q * b - a * p) // (p * b) + 1)))
         assert q_kernel_interval(sys_, x, u).tolist() == want
+
+    @pytest.mark.parametrize("n", [1, 10**20])
+    def test_same_value_for_every_shape(self, n):
+        # a float, a 0-d array and a 1-element array give the same value, the
+        # first two as a Python float: one state in floats, arrays by np.where
+        sys_ = make_ncf_rscc(NcfParams(n))
+        for x, u in ((0.3, 0.2), (0.0, 1.0), (1.0, 2.0 ** -48), (0.77, n / (0.77 + n + 3))):
+            got = [q_kernel_interval(sys_, v, u) for v in (x, np.array(x), np.array([x]))]
+            assert [type(g) for g in got[:2]] == [float, float]
+            assert got[0] == got[1] == got[2].item()
+            assert got[2].shape == (1,)
 
     def test_array_path_at_the_least_subnormal(self):
         # N/u overflows to inf: no branch lands, and t - e was inf - inf
@@ -265,6 +272,19 @@ class TestQKernel:
         with pytest.raises(ValueError, match="a <= b"):
             q_step_mc(ncf_sys, 3, 0.5, 0.8, 0.3, n_paths=1000)
 
+    @pytest.mark.parametrize("a, b", [(0.2, math.nan), (math.nan, 0.6), (math.nan, math.nan)])
+    def test_nan_endpoint_rejected(self, ncf_sys, a, b):
+        # a <= b fails at a NaN end, where a > b passed: the kernels once
+        # returned a negative mass, read NaN as 0, or counted no hit
+        with pytest.raises(ValueError, match="a <= b"):
+            q_kernel(ncf_sys, 0.5, a, b)
+        with pytest.raises(ValueError, match="a <= b"):
+            q_step(ncf_sys, 3, 0.5, (a, b), grid_m=64)
+        with pytest.raises(ValueError, match="a <= b"):
+            q_cesaro(ncf_sys, 3, 0.5, (a, b), grid_m=64)
+        with pytest.raises(ValueError, match="a <= b"):
+            q_step_mc(ncf_sys, 3, 0.5, a, b, n_paths=1000)
+
 
 class TestQStep:
     def test_one_step_equals_closed_form(self):
@@ -305,6 +325,38 @@ class TestQStep:
     def test_rejects_bad_k(self, ncf_sys):
         with pytest.raises(ValueError):
             q_step(ncf_sys, 0, 0.5, (0.0, 0.5))
+
+    @pytest.mark.parametrize("grid_m", [0, -3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rejects_bad_grid(self, k, grid_m, monkeypatch):
+        # once accepted up to k = 2, and past it a NumPy or GridFunction error
+        sys_ = make_ncf_rscc(NcfParams(1))
+        monkeypatch.setattr(rscc, "q_kernel", _refuse)  # refused before any work
+        with pytest.raises(ValueError, match="grid_m must be >= 1"):
+            q_step(sys_, k, 0.3, (0.2, 0.6), grid_m=grid_m)
+        with pytest.raises(ValueError, match="grid_m must be >= 1"):
+            q_cesaro(sys_, k, 0.3, (0.2, 0.6), grid_m=grid_m)
+
+    def test_refuses_n_past_binary64_from_two_steps(self, monkeypatch):
+        # the far branches' last end N 2^20 has no binary64 value from
+        # N = 2^1004 - 2^950 on: a k >= 2 kernel once ended in a bare
+        # OverflowError there; one step needs no such end
+        sys_ = make_ncf_rscc(NcfParams(2 ** 1004 - 2 ** 950))
+        assert q_step(sys_, 1, 0.3, (0.2, 0.6)) == pytest.approx(0.4, abs=1e-15)
+        grid_terms = transfer._grid_terms
+        monkeypatch.setattr(transfer, "_grid_terms", _refuse)  # refused before the terms
+        for k in (2, 3):
+            with pytest.raises(ValueError, match=r"M = 1048576 cells need N M < 2\^1024 - 2\^970"):
+                q_step(sys_, k, 0.3, (0.2, 0.6), grid_m=16)
+            with pytest.raises(ValueError, match=r"M = 1048576 cells need N M < 2\^1024 - 2\^970"):
+                q_cesaro(sys_, k, 0.3, (0.2, 0.6), grid_m=16)
+        # just below the bound on 16 cells, where the terms take no Python-int arrays
+        monkeypatch.setattr(transfer, "_grid_terms", grid_terms)
+        monkeypatch.setattr(transfer, "_CALLABLE_CELLS", 16)
+        below = make_ncf_rscc(NcfParams((2 ** 1024 - 2 ** 970) // 16 - 1))
+        assert q_step(below, 2, 0.3, (0.2, 0.6), grid_m=16) == pytest.approx(0.4, abs=1e-15)
+        with pytest.raises(ValueError, match="M = 16 cells"):
+            q_step(make_ncf_rscc(NcfParams((2 ** 1024 - 2 ** 970) // 16)), 2, 0.3, (0.2, 0.6))
 
     def test_two_steps_match_branch_by_branch_sum(self):
         # Q^(2)(source, [a, b)) sums the closed-form kernel over every branch

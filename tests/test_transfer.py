@@ -244,6 +244,17 @@ class TestExactOperator:
         assert terms <= 2 * math.isqrt(n * m) + 21
         assert n < m or terms <= m + 1
 
+    @pytest.mark.parametrize("m", [16, 1024])
+    def test_refuses_n_m_past_binary64(self, m):
+        # the last end NM has no binary64 value from 2^1024 - 2^970 on, where
+        # transfer_at once ended in a bare OverflowError; one below, it answers
+        f = GridFunction.from_callable(np.cos, m)
+        below = (2 ** 1024 - 2 ** 970) // m - 1
+        got = transfer.transfer_at(f, NcfParams(below), [0.0, 0.3, 1.0])
+        assert np.all(np.isfinite(got)) and np.ptp(got) == 0.0  # the law no longer sees x
+        with pytest.raises(ValueError, match=rf"M = {m} cells need N M < 2\^1024 - 2\^970"):
+            transfer.transfer_at(f, NcfParams(below + 1), [0.3])
+
 
 def _mp_branch_sum(f, n, x):
     """The operator on the grid function f at the points x, at 30 digits:
