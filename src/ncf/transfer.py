@@ -16,7 +16,9 @@ grid needs the slot: at most one is held.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,10 +36,13 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.asarray(self.values)
+        if v.dtype.kind == "c":
+            raise ValueError("GridFunction samples must be real")
+        v = v.astype(float, copy=False)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("GridFunction needs a 1-d array of >= 2 samples")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("GridFunction samples must be finite")
         object.__setattr__(self, "values", v)
 
@@ -51,16 +56,28 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, fn, m: int) -> "GridFunction":
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
         charge(m + 1, "grid samples")
         x = np.linspace(0.0, 1.0, m + 1)
         return cls(np.asarray(fn(x), dtype=float) * np.ones(m + 1))
 
     @classmethod
     def constant(cls, c: float, m: int) -> "GridFunction":
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
         return cls(np.full(m + 1, float(c)))
 
     def __call__(self, x):
-        return np.interp(x, self.nodes, self.values)
+        return np.interp(x, _nodes(self.values.size), self.values)
+
+
+@functools.lru_cache(maxsize=4)
+def _nodes(size: int) -> np.ndarray:
+    """The nodes j/M of size = M + 1 samples, read-only, shared by every grid of that size."""
+    x = np.linspace(0.0, 1.0, size)
+    x.setflags(write=False)
+    return x
 
 
 @dataclass(frozen=True)
@@ -125,8 +142,13 @@ def _layout(n: int, m: int, i_max: Optional[int], per_point: bool):
     are carried at 4^e, x+N at 4^-e, so none is subnormal.  The singles are
     N..I-1, I = max(N+1, 20), past isqrt(NM) per_point; the groups' cells fall
     from K = NM // I to 1, or low."""
-    if i_max is not None and i_max < max(n - 1, 19):  # fold mass <= 1, mean by _cubic_rest
-        raise ValueError(f"i_max must be >= max(N - 1, 19) = {max(n - 1, 19)}, got {i_max}")
+    if i_max is not None:
+        try:
+            i_max = operator.index(i_max)
+        except TypeError:
+            raise ValueError(f"i_max must be an integer, got {i_max!r}") from None
+        if i_max < max(n - 1, 19):  # fold mass <= 1, mean by _cubic_rest
+            raise ValueError(f"i_max must be >= max(N - 1, 19) = {max(n - 1, 19)}, got {i_max}")
     nm, cut = n * m, math.inf if i_max is None else i_max + 1
     s = m if nm * m < 2 ** 1000 else math.ldexp(m, 1000 - (nm * m).bit_length())
     first = max(n + 1, 20, math.isqrt(nm) + 1 if per_point else 0)
@@ -239,12 +261,12 @@ def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndar
     return out
 
 
-def _clenshaw(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_k c[:, k] T_k(s), by Clenshaw's recurrence, a row of c at each s."""
+def _clenshaw(c: np.ndarray, i: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k c[k, i] T_k(s), by Clenshaw's recurrence, column i of c at each s."""
     b1 = b2 = 0.0
-    for k in range(c.shape[1] - 1, 0, -1):
-        b1, b2 = c[:, k] + 2.0 * s * b1 - b2, b1
-    return c[:, 0] + s * b1 - b2
+    for k in range(c.shape[0] - 1, 0, -1):
+        b1, b2 = c[k].take(i) + 2.0 * s * b1 - b2, b1
+    return c[0].take(i) + s * b1 - b2
 
 
 def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = None) -> GridFunction:
@@ -256,9 +278,10 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     every threshold at M q + j, the groups are analytic in j: one series in
     T_k(2j/M - 1), from _CHEB samples.  Where j < r_t the branch at M q + j
     lies in cell t, not t-1, which adds b (d_t - d_t-1), b its offset there:
-    a series for each threshold, summed over the nodes j < r_t by suffix
-    sums, a block of nodes at a time.  Charges the point terms and
-    coefficients at every node, and the samples."""
+    a series for each threshold.  Node j sums one series, the groups' plus
+    the suffix sum of the thresholds' at r_t > j, a block of 4 (_CHUNK //
+    _CHEB) nodes at a time.  Charges the point terms and coefficients at
+    every node, and the samples."""
     n, m, v, d = params.n_param, f.resolution, f.values, np.diff(f.values)
     nm, sc, first, cut, top, low, _ = _layout(n, m, i_max, False)
     t, q, r, qb, ks = _thresholds(nm, first, cut, top, low)
@@ -287,21 +310,20 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
         base[1:] += v[k] @ (a[:, 1:] - a[:, :1]) + d[k] @ (b[:, 1:] - b[:, :1])
     coef = np.append(0.0, base[1:]) @ _CHEB_COEF.T
     coef[0] += base[0]
-    # a block of nodes at a time, from the last, its nodes falling from j1 - 1
-    # as the rows of its crossings' suffix sums over r_t
+    # a block of nodes at a time, from the last, its nodes falling from j1 - 1:
+    # the suffix sums of its crossings, by rising r_t, on the later blocks'
     order = np.argsort(rt, kind="stable")
-    at, carry, out = rt[order], np.zeros(_CHEB), np.empty(m + 1)
-    for j1 in range(m + 1, 0, -per):
-        j0 = max(0, j1 - per)
+    at, carry, out, block = rt[order], coef, np.empty(m + 1), 4 * per
+    for j1 in range(m + 1, 0, -block):
+        j0 = max(0, j1 - block)
         down = slice(j1 - 1, j0 - 1 if j0 else None, -1)
         j, s = np.arange(j1 - 1.0, j0 - 1.0, -1.0), x[down] * 2.0 - 1.0
         js = j * (sc / m)
         # the terms, the least first: the last term, from I, i_max + 1 or threshold 1
         u = m / (sc * float(qb[-1]) + js + sc * (top and not low and j < rt[-1]))
         acc = point(u * (m / sc), _mean(u, _cubic_rest(u), nm * sc / m))
-        acc += _clenshaw(coef[None, :], s)
-        ev = np.zeros((j1 - j0 + 1, _CHEB))
         e0, e1 = np.searchsorted(at, [j0, j1])
+        ev = np.zeros((_CHEB, e1 - e0 + 1))
         for s0 in range(e0, e1, per):
             sel = order[s0:min(e1, s0 + per)]
             ts, qs, rs = t[sel], q[sel], r[sel]
@@ -310,11 +332,11 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
                               np.stack((ts + 1, ts))[:, None],
                               sc * np.stack((rs - qs, rs - ts))[:, None].astype(float), m, nm)
             last = ts == 1  # the branch leaves the last term: it adds a v_1 + b d_1
-            np.add.at(ev, j1 - rt[sel], (_CHEB_COEF @ (np.where(last, v[1], 0.0) * a[0] + np.where(
-                last, d[ts], d[ts] - d[ts - 1]) * b[0])).T)
-        ev = np.cumsum(ev, axis=0) + carry  # row i: the crossings at r_t >= j1 - i
-        acc += _clenshaw(ev[:-1], s)
-        carry = ev[-1]
+            ev[:, s0 - e0:s0 - e0 + sel.size] = _CHEB_COEF @ (
+                np.where(last, v[1], 0.0) * a[0] + np.where(last, d[ts], d[ts] - d[ts - 1]) * b[0])
+        ev = np.cumsum(ev[:, ::-1], axis=1)[:, ::-1] + carry[:, None]  # column i: from e0 + i on
+        acc += _clenshaw(ev, np.searchsorted(at[e0:e1], j, side="right"), s)
+        carry = ev[:, 0]
         # the singles, from the last
         u = m / (sc * float(first) + js)
         for i in range(first - 1, n - 1, -1):

@@ -55,6 +55,31 @@ class TestGridFunction:
         f = GridFunction.from_callable(lambda x: x, 4)
         assert f(0.375) == pytest.approx(0.375)
 
+    def test_nodes_are_a_fresh_copy(self):
+        # a call reads the nodes of its size from a shared read-only array;
+        # the public nodes stay the caller's own
+        f = GridFunction.from_callable(lambda x: x, 4)
+        x = f.nodes
+        x[:] = 0.0
+        assert f(0.375) == 0.375 and f.nodes[1] == 0.25
+        assert not transfer._nodes(5).flags.writeable
+
+    @pytest.mark.parametrize("values", [np.array([1 + 2j, 3]), np.array([1 + 0j, 3]), [0.5, 1j]])
+    def test_rejects_complex_samples(self, values):
+        # NumPy once dropped the imaginary parts with only a ComplexWarning
+        with pytest.raises(ValueError, match="samples must be real"):
+            GridFunction(values)
+
+    @pytest.mark.parametrize("m", [-3, 0])
+    def test_constructors_reject_bad_m(self, m):
+        # -3 ended in NumPy's "Number of samples, -2, must be non-negative."
+        # and "negative dimensions are not allowed", 0 in a message that
+        # named the samples, not m
+        with pytest.raises(ValueError, match=rf"m must be >= 1, got {m}"):
+            GridFunction.from_callable(np.cos, m)
+        with pytest.raises(ValueError, match=rf"m must be >= 1, got {m}"):
+            GridFunction.constant(1.0, m)
+
 
 class TestApplyTransfer:
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
@@ -122,6 +147,22 @@ class TestApplyTransfer:
         with pytest.raises(ValueError, match=bound):
             transfer.transfer_at(np.cos, NcfParams(n), f.nodes, i_max)
 
+    @pytest.mark.parametrize("m", [64, 1024])
+    @pytest.mark.parametrize("i_max", [1000.5, 1000.0, "1000"], ids=["half", "float", "str"])
+    def test_non_integer_cutoff_rejected(self, m, i_max):
+        # 1000.5 answered silently at M = 64 and ended in a bare IndexError at
+        # M = 1024; transfer_at raised TypeError
+        f = GridFunction.constant(1.0, m)
+        with pytest.raises(ValueError, match="i_max must be an integer"):
+            apply_transfer(f, NcfParams(1), i_max=i_max)
+        with pytest.raises(ValueError, match="i_max must be an integer"):
+            transfer.transfer_at(f, NcfParams(1), [0.3], i_max)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        f = _random_grid(1024, seed=4)
+        want = apply_transfer(f, NcfParams(2), i_max=1000).values
+        assert np.array_equal(apply_transfer(f, NcfParams(2), i_max=np.int64(1000)).values, want)
+
     @pytest.mark.parametrize("n", [20, 50])
     def test_cutoff_n_minus_one_is_all_tail(self, n):
         # no branch is kept; the tail carries mass exactly 1
@@ -181,6 +222,46 @@ def _exact(f, n, x):
     lies in cell 0."""
     assert n / (n + 200_000) < 1.0 / f.resolution
     return _branch_by_branch(f, n, x, 200_000)
+
+
+# apply_transfer's node block: 4 (_CHUNK // _CHEB) nodes
+_BLOCK = 4 * (transfer._CHUNK // transfer._CHEB)
+
+
+class TestNodeBlocks:
+    """apply_transfer takes its nodes a block at a time, from the last, and
+    carries each block's crossing sums into the next: every grid up to
+    M = _BLOCK - 1 is one block."""
+
+    @pytest.mark.parametrize("m", [_BLOCK + 1, 2 * _BLOCK + 1, 2 ** 15])
+    @pytest.mark.parametrize("n", [1, 5, 1000])
+    def test_blocks_match_branch_by_branch(self, n, m):
+        # f is sin 3x, and its tangent at c below c, where the rest of the
+        # first 20,000 branches lands; checked at both sides of every block's
+        # first node and at nine nodes between: 4.4e-16 measured
+        branches, x = 20_000, np.linspace(0.0, 1.0, m + 1)
+        c = n / (n + branches) + 1.0 / m
+        f = GridFunction(np.where(x < c, math.sin(3 * c) + 3 * math.cos(3 * c) * (x - c),
+                                  np.sin(3 * x)))
+        edges = np.arange(m + 1, 0, -_BLOCK)[1:]
+        at = np.unique(np.concatenate((edges - 1, edges, np.linspace(0, m, 9).astype(int))))
+        got = apply_transfer(f, NcfParams(n)).values[at]
+        assert np.max(np.abs(got - _branch_by_branch(f, n, x[at], branches))) <= 2e-15
+        one = apply_transfer(GridFunction.constant(1.0, m), NcfParams(n)).values
+        assert np.max(np.abs(one - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("n,i_max", [(1, None), (1, 4000), (5, None), (5, 4000), (50, None),
+                                         (50, 4000), (1000, None)])
+    def test_carried_sums_match_one_block(self, n, i_max, monkeypatch):
+        # a node block of 1,000 takes M = 8192 in 9 blocks, whose crossing
+        # sums each carry into the next: 4.4e-16 from the one-block result
+        # measured; not carrying them is 3.4e-8 to 1.9e-4 off
+        f = GridFunction.from_callable(lambda x: np.sin(3.0 * x), 8192)
+        one = apply_transfer(f, NcfParams(n), i_max).values
+        monkeypatch.setattr(transfer, "_CHUNK", 2_500)
+        assert 4 * (transfer._CHUNK // transfer._CHEB) == 1_000
+        blocks = apply_transfer(f, NcfParams(n), i_max).values
+        assert np.max(np.abs(blocks - one)) <= 1e-15
 
 
 def _check_stochastic(op, m):
