@@ -20,7 +20,7 @@ from fractions import Fraction
 # themselves (`gk` and `contraction` `dataclasses` too); every other command
 # runs on the pure-Python `core` alone
 from . import core
-from .errors import BudgetExceededError, FitError, charge
+from .errors import BudgetExceededError, FitError, charge, count
 
 SCHEMA_VERSION = 1
 
@@ -35,12 +35,10 @@ def _typed(read, form: str):
     return parse
 
 
-@functools.partial(_typed, form="a positive integer")
-def _positive_int(text: str) -> int:
-    """The size flags --grid, --nmax, --kmax and --max-len."""
-    if int(text) < 1:
-        raise ValueError(text)
-    return int(text)
+# the size flags --grid, --nmax, --kmax and --max-len, and --seed: `_typed`
+# words the refusal, so the names given to `count` are never shown
+_positive_int = _typed(lambda text: count(int(text), "size", 1), "a positive integer")
+_seed = _typed(lambda text: count(int(text), "seed", 0), "a non-negative integer")
 
 
 def _render(args, fields: dict, header: tuple, rows) -> str:
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=1, help="expansion parameter N")
         for name, default in (("--grid", grid), ("--nmax", nmax), ("--seed", seed)):
             if default is not None:
-                p.add_argument(name, type=int if name == "--seed" else _positive_int,
+                p.add_argument(name, type=_seed if name == "--seed" else _positive_int,
                                default=default)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)

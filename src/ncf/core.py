@@ -17,7 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import charge
+from .errors import charge, count
 
 Real = Union[int, float, Fraction]
 
@@ -44,8 +44,10 @@ class NcfParams(namedtuple("NcfParams", "n_param")):
     __slots__ = ()
 
     def __new__(cls, n_param: int):
-        if not isinstance(n_param, int) or n_param < 1:
-            raise ValueError(f"n_param must be an integer >= 1, got {n_param!r}")
+        try:  # a NumPy integer or a bool is stored as the Python int
+            n_param = count(n_param, "n_param", 1)
+        except ValueError:
+            raise ValueError(f"n_param must be an integer >= 1, got {n_param!r}") from None
         return super().__new__(cls, n_param)
 
 
@@ -123,8 +125,7 @@ def digits(x: Real, params: NcfParams, max_len: int) -> DigitSequence:
     _check_unit_interval(x)
     if x == 0:
         raise ValueError("digits undefined at x = 0 (first digit is infinite)")
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    max_len = count(max_len, "max_len", 1)
     n = params.n_param
     exact = isinstance(x, (Fraction, int))
     y = Fraction(x) if exact else float(x)
@@ -188,8 +189,7 @@ def lowest_branch_orbits(params: NcfParams, starts: Sequence[float], n_max: int)
     The regularity witness: each step stays inside the support of the next
     kernel iterate, so |x_k - x*| bounds the distance from the supports to x*.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = count(n_max, "n_max", 1)
     if bad := [s for s in starts if not 0.0 <= float(s) <= 1.0]:  # NaN fails too
         raise ValueError(f"starts must lie in [0, 1], got {bad[0]!r}")
     charge(len(starts) * n_max, "regularity orbit steps")

@@ -1,5 +1,6 @@
-"""Shared exception types and the compute-budget guard."""
+"""Shared exception types, the compute-budget guard and the count check."""
 
+import operator
 import os
 from decimal import Decimal
 
@@ -38,3 +39,15 @@ def charge(cost: float, what: str) -> None:
             f"{what}: estimated cost {shown} exceeds budget {cap} "
             "(set NCF_BUDGET to raise the cap)"
         )
+
+
+def count(value, name: str, least: int) -> int:
+    """A count argument as a Python int (NumPy integers pass), or a ValueError
+    naming it: a float, even 3.0, is no count, nor is a value below least."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import NcfParams
-from .errors import FitError, charge
+from .errors import FitError, charge, count
 from .measure import DensityFunction, GaussMeasure, gn_cdf
 from .transfer import GridFunction, apply_transfer, fit_rate, iterates
 
@@ -132,8 +132,7 @@ def distribution_at(mu: DensityFunction, n: int, x: float, params: NcfParams,
                     n_paths: int = 100_000,
                     rng: Optional[np.random.Generator] = None) -> float:
     """Probability that the n-th map iterate of a mu-distributed point is < x."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = count(n, "n", 0)
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if method == "operator":
@@ -142,6 +141,7 @@ def distribution_at(mu: DensityFunction, n: int, x: float, params: NcfParams,
             pass  # U^n f0, or f0 itself when n = 0
         return float(np.interp(x, f.nodes, next(_cdfs_on_grid([f], f.nodes, GaussMeasure(params)))))
     if method == "montecarlo":
+        n_paths = count(n_paths, "n_paths", 1)
         charge(max(n, 1) * n_paths, "distribution_at montecarlo")
         if rng is None:
             rng = np.random.default_rng(0)
@@ -156,8 +156,7 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
                    require_fit: bool = True) -> GkReport:
     """Per-n sup error against the limit law, geometric-rate fit, and
     operator-vs-Monte-Carlo spot checks, each agreeing within its band or not."""
-    if n_max < 5:
-        raise ValueError(f"n_max must be >= 5, got {n_max}")
+    n_max = count(n_max, "n_max", 5)
     if rng is None:
         rng = np.random.default_rng(0)
     gm = GaussMeasure(params)

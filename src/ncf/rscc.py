@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import NcfParams, _kernel_jump, mealy_cesaro, mealy_kernel
-from .errors import charge
+from .errors import charge, count
 from .measure import GaussMeasure, _gauss_legendre
 from . import core, transfer
 
@@ -169,6 +169,7 @@ def q_kernel_interval_bruteforce(sys: RsccSystem, x: float, u_end: float,
     """Branch-by-branch sum with the exact tail remainder; the oracle for the
     closed form above."""
     n = _cf_n(sys, "q_kernel_interval_bruteforce")
+    i_max = count(i_max, "i_max", n)
     i = np.arange(n, i_max + 1, dtype=float)
     y = n / (x + i)
     inside = y < u_end
@@ -210,8 +211,7 @@ def q_step(sys: RsccSystem, k: int, source: float, target,
     """k-step kernel Q^(k)(source, [a, b)) of the continued-fraction system,
     `target` the pair (a, b), by the kernel recursion Q^(k+1) = U Q^(k) of
     `_kernel_terms`.  `q_step_mc` is the Monte Carlo estimate of the same kernel."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = count(k, "k", 1)
     _cf_n(sys, "q_step")
     a, b = target
     return _kernel_terms(sys, k, source, a, b, grid_m)[-1]
@@ -227,8 +227,7 @@ def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
     grid_m divides 2^20: the last step never interpolates the grid across a
     jump of the kernel at the source.  n = 1 forms no point term, and n < 3
     no grid."""
-    if grid_m < 1:
-        raise ValueError(f"grid_m must be >= 1, got {grid_m}")
+    grid_m = count(grid_m, "grid_m", 1)
     x = float(source)
     terms = [q_kernel(sys, x, a, b)]
     if n == 1:
@@ -249,10 +248,7 @@ def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
 def simulate_paths(sys: RsccSystem, source: float, steps: int, n_paths: int,
                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Terminal states of n_paths seeded chains run for `steps` steps."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    n_paths, steps = count(n_paths, "n_paths", 1), count(steps, "steps", 0)
     n = _cf_n(sys, "simulate_paths")
     core._check_unit_interval(source)
     if rng is None:
@@ -268,8 +264,7 @@ def q_step_mc(sys: RsccSystem, k: int, source: float, a: float, b: float,
               n_paths: int = 100_000,
               rng: Optional[np.random.Generator] = None) -> Estimate:
     """Monte Carlo estimate of Q^(k)(source, [a, b)) with its standard error."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = count(k, "k", 1)
     if not a <= b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     w = simulate_paths(sys, source, k, n_paths, rng)
@@ -287,8 +282,7 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
     `core.mealy_cesaro` of its kernel rows, exact to rounding at every n; the
     continued-fraction system, `target` the pair (a, b), averages the terms
     Q^(1..n)(source) of q_step's kernel recursion, `_kernel_terms`."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = count(n, "n", 1)
     if sys.finite:
         if len(sys.states) != 2:
             raise ValueError("q_cesaro has a closed form for two-state systems only")
@@ -368,10 +362,7 @@ def contraction_coefficients(sys: RsccSystem, k_max: int = 2, grid: int = 512,
     P(w, i)/P(w', i) is monotone in i, so the sup over A is a tail
     difference, (m-N)|w-w'|/((w+m)(w'+m)) <= (m-N)/m^2 <= 1/(4N), approached
     at m = 2N as w, w' -> 0: R = 1/(4N)."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
+    k_max, grid = count(k_max, "k_max", 1), count(grid, "grid", 1)
     n = _cf_n(sys, "contraction_coefficients")
     w1, w2 = _pair_grid(grid)
     for k in range(1, k_max + 1):
@@ -409,8 +400,7 @@ def shifted_path_probability(sys: RsccSystem, w: float, n: int, r: int, word_set
     are simulated and the final word probability is taken conditionally on
     the terminal state, which removes the last layer of sampling noise.
     """
-    if n < 1 or r < 1:
-        raise ValueError("n and r must be >= 1")
+    n, r = count(n, "n", 1), count(r, "r", 1)
     word_set = _checked_words(r, word_set)
     states = simulate_paths(sys, w, n - 1, n_paths, rng)
     vals = _word_set_probability(sys, states, word_set)
@@ -423,8 +413,7 @@ def limit_path_law(sys: RsccSystem, r: int, word_set) -> float:
     """Stationary law of r-letter words: quadrature of P_r(., A) against the
     invariant measure of the continued-fraction system."""
     _cf_n(sys, "limit_path_law")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    r = count(r, "r", 1)
     word_set = _checked_words(r, word_set)
     gm = GaussMeasure(sys.params)
     # the integrand is rational with its poles at w <= -1

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import NcfParams
-from .errors import FitError, charge
+from .errors import FitError, charge, count
 from .measure import GaussMeasure
 
 
@@ -56,17 +55,14 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, fn, m: int) -> "GridFunction":
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
+        m = count(m, "m", 1)
         charge(m + 1, "grid samples")
         x = np.linspace(0.0, 1.0, m + 1)
         return cls(np.asarray(fn(x), dtype=float) * np.ones(m + 1))
 
     @classmethod
     def constant(cls, c: float, m: int) -> "GridFunction":
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        return cls(np.full(m + 1, float(c)))
+        return cls(np.full(count(m, "m", 1) + 1, float(c)))
 
     def __call__(self, x):
         return np.interp(x, _nodes(self.values.size), self.values)
@@ -143,10 +139,7 @@ def _layout(n: int, m: int, i_max: Optional[int], per_point: bool):
     N..I-1, I = max(N+1, 20), past isqrt(NM) per_point; the groups' cells fall
     from K = NM // I to 1, or low."""
     if i_max is not None:
-        try:
-            i_max = operator.index(i_max)
-        except TypeError:
-            raise ValueError(f"i_max must be an integer, got {i_max!r}") from None
+        i_max = count(i_max, "i_max", 0)
         if i_max < max(n - 1, 19):  # fold mass <= 1, mean by _cubic_rest
             raise ValueError(f"i_max must be >= max(N - 1, 19) = {max(n - 1, 19)}, got {i_max}")
     nm, cut = n * m, math.inf if i_max is None else i_max + 1
@@ -494,8 +487,7 @@ def error_curves(f: GridFunction, params: NcfParams, n_max: int):
 def estimate_gap(f: GridFunction, params: NcfParams, n_max: int) -> GapEstimate:
     """Fit the geometric decay rate on the log scale: the sup-norm distance
     ||U^n f - c_f|| of the iterates from c_f decays like k q^n."""
-    if n_max < 5:
-        raise ValueError(f"n_max must be >= 5, got {n_max}")
+    n_max = count(n_max, "n_max", 5)
     if np.ptp(f.values) == 0.0:
         raise ValueError("gap estimation needs a non-constant function")
     _, sup_errors, lip_errors = error_curves(f, params, n_max)

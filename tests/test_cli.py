@@ -601,6 +601,9 @@ class TestUnreadableFlags:
         (["eval", "--digits", "1,,2"], "--digits"),
         (["regularity", "--starts", ""], "--starts"),
         (["regularity", "--starts", "0,x"], "--starts"),
+        # once NumPy's "expected non-negative integer" (gk), and an answer (contraction)
+        (["gk", "--seed", "-1"], "--seed"),
+        (["contraction", "--seed", "-1"], "--seed"),
     ])
     def test_usage_error_names_the_flag(self, argv, flag, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -7,6 +7,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ncf import (
@@ -29,6 +30,10 @@ def test_params_validation():
         NcfParams(-3)
     with pytest.raises(ValueError, match=r"^n_param must be an integer >= 1, got 1\.0$"):
         NcfParams(1.0)
+    # an integer type is read as the Python int: np.int64(3) was refused, and True stored
+    for value, want in ((np.int64(3), 3), (True, 1)):
+        n = NcfParams(value).n_param
+        assert type(n) is int and n == want
 
 
 @pytest.mark.parametrize("value,other,field,text", [

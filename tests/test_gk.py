@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,15 +12,20 @@ from ncf import (
     FitError,
     GaussMeasure,
     NcfParams,
+    digits,
     distribution_at,
     gauss_initial,
     gn_cdf,
     lebesgue_measure,
+    limit_path_law,
+    make_ncf_rscc,
     pushforward_density,
+    q_kernel_interval_bruteforce,
     run_experiment,
+    shifted_path_probability,
     tilted_measure,
 )
-from ncf import gausskuzmin, transfer
+from ncf import core, gausskuzmin, transfer
 from ncf.gausskuzmin import density_from_grid, initial_grid_density
 
 
@@ -304,3 +310,34 @@ class TestMonteCarloBitIdentity:
         for n in (1, 1000):
             assert np.array_equal(gausskuzmin._iterate_map(want, 4, n),
                                   _masked_map(want, 4, n))
+
+
+_CF = make_ncf_rscc(NcfParams(1))
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: distribution_at(lebesgue_measure(), 1.0, 0.5, NcfParams(1)), "n"),
+    # once nan with a RuntimeWarning
+    (lambda: distribution_at(lebesgue_measure(), 2, 0.5, NcfParams(1), method="montecarlo",
+                             n_paths=0), "n_paths"),
+    (lambda: run_experiment(lebesgue_measure(), NcfParams(1), n_max=6.0, m=64), "n_max"),
+    (lambda: transfer.estimate_gap(transfer.GridFunction.from_callable(lambda x: x, 64),
+                                   NcfParams(1), 6.0), "n_max"),
+    (lambda: digits(Fraction(3, 7), NcfParams(1), 3.0), "max_len"),
+    # once generators that failed only when read
+    (lambda: core.lowest_branch_orbits(NcfParams(1), [0.5], 2.0), "n_max"),
+    (lambda: limit_path_law(_CF, 1.0, [(1,)]), "r"),
+    (lambda: shifted_path_probability(_CF, 0.5, 2.0, 1, [(1,)], n_paths=100), "n"),
+    (lambda: q_kernel_interval_bruteforce(_CF, 0.3, 0.5, i_max=0), "i_max"),
+    # once 0.5652798, where the kernel is 0.5652174
+    (lambda: q_kernel_interval_bruteforce(_CF, 0.3, 0.5, i_max=100.5), "i_max"),
+], ids=["distribution_at-n", "distribution_at-n_paths", "run_experiment-n_max",
+        "estimate_gap-n_max", "digits-max_len", "lowest_branch_orbits-n_max",
+        "limit_path_law-r", "shifted_path_probability-n", "bruteforce-i_max-0",
+        "bruteforce-i_max-half"])
+@pytest.mark.filterwarnings("error")
+def test_count_argument_refused_by_name(call, name):
+    # a count that is no integer, or below its least value, is a ValueError
+    # naming the argument, not NumPy's or range's TypeError, nor an answer
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        call()

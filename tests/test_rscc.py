@@ -323,18 +323,20 @@ class TestQStep:
         assert errs[-1] < 1e-4
 
     def test_rejects_bad_k(self, ncf_sys):
-        with pytest.raises(ValueError):
-            q_step(ncf_sys, 0, 0.5, (0.0, 0.5))
+        for k in (0, 2.5):
+            with pytest.raises(ValueError, match="^k must be "):
+                q_step(ncf_sys, k, 0.5, (0.0, 0.5))
 
-    @pytest.mark.parametrize("grid_m", [0, -3])
+    @pytest.mark.parametrize("grid_m", [0, -3, 2.5])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_rejects_bad_grid(self, k, grid_m, monkeypatch):
         # once accepted up to k = 2, and past it a NumPy or GridFunction error
         sys_ = make_ncf_rscc(NcfParams(1))
         monkeypatch.setattr(rscc, "q_kernel", _refuse)  # refused before any work
-        with pytest.raises(ValueError, match="grid_m must be >= 1"):
+        text = f"grid_m must be {'>= 1' if grid_m < 1 else 'an integer'}"
+        with pytest.raises(ValueError, match=text):
             q_step(sys_, k, 0.3, (0.2, 0.6), grid_m=grid_m)
-        with pytest.raises(ValueError, match="grid_m must be >= 1"):
+        with pytest.raises(ValueError, match=text):
             q_cesaro(sys_, k, 0.3, (0.2, 0.6), grid_m=grid_m)
 
     def test_refuses_n_past_binary64_from_two_steps(self, monkeypatch):
@@ -603,13 +605,14 @@ class TestContraction:
         assert rep.r_values[0] == pytest.approx(anchor, abs=5e-3)
 
     def test_rejects_bad_kmax(self):
-        with pytest.raises(ValueError, match="k_max"):
-            contraction_coefficients(make_ncf_rscc(NcfParams(1)), k_max=0)
+        for k_max in (0, 2.5):
+            with pytest.raises(ValueError, match="k_max"):
+                contraction_coefficients(make_ncf_rscc(NcfParams(1)), k_max=k_max)
 
-    @pytest.mark.parametrize("grid", [0, -3])
+    @pytest.mark.parametrize("grid", [0, -3, 2.5])
     def test_rejects_bad_grid(self, grid, monkeypatch):
-        # once an IndexError at 0, and NumPy's "Number of samples" at -3;
-        # rejected before the charge
+        # once an IndexError at 0, NumPy's "Number of samples" at -3, and a
+        # TypeError at 2.5; rejected before the charge
         monkeypatch.setattr(rscc, "charge", _refuse)
         with pytest.raises(ValueError, match="grid must"):
             contraction_coefficients(make_ncf_rscc(NcfParams(1)), grid=grid)
@@ -785,11 +788,13 @@ class TestSimulatePaths:
         assert np.all((w > 0.0) & (w <= 1.0))
 
     def test_rejects_no_paths(self, ncf_sys):
-        # with no path there is no estimate: once a ZeroDivisionError
-        with pytest.raises(ValueError, match="n_paths"):
-            simulate_paths(ncf_sys, 0.5, 3, 0)
-        with pytest.raises(ValueError, match="n_paths"):
-            q_step_mc(ncf_sys, 3, 0.5, 0.2, 0.6, n_paths=0)
+        # with no path there is no estimate: once a ZeroDivisionError, and at
+        # 2.5 NumPy's TypeError
+        for n_paths in (0, 2.5):
+            with pytest.raises(ValueError, match="n_paths"):
+                simulate_paths(ncf_sys, 0.5, 3, n_paths)
+            with pytest.raises(ValueError, match="n_paths"):
+                q_step_mc(ncf_sys, 3, 0.5, 0.2, 0.6, n_paths=n_paths)
 
     def test_deterministic_given_seed(self, ncf_sys):
         a = simulate_paths(ncf_sys, 0.5, 5, 100, np.random.default_rng(4))
@@ -808,11 +813,13 @@ class TestSimulatePaths:
             shifted_path_probability(ncf_sys, source, 2, 1, [(5,)], n_paths=100)
 
     def test_steps_and_k_checked(self, ncf_sys):
-        # steps = -1 once returned the sources unstepped, and k = 0 the mass 1
-        with pytest.raises(ValueError, match="steps"):
-            simulate_paths(ncf_sys, 0.5, -1, 100)
-        with pytest.raises(ValueError, match="k must"):
-            q_step_mc(ncf_sys, 0, 0.5, 0.0, 1.0, n_paths=100)
+        # steps = -1 once returned the sources unstepped, and k = 0 the mass
+        # 1; steps = 2.5 and k = 3.0 ended in range's TypeError
+        for steps, k in ((-1, 0), (2.5, 3.0)):
+            with pytest.raises(ValueError, match="steps"):
+                simulate_paths(ncf_sys, 0.5, steps, 100)
+            with pytest.raises(ValueError, match="k must"):
+                q_step_mc(ncf_sys, k, 0.5, 0.0, 1.0, n_paths=100)
         # n = 1 takes no burn-in step
         assert np.array_equal(simulate_paths(ncf_sys, 0.5, 0, 3), [0.5, 0.5, 0.5])
 
