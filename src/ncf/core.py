@@ -82,9 +82,7 @@ class DigitSequence:
 
 
 def _check_unit_interval(x: Real) -> None:
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    if x < 0 or x > 1:
+    if not 0 <= x <= 1:  # NaN and the infinities too
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NcfParams
+from .core import NcfParams, _check_unit_interval
 from .errors import FitError, charge, count
 from .measure import DensityFunction, GaussMeasure, gn_cdf
 from .transfer import GridFunction, apply_transfer, fit_rate, iterates
@@ -133,8 +133,7 @@ def distribution_at(mu: DensityFunction, n: int, x: float, params: NcfParams,
                     rng: Optional[np.random.Generator] = None) -> float:
     """Probability that the n-th map iterate of a mu-distributed point is < x."""
     n = count(n, "n", 0)
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+    _check_unit_interval(x)
     if method == "operator":
         f = initial_grid_density(mu, params, m)
         for f in iterates(f, params, n):
@@ -173,20 +172,17 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
         ratios.append(float(np.max(err[mask] / limit[mask])))
         if n in spot_cdfs:
             spot_cdfs[n] = cum
-    q_fit = theta_bound = None
-    window = None
+    q_fit = theta_bound = window = None
     residuals = ()
     try:
-        idx, slope, intercept, fit_residuals = fit_rate(np.array(sup_errors))
+        q_fit, _, window, fit_residuals = fit_rate(np.array(sup_errors))
     except FitError:
         if require_fit:
             raise
     else:
-        q_fit = float(math.exp(slope))
         residuals = tuple(float(r) for r in fit_residuals)
-        window = (idx[0] + 1, idx[-1] + 1)
         # envelope constant of the error term relative to the limit CDF
-        theta_bound = max(ratios[j] / q_fit ** (j + 1) for j in idx)
+        theta_bound = max(ratios[j] / q_fit ** (j + 1) for j in range(window[1]))
     cells = []
     for n_spot, x_spot in spots:
         # the operator side is read off the iterates above: U^n_spot f0

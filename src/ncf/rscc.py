@@ -110,8 +110,13 @@ def make_mealy_rscc(alpha: float, beta: float) -> RsccSystem:
 
     def p(w, j):
         # the kernel entry from state w to state j = u(w, j)
+        w = np.asarray(w, dtype=float)
+        if not ((w == 1.0) | (w == 2.0)).all():
+            raise ValueError(f"state must be 1 or 2, got {w}")
+        if not (j == 1 or j == 2):
+            raise ValueError(f"event must be 1 or 2, got {j!r}")
         row1, row2 = kernel[:, 0 if j == 1 else 1]
-        return np.where(np.asarray(w, dtype=float) == 1.0, row1, row2)
+        return np.where(w == 1.0, row1, row2)
 
     return RsccSystem(transition=u, probability=p, events=(1, 2), states=(1.0, 2.0))
 
@@ -227,6 +232,7 @@ def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
     grid_m divides 2^20: the last step never interpolates the grid across a
     jump of the kernel at the source.  n = 1 forms no point term, and n < 3
     no grid."""
+    core._check_unit_interval(source)
     grid_m = count(grid_m, "grid_m", 1)
     x = float(source)
     terms = [q_kernel(sys, x, a, b)]
@@ -286,6 +292,8 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
     if sys.finite:
         if len(sys.states) != 2:
             raise ValueError("q_cesaro has a closed form for two-state systems only")
+        if float(source) not in sys.states:
+            raise ValueError(f"source must be one of the states {sys.states}, got {source!r}")
         row = mealy_cesaro(kernel_matrix(sys).tolist(), n)[sys.states.index(float(source))]
         members = {float(t) for t in target}
         return float(sum(p for p, s in zip(row, sys.states) if s in members))

@@ -247,6 +247,8 @@ def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndar
     exact mean, so the cut-off sum equals, to rounding, the branch-by-branch
     one, and costs no more terms than the exact one."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"x must be finite, got {x}")
     m = f.resolution if isinstance(f, GridFunction) else _CALLABLE_CELLS
     out = np.empty(x.shape[0])
     for r0, w, y in _branch_terms(params, x, m, i_max):
@@ -436,43 +438,29 @@ def integrate_against(f: GridFunction, gm: GaussMeasure) -> float:
     return float(total)
 
 
-def _median(xs) -> float:
-    """np.median of a few floats, bit for bit, without loading numpy.ma."""
-    if any(x != x for x in xs):  # a NaN, which np.median returns
-        return math.nan
-    s, k = sorted(xs), len(xs) // 2
-    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
-
-
-def _fit_window(errors: np.ndarray):
-    """Indices of the admissible log-fit window: above the noise floor, and
-    cut where the per-step ratio degrades markedly against the median ratio
-    of the leading points, as discretization or rounding error takes over."""
-    floor = 100 * np.finfo(float).eps
-    idx, ratios = [], []
-    for j, e in enumerate(errors):
-        r = e / errors[idx[-1]] if idx else 0.0
-        slower = len(ratios) >= 3 and r > min(0.95, 1.5 * _median(ratios[:5]))
+def fit_rate(errors: np.ndarray):
+    """The geometric rate of errors ~ k q^n, n = 1, 2, ...: a least-squares
+    line through log(errors) over the window n = 1..size, which ends at the
+    noise floor, or where the per-step ratio degrades markedly against the
+    median ratio of the leading points, as discretization or rounding error
+    takes over.  Returns (q, k, (1, size), residuals).  Raises FitError when
+    the window has fewer than 3 points."""
+    floor, size, ratios = 100 * np.finfo(float).eps, 0, []
+    for e in errors:
+        r = e / errors[size - 1] if size else 0.0
+        s = sorted(ratios[:5])  # their median, np.median's bits, and numpy.ma stays unloaded
+        slower = len(s) >= 3 and r > min(0.95, 1.5 * ((s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2))
         if e <= floor or r > 0.99 or slower:  # r > 0.99: no usable decay left
             break
-        ratios += [r] if idx else []
-        idx.append(j)
-    return idx
-
-
-def fit_rate(errors: np.ndarray):
-    """Least-squares line through log(errors) against n = 1, 2, ... over the
-    fit window: (window indices, slope, intercept, residuals); the geometric
-    rate is exp(slope).  Raises FitError when the window has fewer than 3
-    points."""
-    idx = _fit_window(errors)
-    if len(idx) < 3:
-        raise FitError(f"only {len(idx)} admissible points before the error floor; "
+        ratios += [r] if size else []
+        size += 1
+    if size < 3:
+        raise FitError(f"only {size} admissible points before the error floor; "
                        "cannot fit a geometric rate")
-    ns = np.array(idx, dtype=float) + 1.0
-    logs = np.log(errors[idx])
+    ns = np.arange(1.0, size + 1.0)
+    logs = np.log(errors[:size])
     slope, intercept = np.polyfit(ns, logs, 1)
-    return idx, slope, intercept, logs - (slope * ns + intercept)
+    return math.exp(slope), math.exp(intercept), (1, size), logs - (slope * ns + intercept)
 
 
 def error_curves(f: GridFunction, params: NcfParams, n_max: int):
@@ -491,7 +479,6 @@ def estimate_gap(f: GridFunction, params: NcfParams, n_max: int) -> GapEstimate:
     if np.ptp(f.values) == 0.0:
         raise ValueError("gap estimation needs a non-constant function")
     _, sup_errors, lip_errors = error_curves(f, params, n_max)
-    idx, slope, intercept, residuals = fit_rate(sup_errors)
-    return GapEstimate(q_hat=float(math.exp(slope)), k_hat=float(math.exp(intercept)),
-                       residuals=residuals, n_window=(idx[0] + 1, idx[-1] + 1),
+    q, k, window, residuals = fit_rate(sup_errors)
+    return GapEstimate(q_hat=q, k_hat=k, residuals=residuals, n_window=window,
                        sup_errors=sup_errors, lip_errors=lip_errors)

@@ -79,10 +79,11 @@ class TestGaussMap:
 
     def test_domain_errors(self):
         p = NcfParams(1)
-        # 1e-320: N/x overflows to inf
-        for bad in (-0.1, 1.5, float("nan"), float("inf"), 1e-320):
-            with pytest.raises(ValueError):
+        for bad in (-0.1, 1.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"^x must lie in \[0, 1\], got {bad!r}$"):
                 gauss_map(bad, p)
+        with pytest.raises(ValueError, match="overflows"):  # 1e-320: N/x overflows to inf
+            gauss_map(1e-320, p)
 
     def test_range(self):
         p = NcfParams(3)

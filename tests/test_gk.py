@@ -137,8 +137,9 @@ class TestDistributionAt:
         params = NcfParams(1)
         with pytest.raises(ValueError):
             distribution_at(lebesgue_measure(), -1, 0.5, params)
-        with pytest.raises(ValueError):
-            distribution_at(lebesgue_measure(), 2, 1.5, params)
+        for x in (1.5, math.nan, -math.inf):
+            with pytest.raises(ValueError, match=rf"^x must lie in \[0, 1\], got {x!r}$"):
+                distribution_at(lebesgue_measure(), 2, x, params)
         with pytest.raises(ValueError):
             distribution_at(lebesgue_measure(), 2, 0.5, params, method="exact")
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -14,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from ncf import (  # noqa: E402
+    FitError,
     NcfParams,
     contraction_coefficients,
     core,
@@ -117,17 +119,52 @@ def test_every_argv_has_a_documented_exit_code(argv):
         assert code in (0, 2, 3, 4), (argv, sink.getvalue()[-500:])
 
 
-@settings(max_examples=200, deadline=None)
-@given(xs=st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False), min_size=1,
-                   max_size=5))
-@example(xs=[1.7976931348623157e308] * 2).via("a middle pair whose sum overflows")
-@example(xs=[0.5, float("nan"), 0.25]).via("a NaN, which np.median returns")
-def test_fit_window_median_is_numpys(xs):
-    # the fit window's median, in Python so that numpy.ma stays unloaded
-    with np.errstate(over="ignore"):
-        want = np.median(xs)
-    got = transfer._median(xs)
-    assert type(got) is float and got.hex() == float(want).hex()
+def _fit_rate_reference(errors):
+    """The rate fit with its window over indices, np.median of the leading
+    ratios and np.polyfit: (q, k, window, residuals), or None where
+    fewer than 3 points are admissible."""
+    floor, idx, ratios = 100 * np.finfo(float).eps, [], []
+    for j, e in enumerate(errors):
+        r = e / errors[idx[-1]] if idx else 0.0
+        slower = len(ratios) >= 3 and r > min(0.95, 1.5 * np.median(ratios[:5]))
+        if e <= floor or r > 0.99 or slower:
+            break
+        ratios += [r] if idx else []
+        idx.append(j)
+    if len(idx) < 3:
+        return None
+    ns = np.array(idx, dtype=float) + 1.0
+    logs = np.log(errors[idx])
+    slope, intercept = np.polyfit(ns, logs, 1)
+    return (math.exp(slope), math.exp(intercept), (idx[0] + 1, idx[-1] + 1),
+            logs - (slope * ns + intercept))
+
+
+@settings(max_examples=300, deadline=None)
+@given(e0=st.floats(1e-16, 1e6), steps=st.lists(st.floats(1e-3, 1.2), max_size=45))
+@example(e0=1.0, steps=[0.3] * 40).via("a clean decay, to the noise floor")
+@example(e0=0.5, steps=[0.4, 0.3, 0.35, 0.3, 0.9, 0.3]).via("a slower step: the window ends")
+@example(e0=0.5, steps=[0.4, 0.3, 0.35, 0.3]).via("an even count of leading ratios")
+@example(e0=0.5, steps=[0.5, 1.0]).via("two points: no fit")
+def test_fit_rate_is_the_window_rule_and_polyfit(e0, steps):
+    # finite, positive, mostly decaying curves: the same bits as the
+    # reference, and a FitError in the same cases
+    errors = e0 * np.cumprod([1.0, *steps])
+    want = _fit_rate_reference(errors)
+    if want is None:
+        with pytest.raises(FitError):
+            transfer.fit_rate(errors)
+        return
+    q, k, window, residuals = transfer.fit_rate(errors)
+    assert (q.hex(), k.hex(), window) == (want[0].hex(), want[1].hex(), want[2])
+    assert residuals.tobytes() == want[3].tobytes()
+
+
+def test_fit_rate_window_starts_at_one():
+    # 10^-n falls below the noise floor 100 eps after n = 13
+    q, k, window, residuals = transfer.fit_rate(0.1 ** np.arange(1.0, 21.0))
+    assert window == (1, 13) and residuals.size == 13
+    assert q == pytest.approx(0.1, rel=1e-12) and k == pytest.approx(1.0, rel=1e-10)
 
 
 @settings(max_examples=50, deadline=None)

@@ -322,6 +322,19 @@ class TestQStep:
         # the residual floor is set by interpolating the kinked kernel
         assert errs[-1] < 1e-4
 
+    @pytest.mark.parametrize("source", [math.nan, math.inf, -0.1, 1.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_source_checked_with_an_empty_target(self, source, k):
+        # b <= 0 never reads the kernel at the source: a NaN source gave nan
+        # past k = 1, and 1.5 gave 0.0
+        sys_ = make_ncf_rscc(NcfParams(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]"):
+                q_step(sys_, k, source, (0.0, 0.0), grid_m=64)
+            with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]"):
+                q_cesaro(sys_, k, source, (0.0, 0.0), grid_m=64)
+
     def test_rejects_bad_k(self, ncf_sys):
         for k in (0, 2.5):
             with pytest.raises(ValueError, match="^k must be "):
@@ -553,6 +566,28 @@ class TestMealy:
         b = q_cesaro(mealy_sys, 65, 1.0, [1.0])
         # both sit within O(1/n) of the stationary value and near each other
         assert abs(a - b) <= 1e-2
+
+    @pytest.mark.parametrize("w, word, what", [
+        (5.0, (1, 2), "state"), (0.0, (1,), "state"), (math.nan, (1,), "state"),
+        (np.array([1.0, 5.0]), (1,), "state"),
+        (1.0, (3,), "event"), (1.0, (1, 0), "event"), (2.0, (2.5,), "event"),
+    ])
+    def test_unknown_states_and_events_rejected(self, mealy_sys, w, word, what):
+        # state 5 was read as state 2, and event 3 as event 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{what} must be 1 or 2"):
+                path_probability(mealy_sys, w, word)
+
+    def test_array_of_states_passes(self, mealy_sys):
+        got = path_probability(mealy_sys, np.array([1.0, 2.0, 1.0]), (2, 1))
+        want = [path_probability(mealy_sys, w, (2, 1)) for w in (1.0, 2.0, 1.0)]
+        assert got.tolist() == want
+
+    def test_cesaro_source_must_be_a_state(self, mealy_sys):
+        # once "tuple.index(x): x not in tuple"
+        with pytest.raises(ValueError, match=r"^source must be one of the states \(1\.0, 2\.0\)"):
+            q_cesaro(mealy_sys, 5, 3.0, [1.0])
 
     def test_cesaro_needs_two_states(self):
         # the closed form is the two-state one; the package builds no other

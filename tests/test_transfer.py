@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -158,6 +159,15 @@ class TestApplyTransfer:
             apply_transfer(f, NcfParams(1), i_max=i_max)
         with pytest.raises(ValueError, match="i_max must be an integer"):
             transfer.transfer_at(f, NcfParams(1), [0.3], i_max)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("f", [np.cos, GridFunction.constant(1.0, 64)], ids=["callable", "grid"])
+    def test_point_not_finite_rejected(self, f, x):
+        # inf once gave nan with RuntimeWarnings, and nan gave nan silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x must be finite"):
+                transfer.transfer_at(f, NcfParams(1), [0.3, x])
 
     def test_numpy_integer_cutoff_accepted(self):
         f = _random_grid(1024, seed=4)
