@@ -294,8 +294,11 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
             raise ValueError("q_cesaro has a closed form for two-state systems only")
         if float(source) not in sys.states:
             raise ValueError(f"source must be one of the states {sys.states}, got {source!r}")
+        members = [float(t) for t in target]
+        for t in members:
+            if t not in sys.states:
+                raise ValueError(f"target member must be one of the states {sys.states}, got {t!r}")
         row = mealy_cesaro(kernel_matrix(sys).tolist(), n)[sys.states.index(float(source))]
-        members = {float(t) for t in target}
         return float(sum(p for p, s in zip(row, sys.states) if s in members))
     a, b = target
     return sum(_kernel_terms(sys, n, source, a, b, grid_m)) / n

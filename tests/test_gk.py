@@ -210,6 +210,51 @@ class TestRunExperiment:
             assert cell["operator"] == distribution_at(
                 mu, cell["n"], cell["x"], params, method="operator", m=256)
 
+    @pytest.mark.parametrize("n_max,steps", [(40, [2, 2, 2]), (5, [2, 2, 1])])
+    def test_spot_checks_step_one_sample(self, n_max, steps, monkeypatch):
+        # one sample stepped on from spot to spot, 2 -> 4 -> 6 (or 5 when
+        # n_max = 5 clamps the last spot): 6 map steps in all, not 2 + 4 + 6
+        samples, taken = [], []
+        sample, iterate = gausskuzmin._sample_initial, gausskuzmin._iterate_map
+
+        def counting_sample(mu, n_paths, rng):
+            samples.append(n_paths)
+            return sample(mu, n_paths, rng)
+
+        def counting_iterate(y, n, n_param):
+            taken.append(n)
+            return iterate(y, n, n_param)
+
+        monkeypatch.setattr(gausskuzmin, "_sample_initial", counting_sample)
+        monkeypatch.setattr(gausskuzmin, "_iterate_map", counting_iterate)
+        monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
+        run_experiment(lebesgue_measure(), NcfParams(1), n_max=n_max, m=128,
+                       require_fit=False, rng=np.random.default_rng(3))
+        assert samples == [1000]
+        assert taken == steps
+
+    def test_spot_checks_charged_once(self, monkeypatch):
+        # the Monte Carlo budget is charged once, for the 6 steps of the sample
+        charges = []
+        monkeypatch.setattr(gausskuzmin, "charge", lambda cost, what: charges.append(cost))
+        run_experiment(lebesgue_measure(), NcfParams(1), n_max=8, m=128,
+                       require_fit=False, rng=np.random.default_rng(3))
+        assert charges == [6 * gausskuzmin._SPOT_PATHS]
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("mu", [lebesgue_measure(), tilted_measure()],
+                             ids=["lebesgue", "tilted"])
+    def test_spot_checks_are_honest_marginals(self, n, mu):
+        # the spots share one sample, yet each estimate is the one a fresh
+        # distribution_at draws from the same seed, so each band is marginal
+        params = NcfParams(n)
+        rep = run_experiment(mu, params, n_max=8, m=128, require_fit=False,
+                             rng=np.random.default_rng(21))
+        for cell in rep.method_agreement:
+            assert cell["montecarlo"] == distribution_at(
+                mu, cell["n"], cell["x"], params, method="montecarlo",
+                n_paths=gausskuzmin._SPOT_PATHS, rng=np.random.default_rng(21))
+
     def test_one_operator_application_per_step(self, monkeypatch):
         # the operator is assembled once for the grid, kept for the next
         # experiment on it, and stepped once per n
@@ -293,7 +338,7 @@ class TestMonteCarloBitIdentity:
 
     @pytest.mark.parametrize("n,mu", [(1, lebesgue_measure()), (5, tilted_measure())])
     def test_run_experiment_spot_checks(self, n, mu, reference):
-        # the three spot checks draw from one generator in turn
+        # the three spot checks step one sample on from spot to spot
         def montecarlo():
             rep = run_experiment(mu, NcfParams(n), n_max=10, m=128,
                                  rng=np.random.default_rng(7), require_fit=False)

@@ -589,6 +589,13 @@ class TestMealy:
         with pytest.raises(ValueError, match=r"^source must be one of the states \(1\.0, 2\.0\)"):
             q_cesaro(mealy_sys, 5, 3.0, [1.0])
 
+    def test_cesaro_target_members_must_be_states(self, mealy_sys):
+        # once 0.0: the member that is not a state was dropped
+        with pytest.raises(ValueError, match=r"^target member must be one of the states \(1\.0, 2\.0\), got 3\.0$"):
+            q_cesaro(mealy_sys, 5, 1.0, [3.0])
+        with pytest.raises(ValueError, match=r"got 0\.5$"):
+            q_cesaro(mealy_sys, 5, 1.0, (2.0, 0.5))
+
     def test_cesaro_needs_two_states(self):
         # the closed form is the two-state one; the package builds no other
         # finite system
