@@ -9,15 +9,19 @@ functions, linear on each cell, get the whole series in about 2 sqrt(NM)
 terms a point.  One set of formulas forms every term from exact integer
 thresholds: _grid_terms at each point, for the assembled operator and the
 point form, and apply_transfer once a call, as Chebyshev series in the node
-index.  iterates() assembles the operator once per (N, M), steps it by one
-BLAS product plus gathered rows, and keeps it, read-only, until another
-grid needs the slot: at most one is held.
+index.  apply_transfer keeps what of those series reads no f, by (N, M,
+i_max), read-only, the least recently used dropped past 8 MiB in all; a
+larger set is formed and used a node block at a time at every call.
+iterates() assembles the operator once per (N, M), steps it by one BLAS
+product plus gathered rows, and keeps it, read-only, until another grid
+needs the slot: at most one is held.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -245,10 +249,15 @@ def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndar
     arrays, on cells of width 2^-20, exact for f linear on each.  With i_max
     >= max(N - 1, 19), the branches above it fold into one term at their
     exact mean, so the cut-off sum equals, to rounding, the branch-by-branch
-    one, and costs no more terms than the exact one."""
+    one, and costs no more terms than the exact one.  x is a 1-d array of
+    points of [0, 1], the map's domain."""
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"x must be finite, got {x}")
+    if x.ndim != 1:
+        raise ValueError(f"x must be a 1-d array, got {x.ndim}-d")
+    if x.size and not 0.0 <= x.min() <= x.max() <= 1.0:
+        raise ValueError(f"x must lie in [0, 1], got {x[(x < 0.0) | (x > 1.0)]}")
     m = f.resolution if isinstance(f, GridFunction) else _CALLABLE_CELLS
     out = np.empty(x.shape[0])
     for r0, w, y in _branch_terms(params, x, m, i_max):
@@ -264,82 +273,170 @@ def _clenshaw(c: np.ndarray, i: np.ndarray, s: np.ndarray) -> np.ndarray:
     return c[0].take(i) + s * b1 - b2
 
 
-def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = None) -> GridFunction:
-    """One application of the transfer operator at the nodes j/M of f: the
-    terms of _grid_terms, by its formulas, with the groups formed once a
-    call.  The singles N..I-1, I = max(N+1, 20), and the last term are point
-    terms at every node.  Branch i of node j sits at L = M i + j, threshold t
-    at M q + j, or M later where j < r_t = M r // t + 1 (_thresholds).  With
-    every threshold at M q + j, the groups are analytic in j: one series in
-    T_k(2j/M - 1), from _CHEB samples.  Where j < r_t the branch at M q + j
-    lies in cell t, not t-1, which adds b (d_t - d_t-1), b its offset there:
-    a series for each threshold.  Node j sums one series, the groups' plus
-    the suffix sum of the thresholds' at r_t > j, a block of 4 (_CHUNK //
-    _CHEB) nodes at a time.  Charges the point terms and coefficients at
-    every node, and the samples."""
-    n, m, v, d = params.n_param, f.resolution, f.values, np.diff(f.values)
-    nm, sc, first, cut, top, low, _ = _layout(n, m, i_max, False)
+def _cells(p: np.ndarray, m: int):
+    """The cell c = min(floor(p), M-1) of each place M y = p, and the offset
+    p - c, in place of p."""
+    c = np.minimum(p.astype(np.intp), m - 1)
+    p -= c
+    return c, p
+
+
+def _tables(n: int, m: int, layout):
+    """apply_transfer's tables on (N, M, i_max), which read no f: two
+    generators, of the group chunks and of the node blocks, which form them
+    a chunk at a time.  A group chunk is (k, a, b): the cells k, the masses
+    a and offsets b at the first sample, and the others' differences from
+    it.  A node block is (down, s, js, scale, c, h, w, at, width, crossings):
+    its nodes falling from j1 - 1, T_k's argument s, j s/M, the scale of the
+    sums, the last term's cells c, offsets h and masses w, the column of the
+    suffix sums at each node, and the thresholds crossed in the block, a
+    chunk (offset, t, a, b) at a time."""
+    nm, sc, first, cut, top, low, _ = layout
     t, q, r, qb, ks = _thresholds(nm, first, cut, top, low)
     rt = (r * m // t + 1).astype(np.intp)
-    charge((m + 1) * (first - n + 1 + _CHEB) + _CHEB * (qb.size - 1 + t.size), "transfer operator")
-    x, per, jm = f.nodes, max(1, _CHUNK // _CHEB), sc * _CHEB_AT  # jm: the samples, scaled
+    x, per, jm = _nodes(m + 1), max(1, _CHUNK // _CHEB), sc * _CHEB_AT  # jm: the samples, scaled
 
-    def point(u, p):
-        """Point terms of mass u (x+N) at M y = p, over x+N, in place of p."""
-        c = np.minimum(p.astype(np.intp), m - 1)
-        p -= c
-        p *= d[c]
-        p += v[c]
-        p *= u
-        return p
+    def groups():
+        for g0 in range(0, qb.size - 1, per):
+            qs, k = qb[g0:g0 + per + 1, None], ks[g0:g0 + per + 1, None]
+            _, a, b = _groups(jm, m / (jm + sc * qs.astype(float)),
+                              np.diff(qs, axis=0).astype(float), k,
+                              sc * (nm - k * qs).astype(float), m, nm)
+            a[:, 1:] -= a[:, :1]
+            b[:, 1:] -= b[:, :1]
+            yield ks[g0 + 1:g0 + per + 1].copy(), a, b
+
+    def blocks():
+        # from the last block: its crossings by rising r_t
+        order = np.argsort(rt, kind="stable")
+        at, block = rt[order], 4 * per
+        for j1 in range(m + 1, 0, -block):
+            j0 = max(0, j1 - block)
+            down = slice(j1 - 1, j0 - 1 if j0 else None, -1)
+            j = np.arange(j1 - 1.0, j0 - 1.0, -1.0)
+            js = j * (sc / m)
+            # the last term, from I, i_max + 1 or threshold 1
+            u = m / (sc * float(qb[-1]) + js + sc * (top and not low and j < rt[-1]))
+            c, h = _cells(_mean(u, _cubic_rest(u), nm * sc / m), m)
+            e0, e1 = np.searchsorted(at, [j0, j1])
+            crossings = []
+            for s0 in range(e0, e1, per):
+                sel = order[s0:min(e1, s0 + per)]
+                ts, qs, rs = t[sel], q[sel], r[sel]
+                # branch q to q+1: a group of one in cell t
+                lo = jm[:, None] + sc * qs.astype(float)
+                _, a, b = _groups(jm[:, None], m / np.stack((lo, lo + sc)), 1.0,
+                                  np.stack((ts + 1, ts))[:, None],
+                                  sc * np.stack((rs - qs, rs - ts))[:, None].astype(float), m, nm)
+                crossings.append((s0 - e0, ts, a[0], b[0]))
+            yield (down, x[down] * 2.0 - 1.0, js, (x[down] + n) * (sc / m) ** 2, c, h,
+                   u * (m / sc), np.searchsorted(at[e0:e1], j, side="right"), e1 - e0,
+                   tuple(crossings))
+
+    return groups(), blocks()
+
+
+def _freeze(tables) -> None:
+    """Set every array of the nested tuples tables read-only."""
+    for e in tables:
+        if isinstance(e, np.ndarray):
+            e.setflags(write=False)
+        elif isinstance(e, tuple):
+            _freeze(e)
+
+
+# apply_transfer's tables, by (N, M, i_max + 1, _CHUNK), the least recently
+# used first, (bytes, group chunks, node blocks) each, read-only: together at
+# most _HELD_BYTES
+_held = {}
+_HELD_BYTES = 8 << 20
+_held_lock = threading.Lock()
+
+
+def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = None) -> GridFunction:
+    """One application of the transfer operator at the nodes j/M of f: the
+    terms of _grid_terms, by its formulas, with the groups formed once per
+    (N, M, i_max).  The singles N..I-1, I = max(N+1, 20), and the last term
+    are point terms at every node.  Branch i of node j sits at L = M i + j,
+    threshold t at M q + j, or M later where j < r_t = M r // t + 1
+    (_thresholds).  With every threshold at M q + j, the groups are analytic
+    in j: one series in T_k(2j/M - 1), from _CHEB samples.  Where j < r_t
+    the branch at M q + j lies in cell t, not t-1, which adds b (d_t -
+    d_t-1), b its offset there: a series for each threshold.  Node j sums
+    one series, the groups' plus the suffix sum of the thresholds' at r_t >
+    j, a block of 4 (_CHUNK // _CHEB) nodes at a time.  Charges the point
+    terms and coefficients at every node, and the samples, before any table
+    is formed.
+
+    Everything but the sums over f is _tables' (N, M, i_max) alone: the
+    samples of the groups and crossings, the last term's places, the
+    series' columns.  A call holds them, read-only, for the next call on
+    that key, and keeps the least recently used sets within _HELD_BYTES,
+    8 MiB; a set larger than that is not held, but formed and used a block
+    at a time.  The singles are formed at every call: their cells, offsets
+    and masses would take 24 (I - N) bytes a node.  A held set gives the
+    bits of a fresh one."""
+    n, m, v, d = params.n_param, f.resolution, f.values, np.diff(f.values)
+    layout = _layout(n, m, i_max, False)
+    nm, sc, first, cut, top, low, terms = layout
+    series = terms - 1 - (first - n) + max(top - low, 0)  # the groups' and the crossings'
+    charge((m + 1) * (first - n + 1 + _CHEB) + _CHEB * series, "transfer operator")
+    key = (n, m, cut, _CHUNK)
+    with _held_lock:
+        held = _held.pop(key, None)  # and back in last: the most recently used
+        if held is not None:
+            _held[key] = held
+    if held is not None:
+        _, groups, blocks = held
+    else:
+        size = 8 * (7 * (m + 1) + 21 * series)  # _tables' words: 7 a node, 21 a series
+        groups, blocks = _tables(n, m, layout)
+        if size <= _HELD_BYTES:
+            held = size, tuple(groups), tuple(blocks)
+            _freeze(held[1:])
+            with _held_lock:
+                while _held and sum(e[0] for e in _held.values()) + size > _HELD_BYTES:
+                    del _held[next(iter(_held))]
+                _, groups, blocks = _held[key] = held
+
+    def point(w, c, h, out=None):
+        """Point terms of mass w (x+N) in cells c at offsets h, over x+N."""
+        out = np.multiply(h, d[c], out=out)
+        out += v[c]
+        out *= w
+        return out
 
     # the groups, summed at the samples along rows: the first sample, and the
     # others' differences from it, whose rounding the series then scales down
     base = np.zeros(_CHEB)
-    for g0 in range(0, qb.size - 1, per):
-        qs, k = qb[g0:g0 + per + 1, None], ks[g0:g0 + per + 1, None]
-        _, a, b = _groups(jm, m / (jm + sc * qs.astype(float)), np.diff(qs, axis=0).astype(float),
-                          k, sc * (nm - k * qs).astype(float), m, nm)
-        k = k[1:, 0]
+    for k, a, b in groups:
         base[0] += v[k] @ a[:, 0] + d[k] @ b[:, 0]
-        base[1:] += v[k] @ (a[:, 1:] - a[:, :1]) + d[k] @ (b[:, 1:] - b[:, :1])
+        base[1:] += v[k] @ a[:, 1:] + d[k] @ b[:, 1:]
     coef = np.append(0.0, base[1:]) @ _CHEB_COEF.T
     coef[0] += base[0]
-    # a block of nodes at a time, from the last, its nodes falling from j1 - 1:
-    # the suffix sums of its crossings, by rising r_t, on the later blocks'
-    order = np.argsort(rt, kind="stable")
-    at, carry, out, block = rt[order], coef, np.empty(m + 1), 4 * per
-    for j1 in range(m + 1, 0, -block):
-        j0 = max(0, j1 - block)
-        down = slice(j1 - 1, j0 - 1 if j0 else None, -1)
-        j, s = np.arange(j1 - 1.0, j0 - 1.0, -1.0), x[down] * 2.0 - 1.0
-        js = j * (sc / m)
-        # the terms, the least first: the last term, from I, i_max + 1 or threshold 1
-        u = m / (sc * float(qb[-1]) + js + sc * (top and not low and j < rt[-1]))
-        acc = point(u * (m / sc), _mean(u, _cubic_rest(u), nm * sc / m))
-        e0, e1 = np.searchsorted(at, [j0, j1])
-        ev = np.zeros((_CHEB, e1 - e0 + 1))
-        for s0 in range(e0, e1, per):
-            sel = order[s0:min(e1, s0 + per)]
-            ts, qs, rs = t[sel], q[sel], r[sel]
-            lo = jm[:, None] + sc * qs.astype(float)  # branch q to q+1: a group of one in cell t
-            _, a, b = _groups(jm[:, None], m / np.stack((lo, lo + sc)), 1.0,
-                              np.stack((ts + 1, ts))[:, None],
-                              sc * np.stack((rs - qs, rs - ts))[:, None].astype(float), m, nm)
+    # a block of nodes at a time, from the last: the terms, the least first,
+    # and the suffix sums of its crossings on the later blocks'
+    carry, out = coef, np.empty(m + 1)
+    for down, s, js, scale, c, h, w, at, width, crossings in blocks:
+        acc = point(w, c, h)
+        ev = np.zeros((_CHEB, width + 1))
+        for e0, ts, a, b in crossings:
             last = ts == 1  # the branch leaves the last term: it adds a v_1 + b d_1
-            ev[:, s0 - e0:s0 - e0 + sel.size] = _CHEB_COEF @ (
-                np.where(last, v[1], 0.0) * a[0] + np.where(last, d[ts], d[ts] - d[ts - 1]) * b[0])
-        ev = np.cumsum(ev[:, ::-1], axis=1)[:, ::-1] + carry[:, None]  # column i: from e0 + i on
-        acc += _clenshaw(ev, np.searchsorted(at[e0:e1], j, side="right"), s)
+            ev[:, e0:e0 + ts.size] = _CHEB_COEF @ (
+                np.where(last, v[1], 0.0) * a + np.where(last, d[ts], d[ts] - d[ts - 1]) * b)
+        # column i: the sums from crossing i on
+        ev = np.cumsum(ev[:, ::-1], axis=1)[:, ::-1] + carry[:, None]
+        acc += _clenshaw(ev, at, s)
         carry = ev[:, 0]
         # the singles, from the last
         u = m / (sc * float(first) + js)
         for i in range(first - 1, n - 1, -1):
             lo = sc * float(i) + js
             u0 = m / lo
-            acc += point(_masses(u0, u, 1.0), _places(lo, sc, nm))
+            p = _places(lo, sc, nm)
+            acc += point(_masses(u0, u, 1.0), *_cells(p, m), out=p)
             u = u0
-        out[down] = acc * ((x[down] + n) * (sc / m) ** 2)
+        out[down] = acc * scale
     return GridFunction(out)
 
 

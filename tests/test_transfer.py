@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -168,6 +169,27 @@ class TestApplyTransfer:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^x must be finite"):
                 transfer.transfer_at(f, NcfParams(1), [0.3, x])
+
+    @pytest.mark.parametrize("x", [-1.0, -0.999, -1e-300, 1.0 + 2 ** -52, 3.0])
+    @pytest.mark.parametrize("f", [np.cos, GridFunction.constant(1.0, 64)], ids=["callable", "grid"])
+    def test_point_outside_the_domain_rejected(self, f, x):
+        # at N=1, -1.0 gave nan with RuntimeWarnings, -0.999 gave 999.0 and
+        # 3.0 gave 0.135: the branches N/(x+i) of a point off [0, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\], got "):
+                transfer.transfer_at(f, NcfParams(1), [0.3, x])
+
+    @pytest.mark.parametrize("x", [0.3, [[0.3]], [[0.0, 0.5], [0.5, 1.0]]],
+                             ids=["0-d", "1x1", "2x2"])
+    @pytest.mark.parametrize("f", [np.cos, GridFunction.constant(1.0, 64)], ids=["callable", "grid"])
+    def test_point_array_not_1d_rejected(self, f, x):
+        # a 2-d x ended in a broadcasting ValueError that named nothing, and a
+        # scalar in an IndexError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^x must be a 1-d array, got \d-d$"):
+                transfer.transfer_at(f, NcfParams(1), x)
 
     def test_numpy_integer_cutoff_accepted(self):
         f = _random_grid(1024, seed=4)
@@ -780,6 +802,193 @@ class TestOperatorSlot:
         monkeypatch.setenv("NCF_BUDGET", str(cost))
         list(transfer.iterates(f, params, 3))
         assert builds == [(1, 64, 0)]
+
+
+def _fresh(f, params, i_max=None):
+    """apply_transfer's values from an empty table store, which it leaves as it was."""
+    held = transfer._held
+    transfer._held = {}
+    try:
+        return apply_transfer(f, params, i_max).values
+    finally:
+        transfer._held = held
+
+
+def _held_arrays(tables):
+    """Every array of the nested tuples of a held table set."""
+    for e in tables:
+        if isinstance(e, np.ndarray):
+            yield e
+        elif isinstance(e, tuple):
+            yield from _held_arrays(e)
+
+
+def _counting_tables(monkeypatch):
+    """An empty table store, and the (N, M) of each table set formed."""
+    formed, tables = [], transfer._tables
+    monkeypatch.setattr(transfer, "_held", {})
+    monkeypatch.setattr(transfer, "_tables", lambda n, m, layout: formed.append((n, m))
+                        or tables(n, m, layout))
+    return formed
+
+
+class TestHeldTables:
+    """apply_transfer keeps the tables that read no f, by (N, M, i_max), for
+    the next call on that key: read-only, the least recently used dropped
+    past 8 MiB, and a set larger than that formed a block at a time."""
+
+    def test_alternating_keys_match_a_cleared_store(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st, formed = hypothesis.strategies, _counting_tables(monkeypatch)
+        key = st.tuples(st.sampled_from([1, 2, 5, 50, 1000, 10**6]),
+                        st.sampled_from([1, 2, 3, 64, 1024, 8192]), st.integers(0, 2))
+
+        # two sets at M <= 8192 take at most 6.4 MB: both stay held
+        @hypothesis.settings(max_examples=30, deadline=None)
+        @hypothesis.given(st.lists(key, min_size=2, max_size=2, unique=True),
+                          st.integers(0, 2 ** 32 - 1))
+        def check(keys, seed):
+            transfer._held.clear()
+            rng = np.random.default_rng(seed)
+            keys = [(n, m, (None, max(n - 1, 19), max(n - 1, 1000))[c]) for n, m, c in keys]
+            formed.clear()
+            for n, m, i_max in keys * 3:
+                f = GridFunction(rng.normal(size=m + 1))
+                got = apply_transfer(f, NcfParams(n), i_max).values
+                assert np.array_equal(got, _fresh(f, NcfParams(n), i_max))
+            assert len(formed) == 6 + len(set(keys))  # a fresh set for each check, and one a key
+
+        check()
+
+    def test_held_arrays_are_read_only(self, monkeypatch):
+        formed = _counting_tables(monkeypatch)
+        f = _random_grid(1024, seed=9)
+        want = apply_transfer(f, NcfParams(5), 4000).values
+        (held,) = transfer._held.values()
+        arrays = list(_held_arrays(held))
+        assert formed == [(5, 1024)] and len(arrays) > 10
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1
+        assert np.array_equal(apply_transfer(f, NcfParams(5), 4000).values, want)
+        assert formed == [(5, 1024)]
+
+    def test_sweep_stays_within_the_bound(self, monkeypatch):
+        # N=1, M=40,000 takes 2.9 MB and N=1000, M=40,000 13.7 MB, not held;
+        # each set's count of its bytes is the sum of its arrays'
+        _counting_tables(monkeypatch)
+        seen = set()
+        for n in (1, 5, 50, 1000):
+            for m in (1, 1024, 8192, 40_000):
+                for i_max in (None, max(n - 1, 1000)):
+                    apply_transfer(_random_grid(m, seed=n + m), NcfParams(n), i_max)
+                    sizes = [sum(a.nbytes for a in _held_arrays(e[1:]))
+                             for e in transfer._held.values()]
+                    assert [e[0] for e in transfer._held.values()] == sizes
+                    assert sum(sizes) <= transfer._HELD_BYTES == 8 << 20
+                    seen |= set(transfer._held)
+        assert len(seen) > 20 and len(transfer._held) < len(seen)
+
+    def test_least_recently_used_goes_first(self, monkeypatch):
+        # three sets in a bound that holds two: the one not used since goes
+        formed = _counting_tables(monkeypatch)
+        f = {n: _random_grid(8192, seed=n) for n in (1, 2, 5)}
+        for n in f:
+            apply_transfer(f[n], NcfParams(n))
+        size = {k[0]: e[0] for k, e in transfer._held.items()}
+        assert size[1] < size[2] < size[5]
+        monkeypatch.setattr(transfer, "_HELD_BYTES", size[1] + size[5])
+        transfer._held.clear()
+        formed.clear()
+        for n in (2, 1, 5, 1, 2):  # 5 drops 2, then 2 drops 5
+            apply_transfer(f[n], NcfParams(n))
+        assert formed == [(2, 8192), (1, 8192), (5, 8192), (2, 8192)]
+        assert [k[0] for k in transfer._held] == [1, 2]
+
+    def test_set_above_the_bound_is_not_held(self, monkeypatch):
+        # N=1, M=2^17 + 1 takes 9.5 MB: formed a block at a time, the store
+        # left as it was
+        formed = _counting_tables(monkeypatch)
+        small, f = _random_grid(64, seed=1), _random_grid(2 ** 17 + 1, seed=2)
+        apply_transfer(small, NcfParams(1))
+        before = dict(transfer._held)
+        want = apply_transfer(f, NcfParams(1)).values
+        assert transfer._held == before
+        assert np.array_equal(apply_transfer(f, NcfParams(1)).values, want)
+        assert formed == [(1, 64), (1, 2 ** 17 + 1), (1, 2 ** 17 + 1)]
+        # a set of exactly the bound is held, one byte more is not
+        (size,) = [e[0] for e in before.values()]
+        for bound, kept in ((size - 1, False), (size, True)):
+            monkeypatch.setattr(transfer, "_HELD_BYTES", bound)
+            transfer._held.clear()
+            apply_transfer(small, NcfParams(1))
+            assert len(transfer._held) == kept
+
+    @pytest.mark.parametrize("n,i_max", [(1, None), (5, 4000), (50, None)])
+    def test_hit_is_charged_as_a_miss(self, n, i_max, monkeypatch):
+        formed = _counting_tables(monkeypatch)
+        charges, f = [], _random_grid(512, seed=3)
+        monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append((cost, what)))
+        apply_transfer(f, NcfParams(n), i_max)
+        apply_transfer(f, NcfParams(n), i_max)
+        assert len(formed) == 1 and charges[0] == charges[1] and len(charges) == 2
+
+    def test_budget_refused_before_any_table(self, monkeypatch):
+        formed, thresholds = _counting_tables(monkeypatch), []
+        f, params = _random_grid(1024, seed=4), NcfParams(5)
+        counted = transfer._thresholds
+        monkeypatch.setattr(transfer, "_thresholds", lambda *a: thresholds.append(a) or counted(*a))
+        cost = 1025 * 26 + 10 * (2 * (5 * 1024 // 20))  # singles 5..19, groups and thresholds 256
+        monkeypatch.setenv("NCF_BUDGET", str(cost - 1))
+        with pytest.raises(BudgetExceededError, match="transfer operator"):
+            apply_transfer(f, params)
+        assert formed == thresholds == [] and transfer._held == {}
+        monkeypatch.setenv("NCF_BUDGET", str(cost))
+        apply_transfer(f, params)
+        monkeypatch.setenv("NCF_BUDGET", str(cost - 1))
+        with pytest.raises(BudgetExceededError, match="transfer operator"):  # a hit, refused alike
+            apply_transfer(f, params)
+        assert formed == [(5, 1024)] and len(thresholds) == 1
+
+    def test_threads_share_the_store(self, monkeypatch):
+        # 4 threads over 6 small keys in a bound that holds the two largest
+        # sets, switching every microsecond: each result keeps its bits, and
+        # the store its bound
+        _counting_tables(monkeypatch)
+        keys = [(n, m, None) for n in (1, 2, 5) for m in (16, 64)]
+        f = {k: _random_grid(k[1], seed=k[0]) for k in keys}
+        want = {k: _fresh(f[k], NcfParams(k[0]), k[2]) for k in keys}
+        for n, m, i_max in keys:
+            apply_transfer(f[n, m, i_max], NcfParams(n), i_max)
+        sizes = sorted(e[0] for e in transfer._held.values())
+        monkeypatch.setattr(transfer, "_HELD_BYTES", sizes[-1] + sizes[-2])
+        transfer._held.clear()
+        errors = []
+
+        def work(i):
+            try:
+                for r in range(300):
+                    n, m, i_max = k = keys[(i + r) % len(keys)]
+                    got = apply_transfer(f[k], NcfParams(n), i_max).values
+                    if not np.array_equal(got, want[k]):
+                        errors.append(k)
+                    if sum(e[0] for e in list(transfer._held.values())) > transfer._HELD_BYTES:
+                        errors.append("bound")
+            except Exception as e:  # reported by the assertion below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert sum(e[0] for e in transfer._held.values()) <= transfer._HELD_BYTES
 
 
 class TestLipschitzNorm:
