@@ -14,15 +14,15 @@ from .errors import BudgetExceededError, FitError
 __version__ = "0.1.0"
 
 _LAYERS = {
-    "measure": ("GaussMeasure", "DensityFunction", "gn_cdf", "gn_quantile", "gn_sample"),
+    "measure": ("GaussMeasure", "DensityFunction", "gn_cdf", "gn_quantile"),
     "transfer": ("GridFunction", "apply_transfer", "lipschitz_norm", "estimate_gap",
                  "integrate_against"),
     "rscc": ("RsccSystem", "make_ncf_rscc", "make_mealy_rscc", "path_probability",
-             "simulate_paths", "q_kernel_interval", "q_kernel_interval_bruteforce", "q_kernel",
-             "q_step", "q_step_mc", "q_cesaro", "kernel_matrix", "contraction_coefficients",
-             "shifted_path_probability", "limit_path_law"),
-    "gausskuzmin": ("lebesgue_measure", "gauss_initial", "tilted_measure", "pushforward_density",
-                    "distribution_at", "run_experiment"),
+             "simulate_paths", "q_kernel_interval", "q_kernel", "q_step",
+             "q_step_mc", "q_cesaro", "kernel_matrix", "contraction_coefficients",
+             "limit_path_law"),
+    "gausskuzmin": ("lebesgue_measure", "gauss_initial", "tilted_measure", "distribution_at",
+                    "run_experiment"),
 }
 # public name -> the NumPy layer that defines it
 _LAZY = {name: layer for layer, names in _LAYERS.items() for name in names}

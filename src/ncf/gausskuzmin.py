@@ -142,14 +142,17 @@ def distribution_at(mu: DensityFunction, n: int, x: float, params: NcfParams,
                     method: str = "operator", m: int = 1024,
                     n_paths: int = 100_000,
                     rng: Optional[np.random.Generator] = None) -> float:
-    """Probability that the n-th map iterate of a mu-distributed point is < x."""
+    """Probability that the n-th map iterate of a mu-distributed point is < x.
+    The operator method's grid CDF, which may pass 1 by its discretisation
+    error, is clipped to [0, 1]."""
     n = count(n, "n", 0)
     _check_unit_interval(x)
     if method == "operator":
         f = initial_grid_density(mu, params, m)
         for f in iterates(f, params, n):
             pass  # U^n f0, or f0 itself when n = 0
-        return float(np.interp(x, f.nodes, next(_cdfs_on_grid([f], f.nodes, GaussMeasure(params)))))
+        cdf = next(_cdfs_on_grid([f], f.nodes, GaussMeasure(params)))
+        return min(max(float(np.interp(x, f.nodes, cdf)), 0.0), 1.0)
     if method == "montecarlo":
         n_paths = count(n_paths, "n_paths", 1)
         return next(_orbit_fractions(mu, ((n, x),), params.n_param, n_paths, rng))

@@ -10,8 +10,9 @@ terms a point.  One set of formulas forms every term from exact integer
 thresholds: _grid_terms at each point, for the assembled operator and the
 point form, and apply_transfer once a call, as Chebyshev series in the node
 index.  apply_transfer keeps what of those series reads no f, by (N, M,
-i_max), read-only, the least recently used dropped past 8 MiB in all; a
-larger set is formed and used a node block at a time at every call.
+i_max), and its single branches' cells, offsets and masses, by (N, M),
+read-only, the least recently used dropped past 16 MiB in all; a larger
+table is formed and used a node block at a time at every call.
 iterates() assembles the operator once per (N, M), steps it by one BLAS
 product plus gathered rows, and keeps it, read-only, until another grid
 needs the slot: at most one is held.
@@ -286,11 +287,11 @@ def _tables(n: int, m: int, layout):
     generators, of the group chunks and of the node blocks, which form them
     a chunk at a time.  A group chunk is (k, a, b): the cells k, the masses
     a and offsets b at the first sample, and the others' differences from
-    it.  A node block is (down, s, js, scale, c, h, w, at, width, crossings):
-    its nodes falling from j1 - 1, T_k's argument s, j s/M, the scale of the
-    sums, the last term's cells c, offsets h and masses w, the column of the
-    suffix sums at each node, and the thresholds crossed in the block, a
-    chunk (offset, t, a, b) at a time."""
+    it.  A node block is (down, s, scale, c, h, w, at, width, crossings): its
+    nodes falling from j1 - 1, T_k's argument s, the scale of the sums, the
+    last term's cells c, offsets h and masses w, the column of the suffix
+    sums at each node, and the thresholds crossed in the block, a chunk
+    (offset, t, a, b) at a time."""
     nm, sc, first, cut, top, low, _ = layout
     t, q, r, qb, ks = _thresholds(nm, first, cut, top, low)
     rt = (r * m // t + 1).astype(np.intp)
@@ -309,14 +310,11 @@ def _tables(n: int, m: int, layout):
     def blocks():
         # from the last block: its crossings by rising r_t
         order = np.argsort(rt, kind="stable")
-        at, block = rt[order], 4 * per
-        for j1 in range(m + 1, 0, -block):
-            j0 = max(0, j1 - block)
+        at = rt[order]
+        for j0, j1, j in _node_blocks(m):
             down = slice(j1 - 1, j0 - 1 if j0 else None, -1)
-            j = np.arange(j1 - 1.0, j0 - 1.0, -1.0)
-            js = j * (sc / m)
             # the last term, from I, i_max + 1 or threshold 1
-            u = m / (sc * float(qb[-1]) + js + sc * (top and not low and j < rt[-1]))
+            u = m / (sc * float(qb[-1]) + j * (sc / m) + sc * (top and not low and j < rt[-1]))
             c, h = _cells(_mean(u, _cubic_rest(u), nm * sc / m), m)
             e0, e1 = np.searchsorted(at, [j0, j1])
             crossings = []
@@ -329,11 +327,36 @@ def _tables(n: int, m: int, layout):
                                   np.stack((ts + 1, ts))[:, None],
                                   sc * np.stack((rs - qs, rs - ts))[:, None].astype(float), m, nm)
                 crossings.append((s0 - e0, ts, a[0], b[0]))
-            yield (down, x[down] * 2.0 - 1.0, js, (x[down] + n) * (sc / m) ** 2, c, h,
+            yield (down, x[down] * 2.0 - 1.0, (x[down] + n) * (sc / m) ** 2, c, h,
                    u * (m / sc), np.searchsorted(at[e0:e1], j, side="right"), e1 - e0,
                    tuple(crossings))
 
     return groups(), blocks()
+
+
+def _node_blocks(m: int):
+    """apply_transfer's node blocks, from the last, 4 (_CHUNK // _CHEB) nodes
+    each: (j0, j1, j), the nodes j falling from j1 - 1 to j0."""
+    block = 4 * max(1, _CHUNK // _CHEB)
+    for j1 in range(m + 1, 0, -block):
+        j0 = max(0, j1 - block)
+        yield j0, j1, np.arange(j1 - 1.0, j0 - 1.0, -1.0)
+
+
+def _singles(n: int, m: int, layout):
+    """apply_transfer's single branches on (N, M, I), which read no f, nor
+    i_max but through I: for each node block, a row (c, h, w) for each
+    branch from I - 1 down to N, its cells, offsets and masses."""
+    nm, sc, first = layout[:3]
+    for _, _, j in _node_blocks(m):
+        js, rows = j * (sc / m), []
+        u = m / (sc * float(first) + js)
+        for i in range(first - 1, n - 1, -1):
+            lo = sc * float(i) + js
+            u0 = m / lo
+            rows.append((*_cells(_places(lo, sc, nm), m), u0 * u))  # _masses of one branch
+            u = u0
+        yield tuple(rows)
 
 
 def _freeze(tables) -> None:
@@ -345,12 +368,35 @@ def _freeze(tables) -> None:
             _freeze(e)
 
 
-# apply_transfer's tables, by (N, M, i_max + 1, _CHUNK), the least recently
-# used first, (bytes, group chunks, node blocks) each, read-only: together at
-# most _HELD_BYTES
+# apply_transfer's tables, the least recently used first, (bytes, tables)
+# each, read-only: the group sets by ("groups", N, M, i_max + 1, _CHUNK), the
+# singles' by ("singles", N, M, I, _CHUNK); together at most _HELD_BYTES
 _held = {}
-_HELD_BYTES = 8 << 20
+_HELD_BYTES = 16 << 20
 _held_lock = threading.Lock()
+
+
+def _hold(key, size: int, make, beside=None):
+    """The tables of key, from the store, or else make()'s, a tuple of
+    generators.  Those are held, read-only, when their size bytes fit
+    _HELD_BYTES beside the tables held for key beside, the least recently
+    used dropped to make room, and else used as they come: so two tables
+    of one call never drop each other."""
+    with _held_lock:
+        held = _held.pop(key, None)  # and back in last: the most recently used
+        if held is not None:
+            _held[key] = held
+            return held[1]
+        room = _HELD_BYTES - _held.get(beside, (0,))[0]
+    if size > room:
+        return make()
+    tables = tuple(map(tuple, make()))
+    _freeze(tables)
+    with _held_lock:
+        while _held and sum(e[0] for e in _held.values()) + size > _HELD_BYTES:
+            del _held[next(iter(_held))]
+        _held[key] = size, tables
+    return tables
 
 
 def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = None) -> GridFunction:
@@ -368,40 +414,29 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     terms and coefficients at every node, and the samples, before any table
     is formed.
 
-    Everything but the sums over f is _tables' (N, M, i_max) alone: the
-    samples of the groups and crossings, the last term's places, the
-    series' columns.  A call holds them, read-only, for the next call on
-    that key, and keeps the least recently used sets within _HELD_BYTES,
-    8 MiB; a set larger than that is not held, but formed and used a block
-    at a time.  The singles are formed at every call: their cells, offsets
-    and masses would take 24 (I - N) bytes a node.  A held set gives the
-    bits of a fresh one."""
+    Everything but the sums over f reads no f: _tables', by (N, M, i_max),
+    the samples of the groups and crossings, the last term's places and the
+    series' columns; and _singles', by (N, M, I), which the i_max of one
+    (N, M) share, the singles' cells, offsets and masses, 24 (I - N) bytes a
+    node.  A call holds each, read-only, for the next call on its key, and
+    keeps the most recently used within _HELD_BYTES, 16 MiB, in all; a table
+    that does not fit, or not beside its call's group set, is not held, but
+    formed and used a block at a time.  A held table gives the bits of a
+    fresh one."""
     n, m, v, d = params.n_param, f.resolution, f.values, np.diff(f.values)
     layout = _layout(n, m, i_max, False)
     nm, sc, first, cut, top, low, terms = layout
     series = terms - 1 - (first - n) + max(top - low, 0)  # the groups' and the crossings'
     charge((m + 1) * (first - n + 1 + _CHEB) + _CHEB * series, "transfer operator")
-    key = (n, m, cut, _CHUNK)
-    with _held_lock:
-        held = _held.pop(key, None)  # and back in last: the most recently used
-        if held is not None:
-            _held[key] = held
-    if held is not None:
-        _, groups, blocks = held
-    else:
-        size = 8 * (7 * (m + 1) + 21 * series)  # _tables' words: 7 a node, 21 a series
-        groups, blocks = _tables(n, m, layout)
-        if size <= _HELD_BYTES:
-            held = size, tuple(groups), tuple(blocks)
-            _freeze(held[1:])
-            with _held_lock:
-                while _held and sum(e[0] for e in _held.values()) + size > _HELD_BYTES:
-                    del _held[next(iter(_held))]
-                _, groups, blocks = _held[key] = held
+    # _tables' words: 6 a node, 21 a series; _singles' 3 a node a branch
+    key = ("groups", n, m, cut, _CHUNK)
+    groups, blocks = _hold(key, 8 * (6 * (m + 1) + 21 * series), lambda: _tables(n, m, layout))
+    (singles,) = _hold(("singles", n, m, first, _CHUNK), 24 * (first - n) * (m + 1),
+                       lambda: (_singles(n, m, layout),), key)
 
-    def point(w, c, h, out=None):
+    def point(w, c, h):
         """Point terms of mass w (x+N) in cells c at offsets h, over x+N."""
-        out = np.multiply(h, d[c], out=out)
+        out = np.multiply(h, d[c])
         out += v[c]
         out *= w
         return out
@@ -417,7 +452,7 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     # a block of nodes at a time, from the last: the terms, the least first,
     # and the suffix sums of its crossings on the later blocks'
     carry, out = coef, np.empty(m + 1)
-    for down, s, js, scale, c, h, w, at, width, crossings in blocks:
+    for (down, s, scale, c, h, w, at, width, crossings), rows in zip(blocks, singles):
         acc = point(w, c, h)
         ev = np.zeros((_CHEB, width + 1))
         for e0, ts, a, b in crossings:
@@ -428,14 +463,8 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
         ev = np.cumsum(ev[:, ::-1], axis=1)[:, ::-1] + carry[:, None]
         acc += _clenshaw(ev, at, s)
         carry = ev[:, 0]
-        # the singles, from the last
-        u = m / (sc * float(first) + js)
-        for i in range(first - 1, n - 1, -1):
-            lo = sc * float(i) + js
-            u0 = m / lo
-            p = _places(lo, sc, nm)
-            acc += point(_masses(u0, u, 1.0), *_cells(p, m), out=p)
-            u = u0
+        for c, h, w in rows:  # the singles, from the last
+            acc += point(w, c, h)
         out[down] = acc * scale
     return GridFunction(out)
 

@@ -34,11 +34,10 @@ from ncf import (
     make_ncf_rscc,
     q_cesaro,
     q_kernel_interval,
-    q_kernel_interval_bruteforce,
     run_experiment,
-    shifted_path_probability,
     tilted_measure,
 )
+from ncf.rscc import q_kernel_interval_bruteforce, shifted_path_probability
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -19,14 +19,12 @@ from ncf import (
     lebesgue_measure,
     limit_path_law,
     make_ncf_rscc,
-    pushforward_density,
-    q_kernel_interval_bruteforce,
     run_experiment,
-    shifted_path_probability,
     tilted_measure,
 )
 from ncf import core, gausskuzmin, transfer
-from ncf.gausskuzmin import density_from_grid, initial_grid_density
+from ncf.gausskuzmin import density_from_grid, initial_grid_density, pushforward_density
+from ncf.rscc import q_kernel_interval_bruteforce, shifted_path_probability
 
 
 class TestLimitCdf:
@@ -132,6 +130,16 @@ class TestDistributionAt:
                 for n in (1, 3, 6, 12)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-6
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 1024])
+    def test_operator_value_is_a_probability(self, m):
+        # the grid CDF at x = 1 read 1.0629 at m=1, 1.0180 at m=2, and
+        # 1 + 7.3e-8 (Lebesgue, n=1) at the default m=1024
+        params = NcfParams(1)
+        for mu in (lebesgue_measure(), gauss_initial(params), tilted_measure()):
+            for n in (0, 1, 3, 10):
+                for x in (0.0, 1.0):
+                    assert 0.0 <= distribution_at(mu, n, x, params, m=m) <= 1.0
 
     def test_domain_errors(self):
         params = NcfParams(1)

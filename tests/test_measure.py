@@ -13,12 +13,11 @@ from ncf import (
     NcfParams,
     gn_cdf,
     gn_quantile,
-    gn_sample,
     make_ncf_rscc,
     q_kernel_interval,
 )
 from ncf import core
-from ncf.measure import _gauss_legendre
+from ncf.measure import _gauss_legendre, gn_sample
 
 
 @pytest.fixture(params=[1, 2, 5])

@@ -23,11 +23,11 @@ from ncf import (  # noqa: E402
     make_ncf_rscc,
     q_cesaro,
     q_kernel_interval,
-    q_kernel_interval_bruteforce,
     transfer,
 )
 from ncf.cli import main  # noqa: E402
 from ncf.gausskuzmin import _iterate_map  # noqa: E402
+from ncf.rscc import q_kernel_interval_bruteforce  # noqa: E402
 
 
 @settings(max_examples=100, deadline=None)

@@ -27,13 +27,12 @@ from ncf import (
     q_cesaro,
     q_kernel,
     q_kernel_interval,
-    q_kernel_interval_bruteforce,
     q_step,
     q_step_mc,
-    shifted_path_probability,
     simulate_paths,
 )
 from ncf import rscc, transfer
+from ncf.rscc import q_kernel_interval_bruteforce, shifted_path_probability
 
 
 @pytest.fixture(params=[1, 2, 5])

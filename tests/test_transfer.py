@@ -824,7 +824,7 @@ def _held_arrays(tables):
 
 
 def _counting_tables(monkeypatch):
-    """An empty table store, and the (N, M) of each table set formed."""
+    """An empty table store, and the (N, M) of each group set formed."""
     formed, tables = [], transfer._tables
     monkeypatch.setattr(transfer, "_held", {})
     monkeypatch.setattr(transfer, "_tables", lambda n, m, layout: formed.append((n, m))
@@ -832,18 +832,28 @@ def _counting_tables(monkeypatch):
     return formed
 
 
+def _counting_singles(monkeypatch):
+    """The (N, M) of each singles' table formed."""
+    formed, singles = [], transfer._singles
+    monkeypatch.setattr(transfer, "_singles", lambda n, m, layout: formed.append((n, m))
+                        or singles(n, m, layout))
+    return formed
+
+
 class TestHeldTables:
-    """apply_transfer keeps the tables that read no f, by (N, M, i_max), for
-    the next call on that key: read-only, the least recently used dropped
-    past 8 MiB, and a set larger than that formed a block at a time."""
+    """apply_transfer keeps the tables that read no f for the next call on
+    their key: the group sets by (N, M, i_max), the singles' by (N, M, I).
+    They are read-only, the least recently used dropped past 16 MiB, and a
+    table larger than that formed a block at a time."""
 
     def test_alternating_keys_match_a_cleared_store(self, monkeypatch):
         hypothesis = pytest.importorskip("hypothesis")
         st, formed = hypothesis.strategies, _counting_tables(monkeypatch)
+        singles = _counting_singles(monkeypatch)
         key = st.tuples(st.sampled_from([1, 2, 5, 50, 1000, 10**6]),
                         st.sampled_from([1, 2, 3, 64, 1024, 8192]), st.integers(0, 2))
 
-        # two sets at M <= 8192 take at most 6.4 MB: both stay held
+        # the tables of two keys at M <= 8192 take at most 8.6 MB: all stay held
         @hypothesis.settings(max_examples=30, deadline=None)
         @hypothesis.given(st.lists(key, min_size=2, max_size=2, unique=True),
                           st.integers(0, 2 ** 32 - 1))
@@ -852,30 +862,50 @@ class TestHeldTables:
             rng = np.random.default_rng(seed)
             keys = [(n, m, (None, max(n - 1, 19), max(n - 1, 1000))[c]) for n, m, c in keys]
             formed.clear()
+            singles.clear()
             for n, m, i_max in keys * 3:
                 f = GridFunction(rng.normal(size=m + 1))
                 got = apply_transfer(f, NcfParams(n), i_max).values
                 assert np.array_equal(got, _fresh(f, NcfParams(n), i_max))
-            assert len(formed) == 6 + len(set(keys))  # a fresh set for each check, and one a key
+            # a fresh table for each check, and one a key: the singles' by (N, M, I)
+            firsts = {(n, m, transfer._layout(n, m, i_max, False)[2]) for n, m, i_max in keys}
+            assert len(formed) == 6 + len(set(keys)) and len(singles) == 6 + len(firsts)
+            assert {k[0] for k in transfer._held} == {"groups", "singles"}
 
         check()
 
+    def test_cutoffs_of_one_grid_share_the_singles(self, monkeypatch):
+        # I = 20 at N=2 for every i_max >= 19: one singles' table for three
+        # group sets, of which i_max=19 has none (its key ends in 20 as well)
+        formed, singles = _counting_tables(monkeypatch), _counting_singles(monkeypatch)
+        f = _random_grid(1024, seed=5)
+        cutoffs = (None, 19, 1000)
+        want = {i_max: _fresh(f, NcfParams(2), i_max) for i_max in cutoffs}
+        formed.clear()
+        singles.clear()
+        for i_max in cutoffs * 2:
+            assert np.array_equal(apply_transfer(f, NcfParams(2), i_max).values, want[i_max])
+        assert formed == [(2, 1024)] * 3 and singles == [(2, 1024)]
+        assert sorted(k[0] for k in transfer._held) == ["groups"] * 3 + ["singles"]
+
     def test_held_arrays_are_read_only(self, monkeypatch):
-        formed = _counting_tables(monkeypatch)
+        formed, singles = _counting_tables(monkeypatch), _counting_singles(monkeypatch)
         f = _random_grid(1024, seed=9)
         want = apply_transfer(f, NcfParams(5), 4000).values
-        (held,) = transfer._held.values()
-        arrays = list(_held_arrays(held))
-        assert formed == [(5, 1024)] and len(arrays) > 10
-        for a in arrays:
+        arrays = {k[0]: list(_held_arrays(e)) for k, e in transfer._held.items()}
+        # the singles' table: a cell, offset and mass row for each of 5..19
+        assert formed == singles == [(5, 1024)] and len(arrays["groups"]) > 10
+        assert [a.dtype.kind for a in arrays["singles"]] == ["i", "f", "f"] * 15
+        for a in arrays["groups"] + arrays["singles"]:
             with pytest.raises(ValueError, match="read-only"):
                 a += 1
         assert np.array_equal(apply_transfer(f, NcfParams(5), 4000).values, want)
-        assert formed == [(5, 1024)]
+        assert formed == singles == [(5, 1024)]
 
     def test_sweep_stays_within_the_bound(self, monkeypatch):
-        # N=1, M=40,000 takes 2.9 MB and N=1000, M=40,000 13.7 MB, not held;
-        # each set's count of its bytes is the sum of its arrays'
+        # at M=40,000 the singles' table takes 18.2 MB at N=1, not held, and
+        # 14.4 MB at N=5, and N=1000's group set 15.3 MB; each table's count
+        # of its bytes is the sum of its arrays'
         _counting_tables(monkeypatch)
         seen = set()
         for n in (1, 5, 50, 1000):
@@ -885,44 +915,68 @@ class TestHeldTables:
                     sizes = [sum(a.nbytes for a in _held_arrays(e[1:]))
                              for e in transfer._held.values()]
                     assert [e[0] for e in transfer._held.values()] == sizes
-                    assert sum(sizes) <= transfer._HELD_BYTES == 8 << 20
+                    assert sum(sizes) <= transfer._HELD_BYTES == 16 << 20
                     seen |= set(transfer._held)
         assert len(seen) > 20 and len(transfer._held) < len(seen)
 
     def test_least_recently_used_goes_first(self, monkeypatch):
-        # three sets in a bound that holds two: the one not used since goes
-        formed = _counting_tables(monkeypatch)
+        # three keys' tables in a bound that holds N=1's and N=5's: the
+        # tables not used since go first, group sets and singles' alike
+        formed, singles = _counting_tables(monkeypatch), _counting_singles(monkeypatch)
         f = {n: _random_grid(8192, seed=n) for n in (1, 2, 5)}
         for n in f:
             apply_transfer(f[n], NcfParams(n))
-        size = {k[0]: e[0] for k, e in transfer._held.items()}
-        assert size[1] < size[2] < size[5]
-        monkeypatch.setattr(transfer, "_HELD_BYTES", size[1] + size[5])
+        size = {k[:2]: e[0] for k, e in transfer._held.items()}
+        assert size["groups", 1] < size["groups", 2] < size["groups", 5]
+        assert size["singles", 1] > size["singles", 2] > size["singles", 5]
+        monkeypatch.setattr(transfer, "_HELD_BYTES", sum(size[k, n] for k in ("groups", "singles")
+                                                         for n in (1, 5)))
         transfer._held.clear()
         formed.clear()
-        for n in (2, 1, 5, 1, 2):  # 5 drops 2, then 2 drops 5
+        singles.clear()
+        # 1 drops 2's groups, 5 2's singles; then 2 drops 5's and 1's groups
+        for n in (2, 1, 5, 1, 2):
             apply_transfer(f[n], NcfParams(n))
-        assert formed == [(2, 8192), (1, 8192), (5, 8192), (2, 8192)]
-        assert [k[0] for k in transfer._held] == [1, 2]
+        assert formed == singles == [(2, 8192), (1, 8192), (5, 8192), (2, 8192)]
+        assert [k[:2] for k in transfer._held] == [("singles", 1), ("groups", 2), ("singles", 2)]
 
     def test_set_above_the_bound_is_not_held(self, monkeypatch):
-        # N=1, M=2^17 + 1 takes 9.5 MB: formed a block at a time, the store
-        # left as it was
-        formed = _counting_tables(monkeypatch)
-        small, f = _random_grid(64, seed=1), _random_grid(2 ** 17 + 1, seed=2)
+        # N=1, M=2^18 takes 17.0 MB in its group set and 120 MB in its
+        # singles' table: formed a block at a time, the store left as it was
+        formed, singles = _counting_tables(monkeypatch), _counting_singles(monkeypatch)
+        small, f = _random_grid(64, seed=1), _random_grid(2 ** 18, seed=2)
         apply_transfer(small, NcfParams(1))
         before = dict(transfer._held)
         want = apply_transfer(f, NcfParams(1)).values
         assert transfer._held == before
         assert np.array_equal(apply_transfer(f, NcfParams(1)).values, want)
-        assert formed == [(1, 64), (1, 2 ** 17 + 1), (1, 2 ** 17 + 1)]
-        # a set of exactly the bound is held, one byte more is not
-        (size,) = [e[0] for e in before.values()]
-        for bound, kept in ((size - 1, False), (size, True)):
+        assert formed == singles == [(1, 64), (1, 2 ** 18), (1, 2 ** 18)]
+        # a table that fits the bound exactly is held, one byte more is not
+        size = {k[0]: e[0] for k, e in before.items()}
+        groups = size["groups"]
+        for bound, kept in ((groups - 1, []), (groups, ["groups"]),
+                            (groups + size["singles"] - 1, ["groups"]),
+                            (groups + size["singles"], ["groups", "singles"])):
             monkeypatch.setattr(transfer, "_HELD_BYTES", bound)
             transfer._held.clear()
             apply_transfer(small, NcfParams(1))
-            assert len(transfer._held) == kept
+            assert [k[0] for k in transfer._held] == kept
+
+    @pytest.mark.parametrize("n,m,kept", [(5, 40_000, "groups"), (50, 2 ** 18, "singles")])
+    def test_tables_of_one_call_never_drop_each_other(self, n, m, kept, monkeypatch):
+        # at N=5, M=40,000 the group set (5.3 MB) and the singles' table
+        # (14.4 MB) each fit the bound but not both: the set, formed first,
+        # stays.  At N=50, M=2^18 the group set (99 MB) does not fit and the
+        # singles' table (6.3 MB) does
+        formed, singles = _counting_tables(monkeypatch), _counting_singles(monkeypatch)
+        f = _random_grid(m, seed=6)
+        want = _fresh(f, NcfParams(n))
+        formed.clear()
+        singles.clear()
+        for _ in range(2):
+            assert np.array_equal(apply_transfer(f, NcfParams(n)).values, want)
+        assert [k[0] for k in transfer._held] == [kept]
+        assert (len(formed), len(singles)) == ((1, 2) if kept == "groups" else (2, 1))
 
     @pytest.mark.parametrize("n,i_max", [(1, None), (5, 4000), (50, None)])
     def test_hit_is_charged_as_a_miss(self, n, i_max, monkeypatch):
@@ -951,15 +1005,16 @@ class TestHeldTables:
         assert formed == [(5, 1024)] and len(thresholds) == 1
 
     def test_threads_share_the_store(self, monkeypatch):
-        # 4 threads over 6 small keys in a bound that holds the two largest
-        # sets, switching every microsecond: each result keeps its bits, and
-        # the store its bound
+        # 4 threads over 12 small keys, two cut-offs on each of 6 grids, in a
+        # bound that holds the two largest tables, switching every
+        # microsecond: each result keeps its bits, and the store its bound
         _counting_tables(monkeypatch)
-        keys = [(n, m, None) for n in (1, 2, 5) for m in (16, 64)]
+        keys = [(n, m, i_max) for n in (1, 2, 5) for m in (16, 64) for i_max in (None, 1000)]
         f = {k: _random_grid(k[1], seed=k[0]) for k in keys}
         want = {k: _fresh(f[k], NcfParams(k[0]), k[2]) for k in keys}
         for n, m, i_max in keys:
             apply_transfer(f[n, m, i_max], NcfParams(n), i_max)
+        assert sorted(k[0] for k in transfer._held) == ["groups"] * 12 + ["singles"] * 6
         sizes = sorted(e[0] for e in transfer._held.values())
         monkeypatch.setattr(transfer, "_HELD_BYTES", sizes[-1] + sizes[-2])
         transfer._held.clear()
