@@ -174,10 +174,11 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
     mask = limit >= 0.05  # where the error is read relative to the limit CDF
     spots = tuple((min(n, n_max), x) for n, x in ((2, 0.25), (4, 0.5), (6, 0.75)))
     f0 = initial_grid_density(mu, params, m)
+    nodes = f0.nodes
     # one iterate at a time: a step keeps its sup and relative errors, a spot step its CDF
     sup_errors, ratios, spot_cdfs = [], [], {n: None for n, _ in spots}
-    for n, cum in enumerate(_cdfs_on_grid(iterates(f0, params, n_max), f0.nodes, gm), 1):
-        err = np.abs(np.interp(xs, f0.nodes, cum) - limit)
+    for n, cum in enumerate(_cdfs_on_grid(iterates(f0, params, n_max), nodes, gm), 1):
+        err = np.abs(np.interp(xs, nodes, cum) - limit)
         sup_errors.append(float(np.max(err)))
         ratios.append(float(np.max(err[mask] / limit[mask])))
         if n in spot_cdfs:
@@ -197,7 +198,7 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
     mcs = _orbit_fractions(mu, spots, params.n_param, _SPOT_PATHS, rng)
     for (n_spot, x_spot), mc in zip(spots, mcs):
         # the operator side is read off the iterates above: U^n_spot f0
-        op = float(np.interp(x_spot, f0.nodes, spot_cdfs[n_spot]))
+        op = float(np.interp(x_spot, nodes, spot_cdfs[n_spot]))
         band = 4.0 * math.sqrt(max(mc * (1 - mc), 1e-12) / _SPOT_PATHS) + 1e-4
         cells.append({"n": n_spot, "x": x_spot, "operator": op, "montecarlo": mc,
                       "band": band, "agrees": abs(op - mc) <= band})

@@ -267,11 +267,27 @@ def transfer_at(f, params: NcfParams, x, i_max: Optional[int] = None) -> np.ndar
 
 
 def _clenshaw(c: np.ndarray, i: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_k c[k, i] T_k(s), by Clenshaw's recurrence, column i of c at each s."""
-    b1 = b2 = 0.0
-    for k in range(c.shape[0] - 1, 0, -1):
-        b1, b2 = c[k].take(i) + 2.0 * s * b1 - b2, b1
-    return c[0].take(i) + s * b1 - b2
+    """sum_k c[k, i] T_k(s), by Clenshaw's recurrence, column i of c at each s:
+    b_k = c_k + 2 s b_k+1 - b_k+2, in three buffers, the columns gathered once."""
+    c, s2 = c.take(i, axis=1), 2.0 * s
+    b1, b2, t = np.zeros(s.shape), np.zeros(s.shape), np.empty(s.shape)
+    for ck in c[:0:-1]:
+        np.multiply(s2, b1, out=t)
+        t += ck
+        t -= b2
+        b1, b2, t = t, b1, b2
+    b1 *= s
+    b1 += c[0]
+    b1 -= b2
+    return b1
+
+
+def _suffix_sums(ev: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """Column i of ev, in place, to the sum of its columns from i on, plus carry."""
+    rev = ev[:, ::-1]
+    np.cumsum(rev, axis=1, out=rev)
+    ev += carry[:, None]
+    return ev
 
 
 def _cells(p: np.ndarray, m: int):
@@ -445,8 +461,9 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     # others' differences from it, whose rounding the series then scales down
     base = np.zeros(_CHEB)
     for k, a, b in groups:
-        base[0] += v[k] @ a[:, 0] + d[k] @ b[:, 0]
-        base[1:] += v[k] @ a[:, 1:] + d[k] @ b[:, 1:]
+        vk, dk = v[k], d[k]
+        base[0] += vk @ a[:, 0] + dk @ b[:, 0]
+        base[1:] += vk @ a[:, 1:] + dk @ b[:, 1:]
     coef = np.append(0.0, base[1:]) @ _CHEB_COEF.T
     coef[0] += base[0]
     # a block of nodes at a time, from the last: the terms, the least first,
@@ -457,15 +474,13 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
         ev = np.zeros((_CHEB, width + 1))
         for e0, ts, a, b in crossings:
             last = ts == 1  # the branch leaves the last term: it adds a v_1 + b d_1
-            ev[:, e0:e0 + ts.size] = _CHEB_COEF @ (
-                np.where(last, v[1], 0.0) * a + np.where(last, d[ts], d[ts] - d[ts - 1]) * b)
-        # column i: the sums from crossing i on
-        ev = np.cumsum(ev[:, ::-1], axis=1)[:, ::-1] + carry[:, None]
-        acc += _clenshaw(ev, at, s)
+            np.matmul(_CHEB_COEF, np.where(last, v[1], 0.0) * a
+                      + np.where(last, d[ts], d[ts] - d[ts - 1]) * b, out=ev[:, e0:e0 + ts.size])
+        acc += _clenshaw(_suffix_sums(ev, carry), at, s)
         carry = ev[:, 0]
         for c, h, w in rows:  # the singles, from the last
             acc += point(w, c, h)
-        out[down] = acc * scale
+        np.multiply(acc, scale, out=out[down])
     return GridFunction(out)
 
 
@@ -570,7 +585,11 @@ def fit_rate(errors: np.ndarray):
     noise floor, or where the per-step ratio degrades markedly against the
     median ratio of the leading points, as discretization or rounding error
     takes over.  Returns (q, k, (1, size), residuals).  Raises FitError when
-    the window has fewer than 3 points."""
+    an error is NaN or infinite, or the window has fewer than 3 points."""
+    bad = np.flatnonzero(~np.isfinite(errors))
+    if bad.size:
+        raise FitError(f"the error at n = {bad[0] + 1} is {errors[bad[0]]}; "
+                       "cannot fit a geometric rate")
     floor, size, ratios = 100 * np.finfo(float).eps, 0, []
     for e in errors:
         r = e / errors[size - 1] if size else 0.0

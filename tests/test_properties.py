@@ -160,6 +160,17 @@ def test_fit_rate_is_the_window_rule_and_polyfit(e0, steps):
     assert residuals.tobytes() == want[3].tobytes()
 
 
+@pytest.mark.parametrize("errors,n", [
+    ([1.0, np.nan, 0.1, 0.01, 0.001], 2),
+    ([np.inf, 1.0, 0.1, 0.01], 1),
+    ([1.0, 0.1, 0.01, 0.001, -np.inf, np.nan], 5),
+])
+def test_fit_rate_rejects_non_finite_errors(errors, n):
+    # refused by name, before any fit: in the window, the fit returned q = nan
+    with pytest.raises(FitError, match=rf"n = {n}\b"):
+        transfer.fit_rate(np.array(errors))
+
+
 def test_fit_rate_window_starts_at_one():
     # 10^-n falls below the noise floor 100 eps after n = 13
     q, k, window, residuals = transfer.fit_rate(0.1 ** np.arange(1.0, 21.0))

@@ -297,6 +297,43 @@ class TestNodeBlocks:
         assert np.max(np.abs(blocks - one)) <= 1e-15
 
 
+def _clenshaw_by_rows(c, i, s):
+    """Clenshaw's recurrence a row of c at a time, each gathered on its own."""
+    b1 = b2 = 0.0
+    for k in range(c.shape[0] - 1, 0, -1):
+        b1, b2 = c[k].take(i) + 2.0 * s * b1 - b2, b1
+    return c[0].take(i) + s * b1 - b2
+
+
+class TestNodePass:
+    """apply_transfer's pass over the nodes gathers a block's columns once and
+    takes its suffix sums in place: the same operations, in the same order, as
+    a gather a row and reversed copies, so the same bits."""
+
+    @pytest.mark.parametrize("rows,cols,i", [
+        (10, 40, np.arange(40)),  # every column once
+        (10, 40, np.array([3, 3, 0, 39, 3, 17, 0, 39, 39])),  # repeats
+        (10, 40, np.array([11])),  # a single node
+        (10, 1, np.zeros(25, np.intp)),  # a one-column table: no crossings
+        (1, 6, np.array([5, 0, 5])),  # a constant series
+    ])
+    def test_clenshaw_matches_rows(self, rows, cols, i):
+        rng = np.random.default_rng(rows * cols + i.size)
+        c = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 8, size=(rows, 1))
+        s = rng.uniform(-1.0, 1.0, size=i.size)
+        c[:, 0] = 0.0  # a zero column: zeros of both signs in the recurrence
+        want = _clenshaw_by_rows(c, i, s)
+        assert transfer._clenshaw(c, i, s).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cols", [1, 2, 7, 2501])
+    def test_suffix_sums_match_reversed_copies(self, cols):
+        rng = np.random.default_rng(cols)
+        ev, carry = rng.normal(size=(10, cols)), rng.normal(size=10)
+        want = np.cumsum(ev[:, ::-1], axis=1)[:, ::-1] + carry[:, None]
+        got = transfer._suffix_sums(ev, carry)
+        assert got is ev and got.tobytes() == want.tobytes()
+
+
 def _check_stochastic(op, m):
     """The assembled operator on m cells: entries >= 0, columns in [0, m],
     and the constant 1 mapped to 1."""
@@ -441,7 +478,16 @@ class TestGridKernel:
         # raw white noise, slopes up to M: 8.3e-15 at the checked nodes, where
         # the per-node branch sum it replaced was 8.4e-15 off; the bound is
         # twice that
-        n, m = 5, 1024
+        self._check_white_noise(5)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_white_noise_small_n_against_thirty_digits(self, n):
+        # 1.13e-14 at N=1 and 7.5e-15 at N=2, under the same bound as N=5
+        self._check_white_noise(n)
+
+    @staticmethod
+    def _check_white_noise(n):
+        m = 1024
         f = _random_grid(m, seed=2024)
         x = f.nodes[::64]
         got = apply_transfer(f, NcfParams(n)).values[::64]
