@@ -82,6 +82,8 @@ def gn_cdf(x, gm: GaussMeasure):
 def gn_quantile(u, gm: GaussMeasure):
     """Exact inverse of gn_cdf: N ((N+1)/N)^u - N."""
     ua = np.asarray(u, dtype=float)
+    if not np.all((ua >= 0) & (ua <= 1)):  # NaN too
+        raise ValueError("gn_quantile argument outside [0, 1]")
     out = gm.n * np.exp(ua * gm.log_norm) - gm.n
     return float(out) if np.isscalar(u) or ua.ndim == 0 else out
 

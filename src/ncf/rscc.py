@@ -132,16 +132,42 @@ def _cf_n(sys: RsccSystem, what: str) -> int:
 # path probabilities
 
 
+def _checked_words(sys: RsccSystem, r: int, word_set) -> list:
+    """A word set as the list of its distinct r-letter words, in order: on the
+    continued-fraction system every letter an event i >= N, by errors.count;
+    a finite system's probability checks its own."""
+    words = [tuple(word) for word in word_set]
+    if not sys.finite:
+        words = [tuple(count(x, "event", sys.params.n_param) for x in word) for word in words]
+    words = list(dict.fromkeys(words))
+    if any(len(word) != r for word in words):
+        raise ValueError("every word must have length r")
+    return words
+
+
+def _word_set_probability(sys: RsccSystem, w, word_set) -> np.ndarray:
+    """P_r(w, A) for a finite collection of checked words, vectorized over w:
+    the products of one-step probabilities along their orbits."""
+    total = np.zeros_like(np.asarray(w, dtype=float))
+    for word in word_set:
+        prob, state = 1.0, w
+        for x in word:
+            prob = prob * sys.probability(state, x)
+            state = sys.transition(state, x)
+        total = total + prob
+    return total
+
+
 def path_probability(sys: RsccSystem, w, word) -> float:
-    """Product of one-step probabilities along the orbit of a word."""
+    """Product of one-step probabilities along the orbit of a word: on the
+    continued-fraction system, of events i >= N from states w in [0, 1]."""
     letters = tuple(word)
     if not letters:
         raise ValueError("path probability needs a non-empty word")
-    prob = 1.0
-    state = w
-    for x in letters:
-        prob = prob * sys.probability(state, x)
-        state = sys.transition(state, x)
+    wa = np.asarray(w, dtype=float)
+    if not (sys.finite or np.all((wa >= 0) & (wa <= 1))):  # NaN too
+        raise ValueError(f"state must lie in [0, 1], got {w!r}")
+    prob = _word_set_probability(sys, w, _checked_words(sys, len(letters), [letters]))
     return float(prob) if np.isscalar(w) else prob
 
 
@@ -387,22 +413,6 @@ def contraction_coefficients(sys: RsccSystem, k_max: int = 2, grid: int = 512,
 # shifted path laws and their limit
 
 
-def _checked_words(r: int, word_set) -> list:
-    """A word set as a list of r-letter tuples."""
-    words = [tuple(word) for word in word_set]
-    if any(len(word) != r for word in words):
-        raise ValueError("every word must have length r")
-    return words
-
-
-def _word_set_probability(sys: RsccSystem, w, word_set) -> np.ndarray:
-    """P_r(w, A) for a finite collection of words, vectorized over w."""
-    total = np.zeros_like(np.asarray(w, dtype=float))
-    for word in word_set:
-        total = total + path_probability(sys, w, word)
-    return total
-
-
 def shifted_path_probability(sys: RsccSystem, w: float, n: int, r: int, word_set,
                              n_paths: int = 100_000,
                              rng: Optional[np.random.Generator] = None) -> Estimate:
@@ -412,7 +422,7 @@ def shifted_path_probability(sys: RsccSystem, w: float, n: int, r: int, word_set
     the terminal state, which removes the last layer of sampling noise.
     """
     n, r = count(n, "n", 1), count(r, "r", 1)
-    word_set = _checked_words(r, word_set)
+    word_set = _checked_words(sys, r, word_set)
     states = simulate_paths(sys, w, n - 1, n_paths, rng)
     vals = _word_set_probability(sys, states, word_set)
     mean = float(np.mean(vals))
@@ -425,7 +435,7 @@ def limit_path_law(sys: RsccSystem, r: int, word_set) -> float:
     invariant measure of the continued-fraction system."""
     _cf_n(sys, "limit_path_law")
     r = count(r, "r", 1)
-    word_set = _checked_words(r, word_set)
+    word_set = _checked_words(sys, r, word_set)
     gm = GaussMeasure(sys.params)
     # the integrand is rational with its poles at w <= -1
     return _gauss_legendre(

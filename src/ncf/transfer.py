@@ -9,10 +9,11 @@ functions, linear on each cell, get the whole series in about 2 sqrt(NM)
 terms a point.  One set of formulas forms every term from exact integer
 thresholds: _grid_terms at each point, for the assembled operator and the
 point form, and apply_transfer once a call, as Chebyshev series in the node
-index.  apply_transfer keeps what of those series reads no f, by (N, M,
-i_max), and its single branches' cells, offsets and masses, by (N, M),
-read-only, the least recently used dropped past 16 MiB in all; a larger
-table is formed and used a node block at a time at every call.
+index.  Both fast forms sum point terms as gathered rows (_rows, _gathered).
+apply_transfer keeps what of its series reads no f, by (N, M, i_max), and
+its single branches' rows, by (N, M), read-only, the least recently used
+dropped past 16 MiB in all; a larger table is formed and used a node block
+at a time at every call.
 iterates() assembles the operator once per (N, M), steps it by one BLAS
 product plus gathered rows, and keeps it, read-only, until another grid
 needs the slot: at most one is held.
@@ -290,12 +291,19 @@ def _suffix_sums(ev: np.ndarray, carry: np.ndarray) -> np.ndarray:
     return ev
 
 
-def _cells(p: np.ndarray, m: int):
-    """The cell c = min(floor(p), M-1) of each place M y = p, and the offset
-    p - c, in place of p."""
-    c = np.minimum(p.astype(np.intp), m - 1)
-    p -= c
-    return c, p
+def _rows(p: np.ndarray, w: np.ndarray, m: int):
+    """Point terms of masses w at places M y = p as gathered rows: the cells
+    c = min(floor(p), M-1), and the weights hi = (p - c) w on c + 1 and
+    lo = w - hi on c, in place of w."""
+    c = np.minimum(p, m - 1).astype(np.intp)
+    hi = (p - c) * w
+    w -= hi
+    return c, w, hi
+
+
+def _gathered(v: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The sum along each row of the point terms (c, lo, hi): lo v[c] + hi v[c+1]."""
+    return np.einsum("ij,ij->i", lo, v[c]) + np.einsum("ij,ij->i", hi, v[1:][c])
 
 
 def _tables(n: int, m: int, layout):
@@ -303,10 +311,10 @@ def _tables(n: int, m: int, layout):
     generators, of the group chunks and of the node blocks, which form them
     a chunk at a time.  A group chunk is (k, a, b): the cells k, the masses
     a and offsets b at the first sample, and the others' differences from
-    it.  A node block is (down, s, scale, c, h, w, at, width, crossings): its
-    nodes falling from j1 - 1, T_k's argument s, the scale of the sums, the
-    last term's cells c, offsets h and masses w, the column of the suffix
-    sums at each node, and the thresholds crossed in the block, a chunk
+    it.  A node block is (down, s, scale, c, lo, hi, at, width, crossings):
+    its nodes falling from j1 - 1, T_k's argument s, the scale of the sums,
+    the last term's gathered rows, one column, the column of the suffix sums
+    at each node, and the thresholds crossed in the block, a chunk
     (offset, t, a, b) at a time."""
     nm, sc, first, cut, top, low, _ = layout
     t, q, r, qb, ks = _thresholds(nm, first, cut, top, low)
@@ -329,9 +337,9 @@ def _tables(n: int, m: int, layout):
         at = rt[order]
         for j0, j1, j in _node_blocks(m):
             down = slice(j1 - 1, j0 - 1 if j0 else None, -1)
-            # the last term, from I, i_max + 1 or threshold 1
+            # the last term, from I, i_max + 1 or threshold 1: one column of rows
             u = m / (sc * float(qb[-1]) + j * (sc / m) + sc * (top and not low and j < rt[-1]))
-            c, h = _cells(_mean(u, _cubic_rest(u), nm * sc / m), m)
+            last = _rows(_mean(u, _cubic_rest(u), nm * sc / m)[:, None], u[:, None] * (m / sc), m)
             e0, e1 = np.searchsorted(at, [j0, j1])
             crossings = []
             for s0 in range(e0, e1, per):
@@ -343,9 +351,8 @@ def _tables(n: int, m: int, layout):
                                   np.stack((ts + 1, ts))[:, None],
                                   sc * np.stack((rs - qs, rs - ts))[:, None].astype(float), m, nm)
                 crossings.append((s0 - e0, ts, a[0], b[0]))
-            yield (down, x[down] * 2.0 - 1.0, (x[down] + n) * (sc / m) ** 2, c, h,
-                   u * (m / sc), np.searchsorted(at[e0:e1], j, side="right"), e1 - e0,
-                   tuple(crossings))
+            yield (down, x[down] * 2.0 - 1.0, (x[down] + n) * (sc / m) ** 2, *last,
+                   np.searchsorted(at[e0:e1], j, side="right"), e1 - e0, tuple(crossings))
 
     return groups(), blocks()
 
@@ -361,18 +368,19 @@ def _node_blocks(m: int):
 
 def _singles(n: int, m: int, layout):
     """apply_transfer's single branches on (N, M, I), which read no f, nor
-    i_max but through I: for each node block, a row (c, h, w) for each
-    branch from I - 1 down to N, its cells, offsets and masses."""
+    i_max but through I: for each node block, their gathered rows, a column
+    a branch from I - 1 down to N, each formed into a row of the transposes."""
     nm, sc, first = layout[:3]
     for _, _, j in _node_blocks(m):
-        js, rows = j * (sc / m), []
+        js, shape = j * (sc / m), (first - n, j.size)
+        c, lo, hi = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
         u = m / (sc * float(first) + js)
-        for i in range(first - 1, n - 1, -1):
-            lo = sc * float(i) + js
-            u0 = m / lo
-            rows.append((*_cells(_places(lo, sc, nm), m), u0 * u))  # _masses of one branch
+        for r, i in enumerate(range(first - 1, n - 1, -1)):
+            at = sc * float(i) + js
+            u0 = m / at
+            c[r], lo[r], hi[r] = _rows(_places(at, sc, nm), u0 * u, m)  # _masses of one branch
             u = u0
-        yield tuple(rows)
+        yield c.T, lo.T, hi.T
 
 
 def _freeze(tables) -> None:
@@ -431,9 +439,9 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     is formed.
 
     Everything but the sums over f reads no f: _tables', by (N, M, i_max),
-    the samples of the groups and crossings, the last term's places and the
+    the samples of the groups and crossings, the last term's rows and the
     series' columns; and _singles', by (N, M, I), which the i_max of one
-    (N, M) share, the singles' cells, offsets and masses, 24 (I - N) bytes a
+    (N, M) share, the singles' gathered rows (c, lo, hi), 24 (I - N) bytes a
     node.  A call holds each, read-only, for the next call on its key, and
     keeps the most recently used within _HELD_BYTES, 16 MiB, in all; a table
     that does not fit, or not beside its call's group set, is not held, but
@@ -450,13 +458,6 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     (singles,) = _hold(("singles", n, m, first, _CHUNK), 24 * (first - n) * (m + 1),
                        lambda: (_singles(n, m, layout),), key)
 
-    def point(w, c, h):
-        """Point terms of mass w (x+N) in cells c at offsets h, over x+N."""
-        out = np.multiply(h, d[c])
-        out += v[c]
-        out *= w
-        return out
-
     # the groups, summed at the samples along rows: the first sample, and the
     # others' differences from it, whose rounding the series then scales down
     base = np.zeros(_CHEB)
@@ -469,17 +470,16 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     # a block of nodes at a time, from the last: the terms, the least first,
     # and the suffix sums of its crossings on the later blocks'
     carry, out = coef, np.empty(m + 1)
-    for (down, s, scale, c, h, w, at, width, crossings), rows in zip(blocks, singles):
-        acc = point(w, c, h)
+    for (down, s, scale, *last, at, width, crossings), rows in zip(blocks, singles):
+        acc = _gathered(v, *last)
         ev = np.zeros((_CHEB, width + 1))
         for e0, ts, a, b in crossings:
-            last = ts == 1  # the branch leaves the last term: it adds a v_1 + b d_1
-            np.matmul(_CHEB_COEF, np.where(last, v[1], 0.0) * a
-                      + np.where(last, d[ts], d[ts] - d[ts - 1]) * b, out=ev[:, e0:e0 + ts.size])
+            leaves = ts == 1  # the branch leaves the last term: it adds a v_1 + b d_1
+            np.matmul(_CHEB_COEF, np.where(leaves, v[1], 0.0) * a
+                      + np.where(leaves, d[ts], d[ts] - d[ts - 1]) * b, out=ev[:, e0:e0 + ts.size])
         acc += _clenshaw(_suffix_sums(ev, carry), at, s)
         carry = ev[:, 0]
-        for c, h, w in rows:  # the singles, from the last
-            acc += point(w, c, h)
+        acc += _gathered(v, *rows)  # the singles
         np.multiply(acc, scale, out=out[down])
     return GridFunction(out)
 
@@ -496,9 +496,7 @@ def _assemble(params: NcfParams, m: int):
     step reads each triple as 3 columns of one BLAS product."""
     op, n = None, params.n_param
     for r0, xn, w, p, _, a, b in _grid_terms(params, np.arange(m + 1.0), m, None):
-        c, w = np.minimum(p, m - 1).astype(np.intp), xn[:, None] * w
-        h = (p - c) * w
-        w -= h  # a point term puts w - h on its cell and h on the next
+        c, w, h = _rows(p, xn[:, None] * w, m)  # w on each cell, h on the next
         k, g = a.shape[1], c.shape[1] - 1  # the groups K..1, the singles N..I-1
         s = min(g, max(1, (n + g) // 3 - n))  # the singles kept gathered
         if op is None:  # after the charge: dense, cols, lo, hi; row 0 lands highest
@@ -522,7 +520,7 @@ def _step(op, v: np.ndarray) -> np.ndarray:
     """One operator application to the node values v, by the operator op."""
     dense, cols, lo, hi = op
     out = dense @ v[:dense.shape[1]]
-    out += np.einsum("ij,ij->i", lo, v[cols]) + np.einsum("ij,ij->i", hi, v[1:][cols])
+    out += _gathered(v, cols, lo, hi)
     return out
 
 

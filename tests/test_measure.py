@@ -102,6 +102,15 @@ class TestSampling:
         assert gn_quantile(1.0 - 1e-12, gm) < 1.0
         assert gn_quantile(1.0, gm) == pytest.approx(1.0, abs=1e-12)
 
+    # 1.5 once gave 1.83, -0.2 gave -0.13 and NaN gave nan, where gn_cdf raises
+    @pytest.mark.parametrize("u", [1.5, -0.2, 1.0 + 1e-15, math.nan, math.inf,
+                                   np.array([0.0, 0.5, 1.5]), np.array([[0.5], [math.nan]])])
+    def test_quantile_outside_unit_interval_rejected(self, gm, u):
+        with pytest.raises(ValueError, match=r"^gn_quantile argument outside \[0, 1\]$"):
+            gn_quantile(u, gm)
+        with pytest.raises(ValueError, match=r"^gn_cdf argument outside \[0, 1\]$"):
+            gn_cdf(u, gm)
+
     def test_inverse_consistency(self, gm):
         u = np.linspace(0, 1, 33)
         assert np.max(np.abs(gn_cdf(gn_quantile(u, gm), gm) - u)) <= 1e-12

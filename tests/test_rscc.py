@@ -124,6 +124,36 @@ class TestPathProbability:
         with pytest.raises(ValueError):
             path_probability(ncf_sys, 0.5, ())
 
+    # at N=2 the letter 0 once gave the "probability" 3.33, 1 gave 0.667,
+    # 2.5 gave 0.208 and -3 gave 0.667
+    @pytest.mark.parametrize("word,message", [
+        ((0,), "event must be >= 2, got 0"), ((1,), "event must be >= 2, got 1"),
+        ((-3,), "event must be >= 2, got -3"), ((2, 1), "event must be >= 2, got 1"),
+        ((2.5,), "event must be an integer, got 2.5"),
+        ((2.0,), "event must be an integer, got 2.0"),
+    ])
+    def test_letters_must_be_events(self, word, message):
+        sys_ = make_ncf_rscc(NcfParams(2))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            path_probability(sys_, 0.5, word)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            limit_path_law(sys_, len(word), [(2,) * len(word), word])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            shifted_path_probability(sys_, 0.5, 2, len(word), [word], n_paths=10)
+
+    # the state 1.5 once gave 0.222, and NaN gave nan
+    @pytest.mark.parametrize("w", [1.5, -0.25, math.nan, math.inf,
+                                   np.array([0.5, 1.0 + 1e-16, 1.5])])
+    def test_states_must_lie_in_the_unit_interval(self, w):
+        with pytest.raises(ValueError, match=r"^state must lie in \[0, 1\], got "):
+            path_probability(make_ncf_rscc(NcfParams(2)), w, (2,))
+
+    def test_events_of_numpy_integer_type_pass(self):
+        sys_ = make_ncf_rscc(NcfParams(2))
+        w = np.array([0.0, 0.5, 1.0])
+        want = path_probability(sys_, w, (2, 7))
+        assert path_probability(sys_, w, (np.int64(2), np.uint8(7))).tobytes() == want.tobytes()
+
 
 class TestQKernel:
     def test_closed_form_matches_bruteforce(self, ncf_sys):
@@ -768,6 +798,15 @@ class TestShiftedPathLaw:
         with pytest.raises(ValueError):
             shifted_path_probability(ncf_sys, 0.5, 3, 2, [(1,)])
 
+    def test_a_repeated_word_counts_once(self):
+        # five copies of (2,) once gave 1.44, five times its estimate
+        sys_ = make_ncf_rscc(NcfParams(2))
+        once = shifted_path_probability(sys_, 0.5, 3, 1, [(2,)], n_paths=1000,
+                                        rng=np.random.default_rng(5))
+        five = shifted_path_probability(sys_, 0.5, 3, 1, [(2,)] * 5, n_paths=1000,
+                                        rng=np.random.default_rng(5))
+        assert five == once
+
 
 class TestLimitPathLaw:
     # the ids number the cases as they were when two tail sets sat between
@@ -790,6 +829,13 @@ class TestLimitPathLaw:
 
         want, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, limit=200)
         assert abs(limit_path_law(sys, r, word_set) - want) <= 1e-14
+
+    def test_a_repeated_word_counts_once(self):
+        # five copies of (2,) once gave 1.452, five times its law
+        sys_ = make_ncf_rscc(NcfParams(2))
+        assert limit_path_law(sys_, 1, [(2,)] * 5) == limit_path_law(sys_, 1, [(2,)])
+        want = limit_path_law(sys_, 2, [(3, 2), (2, 5)])
+        assert limit_path_law(sys_, 2, [(3, 2), (2, 5), (3, 2), [2, 5], (np.int64(3), 2)]) == want
 
     @pytest.mark.parametrize("r,word_set", [(2, [(1,)]), (1, [(1, 1)])])
     def test_word_set_must_match_r(self, r, word_set):

@@ -334,6 +334,43 @@ class TestNodePass:
         assert got is ev and got.tobytes() == want.tobytes()
 
 
+class TestPointRows:
+    """Both fast forms take their point terms as gathered rows, formed by
+    _rows and summed by _gathered."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 1024])
+    def test_rows_match_the_assembly_arithmetic(self, m):
+        # places across [0, M], the ends and cell edges among them, and
+        # masses over 40 binades
+        rng = np.random.default_rng(m)
+        p = np.concatenate((rng.uniform(0.0, m, size=(30, 5)),
+                            [[0.0, 1.0, m - 1.0, m - 2.0 ** -40, float(m)]]))
+        w = rng.uniform(0.5, 1.0, size=p.shape) * 2.0 ** rng.integers(-40, 0, size=p.shape)
+        c = np.minimum(p, m - 1).astype(np.intp)
+        hi = (p - c) * w
+        lo = w - hi
+        got = transfer._rows(p, w, m)
+        assert got[0].dtype == np.intp and np.array_equal(got[0], c)
+        assert got[1].tobytes() == lo.tobytes() and got[2].tobytes() == hi.tobytes()
+
+    @pytest.mark.parametrize("rows,cols,order", [
+        (9, 4, "C"), (9, 4, "F"),  # gathered singles, in both layouts
+        (9, 1, "C"), (1, 1, "C"),  # a one-column table: the last term
+        (9, 0, "C"),  # no singles: i_max = N - 1
+    ])
+    def test_gathered_matches_rows(self, rows, cols, order):
+        rng = np.random.default_rng(rows + cols)
+        m = 50
+        v = rng.normal(size=m + 1)
+        c = np.asarray(rng.integers(0, m, size=(rows, cols)), np.intp, order=order)
+        lo, hi = (np.asarray(rng.normal(size=(rows, cols)), order=order) for _ in range(2))
+        want = [sum((lo[r, k] * v[c[r, k]] + hi[r, k] * v[c[r, k] + 1] for k in range(cols)), 0.0)
+                for r in range(rows)]
+        got = transfer._gathered(v, c, lo, hi)
+        assert got.shape == (rows,)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * np.max(np.abs(want), initial=1.0)
+
+
 def _check_stochastic(op, m):
     """The assembled operator on m cells: entries >= 0, columns in [0, m],
     and the constant 1 mapped to 1."""
@@ -939,9 +976,11 @@ class TestHeldTables:
         f = _random_grid(1024, seed=9)
         want = apply_transfer(f, NcfParams(5), 4000).values
         arrays = {k[0]: list(_held_arrays(e)) for k, e in transfer._held.items()}
-        # the singles' table: a cell, offset and mass row for each of 5..19
+        # the singles' table: gathered rows (c, lo, hi) of one node block,
+        # a column for each of 5..19
         assert formed == singles == [(5, 1024)] and len(arrays["groups"]) > 10
-        assert [a.dtype.kind for a in arrays["singles"]] == ["i", "f", "f"] * 15
+        assert [a.dtype.kind for a in arrays["singles"]] == ["i", "f", "f"]
+        assert [a.shape for a in arrays["singles"]] == [(1025, 15)] * 3
         for a in arrays["groups"] + arrays["singles"]:
             with pytest.raises(ValueError, match="read-only"):
                 a += 1
