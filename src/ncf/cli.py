@@ -197,14 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     # rscc-mealy, must not be read as a prefix of one it does (--nmax)
     command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def flags(p, n=True, grid=None, nmax=None, seed=None):
+    def flags(p, n=True, grid=None, nmax=None, seed=None, grid_help=None):
         """The flags a command reads; a flag whose default is None is absent."""
         if n:
             p.add_argument("--n", type=int, default=1, help="expansion parameter N")
         for name, default in (("--grid", grid), ("--nmax", nmax), ("--seed", seed)):
             if default is not None:
                 p.add_argument(name, type=_seed if name == "--seed" else _positive_int,
-                               default=default)
+                               default=default, help=grid_help if name == "--grid" else None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
 
@@ -242,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial measure")
     p.add_argument("--require-fit", action="store_true",
                    help="fail (exit 4) if no geometric rate can be fitted")
-    flags(p, grid=1024, nmax=40, seed=0)
+    flags(p, grid=1024, nmax=40, seed=0,
+          grid_help="M: the sup error is read at the M + 1 points j/M; past N = 1000 "
+                    "the operator is also iterated on a grid of M cells")
     p.set_defaults(fn=_cmd_gk)
 
     p = command("rscc-mealy", help="two-state Mealy machine")

@@ -5,8 +5,13 @@ of the n-th map iterate is an integral of the n-th transfer-operator iterate
 of f0(x) = log((N+1)/N) (x+N) h(x) against the invariant measure; f0 is the
 density of the initial measure relative to the invariant one, so f0 -> 1 and
 the distributions converge to the invariant CDF at a geometric rate.  The
-harness computes the per-n sup error over an x grid, fits the rate, and
+harness computes the per-n sup error at the points j/m, fits the rate, and
 cross-checks the operator route against seeded Monte Carlo orbit simulation.
+Up to N = 10^3 the iterates are the spectral operator's, at 25 Chebyshev
+points, and each CDF the exact integral of their interpolant, so the error
+falls to rounding; past it they are a grid's of m cells, whose CDF is a
+cumulative trapezoid and whose error floors at O(1/m^2).  distribution_at
+stays on the grid.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 from .core import NcfParams, _check_unit_interval
 from .errors import FitError, charge, count
 from .measure import DensityFunction, GaussMeasure, gn_cdf
-from .transfer import GridFunction, apply_transfer, fit_rate, iterates
+from .transfer import (_BLOCK, _LOBATTO, _SPECTRAL_N, GridFunction, _grid_integrals, _integral_rows,
+                       _spectral_iterates, apply_transfer, fit_rate, iterates)
 
 
 @dataclass(frozen=True)
@@ -47,11 +53,15 @@ def tilted_measure() -> DensityFunction:
     return DensityFunction(lambda x: (1.0 + x / 2.0) / 1.25)
 
 
+def _relative_density(mu: DensityFunction, params: NcfParams):
+    """f0 = d(mu)/d(invariant measure), as a function of x."""
+    gm = GaussMeasure(params)
+    return lambda x: gm.log_norm * (x + params.n_param) * mu(x)
+
+
 def initial_grid_density(mu: DensityFunction, params: NcfParams, m: int) -> GridFunction:
     """f0 = d(mu)/d(invariant measure) sampled on the operator grid."""
-    gm = GaussMeasure(params)
-    return GridFunction.from_callable(
-        lambda x: gm.log_norm * (x + params.n_param) * mu(x), m)
+    return GridFunction.from_callable(_relative_density(mu, params), m)
 
 
 def density_from_grid(f0: GridFunction, params: NcfParams) -> DensityFunction:
@@ -72,8 +82,6 @@ def pushforward_density(mu: DensityFunction, params: NcfParams, m: int = 1024) -
 
 # cells of the grid on which _sample_initial inverts the initial CDF
 _INV_GRID = 4096
-# points of the x grid on which run_experiment takes each sup error
-_X_GRID = 257
 # Monte Carlo paths of each of run_experiment's spot checks
 _SPOT_PATHS = 100_000
 
@@ -159,30 +167,56 @@ def distribution_at(mu: DensityFunction, n: int, x: float, params: NcfParams,
     raise ValueError(f"unknown method {method!r}")
 
 
+def _cdf_blocks(mu: DensityFunction, params: NcfParams, gm: GaussMeasure, n_max: int, m: int):
+    """The limit law G at the m + 1 points j/m, and the laws F_n of the map
+    iterates n = 1..n_max, in blocks (k, d, read): row i of d holds F_n - G at
+    those points, n = k + i + 1, and read(x, i) its F_n at any x of [0, 1].
+    Up to N = _SPECTRAL_N, F_n - G = W (f_n - 1) rho_N, f_n - 1 the spectral
+    iterates of f0 - 1, W their basis's exact integrals; the spots' rows of W
+    are taken at their exact x.  Iterating f0 - 1, not f0, keeps U 1 = 1
+    exact, where the matrix's row sums are 1 to a few ulps: the error of f0's
+    iterates grew by about that a step past its floor.  Past it, from the grid of m cells, by the cumulative
+    trapezoid, read between its nodes by interpolation.  Charges the points,
+    and on the spectral route the iterates, before it returns."""
+    if params.n_param > _SPECTRAL_N:
+        f0 = initial_grid_density(mu, params, m)
+        x = f0.nodes
+        limit = gn_cdf(x, gm)
+        return limit, ((k, (cum - limit)[None], lambda t, _, cum=cum: float(np.interp(t, x, cum)))
+                       for k, cum in enumerate(_cdfs_on_grid(iterates(f0, params, n_max), x, gm)))
+    g = _spectral_iterates(_relative_density(mu, params)(_LOBATTO) - 1.0, params, n_max, m)
+    g *= gm.density(_LOBATTO)
+    w = _grid_integrals(m)
+    return gn_cdf(np.linspace(0.0, 1.0, m + 1), gm), (
+        (k, g[k:k + _BLOCK] @ w.T,
+         lambda t, i, k=k: gn_cdf(t, gm) + float(_integral_rows(t) @ g[k + i]))
+        for k in range(0, n_max, _BLOCK))
+
+
 def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
                    m: int = 1024, rng: Optional[np.random.Generator] = None,
                    require_fit: bool = True) -> GkReport:
-    """Per-n sup error against the limit law, geometric-rate fit, and
-    operator-vs-Monte-Carlo spot checks, each agreeing within its band or not.
-    The spot checks share one sample, stepped 2 -> 4 -> 6, so their verdicts are
-    correlated; but each estimate is bit for bit what distribution_at's montecarlo
-    method returns from rng's state, so each band is a valid marginal band."""
-    n_max = count(n_max, "n_max", 5)
+    """Per-n sup error against the limit law at the m + 1 points j/m,
+    geometric-rate fit, and operator-vs-Monte-Carlo spot checks, each agreeing
+    within its band or not.  The operator side is the spectral operator's up
+    to N = 10^3, and a grid of m cells' past it (_cdf_blocks).  The spot checks
+    share one sample, stepped 2 -> 4 -> 6, so their verdicts are correlated;
+    but each estimate is bit for bit what distribution_at's montecarlo method
+    returns from rng's state, so each band is a valid marginal band."""
+    n_max, m = count(n_max, "n_max", 5), count(m, "m", 1)
     gm = GaussMeasure(params)
-    xs = np.linspace(0.0, 1.0, _X_GRID)
-    limit = gn_cdf(xs, gm)
-    mask = limit >= 0.05  # where the error is read relative to the limit CDF
     spots = tuple((min(n, n_max), x) for n, x in ((2, 0.25), (4, 0.5), (6, 0.75)))
-    f0 = initial_grid_density(mu, params, m)
-    nodes = f0.nodes
-    # one iterate at a time: a step keeps its sup and relative errors, a spot step its CDF
-    sup_errors, ratios, spot_cdfs = [], [], {n: None for n, _ in spots}
-    for n, cum in enumerate(_cdfs_on_grid(iterates(f0, params, n_max), nodes, gm), 1):
-        err = np.abs(np.interp(xs, nodes, cum) - limit)
-        sup_errors.append(float(np.max(err)))
-        ratios.append(float(np.max(err[mask] / limit[mask])))
-        if n in spot_cdfs:
-            spot_cdfs[n] = cum
+    limit, blocks = _cdf_blocks(mu, params, gm, n_max, m)
+    mask = limit >= 0.05  # where the error is read relative to the limit CDF
+    # a block at a time: its sup and relative errors, and the spots' CDFs
+    sup_errors, ratios, spot_cdfs = [], [], {}
+    for k, d, read in blocks:
+        err = np.abs(d)
+        sup_errors += err.max(axis=1).tolist()
+        ratios += (err[:, mask] / limit[mask]).max(axis=1).tolist()
+        for n, x in spots:
+            if 0 <= n - 1 - k < len(d):
+                spot_cdfs[n, x] = read(x, n - 1 - k)
     q_fit = theta_bound = window = None
     residuals = ()
     try:
@@ -197,8 +231,7 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
     cells = []
     mcs = _orbit_fractions(mu, spots, params.n_param, _SPOT_PATHS, rng)
     for (n_spot, x_spot), mc in zip(spots, mcs):
-        # the operator side is read off the iterates above: U^n_spot f0
-        op = float(np.interp(x_spot, nodes, spot_cdfs[n_spot]))
+        op = spot_cdfs[n_spot, x_spot]  # read off the iterates above
         band = 4.0 * math.sqrt(max(mc * (1 - mc), 1e-12) / _SPOT_PATHS) + 1e-4
         cells.append({"n": n_spot, "x": x_spot, "operator": op, "montecarlo": mc,
                       "band": band, "agrees": abs(op - mc) <= band})

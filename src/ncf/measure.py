@@ -79,15 +79,22 @@ def gn_cdf(x, gm: GaussMeasure):
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
+def _quantile(u, gm: GaussMeasure):
+    """gn_quantile at u known to lie in [0, 1], unchecked."""
+    ua = np.asarray(u, dtype=float)
+    out = gm.n * np.exp(ua * gm.log_norm) - gm.n
+    return float(out) if np.isscalar(u) or ua.ndim == 0 else out
+
+
 def gn_quantile(u, gm: GaussMeasure):
     """Exact inverse of gn_cdf: N ((N+1)/N)^u - N."""
     ua = np.asarray(u, dtype=float)
     if not np.all((ua >= 0) & (ua <= 1)):  # NaN too
         raise ValueError("gn_quantile argument outside [0, 1]")
-    out = gm.n * np.exp(ua * gm.log_norm) - gm.n
-    return float(out) if np.isscalar(u) or ua.ndim == 0 else out
+    return _quantile(u, gm)
 
 
 def gn_sample(gm: GaussMeasure, rng: np.random.Generator, size=None):
-    """Inverse-CDF samples from an explicit seeded generator."""
-    return gn_quantile(rng.random(size), gm)
+    """Inverse-CDF samples from an explicit seeded generator, whose draws lie
+    in [0, 1) and so skip gn_quantile's check."""
+    return _quantile(rng.random(size), gm)

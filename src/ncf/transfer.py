@@ -17,11 +17,17 @@ at a time at every call.
 iterates() assembles the operator once per (N, M), steps it by one BLAS
 product plus gathered rows, and keeps it, read-only, until another grid
 needs the slot: at most one is held.
+A second form leaves the grid: _spectral(N), the operator as the matrix of
+collocation at 25 Chebyshev-Lobatto points, in closed form up to N = 10^3
+and kept per N, read-only.  Its iterates of an analytic f converge
+geometrically, not at the grid's O(h^2); _integral_rows integrates them
+exactly.  gausskuzmin.run_experiment iterates it (_spectral_iterates).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -122,7 +128,8 @@ _CHEB_COEF = np.array([[(2 - (k == 0)) / _CHEB * math.cos(k * math.pi * (i + 0.5
                         for i in range(_CHEB)] for k in range(_CHEB)])
 
 
-# the trigamma series' coefficients of u^3, u^5, ..., u^13
+# the trigamma series' coefficients of u^3, u^5, ..., u^13: the Bernoulli
+# numbers B_2, B_4, ..., B_12
 _CUBIC = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 
@@ -555,6 +562,129 @@ def iterates(f: GridFunction, params: NcfParams, n: int):
         yield GridFunction(v)
 
 
+# the spectral operator: collocation at the _K + 1 Chebyshev-Lobatto points
+# (1 - cos(pi j/K))/2 of [0, 1], in closed form up to N = _SPECTRAL_N: its
+# 19 N + 20 direct branches grow with N, to a 35 ms build at N = 1000, and
+# past it the grid serves
+_K, _SPECTRAL_N = 24, 1000
+_LOBATTO = np.sin(np.arange(_K + 1) * (np.pi / (2 * _K))) ** 2
+# their barycentric weights, and the cosine matrix from the samples there to
+# the interpolant's Chebyshev coefficients in s = 2x - 1, _LOBATTO lying at
+# s = -cos(pi j/K): each halved at the ends
+_BARYCENTRIC = (-1.0) ** np.arange(_K + 1)
+_CHEB_LOBATTO = np.cos(np.pi / _K * np.outer(np.arange(_K + 1), np.arange(_K + 1))) * (
+    2.0 / _K * _BARYCENTRIC[:, None])
+_BARYCENTRIC[[0, -1]] /= 2
+_CHEB_LOBATTO[[0, -1]] /= 2
+_CHEB_LOBATTO[:, [0, -1]] /= 2
+_freeze((_LOBATTO, _BARYCENTRIC, _CHEB_LOBATTO))
+
+
+def _lagrange(y: np.ndarray) -> np.ndarray:
+    """The Lagrange basis on _LOBATTO at the points y, a row L_c(y), c = 0..K,
+    for each: the barycentric form, and a unit row on an exact node."""
+    d = y[..., None] - _LOBATTO
+    hit = d == 0.0
+    d[hit] = 1.0
+    q = np.divide(_BARYCENTRIC, d, out=d)
+    on = hit.any(axis=-1)
+    q[on] = hit[on]
+    q /= q.sum(axis=-1, keepdims=True)
+    return q
+
+
+@functools.lru_cache(maxsize=1)
+def _monomials() -> np.ndarray:
+    """C[m, c], the coefficient of w^m in L_c(w): the products of the factors
+    (w - x_j), j != c, by np.convolve, over their value at x_c.  The nodes are
+    nonnegative, so the coefficients, elementary symmetric functions of them,
+    are formed without cancellation (an inverse Vandermonde matrix is not)."""
+    out = np.empty((_K + 1, _K + 1))
+    for c, xc in enumerate(_LOBATTO):
+        p = functools.reduce(np.convolve, ([1.0, -x] for j, x in enumerate(_LOBATTO) if j != c))
+        out[:, c] = p[::-1] / math.prod(xc - x for j, x in enumerate(_LOBATTO) if j != c)
+    out.setflags(write=False)
+    return out
+
+
+def _zeta_scaled(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """a^s zeta(s, a), the Hurwitz zeta function, at each a down the rows and
+    each s along the columns: a/(s-1) + 1/2 + sum_k B_2k (s)_2k-1 a^1-2k / (2k)!,
+    Euler-Maclaurin with the Bernoulli numbers of _CUBIC.  At a >= 40, where
+    _spectral takes it, the first term left out, below 1.4e-11 (s)_13 / 40^13,
+    lies below the rounding of _spectral's sums, which scale s by 20^2-s."""
+    out = a[:, None] / (s - 1.0) + 0.5
+    c, u, v = s / 2.0, 1.0 / a[:, None], 1.0 / (a * a)[:, None]
+    for k, b in enumerate(_CUBIC, 1):
+        out += b * c * u
+        c = c * (s + 2 * k - 1) * (s + 2 * k) / ((2 * k + 1) * (2 * k + 2))
+        u = u * v
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _spectral(n: int) -> np.ndarray:
+    """The transfer operator of N = n as the (K+1) x (K+1) collocation matrix
+    at _LOBATTO, read-only: row r holds sum_i P_i(x_r) L_c(N/(x_r+i)), with
+    P_i(x) = (x+N)/((x+i)(x+i+1)).  The branches N..I0-1, I0 = 20(N+1), are
+    summed at the nodes; the rest, at w = N/(x+i) <= 1/20, through the
+    monomials of L_c: (x+N) sum_m C[m, c] N^m S_m(x), S_m = sum_{i >= I0}
+    1/((x+i)^(m+1) (x+i+1)) = sum_j (-1)^j zeta(m+2+j, x+I0), 12 terms in j,
+    each below the last by (x+I0)^-1 <= 1/40."""
+    # the direct branches, per at a time: about 4 _CHUNK (row, branch, column) entries
+    x, i0, per = _LOBATTO, 20 * (n + 1), max(1, 4 * _CHUNK // (_K + 1) ** 2)
+    out = np.zeros((_K + 1, _K + 1))
+    for b0 in range(n, i0, per):
+        z = x[:, None] + np.arange(b0, min(b0 + per, i0), dtype=float)
+        out += np.einsum("ri,ric->rc", (x + n)[:, None] / (z * (z + 1.0)), _lagrange(n / z))
+    a, terms = x + i0, 12
+    zeta = _zeta_scaled(np.arange(2.0, _K + terms + 2), a)  # s = 2 .. K + terms + 1
+    s = np.einsum("rmj,rj->rm", zeta[:, np.arange(_K + 1)[:, None] + np.arange(terms)],
+                  (-1.0 / a)[:, None] ** np.arange(terms))  # (x+I0)^m+2 S_m
+    s *= (n / a)[:, None] ** np.arange(_K + 1) / (a * a)[:, None]  # N^m S_m
+    out += (x + n)[:, None] * (s @ _monomials())
+    out.setflags(write=False)
+    return out
+
+
+def _integral_rows(x) -> np.ndarray:
+    """The integrals int_0^x L_c, c = 0..K, at each point x of [0, 1], a row
+    each: exact for the interpolant, by its Chebyshev coefficients, whose
+    T_k integrate to (T_k+1/(k+1) - T_k-1/(k-1))/2."""
+    t = np.cos(np.multiply.outer(np.arccos(2.0 * np.asarray(x, dtype=float) - 1.0),
+                                 np.arange(_K + 2.0)))
+    t -= (-1.0) ** np.arange(_K + 2)  # from s = -1, where T_k = (-1)^k
+    k = np.arange(2.0, _K + 1)
+    q = np.concatenate((t[..., 1:2], t[..., 2:3] / 4,
+                        t[..., 3:] / (2 * k + 2) - t[..., 1:-2] / (2 * k - 2)), axis=-1)
+    return q @ (_CHEB_LOBATTO / 2)  # dx = ds/2
+
+
+@functools.lru_cache(maxsize=2)
+def _grid_integrals(m: int) -> np.ndarray:
+    """_integral_rows at the m + 1 points j/m, read-only."""
+    out = _integral_rows(_nodes(m + 1))
+    out.setflags(write=False)
+    return out
+
+
+def _spectral_iterates(f: np.ndarray, params: NcfParams, n: int, m: int) -> np.ndarray:
+    """U f, ..., U^n f at _LOBATTO, rows of one array, from the samples f
+    there, by _spectral(N), for a caller that reads each at the m + 1 points
+    j/m by _grid_integrals(m).  Charges those points first, as the grid
+    samples of the grid's iterates, then the n products by the matrix and by
+    _grid_integrals(m), then the build, on every run, as if built, as
+    iterates does."""
+    n_param = params.n_param
+    charge(m + 1, "grid samples")
+    charge(n * (_K + 1) * (_K + m + 2), "operator steps")
+    charge((_K + 1) ** 2 * (19 * n_param + 20 + _K + 1), "transfer operator")
+    a, out = _spectral(n_param), np.empty((n, _K + 1))
+    for k in range(n):
+        f = out[k] = a @ f
+    return out
+
+
 def lipschitz_norm(f: GridFunction) -> LipschitzNormEstimate:
     """Sup plus max slope over adjacent nodes; a lower bound for the true norm."""
     v = f.values
@@ -606,13 +736,25 @@ def fit_rate(errors: np.ndarray):
     return math.exp(slope), math.exp(intercept), (1, size), logs - (slope * ns + intercept)
 
 
+# iterates a block holds, a row each, where their norms or errors are taken
+# together: error_curves and gausskuzmin.run_experiment
+_BLOCK = 16
+
+
 def error_curves(f: GridFunction, params: NcfParams, n_max: int):
     """c_f and the sup and Lipschitz distances of U f, ..., U^n_max f from it:
     c_f is the integral of f against the invariant measure, the constant to
-    which the operator iterates of any Lipschitz f collapse."""
+    which the operator iterates of any Lipschitz f collapse.  The norms are
+    lipschitz_norm's, taken over blocks of _BLOCK iterates at a time."""
     c_f = integrate_against(f, GaussMeasure(params))
-    norms = [lipschitz_norm(GridFunction(g.values - c_f)) for g in iterates(f, params, n_max)]
-    return c_f, np.array([e.sup_part for e in norms]), np.array([e.total for e in norms])
+    sups, slopes, steps = [], [], iterates(f, params, n_max)
+    for _ in range(0, n_max, _BLOCK):
+        e = np.array([g.values for g in itertools.islice(steps, _BLOCK)])
+        e -= c_f
+        sups.append(np.max(np.abs(e), axis=1))
+        slopes.append(np.max(np.abs(np.diff(e, axis=1)), axis=1) * f.resolution)
+    sup = np.concatenate(sups)
+    return c_f, sup, sup + np.concatenate(slopes)
 
 
 def estimate_gap(f: GridFunction, params: NcfParams, n_max: int) -> GapEstimate:

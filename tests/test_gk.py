@@ -209,14 +209,25 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("n_max", [5, 8])
     def test_spot_checks_equal_distribution_at(self, n_max, monkeypatch):
-        # the operator side of each spot check is read off the experiment's
-        # own iterates; n_max = 5 clamps the n = 6 check to n = 5
+        # the operator side of each spot check is the spectral CDF of the
+        # experiment's own iterates, at the spot's exact x: G(x) plus the
+        # integral over [0, x] of (f_n - 1) rho_N, f_n - 1 = A^n (f0 - 1)
+        # interpolated at the nodes, here by a 20-point Gauss-Legendre rule;
+        # n_max = 5 clamps the n = 6 check to n = 5.  The grid of
+        # distribution_at meets it within its O(h^2)
         monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
-        params, mu = NcfParams(1), tilted_measure()
-        rep = run_experiment(mu, params, n_max=n_max, m=256, require_fit=False)
+        params, mu, m = NcfParams(1), tilted_measure(), 256
+        gm, x = GaussMeasure(params), transfer._LOBATTO
+        f0 = gm.log_norm * (x + 1.0) * mu(x)
+        rep = run_experiment(mu, params, n_max=n_max, m=m, require_fit=False)
         for cell in rep.method_agreement:
-            assert cell["operator"] == distribution_at(
-                mu, cell["n"], cell["x"], params, method="operator", m=256)
+            en = np.linalg.matrix_power(transfer._spectral(1), cell["n"]) @ (f0 - 1.0)
+            t = cell["x"] * np.array(core.GL_NODES)
+            want = gn_cdf(cell["x"], gm) + cell["x"] * np.sum(
+                np.array(core.GL_WEIGHTS) * (transfer._lagrange(t) @ en) * gm.density(t))
+            assert abs(cell["operator"] - want) <= 1e-15
+            grid = distribution_at(mu, cell["n"], cell["x"], params, method="operator", m=m)
+            assert abs(cell["operator"] - grid) <= 1.0 / m ** 2
 
     @pytest.mark.parametrize("n_max,steps", [(40, [2, 2, 2]), (5, [2, 2, 1])])
     def test_spot_checks_step_one_sample(self, n_max, steps, monkeypatch):
@@ -264,38 +275,57 @@ class TestRunExperiment:
                 n_paths=gausskuzmin._SPOT_PATHS, rng=np.random.default_rng(21))
 
     def test_one_operator_application_per_step(self, monkeypatch):
-        # the operator is assembled once for the grid, kept for the next
-        # experiment on it, and stepped once per n
-        builds, steps, branch_sums = [], [], []
-        assemble, step, apply = transfer._assemble, transfer._step, transfer.apply_transfer
-
-        def counting_assemble(params, m):
-            builds.append(m)
-            return assemble(params, m)
-
-        def counting_step(op, v):
-            steps.append(v.size)
-            return step(op, v)
-
-        def counting_apply(*args, **kwargs):
-            branch_sums.append(args[0].resolution)
-            return apply(*args, **kwargs)
-
-        monkeypatch.setattr(transfer, "_slot", {})  # no operator from an earlier test
-        monkeypatch.setattr(transfer, "_assemble", counting_assemble)
-        monkeypatch.setattr(transfer, "_step", counting_step)
-        monkeypatch.setattr(transfer, "apply_transfer", counting_apply)
+        # up to N = 10^3 the experiment iterates the spectral matrix: it
+        # assembles no grid operator, steps none and applies none, and it
+        # builds the matrix once per N, kept for the next experiment
+        calls = []
+        for name in ("_assemble", "_step", "apply_transfer"):
+            monkeypatch.setattr(transfer, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
         monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
-        run_experiment(lebesgue_measure(), NcfParams(1), n_max=40, m=128,
-                       rng=np.random.default_rng(3))
-        assert builds == [128]
-        assert steps == [129] * 40
-        assert branch_sums == []
-        run_experiment(gausskuzmin.tilted_measure(), NcfParams(1), n_max=40, m=128,
-                       rng=np.random.default_rng(4))
-        assert builds == [128]
-        assert steps == [129] * 80
-        assert branch_sums == []
+        transfer._spectral.cache_clear()
+        for seed, (n, mu) in enumerate([(1, lebesgue_measure()), (2, lebesgue_measure()),
+                                        (1, tilted_measure()), (1000, tilted_measure())]):
+            run_experiment(mu, NcfParams(n), n_max=40, m=128, require_fit=False,
+                           rng=np.random.default_rng(seed))
+        assert calls == []
+        assert transfer._spectral.cache_info().misses == 3
+
+    @pytest.mark.parametrize("mu", [lebesgue_measure(), tilted_measure()],
+                             ids=["lebesgue", "tilted"])
+    def test_switch_to_the_grid_past_a_thousand(self, mu, monkeypatch):
+        # N = 10^3 iterates the spectral matrix, N = 10^3 + 1 the grid of m
+        # cells: both answer, charge the points, the steps and the build in
+        # that order, and their first errors agree within half a percent
+        monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
+        builds, assemble, reps = [], transfer._assemble, {}
+        monkeypatch.setattr(transfer, "_slot", {})  # no grid operator from an earlier test
+        monkeypatch.setattr(transfer, "_assemble",
+                            lambda params, m: builds.append(params.n_param) or assemble(params, m))
+        for n in (1000, 1001):
+            charges = []
+            monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(what))
+            reps[n] = run_experiment(mu, NcfParams(n), n_max=8, m=64, require_fit=False,
+                                     rng=np.random.default_rng(5))
+            assert charges == ["grid samples", "operator steps", "transfer operator"]
+            assert len(reps[n].sup_errors) == 8
+            assert all(cell["agrees"] for cell in reps[n].method_agreement)
+        assert builds == [1001]
+        assert reps[1001].sup_errors[0] == pytest.approx(reps[1000].sup_errors[0], rel=5e-3)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_curve_reaches_rounding(self, n, monkeypatch):
+        # the grid's curve stalled at 3.3e-8 (N=1, M=1024); the spectral one
+        # falls to rounding and stays there (iterating f0 itself, it grew
+        # again from n = 20, to 3.5e-12 at n = 2000, N=5), and at N=1 its
+        # fit lies near Wirsing's constant
+        monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
+        rep = run_experiment(lebesgue_measure(), NcfParams(n), n_max=200,
+                             rng=np.random.default_rng(0))
+        assert rep.sup_errors[39] < 1e-12
+        assert max(rep.sup_errors[39:]) < 1e-15
+        if n == 1:
+            assert abs(rep.q_fit - 0.3036630028987326586) < 5e-4
 
 
 def _unsorted_sample(mu, n_paths, rng):

@@ -90,7 +90,8 @@ CASES = ([(argv, None) for argv in _CRITERION_11]
          + _BUDGET + [(["gk", "--n", "1000"], None)])
 
 # The floats of `gk`, `gap` and `transfer` that pass through the assembled
-# operator's `dense @ v`, whose summation order BLAS picks by machine, by
+# operator's `dense @ v` (`gk`'s, up to N = 1000, through the spectral
+# matrix's products), whose summation order BLAS picks by machine, by
 # field (a JSON key at any depth, or a CSV column), with their tolerance in
 # ulps of 1.0 (units of 2^-52, absolute).  The iterates are of order 1, so
 # another order moves them by about one unit, and each field by what it

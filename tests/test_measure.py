@@ -111,6 +111,15 @@ class TestSampling:
         with pytest.raises(ValueError, match=r"^gn_cdf argument outside \[0, 1\]$"):
             gn_cdf(u, gm)
 
+    @pytest.mark.parametrize("size", [None, 1, 1000])
+    def test_sample_is_the_quantile_of_its_draws(self, gm, size):
+        # gn_sample skips gn_quantile's check on its own draws, which lie in
+        # [0, 1): the same bits, a float for size None
+        got = gn_sample(gm, np.random.default_rng(8), size)
+        want = gn_quantile(np.random.default_rng(8).random(size), gm)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+
     def test_inverse_consistency(self, gm):
         u = np.linspace(0, 1, 33)
         assert np.max(np.abs(gn_cdf(gn_quantile(u, gm), gm) - u)) <= 1e-12

@@ -799,9 +799,18 @@ class TestOperatorWork:
         monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
         params, f = NcfParams(1), GridFunction.constant(1.0, 128)
         gausskuzmin.run_experiment(gausskuzmin.lebesgue_measure(), params, n_max=40, m=128)
-        # the grid's samples, the 40 steps' products, then one assembly for
-        # them: at N=1, M=128 the branches 1..19 and the groups of cells 6..0
-        assert charges == [129, 129 * 40, 129 * 26]
+        # the 129 points j/128 as the grid's samples, the 40 steps' products
+        # by the 25 x 25 spectral matrix and by the 129 x 25 integrals, then
+        # the matrix's build: 25 x 25 entries, each of the direct branches
+        # 1..39 and the 25 monomials
+        assert charges == [129, 40 * 25 * (25 + 129), 25 * 25 * (39 + 25)]
+        charges.clear()
+        gausskuzmin.run_experiment(gausskuzmin.lebesgue_measure(), NcfParams(1001), n_max=40, m=128,
+                                   require_fit=False)
+        # past N = 10^3 the grid's samples, the 40 steps' products, then one
+        # assembly for them: at N=1001, M=128 the branch 1001 and the groups
+        # of cells 127..0
+        assert charges == [129, 129 * 40, 129 * 129]
         charges.clear()
         list(transfer.iterates(f, params, 2))
         # two applications: at each of the 129 points the singles 1..19, the
@@ -886,6 +895,88 @@ class TestOperatorSlot:
         list(transfer.iterates(f, params, 3))
         assert builds == [(1, 64, 0)]
 
+
+
+def _mp_spectral_row(n, r):
+    """Row r of the spectral matrix at 40 digits and more: at the float nodes,
+    the branches N..N+59 one by one, and the rest through the monomials of
+    each L_c, with sum_{i >= I} 1/((x+i)^q (x+i+1)) = sum_{k=2..q} (-1)^(q-k)
+    zeta(k, x+I) + (-1)^(q-1)/(x+I) exactly, mpmath's Hurwitz zeta at 120
+    digits, which cover the cancellation of that sum."""
+    with mpmath.workdps(120):
+        xs = [mpmath.mpf(float(t)) for t in transfer._LOBATTO]
+        x, first = xs[r], n + 60
+        coef = []  # coef[c][k]: the coefficient of w^k in L_c(w)
+        for c, xc in enumerate(xs):
+            p, d = [mpmath.mpf(1)], mpmath.mpf(1)
+            for j, xj in enumerate(xs):
+                if j != c:
+                    p = [a - xj * b for a, b in zip([0] + p, p + [0])]
+                    d *= xc - xj
+            coef.append([v / d for v in p])
+        a = x + first
+        s = [mpmath.fsum((-1) ** (q - k) * mpmath.zeta(k, a) for k in range(2, q + 1))
+             + (-1) ** (q - 1) / a for q in range(1, len(xs) + 1)]
+        row = []
+        for p in coef:
+            direct = mpmath.fsum((x + n) / ((x + i) * (x + i + 1))
+                                 * mpmath.polyval(p[::-1], n / (x + i)) for i in range(n, first))
+            row.append(float(direct + (x + n) * mpmath.fsum(
+                v * mpmath.mpf(n) ** k * s[k] for k, v in enumerate(p))))
+        return np.array(row)
+
+
+def _cell_recipe(n):
+    """The spectral matrix from the point terms of transfer_at on cells of
+    2^-20: each term's weight on the Lagrange basis at its point, exact to
+    the cells' O(h^2)."""
+    x = transfer._LOBATTO
+    out = np.zeros((x.size, x.size))
+    for r0, w, y in transfer._branch_terms(NcfParams(n), x, transfer._CALLABLE_CELLS):
+        out[r0:r0 + w.shape[0]] += np.einsum("rt,rtc->rc", w, transfer._lagrange(y))
+    return out
+
+
+class TestSpectralOperator:
+    """_spectral(N): the operator as the collocation matrix at the 25
+    Chebyshev-Lobatto points of [0, 1], in closed form, kept per N."""
+
+    def test_wirsing_constant(self):
+        # lambda_2 at N=1 is minus Wirsing's constant, 0.30366300289873265859...
+        # (OEIS A038517)
+        ev = np.linalg.eigvals(transfer._spectral(1))
+        lam = ev[np.argsort(-np.abs(ev))]
+        assert abs(lam[0] - 1.0) <= 1e-14
+        assert abs(lam[1] + 0.3036630028987326586) <= 1e-14
+
+    @pytest.mark.parametrize("n,r", [(1, 7), (5, 3)])
+    def test_row_against_mpmath(self, n, r):
+        assert np.max(np.abs(transfer._spectral(n)[r] - _mp_spectral_row(n, r))) <= 2e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 1000])
+    def test_rows_sum_to_one(self, n):
+        assert np.max(np.abs(transfer._spectral(n).sum(axis=1) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_closed_form_is_the_cell_recipe(self, n):
+        assert np.max(np.abs(transfer._spectral(n) - _cell_recipe(n))) <= 1e-10
+
+    def test_kept_read_only(self):
+        a = transfer._spectral(2)
+        assert transfer._spectral(2) is a
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+
+    def test_integral_rows_exact_for_the_basis(self):
+        # int_0^x of the interpolant of x^p, p <= 24, is x^(p+1)/(p+1)
+        x = np.linspace(0.0, 1.0, 65)
+        w = transfer._integral_rows(x)
+        for p in (0, 1, 7, 24):
+            assert np.max(np.abs(w @ transfer._LOBATTO ** p - x ** (p + 1) / (p + 1))) <= 1e-15
+        assert np.array_equal(transfer._grid_integrals(64), w)
+        assert np.array_equal(transfer._integral_rows(0.3), transfer._integral_rows([0.3])[0])
+        with pytest.raises(ValueError, match="read-only"):
+            transfer._grid_integrals(64)[0, 0] = 1.0
 
 def _fresh(f, params, i_max=None):
     """apply_transfer's values from an empty table store, which it leaves as it was."""
