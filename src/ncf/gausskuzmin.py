@@ -7,15 +7,15 @@ density of the initial measure relative to the invariant one, so f0 -> 1 and
 the distributions converge to the invariant CDF at a geometric rate.  The
 harness computes the per-n sup error at the points j/m, fits the rate, and
 cross-checks the operator route against seeded Monte Carlo orbit simulation.
-Up to N = 10^3 the iterates are the spectral operator's, at 25 Chebyshev
-points, and each CDF the exact integral of their interpolant, so the error
-falls to rounding; past it they are a grid's of m cells, whose CDF is a
-cumulative trapezoid and whose error floors at O(1/m^2).  distribution_at
-stays on the grid.
-"""
+It and distribution_at take one route (_laws).  Up to N = 10^3, where the
+25-point Chebyshev interpolant of f0 is as close to it as a grid of m cells,
+the iterates are the spectral operator's and each CDF the exact integral of
+their interpolant; otherwise they are the grid's, whose CDF, a cumulative
+trapezoid, is off by O(1/m^2) for a smooth f0 and by O(1/m) where f0 jumps."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -25,8 +25,8 @@ import numpy as np
 from .core import NcfParams, _check_unit_interval
 from .errors import FitError, charge, count
 from .measure import DensityFunction, GaussMeasure, gn_cdf
-from .transfer import (_BLOCK, _LOBATTO, _SPECTRAL_N, GridFunction, _grid_integrals, _integral_rows,
-                       _spectral_iterates, apply_transfer, fit_rate, iterates)
+from .transfer import (_BLOCK, _CHEB_LOBATTO, _LOBATTO, _SPECTRAL_N, GridFunction, _grid_integrals,
+                       _integral_rows, _spectral_iterates, apply_transfer, fit_rate, iterates)
 
 
 @dataclass(frozen=True)
@@ -87,21 +87,10 @@ _SPOT_PATHS = 100_000
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Integral of the samples y from x[0] to each uniform node x[j]."""
-    h = x[1] - x[0]
-    return np.concatenate([[0.0], np.cumsum((y[:-1] + y[1:]) * (h / 2.0))])
-
-
-def _cdfs_on_grid(fs, x: np.ndarray, gm: GaussMeasure):
-    """Cumulative integral of each f of fs against the invariant measure at
-    their common nodes x, one at a time.
-
-    Split as closed-form CDF plus the cumulative trapezoid of (f - 1) times
-    the density, so the quadrature error scales with |f - 1| rather than
-    with the full integrand.  The CDF and the density at x are taken once.
-    """
-    cdf, density = gn_cdf(x, gm), gm.density(x)
-    return (cdf + _cumulative_trapezoid((f.values - 1.0) * density, x) for f in fs)
+    """Integral of the samples y, along the last axis, from x[0] to each
+    uniform node x[j]."""
+    c = np.cumsum((y[..., :-1] + y[..., 1:]) * ((x[1] - x[0]) / 2.0), axis=-1)
+    return np.concatenate([np.zeros(c.shape[:-1] + (1,)), c], axis=-1)
 
 
 def _sample_initial(mu: DensityFunction, n_paths: int, rng: np.random.Generator) -> np.ndarray:
@@ -151,46 +140,53 @@ def distribution_at(mu: DensityFunction, n: int, x: float, params: NcfParams,
                     n_paths: int = 100_000,
                     rng: Optional[np.random.Generator] = None) -> float:
     """Probability that the n-th map iterate of a mu-distributed point is < x.
-    The operator method's grid CDF, which may pass 1 by its discretisation
-    error, is clipped to [0, 1]."""
+    The operator method reads F_n(x) off run_experiment's route (_laws), chosen
+    at the points j/m, which are its grid on the grid route; the value, which
+    may pass 1 by the grid's error or by rounding, is clipped to [0, 1]."""
     n = count(n, "n", 0)
     _check_unit_interval(x)
     if method == "operator":
-        f = initial_grid_density(mu, params, m)
-        for f in iterates(f, params, n):
-            pass  # U^n f0, or f0 itself when n = 0
-        cdf = next(_cdfs_on_grid([f], f.nodes, GaussMeasure(params)))
-        return min(max(float(np.interp(x, f.nodes, cdf)), 0.0), 1.0)
+        laws, _, read = _laws(mu, params, n, m, False)
+        law = next(itertools.islice(laws, n, None))  # F_n, after F_0 .. F_n-1
+        return min(max(read(x, law), 0.0), 1.0)
     if method == "montecarlo":
         n_paths = count(n_paths, "n_paths", 1)
         return next(_orbit_fractions(mu, ((n, x),), params.n_param, n_paths, rng))
     raise ValueError(f"unknown method {method!r}")
 
 
-def _cdf_blocks(mu: DensityFunction, params: NcfParams, gm: GaussMeasure, n_max: int, m: int):
-    """The limit law G at the m + 1 points j/m, and the laws F_n of the map
-    iterates n = 1..n_max, in blocks (k, d, read): row i of d holds F_n - G at
-    those points, n = k + i + 1, and read(x, i) its F_n at any x of [0, 1].
-    Up to N = _SPECTRAL_N, F_n - G = W (f_n - 1) rho_N, f_n - 1 the spectral
-    iterates of f0 - 1, W their basis's exact integrals; the spots' rows of W
-    are taken at their exact x.  Iterating f0 - 1, not f0, keeps U 1 = 1
-    exact, where the matrix's row sums are 1 to a few ulps: the error of f0's
-    iterates grew by about that a step past its floor.  Past it, from the grid of m cells, by the cumulative
-    trapezoid, read between its nodes by interpolation.  Charges the points,
-    and on the spectral route the iterates, before it returns."""
-    if params.n_param > _SPECTRAL_N:
-        f0 = initial_grid_density(mu, params, m)
-        x = f0.nodes
-        limit = gn_cdf(x, gm)
-        return limit, ((k, (cum - limit)[None], lambda t, _, cum=cum: float(np.interp(t, x, cum)))
-                       for k, cum in enumerate(_cdfs_on_grid(iterates(f0, params, n_max), x, gm)))
-    g = _spectral_iterates(_relative_density(mu, params)(_LOBATTO) - 1.0, params, n_max, m)
-    g *= gm.density(_LOBATTO)
-    w = _grid_integrals(m)
-    return gn_cdf(np.linspace(0.0, 1.0, m + 1), gm), (
-        (k, g[k:k + _BLOCK] @ w.T,
-         lambda t, i, k=k: gn_cdf(t, gm) + float(_integral_rows(t) @ g[k + i]))
-        for k in range(0, n_max, _BLOCK))
+# f0 is resolved at the 25 nodes where the interpolant is as near to it as a grid
+# of m cells: where f0 - 1's last _TAIL Chebyshev coefficients, and its misses at
+# the points j/m, lie within max(_RESOLVED, 1/m^2) of its largest coefficient or 1
+_TAIL, _RESOLVED = 4, 64 * np.finfo(float).eps
+
+
+def _laws(mu: DensityFunction, params: NcfParams, n_max: int, m: int, on_points: bool):
+    """The laws F_n, n = 0..n_max, on the one route of run_experiment and
+    distribution_at, as (laws, deviation, read): a state per n, (f_n - 1)
+    rho_N at the route's points; F_n - G at the points j/m for a block of
+    states, a row each; and F_n at any x of [0, 1] from a state.  Where N <=
+    _SPECTRAL_N and f0 is resolved, the points are the nodes and f_n - 1 the
+    spectral iterates of f0 - 1 (as the matrix's row sums are 1 to a few ulps,
+    f0's drifted by that a step), integrated exactly; otherwise the grid's,
+    integrated by the cumulative trapezoid.  Charges f0's m + 1 samples, and
+    the iterates as read at them if on_points, else at one x, first."""
+    f0, gm = _relative_density(mu, params), GaussMeasure(params)
+    f, x = GridFunction.from_callable(f0, m), np.linspace(0.0, 1.0, m + 1)
+    if params.n_param <= _SPECTRAL_N:
+        g = f0(_LOBATTO) - 1.0
+        c, s, p, q = _CHEB_LOBATTO @ g, 2.0 * x - 1.0, 0.0, 0.0
+        for ck in c[:0:-1]:  # Clenshaw's recurrence: the interpolant at x is c[0] + s p - q
+            p, q = ck + 2.0 * s * p - q, p
+        miss = np.abs(np.append(c[-_TAIL:], c[0] + s * p - q + 1.0 - f.values)).max()
+        if miss <= max(_RESOLVED, m ** -2.0) * max(np.abs(c).max(), 1.0):
+            g = _spectral_iterates(g, params, n_max, m if on_points else 0) * gm.density(_LOBATTO)
+            return (iter(g), lambda states: states @ _grid_integrals(m).T,
+                    lambda t, state: gn_cdf(t, gm) + float(_integral_rows(t) @ state))
+    limit, density = gn_cdf(x, gm), gm.density(x)
+    laws = ((fn.values - 1.0) * density for fn in itertools.chain([f], iterates(f, params, n_max)))
+    return (laws, lambda states: limit + _cumulative_trapezoid(states, x) - limit,
+            lambda t, state: float(np.interp(t, x, limit + _cumulative_trapezoid(state, x))))
 
 
 def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
@@ -198,25 +194,28 @@ def run_experiment(mu: DensityFunction, params: NcfParams, n_max: int = 40,
                    require_fit: bool = True) -> GkReport:
     """Per-n sup error against the limit law at the m + 1 points j/m,
     geometric-rate fit, and operator-vs-Monte-Carlo spot checks, each agreeing
-    within its band or not.  The operator side is the spectral operator's up
-    to N = 10^3, and a grid of m cells' past it (_cdf_blocks).  The spot checks
+    within its band or not.  The operator side takes the route of _laws: the
+    spectral operator's up to N = 10^3 where its interpolant resolves f0, and
+    otherwise a grid's of m cells.  The spot checks
     share one sample, stepped 2 -> 4 -> 6, so their verdicts are correlated;
     but each estimate is bit for bit what distribution_at's montecarlo method
     returns from rng's state, so each band is a valid marginal band."""
     n_max, m = count(n_max, "n_max", 5), count(m, "m", 1)
-    gm = GaussMeasure(params)
     spots = tuple((min(n, n_max), x) for n, x in ((2, 0.25), (4, 0.5), (6, 0.75)))
-    limit, blocks = _cdf_blocks(mu, params, gm, n_max, m)
+    laws, deviation, read = _laws(mu, params, n_max, m, True)  # charged before forming the points
+    limit = gn_cdf(np.linspace(0.0, 1.0, m + 1), GaussMeasure(params))
+    next(laws)  # F_0, the initial law
     mask = limit >= 0.05  # where the error is read relative to the limit CDF
-    # a block at a time: its sup and relative errors, and the spots' CDFs
+    # a block of n at a time: its sup and relative errors, and the spots' CDFs
     sup_errors, ratios, spot_cdfs = [], [], {}
-    for k, d, read in blocks:
-        err = np.abs(d)
+    for k in range(0, n_max, _BLOCK):
+        states = np.array(list(itertools.islice(laws, _BLOCK)))
+        err = np.abs(deviation(states))
         sup_errors += err.max(axis=1).tolist()
         ratios += (err[:, mask] / limit[mask]).max(axis=1).tolist()
         for n, x in spots:
-            if 0 <= n - 1 - k < len(d):
-                spot_cdfs[n, x] = read(x, n - 1 - k)
+            if 0 <= n - 1 - k < len(states):
+                spot_cdfs[n, x] = read(x, states[n - 1 - k])
     q_fit = theta_bound = window = None
     residuals = ()
     try:

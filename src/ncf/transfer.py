@@ -21,7 +21,7 @@ A second form leaves the grid: _spectral(N), the operator as the matrix of
 collocation at 25 Chebyshev-Lobatto points, in closed form up to N = 10^3
 and kept per N, read-only.  Its iterates of an analytic f converge
 geometrically, not at the grid's O(h^2); _integral_rows integrates them
-exactly.  gausskuzmin.run_experiment iterates it (_spectral_iterates).
+exactly.  gausskuzmin iterates it where it resolves f0 (_spectral_iterates).
 """
 
 from __future__ import annotations
@@ -669,19 +669,18 @@ def _grid_integrals(m: int) -> np.ndarray:
 
 
 def _spectral_iterates(f: np.ndarray, params: NcfParams, n: int, m: int) -> np.ndarray:
-    """U f, ..., U^n f at _LOBATTO, rows of one array, from the samples f
+    """f, U f, ..., U^n f at _LOBATTO, rows of one array, from the samples f
     there, by _spectral(N), for a caller that reads each at the m + 1 points
-    j/m by _grid_integrals(m).  Charges those points first, as the grid
-    samples of the grid's iterates, then the n products by the matrix and by
-    _grid_integrals(m), then the build, on every run, as if built, as
-    iterates does."""
+    j/m by _grid_integrals(m), the caller having charged them as the grid's
+    samples.  Charges the n products by the matrix and by _grid_integrals(m),
+    then the build, on every run, as if built, as iterates does."""
     n_param = params.n_param
-    charge(m + 1, "grid samples")
     charge(n * (_K + 1) * (_K + m + 2), "operator steps")
     charge((_K + 1) ** 2 * (19 * n_param + 20 + _K + 1), "transfer operator")
-    a, out = _spectral(n_param), np.empty((n, _K + 1))
+    a, out = _spectral(n_param), np.empty((n + 1, _K + 1))
+    out[0] = f
     for k in range(n):
-        f = out[k] = a @ f
+        f = out[k + 1] = a @ f
     return out
 
 

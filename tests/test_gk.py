@@ -4,11 +4,13 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from ncf import (
+    DensityFunction,
     FitError,
     GaussMeasure,
     NcfParams,
@@ -25,6 +27,30 @@ from ncf import (
 from ncf import core, gausskuzmin, transfer
 from ncf.gausskuzmin import density_from_grid, initial_grid_density, pushforward_density
 from ncf.rscc import q_kernel_interval_bruteforce, shifted_path_probability
+
+
+def _step_density():
+    """1.6 on [0, 1/2), 0.4 on [1/2, 1]: a law whose f0 jumps, which the
+    25-point spectral interpolant does not resolve."""
+    return DensityFunction(lambda x: np.where(x < 0.5, 1.6, 0.4))
+
+
+def _box_density():
+    """0.9 plus 6.4 on [5/64, 6/64): a tenth of the mass in a box that holds
+    none of the 25 nodes, which lie at 0.067 and 0.103 on either side."""
+    return DensityFunction(lambda x: 0.9 + 6.4 * ((x >= 5 / 64) & (x < 6 / 64)))
+
+
+def _bump_density():
+    """0.9 plus a tenth of N(0.28, 0.003^2), between the nodes 0.25 and 0.309."""
+    return DensityFunction(lambda x: 0.9 + 0.1 * np.exp(-((x - 0.28) / 0.003) ** 2 / 2)
+                           / (0.003 * math.sqrt(2 * math.pi)))
+
+
+def _inverse_density():
+    """1/((x + 1/2) log 3): analytic, but the last Chebyshev coefficients of
+    its f0 - 1 at the 25 nodes are 1.4e-14 to 1.9e-13, not at rounding."""
+    return DensityFunction(lambda x: 1.0 / ((x + 0.5) * math.log(3.0)))
 
 
 class TestLimitCdf:
@@ -133,13 +159,46 @@ class TestDistributionAt:
 
     @pytest.mark.parametrize("m", [1, 2, 4, 1024])
     def test_operator_value_is_a_probability(self, m):
-        # the grid CDF at x = 1 read 1.0629 at m=1, 1.0180 at m=2, and
-        # 1 + 7.3e-8 (Lebesgue, n=1) at the default m=1024
+        # at N=1 the grid CDF at x = 1 read 1.0629 at m=1, 1.0180 at m=2, and
+        # 1 + 7.3e-8 (Lebesgue, n=1) at the default m=1024; N=1 now takes the
+        # spectral route, whose CDF passes 1 by rounding, and N=1001 the grid,
+        # whose Lebesgue CDF reads 1 + 1.7e-10 at m=1 (n=1)
+        for params in (NcfParams(1), NcfParams(1001)):
+            for mu in (lebesgue_measure(), gauss_initial(params), tilted_measure()):
+                for n in (0, 1, 3, 10):
+                    for x in (0.0, 1.0):
+                        assert 0.0 <= distribution_at(mu, n, x, params, m=m) <= 1.0
+
+    @pytest.mark.parametrize("mu,x,want", [
+        (_box_density(), 0.1, 0.19),
+        (_bump_density(), 0.3, 0.27 + 0.05 * (1 + math.erf(0.02 / 0.003 / math.sqrt(2)))),
+    ], ids=["box", "bump"])
+    def test_mass_between_the_nodes_is_kept(self, mu, x, want):
+        # f0 at the nodes is smooth here, and a route test that read it there
+        # alone took the interpolant, which lost the feature's tenth of the
+        # mass: F_0(0.1) read 0.09 for the box, and F_n(1) 0.9; the points
+        # j/m see it, and the grid answers
         params = NcfParams(1)
-        for mu in (lebesgue_measure(), gauss_initial(params), tilted_measure()):
-            for n in (0, 1, 3, 10):
-                for x in (0.0, 1.0):
-                    assert 0.0 <= distribution_at(mu, n, x, params, m=m) <= 1.0
+        assert distribution_at(mu, 0, x, params) == pytest.approx(want, abs=1e-7)
+        assert distribution_at(mu, 3, 1.0, params) == pytest.approx(1.0, abs=1e-6)
+
+    def test_resolved_analytic_density_is_exact(self):
+        # its f0 is resolved to 2e-13, far below a grid's 1/m^2: a cut at
+        # rounding sent it to the grid, whose F_1(0.3) at m = 1024 was 3.4e-8
+        # off.  F_1(x) = sum over i >= 1 of mu((1/(i + x), 1/i]), by mpmath
+        with mpmath.workdps(30):
+            want = float(mpmath.nsum(lambda i: mpmath.log((1 + 2 / i) / (1 + 2 / (i + 0.3))),
+                                     [1, mpmath.inf]) / mpmath.log(3))
+        got = distribution_at(_inverse_density(), 1, 0.3, NcfParams(1), m=1024)
+        assert got == pytest.approx(want, abs=1e-15)
+
+    def test_long_run_within_the_default_budget(self, monkeypatch):
+        # the spectral route charges its iterates as read at the one x: at
+        # n = 1000, m = 8192 the grid answered, and a charge as if read at
+        # the 8193 points j/m, 2.05e8 units, exceeds the default budget
+        monkeypatch.delenv("NCF_BUDGET", raising=False)
+        got = distribution_at(lebesgue_measure(), 1000, 0.5, NcfParams(1), m=8192)
+        assert got == pytest.approx(math.log2(1.5), abs=1e-15)
 
     def test_domain_errors(self):
         params = NcfParams(1)
@@ -213,8 +272,8 @@ class TestRunExperiment:
         # experiment's own iterates, at the spot's exact x: G(x) plus the
         # integral over [0, x] of (f_n - 1) rho_N, f_n - 1 = A^n (f0 - 1)
         # interpolated at the nodes, here by a 20-point Gauss-Legendre rule;
-        # n_max = 5 clamps the n = 6 check to n = 5.  The grid of
-        # distribution_at meets it within its O(h^2)
+        # n_max = 5 clamps the n = 6 check to n = 5.  distribution_at reads
+        # it off the same route, to the bit
         monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
         params, mu, m = NcfParams(1), tilted_measure(), 256
         gm, x = GaussMeasure(params), transfer._LOBATTO
@@ -226,8 +285,24 @@ class TestRunExperiment:
             want = gn_cdf(cell["x"], gm) + cell["x"] * np.sum(
                 np.array(core.GL_WEIGHTS) * (transfer._lagrange(t) @ en) * gm.density(t))
             assert abs(cell["operator"] - want) <= 1e-15
-            grid = distribution_at(mu, cell["n"], cell["x"], params, method="operator", m=m)
-            assert abs(cell["operator"] - grid) <= 1.0 / m ** 2
+            assert cell["operator"] == distribution_at(mu, cell["n"], cell["x"], params, m=m)
+
+    @pytest.mark.parametrize("n_param,mu", [(1001, tilted_measure()), (1, _step_density())],
+                             ids=["past-a-thousand", "step"])
+    def test_grid_spot_checks_equal_distribution_at(self, n_param, mu, monkeypatch):
+        # on the grid route the spots from n = 3 on are distribution_at's to
+        # the bit; the n = 2 spot agrees to rounding (1.1e-16 here), as
+        # iterates takes runs of under three steps by the branch sum, not
+        # the operator's step
+        monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
+        params, m = NcfParams(n_param), 256
+        rep = run_experiment(mu, params, n_max=8, m=m, require_fit=False)
+        for cell in rep.method_agreement:
+            got = distribution_at(mu, cell["n"], cell["x"], params, m=m)
+            if cell["n"] < 3:
+                assert cell["operator"] == pytest.approx(got, rel=0.0, abs=1e-15)
+            else:
+                assert cell["operator"] == got
 
     @pytest.mark.parametrize("n_max,steps", [(40, [2, 2, 2]), (5, [2, 2, 1])])
     def test_spot_checks_step_one_sample(self, n_max, steps, monkeypatch):
@@ -312,6 +387,53 @@ class TestRunExperiment:
             assert all(cell["agrees"] for cell in reps[n].method_agreement)
         assert builds == [1001]
         assert reps[1001].sup_errors[0] == pytest.approx(reps[1000].sup_errors[0], rel=5e-3)
+
+    def test_step_density_agrees_with_montecarlo(self):
+        # the 25-point interpolant of the step's f0 is off by O(1) near the
+        # jump: the spectral route's curve stalled at 3.9e-2, and every spot
+        # missed its band (n = 2, x = 1/4: 0.3645 against 0.3225); the grid
+        # route agrees, and its curve falls to the grid's floor
+        rep = run_experiment(_step_density(), NcfParams(1), n_max=10, m=1024,
+                             require_fit=False, rng=np.random.default_rng(0))
+        assert all(cell["agrees"] for cell in rep.method_agreement)
+        assert rep.sup_errors[-1] < 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 1000])
+    def test_resolved_measures_take_the_spectral_route(self, n, monkeypatch):
+        # up to N = 10^3 the three built-in measures, and 1/(x + 1/2), whose
+        # f0 the 25 points resolve, take the spectral route in both callers:
+        # no grid operator assembled, stepped or applied
+        calls = []
+        for name in ("_assemble", "_step", "apply_transfer"):
+            monkeypatch.setattr(transfer, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
+        params = NcfParams(n)
+        for mu in (lebesgue_measure(), tilted_measure(), gauss_initial(params), _inverse_density()):
+            run_experiment(mu, params, n_max=8, m=128, require_fit=False,
+                           rng=np.random.default_rng(1))
+            distribution_at(mu, 3, 0.5, params, m=128)
+        assert calls == []
+
+    @pytest.mark.parametrize("density", [_step_density, _box_density, _bump_density],
+                             ids=["step", "box", "bump"])
+    def test_unresolved_density_takes_the_grid(self, density, monkeypatch):
+        # the f0 of a step, or of a box or a bump between the nodes, is not
+        # resolved: both callers take the grid of m cells, the experiment
+        # assembling its operator once
+        monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
+        monkeypatch.setattr(transfer, "_slot", {})  # no grid operator from an earlier test
+        calls, assemble, apply = [], transfer._assemble, transfer.apply_transfer
+        monkeypatch.setattr(transfer, "_assemble",
+                            lambda params, m: calls.append(("_assemble", m)) or assemble(params, m))
+        monkeypatch.setattr(transfer, "apply_transfer",
+                            lambda f, params: calls.append(("apply_transfer", f.resolution))
+                            or apply(f, params))
+        params = NcfParams(1)
+        run_experiment(density(), params, n_max=8, m=128, require_fit=False,
+                       rng=np.random.default_rng(1))
+        distribution_at(density(), 1, 0.5, params, m=64)
+        assert calls == [("_assemble", 128), ("apply_transfer", 64)]
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_curve_reaches_rounding(self, n, monkeypatch):
@@ -401,6 +523,8 @@ _CF = make_ncf_rscc(NcfParams(1))
 
 @pytest.mark.parametrize("call,name", [
     (lambda: distribution_at(lebesgue_measure(), 1.0, 0.5, NcfParams(1)), "n"),
+    # read by both routes, which sample f0 at the points j/m
+    (lambda: distribution_at(lebesgue_measure(), 1, 0.5, NcfParams(1), m=2.0), "m"),
     # once nan with a RuntimeWarning
     (lambda: distribution_at(lebesgue_measure(), 2, 0.5, NcfParams(1), method="montecarlo",
                              n_paths=0), "n_paths"),
@@ -415,7 +539,7 @@ _CF = make_ncf_rscc(NcfParams(1))
     (lambda: q_kernel_interval_bruteforce(_CF, 0.3, 0.5, i_max=0), "i_max"),
     # once 0.5652798, where the kernel is 0.5652174
     (lambda: q_kernel_interval_bruteforce(_CF, 0.3, 0.5, i_max=100.5), "i_max"),
-], ids=["distribution_at-n", "distribution_at-n_paths", "run_experiment-n_max",
+], ids=["distribution_at-n", "distribution_at-m", "distribution_at-n_paths", "run_experiment-n_max",
         "estimate_gap-n_max", "digits-max_len", "lowest_branch_orbits-n_max",
         "limit_path_law-r", "shifted_path_probability-n", "bruteforce-i_max-0",
         "bruteforce-i_max-half"])
