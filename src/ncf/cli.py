@@ -109,7 +109,7 @@ def _cmd_gap(args):
     sup_errors = [float(e) for e in est.sup_errors]
     lip_errors = [float(e) for e in est.lip_errors]
     return ({"grid": args.grid, "q_hat": est.q_hat, "k_hat": est.k_hat,
-             "fit_window": est.n_window,
+             "lambda2": transfer._lambda2(args.n), "fit_window": est.n_window,
              "residuals": [float(r) for r in est.residuals],
              "sup_errors": sup_errors, "lipschitz_errors": lip_errors},
             ("step", "sup_error", "lipschitz_error"),
@@ -229,12 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     flags(p, grid=64)
     p.set_defaults(fn=_cmd_invariance)
 
+    # where the iterates of `transfer`, `gap` and `gk` are read, and past N = 1000 iterated
+    read_at = ("M: the errors are read at the M + 1 points j/M; past N = 1000 "
+               "the operator is also iterated on a grid of M cells")
     p = command("transfer", help="operator iteration error curve for f(x)=x")
-    flags(p, grid=1024, nmax=40)
+    flags(p, grid=1024, nmax=40, grid_help=read_at)
     p.set_defaults(fn=_cmd_transfer)
 
     p = command("gap", help="geometric-rate estimate for f(x)=x")
-    flags(p, grid=2048, nmax=30)
+    flags(p, grid=2048, nmax=30, grid_help=read_at)
     p.set_defaults(fn=_cmd_gap)
 
     p = command("gk", help="Gauss-Kuzmin experiment report")
@@ -242,9 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial measure")
     p.add_argument("--require-fit", action="store_true",
                    help="fail (exit 4) if no geometric rate can be fitted")
-    flags(p, grid=1024, nmax=40, seed=0,
-          grid_help="M: the sup error is read at the M + 1 points j/M; past N = 1000 "
-                    "the operator is also iterated on a grid of M cells")
+    flags(p, grid=1024, nmax=40, seed=0, grid_help=read_at)
     p.set_defaults(fn=_cmd_gk)
 
     p = command("rscc-mealy", help="two-state Mealy machine")

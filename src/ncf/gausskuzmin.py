@@ -25,8 +25,8 @@ import numpy as np
 from .core import NcfParams, _check_unit_interval
 from .errors import FitError, charge, count
 from .measure import DensityFunction, GaussMeasure, gn_cdf
-from .transfer import (_BLOCK, _CHEB_LOBATTO, _LOBATTO, _SPECTRAL_N, GridFunction, _grid_integrals,
-                       _integral_rows, _spectral_iterates, apply_transfer, fit_rate, iterates)
+from .transfer import (_BLOCK, _LOBATTO, _SPECTRAL_N, GridFunction, _grid_integrals, _integral_rows,
+                       _resolves, _spectral_iterates, apply_transfer, fit_rate, iterates)
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,6 @@ def distribution_at(mu: DensityFunction, n: int, x: float, params: NcfParams,
     raise ValueError(f"unknown method {method!r}")
 
 
-# f0 is resolved at the 25 nodes where the interpolant is as near to it as a grid
-# of m cells: where f0 - 1's last _TAIL Chebyshev coefficients, and its misses at
-# the points j/m, lie within max(_RESOLVED, 1/m^2) of its largest coefficient or 1
-_TAIL, _RESOLVED = 4, 64 * np.finfo(float).eps
-
-
 def _laws(mu: DensityFunction, params: NcfParams, n_max: int, m: int, on_points: bool):
     """The laws F_n, n = 0..n_max, on the one route of run_experiment and
     distribution_at, as (laws, deviation, read): a state per n, (f_n - 1)
@@ -172,17 +166,14 @@ def _laws(mu: DensityFunction, params: NcfParams, n_max: int, m: int, on_points:
     integrated by the cumulative trapezoid.  Charges f0's m + 1 samples, and
     the iterates as read at them if on_points, else at one x, first."""
     f0, gm = _relative_density(mu, params), GaussMeasure(params)
-    f, x = GridFunction.from_callable(f0, m), np.linspace(0.0, 1.0, m + 1)
+    f = GridFunction.from_callable(f0, m)
     if params.n_param <= _SPECTRAL_N:
         g = f0(_LOBATTO) - 1.0
-        c, s, p, q = _CHEB_LOBATTO @ g, 2.0 * x - 1.0, 0.0, 0.0
-        for ck in c[:0:-1]:  # Clenshaw's recurrence: the interpolant at x is c[0] + s p - q
-            p, q = ck + 2.0 * s * p - q, p
-        miss = np.abs(np.append(c[-_TAIL:], c[0] + s * p - q + 1.0 - f.values)).max()
-        if miss <= max(_RESOLVED, m ** -2.0) * max(np.abs(c).max(), 1.0):
+        if _resolves(g, f.values - 1.0):
             g = _spectral_iterates(g, params, n_max, m if on_points else 0) * gm.density(_LOBATTO)
             return (iter(g), lambda states: states @ _grid_integrals(m).T,
                     lambda t, state: gn_cdf(t, gm) + float(_integral_rows(t) @ state))
+    x = np.linspace(0.0, 1.0, m + 1)
     limit, density = gn_cdf(x, gm), gm.density(x)
     laws = ((fn.values - 1.0) * density for fn in itertools.chain([f], iterates(f, params, n_max)))
     return (laws, lambda states: limit + _cumulative_trapezoid(states, x) - limit,

@@ -21,7 +21,8 @@ A second form leaves the grid: _spectral(N), the operator as the matrix of
 collocation at 25 Chebyshev-Lobatto points, in closed form up to N = 10^3
 and kept per N, read-only.  Its iterates of an analytic f converge
 geometrically, not at the grid's O(h^2); _integral_rows integrates them
-exactly.  gausskuzmin iterates it where it resolves f0 (_spectral_iterates).
+exactly.  error_curves and gausskuzmin iterate it where it resolves f or f0
+(_resolves, _spectral_iterates).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .core import NcfParams
 from .errors import FitError, charge, count
-from .measure import GaussMeasure
+from .measure import GaussMeasure, _gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -647,6 +648,15 @@ def _spectral(n: int) -> np.ndarray:
     return out
 
 
+def _lambda2(n: int) -> Optional[float]:
+    """The eigenvalue of _spectral(n) second in modulus, the operator's
+    lambda_2 (at N = 1 minus Wirsing's constant, 0.3036630028987...), or None
+    past _SPECTRAL_N."""
+    if n > _SPECTRAL_N:
+        return None
+    return float(sorted(np.linalg.eigvals(_spectral(n)), key=abs)[-2].real)
+
+
 def _integral_rows(x) -> np.ndarray:
     """The integrals int_0^x L_c, c = 0..K, at each point x of [0, 1], a row
     each: exact for the interpolant, by its Chebyshev coefficients, whose
@@ -668,12 +678,31 @@ def _grid_integrals(m: int) -> np.ndarray:
     return out
 
 
+# the interpolant at _LOBATTO resolves f where its last _TAIL Chebyshev
+# coefficients, and its misses at the points j/m, lie within max(_RESOLVED,
+# 1/m^2) of its largest coefficient or 1: it is as near to f as a grid of m cells
+_TAIL, _RESOLVED = 4, 64 * np.finfo(float).eps
+
+
+def _resolves(g: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the interpolant of the samples g at _LOBATTO resolves the
+    function whose samples at the m + 1 points j/m are v.  The points catch a
+    box or a narrow bump between the nodes, which a test at the nodes alone
+    misses."""
+    c, s, p, q = _CHEB_LOBATTO @ g, 2.0 * np.linspace(0.0, 1.0, v.size) - 1.0, 0.0, 0.0
+    for ck in c[:0:-1]:  # Clenshaw's recurrence: the interpolant at x is c[0] + s p - q
+        p, q = ck + 2.0 * s * p - q, p
+    miss = np.abs(np.append(c[-_TAIL:], c[0] + s * p - q - v)).max()
+    return miss <= max(_RESOLVED, (v.size - 1) ** -2.0) * max(np.abs(c).max(), 1.0)
+
+
 def _spectral_iterates(f: np.ndarray, params: NcfParams, n: int, m: int) -> np.ndarray:
     """f, U f, ..., U^n f at _LOBATTO, rows of one array, from the samples f
     there, by _spectral(N), for a caller that reads each at the m + 1 points
-    j/m by _grid_integrals(m), the caller having charged them as the grid's
-    samples.  Charges the n products by the matrix and by _grid_integrals(m),
-    then the build, on every run, as if built, as iterates does."""
+    j/m by a row of 25 weights a point (_grid_integrals(m), or the Lagrange
+    basis there), the caller having charged them as the grid's samples.
+    Charges the n products by the matrix and by those rows, then the build,
+    on every run, as if built, as iterates does."""
     n_param = params.n_param
     charge(n * (_K + 1) * (_K + m + 2), "operator steps")
     charge((_K + 1) ** 2 * (19 * n_param + 20 + _K + 1), "transfer operator")
@@ -741,24 +770,43 @@ _BLOCK = 16
 
 
 def error_curves(f: GridFunction, params: NcfParams, n_max: int):
-    """c_f and the sup and Lipschitz distances of U f, ..., U^n_max f from it:
-    c_f is the integral of f against the invariant measure, the constant to
-    which the operator iterates of any Lipschitz f collapse.  The norms are
-    lipschitz_norm's, taken over blocks of _BLOCK iterates at a time."""
-    c_f = integrate_against(f, GaussMeasure(params))
-    sups, slopes, steps = [], [], iterates(f, params, n_max)
-    for _ in range(0, n_max, _BLOCK):
-        e = np.array([g.values for g in itertools.islice(steps, _BLOCK)])
-        e -= c_f
+    """c_f and the sup and Lipschitz distances of U f, ..., U^n_max f from it,
+    as lipschitz_norm takes them at the m + 1 nodes j/m of f: c_f is the
+    integral of f against the invariant measure, the constant to which the
+    operator iterates of any Lipschitz f collapse.  Where N <= _SPECTRAL_N and
+    the interpolant of f at _LOBATTO resolves it (_resolves), c_f is the
+    interpolant's integral, to rounding, and the iterates are the spectral
+    iterates of its difference from c_f, read at the nodes; otherwise c_f is
+    integrate_against's and the iterates are the grid's.  The norms are taken
+    over blocks of _BLOCK iterates at a time."""
+    gm, m, blocks = GaussMeasure(params), f.resolution, None
+    if params.n_param <= _SPECTRAL_N:
+        # four panels of the rule take each L_c rho_N to rounding (one is 2.5e-14
+        # off at N = 1); the rows are summed by NumPy, in one order on every machine
+        g = f(_LOBATTO)
+        c_f = _gauss_legendre(lambda x: (_lagrange(x) * g).sum(axis=1) * gm.density(x),
+                              0.0, 1.0, panels=4)
+        g -= c_f
+        if _resolves(g, f.values - c_f):
+            steps = _spectral_iterates(g, params, n_max, m)[1:]  # charged before the rows are formed
+            rows = _lagrange(_nodes(m + 1)).T
+            blocks = (steps[k:k + _BLOCK] @ rows for k in range(0, n_max, _BLOCK))
+    if blocks is None:
+        c_f, steps = integrate_against(f, gm), iterates(f, params, n_max)
+        blocks = (np.array([g.values for g in itertools.islice(steps, _BLOCK)]) - c_f
+                  for _ in range(0, n_max, _BLOCK))
+    sups, slopes = [], []
+    for e in blocks:
         sups.append(np.max(np.abs(e), axis=1))
-        slopes.append(np.max(np.abs(np.diff(e, axis=1)), axis=1) * f.resolution)
+        slopes.append(np.max(np.abs(np.diff(e, axis=1)), axis=1) * m)
     sup = np.concatenate(sups)
     return c_f, sup, sup + np.concatenate(slopes)
 
 
 def estimate_gap(f: GridFunction, params: NcfParams, n_max: int) -> GapEstimate:
     """Fit the geometric decay rate on the log scale: the sup-norm distance
-    ||U^n f - c_f|| of the iterates from c_f decays like k q^n."""
+    ||U^n f - c_f|| of the iterates from c_f, error_curves' at the nodes of
+    f, on its route, decays like k q^n."""
     n_max = count(n_max, "n_max", 5)
     if np.ptp(f.values) == 0.0:
         raise ValueError("gap estimation needs a non-constant function")

@@ -89,9 +89,10 @@ CASES = ([(argv, None) for argv in _CRITERION_11]
                                       ["eval", "--digits", "1", "--n", "2"])]
          + _BUDGET + [(["gk", "--n", "1000"], None)])
 
-# The floats of `gk`, `gap` and `transfer` that pass through the assembled
-# operator's `dense @ v` (`gk`'s, up to N = 1000, through the spectral
-# matrix's products), whose summation order BLAS picks by machine, by
+# The floats of `gk`, `gap` and `transfer` that pass through the products of
+# the spectral matrix (past N = 1000, of the assembled operator's `dense @
+# v`), and `gap`'s lambda2, an eigenvalue of that matrix, whose summation
+# order BLAS picks by machine, by
 # field (a JSON key at any depth, or a CSV column), with their tolerance in
 # ulps of 1.0 (units of 2^-52, absolute).  The iterates are of order 1, so
 # another order moves them by about one unit, and each field by what it
@@ -106,6 +107,7 @@ _BLAS_ULPS = {
     "q_hat": 2 ** 14, "q_fit": 2 ** 14,  # 669
     "k_hat": 2 ** 16, "theta_bound": 2 ** 16,  # 3638, none
     "residuals": 2 ** 20, "fit_residuals": 2 ** 20,  # 51384: logs of the errors
+    "lambda2": 2 ** 5,  # 5.25 with every entry of the matrix moved by up to 2 units
 }
 
 

@@ -226,6 +226,10 @@ class TestApplyTransfer:
             assert 1.0 < ratio < 16.0  # factor-of-2 band around 4
 
 
+# Wirsing's constant, -lambda_2 of the N=1 operator (OEIS A038517)
+_WIRSING = 0.3036630028987326586
+
+
 def _random_grid(m, seed):
     return GridFunction(np.random.default_rng(seed).random(m + 1))
 
@@ -1282,11 +1286,27 @@ class TestEstimateGap:
 
     def test_classical_rate_band(self):
         # the decay rate for N=1 sits near the classical Gauss-Kuzmin-Wirsing
-        # constant 0.3036 (external sanity anchor)
+        # constant 0.3036 (external sanity anchor): within 0.09% on the
+        # spectral iterates, 0.50% high on the grid's
         est = estimate_gap(GridFunction.from_callable(lambda x: x, 2048),
                            NcfParams(1), 30)
-        assert 0.30 <= est.q_hat <= 0.32
+        assert abs(est.q_hat / _WIRSING - 1.0) <= 0.005
         assert np.max(np.abs(est.residuals)) < 0.5
+
+    @pytest.mark.parametrize("grid", ["1", "2", "8"])
+    def test_rate_at_coarse_grids(self, grid, capsys):
+        # --grid is where the iterates are read, not a grid they are iterated
+        # on: on a 2-node grid q_hat read 0.757, on 3 nodes 0.443
+        assert main(["gap", "--grid", grid, "--nmax", "10"]) == 0
+        q_hat = json.loads(capsys.readouterr().out)["q_hat"]
+        assert abs(q_hat / _WIRSING - 1.0) <= 0.01
+
+    @pytest.mark.parametrize("n,want", [(1, -_WIRSING), (1001, None)], ids=["N=1", "N=1001"])
+    def test_gap_reports_lambda2(self, n, want, capsys):
+        # the spectral matrix's second eigenvalue up to N = 1000, null past it
+        assert main(["gap", "--n", str(n), "--grid", "64", "--nmax", "8"]) == 0
+        lambda2 = json.loads(capsys.readouterr().out)["lambda2"]
+        assert lambda2 == want if want is None else abs(lambda2 - want) <= 1e-14
 
     @pytest.mark.parametrize("n", list(range(1, 11)))
     def test_rate_below_one(self, n):
@@ -1308,3 +1328,54 @@ class TestEstimateGap:
         est = estimate_gap(GridFunction.from_callable(lambda x: x, 256), NcfParams(2), 12)
         assert [c["sup_error"] for c in curve] == est.sup_errors.tolist()
         assert [c["lipschitz_error"] for c in curve] == est.lip_errors.tolist()
+
+
+def _grid_curves(f, params, n_max):
+    """error_curves on the grid: integrate_against's c_f and the distances of
+    the grid iterates from it."""
+    c_f = integrate_against(f, GaussMeasure(params))
+    e = np.array([g.values for g in transfer.iterates(f, params, n_max)]) - c_f
+    sup = np.max(np.abs(e), axis=1)
+    return c_f, sup, sup + np.max(np.abs(np.diff(e, axis=1)), axis=1) * f.resolution
+
+
+class TestErrorCurveRoutes:
+    """error_curves iterates the spectral matrix up to N = 1000 where the
+    interpolant at its 25 nodes resolves f, and the grid otherwise."""
+
+    @pytest.mark.parametrize("f,n", [
+        (_random_grid(256, seed=3), 1),  # white noise, which 25 nodes do not resolve
+        (GridFunction.from_callable(lambda x: x, 64), 1001),  # past the spectral matrix
+        (GridFunction.from_callable(lambda x: np.where(x < 0.5, 1.0, 0.0), 1024), 2),  # a jump
+    ], ids=["noise", "N=1001", "step"])
+    def test_grid_route_is_the_grid(self, f, n):
+        got, want = transfer.error_curves(f, NcfParams(n), 20), _grid_curves(f, NcfParams(n), 20)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    def test_spectral_route_takes_no_grid_operator(self, monkeypatch):
+        monkeypatch.setattr(transfer, "_slot", {})
+        monkeypatch.setattr(transfer, "apply_transfer", None)
+        c_f, sup, lip = transfer.error_curves(GridFunction.from_callable(np.cos, 2048),
+                                              NcfParams(1), 30)
+        assert transfer._slot == {} and sup.shape == lip.shape == (30,)
+        assert np.all(lip > sup) and sup[-1] < 1e-12  # the grid's floor at M = 2048 is 2.8e-8
+
+    def test_spectral_curve_is_the_grid_limit(self):
+        # the sup errors of f = x at N=1 against the grid's at M = 8192, whose
+        # O(h^2), 7.4e-10, is 1.6e-6 of the error at n = 5 and 5.3e-6 at n = 6,
+        # and against Richardson's extrapolation of M = 4096 and 8192
+        fine, coarse = (GridFunction.from_callable(lambda x: x, m) for m in (8192, 4096))
+        c_f, sup, _ = transfer.error_curves(fine, NcfParams(1), 6)
+        grid = _grid_curves(fine, NcfParams(1), 6)
+        limit = (4.0 * grid[1] - _grid_curves(coarse, NcfParams(1), 6)[1]) / 3.0
+        assert abs(c_f - grid[0]) <= 1e-15
+        assert np.max(np.abs(sup - grid[1])) <= 1e-9
+        assert np.max(np.abs(sup / limit - 1.0)) <= 1e-7
+
+    def test_resolved_affine_grid_takes_the_spectral_route(self):
+        # c_f is the interpolant's integral: for f = a + b x, a + b (1/log 2 - 1)
+        f = GridFunction.from_callable(lambda x: 2.0 - 3.0 * x, 16)
+        c_f, sup, _ = transfer.error_curves(f, NcfParams(1), 40)
+        assert abs(c_f - (2.0 - 3.0 * (1.0 / math.log(2.0) - 1.0))) <= 4e-16
+        assert sup[-1] < 1e-15  # the grid's floor at M = 16 is 5.8e-4
