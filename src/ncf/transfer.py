@@ -14,9 +14,10 @@ apply_transfer keeps what of its series reads no f, by (N, M, i_max), and
 its single branches' rows, by (N, M), read-only, the least recently used
 dropped past 16 MiB in all; a larger table is formed and used a node block
 at a time at every call.
-iterates() assembles the operator once per (N, M), steps it by one BLAS
-product plus gathered rows, and keeps it, read-only, until another grid
-needs the slot: at most one is held.
+iterates() takes n branch sums, or, where its build and steps are charged
+less, n steps of the operator of f's grid, each one BLAS product plus
+gathered rows; the operator is assembled once per (N, M) and held,
+read-only, until another grid needs it (_operator): one at a time.
 A second form leaves the grid: _spectral(N), the operator as the matrix of
 collocation at 25 Chebyshev-Lobatto points, in closed form up to N = 10^3
 and kept per N, read-only.  Its iterates of an analytic f converge
@@ -211,14 +212,13 @@ def _mean(u: np.ndarray, c: np.ndarray, nm) -> np.ndarray:
 def _grid_terms(params: NcfParams, j: np.ndarray, m: int, i_max: Optional[int]):
     """The terms of the operator at x = j/M, exact for f linear on each of m
     cells, by apply_transfer's formulas: the one place they are formed for the
-    assembly and the point form.  Charges len(j) times the terms a point, and
-    yields chunks of about _CHUNK entries, a point a row: (r0, x+N, w, p, k, a,
+    assembly and the point form, which charge len(j) times the terms a point.
+    Yields chunks of about _CHUNK entries, a point a row: (r0, x+N, w, p, k, a,
     b), the masses w over x+N and places p of the singles and the last term,
     each adding w f_c + w (p - c) (f_{c+1} - f_c), c = min(floor(p), M-1), and
     the groups' cells k, masses a and offsets b, each a f_k + b (f_{k+1} - f_k)."""
     n = params.n_param
     nm, s, first, cut, top, low, terms = _layout(n, m, i_max, True)
-    charge(len(j) * terms, "transfer operator")
     t, q, r, ends, k = _thresholds(nm, first, cut, top, low)
     c = s * (nm - k * ends).astype(float)[:, None]  # the ends down columns, the points along rows
     cnt, mr = np.diff(ends).astype(float)[:, None], (m * r / t).astype(float)[:, None]
@@ -246,6 +246,7 @@ def _branch_terms(params: NcfParams, x: np.ndarray, m: int, i_max: Optional[int]
     empty group at its cell's edge: along a row the points fall."""
     if params.n_param * m >= 2 ** 1024 - 2 ** 970:  # the last end NM, past what float() takes
         raise ValueError(f"point terms on M = {m} cells need N M < 2^1024 - 2^970")
+    charge(len(x) * _layout(params.n_param, m, i_max, True)[-1], "transfer operator")
     for r0, xn, w, p, k, a, b in _grid_terms(params, m * x, m, i_max):
         t = np.divide(np.minimum(np.maximum(b, 0.0), a), a, out=np.zeros_like(a), where=a > 0)
         yield (r0, xn[:, None] * np.concatenate((w[:, :-1], a, w[:, -1:]), axis=1),
@@ -431,6 +432,15 @@ def _hold(key, size: int, make, beside=None):
     return tables
 
 
+def _branch_sum(n: int, m: int, i_max: Optional[int]):
+    """apply_transfer's _layout, series (the groups' and the crossings') and
+    charge: the point terms and coefficients at every node, _CHEB a series."""
+    layout = _layout(n, m, i_max, False)
+    _, _, first, _, top, low, terms = layout
+    series = terms - 1 - (first - n) + max(top - low, 0)
+    return layout, series, (m + 1) * (first - n + 1 + _CHEB) + _CHEB * series
+
+
 def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = None) -> GridFunction:
     """One application of the transfer operator at the nodes j/M of f: the
     terms of _grid_terms, by its formulas, with the groups formed once per
@@ -456,10 +466,9 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     formed and used a block at a time.  A held table gives the bits of a
     fresh one."""
     n, m, v, d = params.n_param, f.resolution, f.values, np.diff(f.values)
-    layout = _layout(n, m, i_max, False)
-    nm, sc, first, cut, top, low, terms = layout
-    series = terms - 1 - (first - n) + max(top - low, 0)  # the groups' and the crossings'
-    charge((m + 1) * (first - n + 1 + _CHEB) + _CHEB * series, "transfer operator")
+    layout, series, units = _branch_sum(n, m, i_max)
+    first, cut = layout[2:4]
+    charge(units, "transfer operator")
     # _tables' words: 6 a node, 21 a series; _singles' 3 a node a branch
     key = ("groups", n, m, cut, _CHUNK)
     groups, blocks = _hold(key, 8 * (6 * (m + 1) + 21 * series), lambda: _tables(n, m, layout))
@@ -532,32 +541,36 @@ def _step(op, v: np.ndarray) -> np.ndarray:
     return out
 
 
-# the operator last assembled, by (N, M): one at a time
-_slot = {}
+@functools.lru_cache(maxsize=1)
+def _operator(n: int, m: int):
+    """The operator of N = n on grids of m cells (_assemble), read-only: the
+    one held, for the next run on that grid.  The one held before is dropped
+    before the build, so no two are ever held."""
+    _operator.cache_clear()
+    op = _assemble(NcfParams(n), m)
+    _freeze(op)
+    return op
 
 
 def iterates(f: GridFunction, params: NcfParams, n: int):
     """Yield U f, U^2 f, ..., U^n f: every multi-step use of the operator.
-    From three steps on, each step is a matrix-vector product by the operator
-    of f's grid, built once per (N, M) for about the cost of one branch sum,
-    kept until another grid needs the slot, and charged for its steps and, on
-    every run, as if built.  Shorter runs take the branch sum of apply_transfer."""
-    if n < 3:
+    A run whose build and n steps are charged more than n branch sums takes
+    those (apply_transfer), and else n matrix-vector products by the
+    operator of f's grid (_operator).  The form is chosen by (N, M, n)
+    alone, never by what is held; runs in one form agree step for step to
+    the bit, and the two forms differ at rounding.  An operator run charges
+    its steps and the build before the lookup, built or held alike; a 0-step
+    run, costing more than no branch sums, builds and charges nothing."""
+    m, n_param = f.resolution, params.n_param
+    build = (m + 1) * _layout(n_param, m, None, True)[-1]
+    if build + n * (m + 1) > n * _branch_sum(n_param, m, None)[-1]:
         for _ in range(n):
             f = apply_transfer(f, params)
             yield f
         return
-    charge(n * (f.resolution + 1), "operator steps")  # one unit a node a product
-    key = (params.n_param, f.resolution)
-    op = _slot.get(key)  # one lookup: a run in another thread may empty the slot
-    if op is None:
-        _slot.clear()  # hold no two operators, not even during the build
-        op = _slot[key] = _assemble(params, f.resolution)
-        for a in op:
-            a.setflags(write=False)  # a step never writes the operator, nor may a caller
-    else:  # the build's charge only, counted without forming a term
-        charge((key[1] + 1) * _layout(*key, None, True)[-1], "transfer operator")
-    v = f.values
+    charge(n * (m + 1), "operator steps")  # one unit a node a product
+    charge(build, "transfer operator")
+    op, v = _operator(n_param, m), f.values
     for _ in range(n):
         v = _step(op, v)
         yield GridFunction(v)

@@ -290,19 +290,14 @@ class TestRunExperiment:
     @pytest.mark.parametrize("n_param,mu", [(1001, tilted_measure()), (1, _step_density())],
                              ids=["past-a-thousand", "step"])
     def test_grid_spot_checks_equal_distribution_at(self, n_param, mu, monkeypatch):
-        # on the grid route the spots from n = 3 on are distribution_at's to
-        # the bit; the n = 2 spot agrees to rounding (1.1e-16 here), as
-        # iterates takes runs of under three steps by the branch sum, not
-        # the operator's step
+        # on the grid route a spot is distribution_at's to the bit where both
+        # runs take one form: at N = 1001 on 256 cells every run of up to 8
+        # steps takes branch sums, at N = 1 every run of 2 or more the operator
         monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
         params, m = NcfParams(n_param), 256
         rep = run_experiment(mu, params, n_max=8, m=m, require_fit=False)
         for cell in rep.method_agreement:
-            got = distribution_at(mu, cell["n"], cell["x"], params, m=m)
-            if cell["n"] < 3:
-                assert cell["operator"] == pytest.approx(got, rel=0.0, abs=1e-15)
-            else:
-                assert cell["operator"] == got
+            assert cell["operator"] == distribution_at(mu, cell["n"], cell["x"], params, m=m)
 
     @pytest.mark.parametrize("n_max,steps", [(40, [2, 2, 2]), (5, [2, 2, 1])])
     def test_spot_checks_step_one_sample(self, n_max, steps, monkeypatch):
@@ -374,7 +369,7 @@ class TestRunExperiment:
         # that order, and their first errors agree within half a percent
         monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
         builds, assemble, reps = [], transfer._assemble, {}
-        monkeypatch.setattr(transfer, "_slot", {})  # no grid operator from an earlier test
+        transfer._operator.cache_clear()  # no grid operator from an earlier test
         monkeypatch.setattr(transfer, "_assemble",
                             lambda params, m: builds.append(params.n_param) or assemble(params, m))
         for n in (1000, 1001):
@@ -419,10 +414,11 @@ class TestRunExperiment:
                              ids=["step", "box", "bump"])
     def test_unresolved_density_takes_the_grid(self, density, monkeypatch):
         # the f0 of a step, or of a box or a bump between the nodes, is not
-        # resolved: both callers take the grid of m cells, the experiment
-        # assembling its operator once
+        # resolved: both callers step the operator of the grid of m cells
+        # (at N=1, M <= 128 a build is charged less than one branch sum),
+        # each assembling it once
         monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
-        monkeypatch.setattr(transfer, "_slot", {})  # no grid operator from an earlier test
+        transfer._operator.cache_clear()  # no grid operator from an earlier test
         calls, assemble, apply = [], transfer._assemble, transfer.apply_transfer
         monkeypatch.setattr(transfer, "_assemble",
                             lambda params, m: calls.append(("_assemble", m)) or assemble(params, m))
@@ -433,7 +429,19 @@ class TestRunExperiment:
         run_experiment(density(), params, n_max=8, m=128, require_fit=False,
                        rng=np.random.default_rng(1))
         distribution_at(density(), 1, 0.5, params, m=64)
-        assert calls == [("_assemble", 128), ("apply_transfer", 64)]
+        assert calls == [("_assemble", 128), ("_assemble", 64)]
+
+    def test_one_step_on_a_fine_grid_takes_the_branch_sum(self, monkeypatch):
+        # at N=1, M=2^18 the operator's build alone is charged 2.7e8 units,
+        # past the default budget, and one branch sum 8.1e6: a one-step run
+        # takes the branch sum and builds nothing.  F_1(0.3) is the mass of
+        # the branches' images of [0, 0.3): (1/1.3, 1] at 0.4, (1/(i+0.3), 1/i]
+        # at 1.6 for i >= 2; the grid's jump cell costs O(h)
+        monkeypatch.delenv("NCF_BUDGET", raising=False)
+        monkeypatch.setattr(transfer, "_assemble", None)
+        got = distribution_at(_step_density(), 1, 0.3, NcfParams(1), m=2 ** 18)
+        want = 0.4 * (1 - 1 / 1.3) + 1.6 * float(mpmath.digamma(2.3) - mpmath.digamma(2))
+        assert got == pytest.approx(want, abs=1e-5)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_curve_reaches_rounding(self, n, monkeypatch):

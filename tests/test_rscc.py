@@ -511,6 +511,17 @@ class TestShortRecursion:
         assert q_cesaro(sys_, 1, 0.3, (0.1, 0.7)) == q_kernel(sys_, 0.3, 0.1, 0.7)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the grid iterates of Q^(1) lose mass at 0")
+@pytest.mark.parametrize("fn,k,source", [(q_cesaro, 4, 1.0), (q_step, 6, 0.0)],
+                         ids=["q_cesaro", "q_step"])
+def test_whole_interval_has_mass_one(fn, k, source):
+    # from a state above 0 every branch lands in [0, 1), and from 0 every
+    # later state lies above 0, so both are 1; the grid's node 0 holds
+    # Q^(1)(0) = 1/2, and the far branches read the cell [0, 1/M] between
+    # 1/2 and 1: 0.99983 and 0.99965 at M = 1024
+    assert fn(make_ncf_rscc(NcfParams(1)), k, source, (0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestQCesaroNearJump:
     # sources within about a grid cell of a jump of the one- or two-step
     # kernel, where interpolating the grid across the jump misreads it

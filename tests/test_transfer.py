@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import mpmath
@@ -675,13 +676,45 @@ class TestAssembledOperator:
 
     @pytest.mark.parametrize("steps", [0, 1, 2])
     def test_short_runs_keep_branch_sum(self, steps):
+        # at N=2, M=1024 a build and its steps are charged more than up to
+        # two branch sums, so such runs take those
         params = NcfParams(2)
-        f = g = _random_grid(300, seed=5)
+        f = g = _random_grid(1024, seed=5)
         got = list(transfer.iterates(f, params, steps))
         assert len(got) == steps
         for h in got:
             g = apply_transfer(g, params)
             assert np.array_equal(h.values, g.values)
+
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    def test_short_runs_are_a_long_runs_first_steps(self, steps, monkeypatch):
+        # at N=1, M=128 a build is charged less than one branch sum, so every
+        # run steps the operator and a short run is the first steps of a
+        # long one to the bit; a 0-step run builds and charges nothing
+        params, f = NcfParams(1), _random_grid(128, seed=5)
+        want = [g.values for g in transfer.iterates(f, params, 40)][:steps]
+        builds, charges = _counting_builds(monkeypatch), []
+        monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(what))
+        got = [g.values for g in transfer.iterates(f, params, steps)]
+        assert len(got) == steps and all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert builds == [(1, 128, 0)] * (steps > 0)
+        assert charges == ["operator steps", "transfer operator"] * (steps > 0)
+
+    @pytest.mark.parametrize("n,m,first", [(1, 128, 1), (2, 300, 2), (1, 1024, 3), (1, 8192, 7),
+                                           (1001, 256, 9), (2000, 1024, 34)])
+    def test_operator_from_its_break_even(self, n, m, first, monkeypatch):
+        # a run takes the operator from the first number of steps whose
+        # branch sums are charged at least its build and steps: one unit a
+        # node a step against about 31 a branch sum, and the build's terms a
+        # point, 2 sqrt(NM) up to N = M and M + 1 past it
+        forms = []
+        monkeypatch.setattr(transfer, "apply_transfer", lambda f, params: forms.append("sum") or f)
+        monkeypatch.setattr(transfer, "_operator", lambda n, m: forms.append("operator"))
+        monkeypatch.setattr(transfer, "_step", lambda op, v: v)
+        f = GridFunction.constant(1.0, m)
+        list(transfer.iterates(f, NcfParams(n), first - 1))
+        list(transfer.iterates(f, NcfParams(n), first))
+        assert forms == ["sum"] * (first - 1) + ["operator"]
 
 
 class TestOperatorWork:
@@ -746,8 +779,8 @@ class TestOperatorWork:
                                      (10**6, 256)])
     def test_build_is_one_branch_sum(self, n, m, monkeypatch):
         # the assembly reads one pass of the grid kernel to its end, and
-        # keeps at most 3 floats a (row, term): 24 bytes for each unit it is
-        # charged
+        # keeps at most 3 floats a (row, term): 24 bytes for each unit of the
+        # build that iterates charges (40 steps: past every grid's break-even)
         passes, ends, charges = [], [], []
         grid_terms = transfer._grid_terms
 
@@ -757,10 +790,13 @@ class TestOperatorWork:
             ends.append(args)
 
         monkeypatch.setattr(transfer, "_grid_terms", counting_terms)
-        monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(cost))
-        op = transfer._assemble(NcfParams(n), m)
+        monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append((cost, what)))
+        transfer._operator.cache_clear()
+        list(transfer.iterates(GridFunction.constant(1.0, m), NcfParams(n), 40))
+        op = transfer._operator(n, m)  # the one just built, held
         assert len(passes) == 1 and ends == passes
-        assert sum(a.nbytes for a in op) <= 24 * sum(charges)
+        assert sum(a.nbytes for a in op) <= 24 * sum(c for c, what in charges
+                                                     if what == "transfer operator")
 
     @pytest.mark.parametrize("n,i_max", [(1, None), (5, 4000), (5, 100), (5, 19)])
     def test_budget_counts_row_branch_entries(self, n, i_max, monkeypatch):
@@ -817,10 +853,9 @@ class TestOperatorWork:
         assert charges == [129, 129 * 40, 129 * 129]
         charges.clear()
         list(transfer.iterates(f, params, 2))
-        # two applications: at each of the 129 points the singles 1..19, the
-        # last term and 10 coefficients, and 10 samples for each of the groups
-        # of cells 6..1 and for each of their 6 thresholds
-        assert charges == [129 * 30 + 10 * 12] * 2
+        # two steps' products, then the build, held or not: at each of the 129
+        # points the singles 1..19, the groups of cells 6..1 and the last term
+        assert charges == [129 * 2, 129 * 26]
 
     def test_grid_kernel_takes_no_point_values(self, monkeypatch):
         # apply_transfer places every term by its cell index and every group
@@ -842,21 +877,22 @@ class TestOperatorWork:
 
 
 def _counting_builds(monkeypatch):
-    """An empty operator slot, and the (N, M, operators held) of each build."""
+    """An empty operator cache, and the (N, M, operators held) of each build."""
     builds, assemble = [], transfer._assemble
 
     def counting(params, m):
-        builds.append((params.n_param, m, len(transfer._slot)))
+        builds.append((params.n_param, m, transfer._operator.cache_info().currsize))
         return assemble(params, m)
 
-    monkeypatch.setattr(transfer, "_slot", {})
+    transfer._operator.cache_clear()
     monkeypatch.setattr(transfer, "_assemble", counting)
     return builds
 
 
 class TestOperatorSlot:
     """iterates keeps the operator it last assembled, by (N, M), for the
-    next run on that grid: one at a time, read-only, and charged as built."""
+    next run on that grid (_operator): one at a time, read-only, and charged
+    as built."""
 
     @pytest.mark.parametrize("n,m", [(1, 128), (5, 64), (1000, 64)])
     def test_hit_is_a_fresh_build(self, n, m, monkeypatch):
@@ -865,15 +901,16 @@ class TestOperatorSlot:
         list(transfer.iterates(f, params, 3))
         hit = [g.values for g in transfer.iterates(f, params, 40)]
         assert builds == [(n, m, 0)]
-        op, v = transfer._assemble(params, m), f.values  # a fresh build, outside the slot
+        op, v = transfer._assemble(params, m), f.values  # a fresh build, outside the cache
         for h in hit:
             v = transfer._step(op, v)
             assert np.array_equal(h, v)
 
     def test_operator_is_read_only(self, monkeypatch):
-        _counting_builds(monkeypatch)
+        builds = _counting_builds(monkeypatch)
         list(transfer.iterates(_random_grid(64, seed=5), NcfParams(2), 3))
-        (op,) = transfer._slot.values()
+        op = transfer._operator(2, 64)
+        assert builds == [(2, 64, 0)]  # the held one
         for a in op:
             with pytest.raises(ValueError, match="read-only"):
                 a += 1
@@ -883,21 +920,41 @@ class TestOperatorSlot:
         f = _random_grid(64, seed=6)
         for n in (1, 2, 1):
             list(transfer.iterates(f, NcfParams(n), 3))
-            assert list(transfer._slot) == [(n, 64)]
+            assert transfer._operator.cache_info().currsize == 1
+        # the old operator is dropped before the new one is built, and (1, 64),
+        # dropped for (2, 64), is built again
         assert builds == [(1, 64, 0), (2, 64, 0), (1, 64, 0)]
 
     def test_hit_is_charged_as_a_build(self, monkeypatch):
-        # N=1, M=64: the branches 1..19 and the groups of cells 3..0
+        # N=1, M=64: the branches 1..19 and the groups of cells 3..0; the
+        # charge comes before the lookup, so a refusal is the same whether
+        # the operator is held or not
         builds = _counting_builds(monkeypatch)
         cost, f, params = 65 * 23, _random_grid(64, seed=7), NcfParams(1)
-        monkeypatch.setenv("NCF_BUDGET", str(cost))
-        list(transfer.iterates(f, params, 3))
-        monkeypatch.setenv("NCF_BUDGET", str(cost - 1))
-        with pytest.raises(BudgetExceededError, match="transfer operator"):
+        for _ in ("cold", "held"):
+            monkeypatch.setenv("NCF_BUDGET", str(cost - 1))
+            with pytest.raises(BudgetExceededError, match="transfer operator"):
+                list(transfer.iterates(f, params, 3))
+            monkeypatch.setenv("NCF_BUDGET", str(cost))
             list(transfer.iterates(f, params, 3))
-        monkeypatch.setenv("NCF_BUDGET", str(cost))
-        list(transfer.iterates(f, params, 3))
         assert builds == [(1, 64, 0)]
+
+    def test_threads_on_two_grids_get_the_serial_results(self):
+        # two threads stepping different grids at once drop each other's
+        # operator from the cache; each run keeps the one it looked up, so
+        # every run gives the serial run's bits
+        cases = [(NcfParams(1), _random_grid(256, seed=8)), (NcfParams(2), _random_grid(128, seed=9))]
+        want = [[g.values for g in transfer.iterates(f, params, 30)] for params, f in cases]
+        start = threading.Barrier(2)
+
+        def runs(params, f):
+            start.wait()
+            return [[g.values for g in transfer.iterates(f, params, 30)] for _ in range(20)]
+
+        with ThreadPoolExecutor(2) as pool:
+            got = [r.result() for r in [pool.submit(runs, *case) for case in cases]]
+        for runs_, serial in zip(got, want):
+            assert all(np.array_equal(g, w) for run in runs_ for g, w in zip(run, serial))
 
 
 
@@ -1354,11 +1411,12 @@ class TestErrorCurveRoutes:
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
     def test_spectral_route_takes_no_grid_operator(self, monkeypatch):
-        monkeypatch.setattr(transfer, "_slot", {})
+        transfer._operator.cache_clear()
         monkeypatch.setattr(transfer, "apply_transfer", None)
         c_f, sup, lip = transfer.error_curves(GridFunction.from_callable(np.cos, 2048),
                                               NcfParams(1), 30)
-        assert transfer._slot == {} and sup.shape == lip.shape == (30,)
+        info = transfer._operator.cache_info()
+        assert info.misses == info.currsize == 0 and sup.shape == lip.shape == (30,)
         assert np.all(lip > sup) and sup[-1] < 1e-12  # the grid's floor at M = 2048 is 2.8e-8
 
     def test_spectral_curve_is_the_grid_limit(self):
