@@ -96,7 +96,7 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _sample_initial(mu: DensityFunction, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF sampling of the initial measure on a fine numeric grid.
 
-    The uniforms are sorted before the lookup: sorted queries keep the
+    The uniforms are sorted in place before the lookup: sorted queries keep the
     binary searches of np.interp cache-warm, so at 100,000 paths the sort
     and the lookup together cost about a fifth of an unsorted lookup.  The
     paths are exchangeable, so the sample is the same multiset, every
@@ -106,22 +106,36 @@ def _sample_initial(mu: DensityFunction, n_paths: int, rng: np.random.Generator)
     x = np.linspace(0.0, 1.0, _INV_GRID + 1)
     cdf = _cumulative_trapezoid(mu(x), x)
     cdf /= cdf[-1]
-    return np.interp(np.sort(rng.random(n_paths)), cdf, x)
+    u = rng.random(n_paths)
+    u.sort()
+    return np.interp(u, cdf, x)
 
 
 def _iterate_map(y: np.ndarray, n: int, n_param: int) -> np.ndarray:
-    """n steps of y -> frac(N/y), with 0 -> 0, on every path at once.
+    """n steps of y -> frac(N/y), with 0 -> 0, on every path at once, in
+    two buffers of its own: y itself is not written.
 
     Each step is one division, left as zero where y = 0, then the floor
-    subtracted in place.  Every point gets the two operations of
-    core.gauss_map, so the values, and the estimates, are unchanged to the
-    bit.  From N/y = 2^53 on the fraction is 0, so a path whose N/y would
-    pass 2^1023, and might have no binary64 value, is left at 0 as y = 0 is.
+    subtracted.  Every point gets the two operations of core.gauss_map, so
+    the values, and the estimates, are unchanged to the bit.  From N/y = 2^53
+    on the fraction is 0, so a path whose N/y would pass 2^1023, and might
+    have no binary64 value, is left at 0 as y = 0 is; a step with no such
+    path divides unmasked.
     """
+    if n == 0:
+        return y
+    out, whole, guard = np.empty_like(y), np.empty_like(y), n_param * 2.0 ** -1023
     for _ in range(n):
-        y = np.divide(n_param, y, out=np.zeros_like(y), where=y > n_param * 2.0 ** -1023)
-        y -= np.floor(y)
-    return y
+        if y.min() > guard:
+            np.divide(n_param, y, out=out)
+        else:
+            keep = y > guard
+            np.divide(n_param, y, out=out, where=keep)
+            out[~keep] = 0.0
+        np.floor(out, out=whole)
+        out -= whole
+        y = out
+    return out
 
 
 def _orbit_fractions(mu: DensityFunction, spots, n_param: int, n_paths: int, rng=None):
@@ -132,7 +146,7 @@ def _orbit_fractions(mu: DensityFunction, spots, n_param: int, n_paths: int, rng
     y, done = _sample_initial(mu, n_paths, np.random.default_rng(0) if rng is None else rng), 0
     for n, x in spots:
         y, done = _iterate_map(y, n - done, n_param), n
-        yield float(np.mean(y < x))
+        yield int(np.count_nonzero(y < x)) / n_paths
 
 
 def distribution_at(mu: DensityFunction, n: int, x: float, params: NcfParams,
@@ -175,7 +189,7 @@ def _laws(mu: DensityFunction, params: NcfParams, n_max: int, m: int, on_points:
                     lambda t, state: gn_cdf(t, gm) + float(_integral_rows(t) @ state))
     x = np.linspace(0.0, 1.0, m + 1)
     limit, density = gn_cdf(x, gm), gm.density(x)
-    laws = ((fn.values - 1.0) * density for fn in itertools.chain([f], iterates(f, params, n_max)))
+    laws = ((v - 1.0) * density for v in itertools.chain([f.values], iterates(f, params, n_max)))
     return (laws, lambda states: limit + _cumulative_trapezoid(states, x) - limit,
             lambda t, state: float(np.interp(t, x, limit + _cumulative_trapezoid(state, x))))
 

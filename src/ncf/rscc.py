@@ -21,7 +21,6 @@ orbits that witness regularity, are scalar closed forms in `core`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -254,10 +253,12 @@ def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
     and every later step taken at the source by one set of point terms, those
     of transfer_at for a callable, the far branches N/(source+i) grouped on
     cells of width 2^-20.  Q^(2) reads Q^(1) at them; U^(k-2) Q^(1), k >= 3,
-    lives on the grid of grid_m cells and is read as a callable, exactly when
-    grid_m divides 2^20: the last step never interpolates the grid across a
-    jump of the kernel at the source.  n = 1 forms no point term, and n < 3
-    no grid."""
+    lives on the grid of grid_m cells, whose linear interpolant the terms
+    read: they are collapsed once into a row of grid_m + 1 node weights, and
+    each iterate is read as one dot product with it.  The interpolant is
+    linear on each 2^-20 cell exactly when grid_m divides 2^20: the last step
+    never reads the grid across a jump of the kernel at the source.  n = 1
+    forms no point term, and n < 3 no grid."""
     core._check_unit_interval(source)
     grid_m = count(grid_m, "grid_m", 1)
     x = float(source)
@@ -270,11 +271,13 @@ def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
         return np.zeros_like(y) + q_kernel(sys, y, a, b)
 
     (_, (w,), (y,)), = transfer._branch_terms(sys.params, np.array([x]), transfer._CALLABLE_CELLS)
-    fs = [q1]
-    if n > 2:  # the iterates read one at a time, as they are made
+    terms.append(float(np.sum(w * q1(y))))
+    if n > 2:
         grid = transfer.GridFunction.from_callable(q1, grid_m)
-        fs = itertools.chain(fs, transfer.iterates(grid, sys.params, n - 2))
-    return terms + [float(np.sum(w * f(y))) for f in fs]
+        c, lo, hi = transfer._rows(grid_m * y, w.copy(), grid_m)
+        row = np.bincount(c, lo, grid_m + 1) + np.bincount(c + 1, hi, grid_m + 1)
+        terms += [float(row @ v) for v in transfer.iterates(grid, sys.params, n - 2)]
+    return terms
 
 
 def simulate_paths(sys: RsccSystem, source: float, steps: int, n_paths: int,

@@ -9,15 +9,16 @@ functions, linear on each cell, get the whole series in about 2 sqrt(NM)
 terms a point.  One set of formulas forms every term from exact integer
 thresholds: _grid_terms at each point, for the assembled operator and the
 point form, and apply_transfer once a call, as Chebyshev series in the node
-index.  Both fast forms sum point terms as gathered rows (_rows, _gathered).
-apply_transfer keeps what of its series reads no f, by (N, M, i_max), and
-its single branches' rows, by (N, M), read-only, the least recently used
-dropped past 16 MiB in all; a larger table is formed and used a node block
-at a time at every call.
-iterates() takes n branch sums, or, where its build and steps are charged
-less, n steps of the operator of f's grid, each one BLAS product plus
-gathered rows; the operator is assembled once per (N, M) and held,
-read-only, until another grid needs it (_operator): one at a time.
+index.  Both fast forms sum point terms as gathered rows (_rows): a cell c
+with a weight on f_c and one on f_{c+1}.
+One store holds, read-only, what reads no f: apply_transfer's series, by
+(N, M, i_max), and its single branches' rows, by (N, M), and _grid_terms'
+layout of thresholds and ends, by (N, M, i_max); the least recently used is
+dropped past 16 MiB in all, and a larger table is formed at every call.
+iterates() yields the node values of n branch sums, or, where its build and
+steps are charged less, of n steps of the operator of f's grid, each one
+BLAS product plus one gather; the operator is assembled once per (N, M) and
+held, read-only, until another grid needs it (_operator): one at a time.
 A second form leaves the grid: _spectral(N), the operator as the matrix of
 collocation at 25 Chebyshev-Lobatto points, in closed form up to N = 10^3
 and kept per N, read-only.  Its iterates of an analytic f converge
@@ -209,6 +210,19 @@ def _mean(u: np.ndarray, c: np.ndarray, nm) -> np.ndarray:
     return nm / 2 * u + nm * c / u
 
 
+def _point_layout(n: int, m: int, layout):
+    """_grid_terms' layout, which reads no point: the ends' offsets c = s (NM
+    - k i) and the groups' counts down the first axis, the thresholds M r/t
+    and the cells k, and the places' bases s i of the singles and of every
+    end, each a column."""
+    nm, s, first, cut, top, low, _ = layout
+    t, q, r, ends, k = _thresholds(nm, first, cut, top, low)
+    c = s * (nm - k * ends).astype(float)[:, None]  # the ends down columns, the points along rows
+    cnt, mr = np.diff(ends).astype(float)[:, None], (m * r / t).astype(float)[:, None]
+    at = s * np.append(n + np.arange(first - n, dtype=float), ends.astype(float))[:, None]
+    return c, cnt, mr, k.astype(float)[:, None], at
+
+
 def _grid_terms(params: NcfParams, j: np.ndarray, m: int, i_max: Optional[int]):
     """The terms of the operator at x = j/M, exact for f linear on each of m
     cells, by apply_transfer's formulas: the one place they are formed for the
@@ -216,18 +230,20 @@ def _grid_terms(params: NcfParams, j: np.ndarray, m: int, i_max: Optional[int]):
     Yields chunks of about _CHUNK entries, a point a row: (r0, x+N, w, p, k, a,
     b), the masses w over x+N and places p of the singles and the last term,
     each adding w f_c + w (p - c) (f_{c+1} - f_c), c = min(floor(p), M-1), and
-    the groups' cells k, masses a and offsets b, each a f_k + b (f_{k+1} - f_k)."""
+    the groups' cells k, masses a and offsets b, each a f_k + b (f_{k+1} - f_k).
+    The layout, which reads no point (_point_layout), is held in apply_transfer's
+    store by (N, M, i_max), read-only, where its 8 (4 E + T + I - N - 1) bytes,
+    E ends and T thresholds, fit; else it is formed at every call."""
     n = params.n_param
-    nm, s, first, cut, top, low, terms = _layout(n, m, i_max, True)
-    t, q, r, ends, k = _thresholds(nm, first, cut, top, low)
-    c = s * (nm - k * ends).astype(float)[:, None]  # the ends down columns, the points along rows
-    cnt, mr = np.diff(ends).astype(float)[:, None], (m * r / t).astype(float)[:, None]
-    g, rows, k = first - n, max(1, _CHUNK // terms), k.astype(float)[:, None]
-    at = s * np.append(n + np.arange(first - n, dtype=float), ends.astype(float))[:, None]
+    layout = nm, s, first, cut, top, low, terms = _layout(n, m, i_max, True)
+    g, rows = first - n, max(1, _CHUNK // terms)
+    size = 8 * (4 * (terms - g) + (top - low if top else 0) + g - 1)
+    (c, cnt, mr, k, at), = _hold(("terms", n, m, i_max, _CHUNK), size,
+                                 lambda: (_point_layout(n, m, layout),))
     for r0 in range(0, len(j), rows):
         jr = j[r0:r0 + rows]
-        late = np.zeros((g + ends.size, jr.size))  # 1 where branch q still lands in cell t
-        np.less_equal(jr, mr, out=late[g + 1:g + 1 + t.size])
+        late = np.zeros((g + c.shape[0], jr.size))  # 1 where branch q still lands in cell t
+        np.less_equal(jr, mr, out=late[g + 1:g + 1 + mr.shape[0]])
         js = jr * (s / m)
         ends_x = at + js + s * late  # the singles' ends, then the groups'
         u = m / ends_x
@@ -401,9 +417,10 @@ def _freeze(tables) -> None:
             _freeze(e)
 
 
-# apply_transfer's tables, the least recently used first, (bytes, tables)
-# each, read-only: the group sets by ("groups", N, M, i_max + 1, _CHUNK), the
-# singles' by ("singles", N, M, I, _CHUNK); together at most _HELD_BYTES
+# the tables that read no f, the least recently used first, (bytes, tables)
+# each, read-only: apply_transfer's group sets by ("groups", N, M, i_max + 1,
+# _CHUNK) and singles' by ("singles", N, M, I, _CHUNK), and _grid_terms'
+# layouts by ("terms", N, M, i_max, _CHUNK); together at most _HELD_BYTES
 _held = {}
 _HELD_BYTES = 16 << 20
 _held_lock = threading.Lock()
@@ -411,10 +428,10 @@ _held_lock = threading.Lock()
 
 def _hold(key, size: int, make, beside=None):
     """The tables of key, from the store, or else make()'s, a tuple of
-    generators.  Those are held, read-only, when their size bytes fit
-    _HELD_BYTES beside the tables held for key beside, the least recently
-    used dropped to make room, and else used as they come: so two tables
-    of one call never drop each other."""
+    iterables (generators, or a tuple of arrays).  Those are held, read-only,
+    when their size bytes fit _HELD_BYTES beside the tables held for key
+    beside, the least recently used dropped to make room, and else used as
+    they come: so two tables of one call never drop each other."""
     with _held_lock:
         held = _held.pop(key, None)  # and back in last: the most recently used
         if held is not None:
@@ -503,25 +520,28 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
 
 def _assemble(params: NcfParams, m: int):
     """The operator on grids of m cells, from one pass of _grid_terms: (dense,
-    cols, lo, hi).  The singles i = N..max(N+1, I // 3) - 1, which land
-    highest, stay gathered: row j puts lo[j] on the columns cols[j] and hi[j]
-    on cols[j] + 1, and _step sums repeated columns.  dense, (m+1) x W, takes
-    the groups of the cells K..1, K = NM // I, by shifted slices, b clipped to
-    [0, a] against rounding, and the other point terms on their two columns
-    each.  Folding the single i adds about NM / i^2 columns and drops a triple:
-    from I/3 on, about the 2I columns whose bytes its 2I/3 triples held, and a
-    step reads each triple as 3 columns of one BLAS product."""
+    cols, weights).  The s singles i = N..max(N+1, I // 3) - 1, which land
+    highest, stay gathered: row j puts weights[j] on the columns cols[j], the
+    cells c of those singles and then c + 1, against their lo and then hi,
+    three words a single as (c, lo, hi) took, the cells being int32 (a grid
+    of 2^31 cells has no dense part that fits in memory); _step sums repeated
+    columns.  dense, (m+1) x W, takes the groups of the cells K..1, K = NM //
+    I, by shifted slices, b clipped to [0, a] against rounding, and the other
+    point terms on their two columns each.  Folding the single i adds about
+    NM / i^2 columns and drops its three words a row: from I/3 on, about the
+    2I columns whose bytes its 2I/3 singles held, and a step reads each three
+    words as 3 columns of one BLAS product."""
     op, n = None, params.n_param
     for r0, xn, w, p, _, a, b in _grid_terms(params, np.arange(m + 1.0), m, None):
         c, w, h = _rows(p, xn[:, None] * w, m)  # w on each cell, h on the next
         k, g = a.shape[1], c.shape[1] - 1  # the groups K..1, the singles N..I-1
         s = min(g, max(1, (n + g) // 3 - n))  # the singles kept gathered
-        if op is None:  # after the charge: dense, cols, lo, hi; row 0 lands highest
-            rows = (m + 1, s)
-            op = (np.zeros((m + 1, max(k, c[0, s]) + 2)), np.empty(rows, np.intp),
-                  np.empty(rows), np.empty(rows))
-        dense, cols, lo, hi = (t[r0:r0 + xn.size] for t in op)
-        cols[:], lo[:], hi[:] = c[:, :s], w[:, :s], h[:, :s]
+        if op is None:  # after the charge: dense, cols, weights; row 0 lands highest
+            rows = (m + 1, 2 * s)
+            op = np.zeros((m + 1, max(k, c[0, s]) + 2)), np.empty(rows, np.int32), np.empty(rows)
+        dense, cols, weights = (t[r0:r0 + xn.size] for t in op)
+        cols[:, :s], cols[:, s:] = c[:, :s], c[:, :s] + 1
+        weights[:, :s], weights[:, s:] = w[:, :s], h[:, :s]
         b = np.minimum(np.maximum(b, 0.0), a)
         dense[:, 1:k + 1] = (a - b)[:, ::-1]
         dense[:, 2:k + 2] += b[:, ::-1]
@@ -534,10 +554,12 @@ def _assemble(params: NcfParams, m: int):
 
 
 def _step(op, v: np.ndarray) -> np.ndarray:
-    """One operator application to the node values v, by the operator op."""
-    dense, cols, lo, hi = op
+    """One operator application to the node values v, by the operator op: one
+    BLAS product by dense, and one gather of v at cols, summed along each row
+    against weights."""
+    dense, cols, weights = op
     out = dense @ v[:dense.shape[1]]
-    out += _gathered(v, cols, lo, hi)
+    out += np.einsum("ij,ij->i", weights, v.take(cols))
     return out
 
 
@@ -553,27 +575,30 @@ def _operator(n: int, m: int):
 
 
 def iterates(f: GridFunction, params: NcfParams, n: int):
-    """Yield U f, U^2 f, ..., U^n f: every multi-step use of the operator.
-    A run whose build and n steps are charged more than n branch sums takes
-    those (apply_transfer), and else n matrix-vector products by the
-    operator of f's grid (_operator).  The form is chosen by (N, M, n)
-    alone, never by what is held; runs in one form agree step for step to
-    the bit, and the two forms differ at rounding.  An operator run charges
-    its steps and the build before the lookup, built or held alike; a 0-step
-    run, costing more than no branch sums, builds and charges nothing."""
+    """Yield the node values of U f, U^2 f, ..., U^n f, each read-only, as the
+    next step reads it: every multi-step use of the operator.  A run whose
+    build and n steps are charged more than n branch sums takes those
+    (apply_transfer), and else n matrix-vector products by the operator of
+    f's grid (_operator).  The form is chosen by (N, M, n) alone, never by
+    what is held; runs in one form agree step for step to the bit, and the
+    two forms differ at rounding.  An operator run charges its steps and the
+    build before the lookup, built or held alike; a 0-step run, costing more
+    than no branch sums, builds and charges nothing."""
     m, n_param = f.resolution, params.n_param
     build = (m + 1) * _layout(n_param, m, None, True)[-1]
     if build + n * (m + 1) > n * _branch_sum(n_param, m, None)[-1]:
         for _ in range(n):
             f = apply_transfer(f, params)
-            yield f
+            f.values.setflags(write=False)
+            yield f.values
         return
     charge(n * (m + 1), "operator steps")  # one unit a node a product
     charge(build, "transfer operator")
     op, v = _operator(n_param, m), f.values
     for _ in range(n):
         v = _step(op, v)
-        yield GridFunction(v)
+        v.setflags(write=False)
+        yield v
 
 
 # the spectral operator: collocation at the _K + 1 Chebyshev-Lobatto points
@@ -691,6 +716,14 @@ def _grid_integrals(m: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=2)
+def _grid_lagrange(m: int) -> np.ndarray:
+    """The Lagrange basis at the m + 1 points j/m, a column each, read-only."""
+    out = _lagrange(_nodes(m + 1))
+    out.setflags(write=False)
+    return out.T
+
+
 # the interpolant at _LOBATTO resolves f where its last _TAIL Chebyshev
 # coefficients, and its misses at the points j/m, lie within max(_RESOLVED,
 # 1/m^2) of its largest coefficient or 1: it is as near to f as a grid of m cells
@@ -789,7 +822,8 @@ def error_curves(f: GridFunction, params: NcfParams, n_max: int):
     operator iterates of any Lipschitz f collapse.  Where N <= _SPECTRAL_N and
     the interpolant of f at _LOBATTO resolves it (_resolves), c_f is the
     interpolant's integral, to rounding, and the iterates are the spectral
-    iterates of its difference from c_f, read at the nodes; otherwise c_f is
+    iterates of its difference from c_f, read at the nodes by the Lagrange
+    rows held for m (_grid_lagrange); otherwise c_f is
     integrate_against's and the iterates are the grid's.  The norms are taken
     over blocks of _BLOCK iterates at a time."""
     gm, m, blocks = GaussMeasure(params), f.resolution, None
@@ -801,12 +835,12 @@ def error_curves(f: GridFunction, params: NcfParams, n_max: int):
                               0.0, 1.0, panels=4)
         g -= c_f
         if _resolves(g, f.values - c_f):
-            steps = _spectral_iterates(g, params, n_max, m)[1:]  # charged before the rows are formed
-            rows = _lagrange(_nodes(m + 1)).T
+            steps = _spectral_iterates(g, params, n_max, m)[1:]  # charged before the rows are read
+            rows = _grid_lagrange(m)
             blocks = (steps[k:k + _BLOCK] @ rows for k in range(0, n_max, _BLOCK))
     if blocks is None:
         c_f, steps = integrate_against(f, gm), iterates(f, params, n_max)
-        blocks = (np.array([g.values for g in itertools.islice(steps, _BLOCK)]) - c_f
+        blocks = (np.array(list(itertools.islice(steps, _BLOCK))) - c_f
                   for _ in range(0, n_max, _BLOCK))
     sups, slopes = [], []
     for e in blocks:

@@ -219,9 +219,10 @@ def test_identity_is_the_trigamma_moment(log_n, m, data):
 def test_assembled_operator_is_stochastic(n, m, seed):
     # entries >= 0 on the columns 0..m, the constant 1 mapped to 1, and each
     # step the branch sum at the nodes, for f of Lipschitz norm 1
-    dense, cols, lo, hi = op = transfer._assemble(NcfParams(n), m)
-    assert np.all(dense >= 0) and np.all(lo >= 0) and np.all(hi >= 0)
-    assert dense.shape[1] <= m + 1 and cols.min() >= 0 and cols.max() + 1 <= m
+    dense, cols, weights = op = transfer._assemble(NcfParams(n), m)
+    c, s = cols[:, :cols.shape[1] // 2], cols.shape[1] // 2  # the cells, then the cells + 1
+    assert np.all(dense >= 0) and np.all(weights >= 0) and np.array_equal(cols[:, s:], c + 1)
+    assert dense.shape[1] <= m + 1 and c.min() >= 0 and c.max() + 1 <= m
     assert np.max(np.abs(transfer._step(op, np.ones(m + 1)) - 1.0)) <= 1e-14
     v = np.random.default_rng(seed).random(m + 1)
     f = transfer.GridFunction(v / transfer.lipschitz_norm(transfer.GridFunction(v)).total)

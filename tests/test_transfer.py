@@ -27,7 +27,7 @@ from ncf import (
     integrate_against,
     lipschitz_norm,
 )
-from ncf import gausskuzmin, transfer
+from ncf import gausskuzmin, rscc, transfer
 from ncf.cli import main
 
 
@@ -379,9 +379,10 @@ class TestPointRows:
 def _check_stochastic(op, m):
     """The assembled operator on m cells: entries >= 0, columns in [0, m],
     and the constant 1 mapped to 1."""
-    dense, cols, lo, hi = op
-    assert np.all(dense >= 0) and np.all(lo >= 0) and np.all(hi >= 0)
-    assert dense.shape[1] <= m + 1 and cols.min() >= 0 and cols.max() + 1 <= m
+    dense, cols, weights = op
+    c, s = cols[:, :cols.shape[1] // 2], cols.shape[1] // 2  # the cells, then the cells + 1
+    assert np.all(dense >= 0) and np.all(weights >= 0) and np.array_equal(cols[:, s:], c + 1)
+    assert dense.shape[1] <= m + 1 and c.min() >= 0 and c.max() + 1 <= m
     assert np.max(np.abs(transfer._step(op, np.ones(m + 1)) - 1.0)) <= 1e-14
 
 
@@ -632,16 +633,16 @@ class TestAssembledOperator:
         for _, w, y in transfer._branch_terms(NcfParams(n), np.linspace(0, 1, m + 1), m, i_max):
             assert np.all(w >= 0) and np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-14
             assert y.min() >= 0.0 and y.max() <= 1.0 and np.all(np.diff(y, axis=1) <= 0)
-        dense, cols, lo, hi = op = transfer._assemble(NcfParams(n), m)
+        dense, cols, weights = op = transfer._assemble(NcfParams(n), m)
         _check_stochastic(op, m)
-        # a column triple per single branch N..max(N+1, I // 3) - 1, and a
-        # dense column per cell up to the first folded single's at x = 0
-        # and the next, all of m + 1 rows
+        # two gathered columns, c and c + 1, per single branch N..max(N+1,
+        # I // 3) - 1, and a dense column per cell up to the first folded
+        # single's at x = 0 and the next, all of m + 1 rows
         first = max(n + 1, 20, math.isqrt(n * m) + 1)
         fold = max(n + 1, first // 3)
         assert dense.shape == (m + 1, n * m // fold + 2)
-        assert cols.shape == lo.shape == hi.shape == (m + 1, fold - n)
-        assert cols.max() + 1 == m  # x = 0, i = N lands on y = 1
+        assert cols.shape == weights.shape == (m + 1, 2 * (fold - n)) and cols.dtype == np.int32
+        assert cols.max() == m  # x = 0, i = N lands on y = 1
 
     @pytest.mark.parametrize("n,m,before", [(1, 1024, 1_057_800), (1000, 2048, 44_717_376),
                                             (2000, 1024, 8_429_600)])
@@ -659,7 +660,7 @@ class TestAssembledOperator:
         f = g = GridFunction.from_callable(lambda x: np.cos(5 * x) + x, 512)
         for k, h in enumerate(transfer.iterates(f, params, 40)):
             g = apply_transfer(g, params)
-            assert np.max(np.abs(h.values - g.values)) <= 1e-13, k
+            assert np.max(np.abs(h - g.values)) <= 1e-13, k
 
     @pytest.mark.parametrize("n", [20, 50])
     def test_all_tail_cutoff(self, n):
@@ -684,7 +685,7 @@ class TestAssembledOperator:
         assert len(got) == steps
         for h in got:
             g = apply_transfer(g, params)
-            assert np.array_equal(h.values, g.values)
+            assert np.array_equal(h, g.values)
 
     @pytest.mark.parametrize("steps", [0, 1, 2])
     def test_short_runs_are_a_long_runs_first_steps(self, steps, monkeypatch):
@@ -692,10 +693,10 @@ class TestAssembledOperator:
         # run steps the operator and a short run is the first steps of a
         # long one to the bit; a 0-step run builds and charges nothing
         params, f = NcfParams(1), _random_grid(128, seed=5)
-        want = [g.values for g in transfer.iterates(f, params, 40)][:steps]
+        want = list(transfer.iterates(f, params, 40))[:steps]
         builds, charges = _counting_builds(monkeypatch), []
         monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(what))
-        got = [g.values for g in transfer.iterates(f, params, steps)]
+        got = list(transfer.iterates(f, params, steps))
         assert len(got) == steps and all(np.array_equal(g, w) for g, w in zip(got, want))
         assert builds == [(1, 128, 0)] * (steps > 0)
         assert charges == ["operator steps", "transfer operator"] * (steps > 0)
@@ -899,7 +900,7 @@ class TestOperatorSlot:
         builds = _counting_builds(monkeypatch)
         params, f = NcfParams(n), _random_grid(m, seed=4)
         list(transfer.iterates(f, params, 3))
-        hit = [g.values for g in transfer.iterates(f, params, 40)]
+        hit = list(transfer.iterates(f, params, 40))
         assert builds == [(n, m, 0)]
         op, v = transfer._assemble(params, m), f.values  # a fresh build, outside the cache
         for h in hit:
@@ -944,12 +945,12 @@ class TestOperatorSlot:
         # operator from the cache; each run keeps the one it looked up, so
         # every run gives the serial run's bits
         cases = [(NcfParams(1), _random_grid(256, seed=8)), (NcfParams(2), _random_grid(128, seed=9))]
-        want = [[g.values for g in transfer.iterates(f, params, 30)] for params, f in cases]
+        want = [list(transfer.iterates(f, params, 30)) for params, f in cases]
         start = threading.Barrier(2)
 
         def runs(params, f):
             start.wait()
-            return [[g.values for g in transfer.iterates(f, params, 30)] for _ in range(20)]
+            return [list(transfer.iterates(f, params, 30)) for _ in range(20)]
 
         with ThreadPoolExecutor(2) as pool:
             got = [r.result() for r in [pool.submit(runs, *case) for case in cases]]
@@ -1283,6 +1284,105 @@ class TestHeldTables:
         assert sum(e[0] for e in transfer._held.values()) <= transfer._HELD_BYTES
 
 
+def _fresh_terms(params, j, m, i_max):
+    """_grid_terms' chunks from an empty store, which it leaves as it was."""
+    held = transfer._held
+    transfer._held = {}
+    try:
+        return list(transfer._grid_terms(params, j, m, i_max))
+    finally:
+        transfer._held = held
+
+
+class TestHeldLayouts:
+    """_grid_terms keeps its layout, which reads no point, in apply_transfer's
+    store by (N, M, i_max), and error_curves its Lagrange rows by m, both
+    read-only; the grid iterates are read-only too, as the next step reads
+    each."""
+
+    # groups and thresholds; a cut that ends a group; a cut below the
+    # singles' end, so no groups; no singles either; N > M; 2^-20 cells
+    @pytest.mark.parametrize("n,m,i_max", [(1, 1024, None), (1, 1024, 100), (5, 64, 19),
+                                           (50, 256, 49), (1000, 512, None), (1, 2 ** 20, None)])
+    def test_held_layout_is_a_fresh_one(self, n, m, i_max, monkeypatch):
+        monkeypatch.setattr(transfer, "_held", {})
+        j = np.linspace(0.0, m, 257)  # the points x = j/M
+        want = _fresh_terms(NcfParams(n), j, m, i_max)
+        for _ in range(2):  # forms the layout and holds it, then reads it
+            got = list(transfer._grid_terms(NcfParams(n), j, m, i_max))
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for g, w in zip(got, want) for a, b in zip(g, w))
+        (key, (size, (layout,))), = transfer._held.items()
+        assert key == ("terms", n, m, i_max, transfer._CHUNK)
+        assert size == sum(a.nbytes for a in layout)
+        for a in layout:
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1
+
+    def test_layout_above_the_bound_is_not_held(self, monkeypatch):
+        # N=50 on 2^-20 cells: a layout of 0.35 MB, in a bound one byte
+        # short of it, is formed at every call and drops nothing held
+        monkeypatch.setattr(transfer, "_held", {})
+        x, params = np.linspace(0.0, 1.0, 33), NcfParams(50)
+        want = transfer.transfer_at(np.cos, params, x)
+        (size, _), = transfer._held.values()
+        transfer._held.clear()
+        apply_transfer(_random_grid(64, seed=1), NcfParams(1))
+        before = dict(transfer._held)
+        assert sum(e[0] for e in before.values()) < size
+        monkeypatch.setattr(transfer, "_HELD_BYTES", size - 1)
+        for _ in range(2):
+            assert np.array_equal(transfer.transfer_at(np.cos, params, x), want)
+            assert transfer._held == before
+
+    @pytest.mark.parametrize("m", [1, 64, 2048])
+    def test_held_lagrange_rows(self, m):
+        rows = transfer._grid_lagrange(m)
+        assert np.array_equal(rows, transfer._lagrange(transfer._nodes(m + 1)).T)
+        assert transfer._grid_lagrange(m) is rows
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1.0
+
+    # N=1, M=128 steps the operator; N=2, M=1024 takes two branch sums
+    @pytest.mark.parametrize("n,m,steps", [(1, 128, 3), (2, 1024, 2)])
+    def test_iterates_are_read_only(self, n, m, steps):
+        got = list(transfer.iterates(_random_grid(m, seed=3), NcfParams(n), steps))
+        assert len(got) == steps
+        for v in got:
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 1.0
+
+    def test_threads_on_layouts_and_tables_get_the_serial_results(self, monkeypatch):
+        # one store holds the kernels' point-term layouts and apply_transfer's
+        # tables: one thread takes kernels at N=1 and N=2 (a layout on 2^-20
+        # cells and one on the grid each), the other a table set at N=5,
+        # M=8192 and a gap curve; every result is the serial one's to the bit
+        monkeypatch.setattr(transfer, "_held", {})
+        systems = [rscc.make_ncf_rscc(NcfParams(n)) for n in (1, 2)]
+        f, g = _random_grid(8192, seed=11), GridFunction.from_callable(np.cos, 2048)
+
+        def kernels():
+            return [rscc.q_step(s, 10, 0.3, (0.2, 0.6)) for s in systems]
+
+        def tables():
+            est = estimate_gap(g, NcfParams(1), 30)
+            return [apply_transfer(f, NcfParams(5)).values, est.sup_errors, est.lip_errors]
+
+        want = [kernels(), tables()]
+        transfer._held.clear()
+        start = threading.Barrier(2)
+
+        def runs(fn):
+            start.wait()
+            return [fn() for _ in range(5)]
+
+        with ThreadPoolExecutor(2) as pool:
+            got = [r.result() for r in [pool.submit(runs, fn) for fn in (kernels, tables)]]
+        for runs_, serial in zip(got, want):
+            assert all(np.array_equal(a, b) for run in runs_ for a, b in zip(run, serial))
+        assert {k[0] for k in transfer._held} == {"terms", "groups", "singles"}
+
+
 class TestLipschitzNorm:
     def test_constant(self):
         est = lipschitz_norm(GridFunction.constant(-3.5, 64))
@@ -1303,7 +1403,7 @@ class TestLipschitzNorm:
 
 def _cesaro(f, steps, params):
     """(1/steps) times the sum of the first `steps` operator iterates of f."""
-    return sum(g.values for g in transfer.iterates(f, params, steps)) / steps
+    return sum(transfer.iterates(f, params, steps)) / steps
 
 
 class TestCesaro:
@@ -1391,7 +1491,7 @@ def _grid_curves(f, params, n_max):
     """error_curves on the grid: integrate_against's c_f and the distances of
     the grid iterates from it."""
     c_f = integrate_against(f, GaussMeasure(params))
-    e = np.array([g.values for g in transfer.iterates(f, params, n_max)]) - c_f
+    e = np.array(list(transfer.iterates(f, params, n_max))) - c_f
     sup = np.max(np.abs(e), axis=1)
     return c_f, sup, sup + np.max(np.abs(np.diff(e, axis=1)), axis=1) * f.resolution
 
