@@ -218,11 +218,17 @@ def digit_probability(i: int, params: NcfParams) -> float:
     return math.log1p(1.0 / (i * (i + 2))) / log_norm(params)
 
 
+def _divide(n: int, u: Real) -> tuple:
+    """N/u = f + r/p exactly, in Python ints, from u's own ratio p/q: (f, r, p)."""
+    p, q = (u if hasattr(u, "as_integer_ratio") else float(u)).as_integer_ratio()  # NumPy ints
+    f, r = divmod(n * q, p)
+    return f, r, p
+
+
 def _kernel_jump(n: int, u: Real) -> tuple:
     """The one jump of E = floor(N/u - x) + 1 over x in [0, 1]: with N/u = f + r/p exactly, E is
     f + 1 up to r/p and f past it.  Returns (largest float <= r/p, f + 1, f), inf past binary64."""
-    p, q = (u if hasattr(u, "as_integer_ratio") else float(u)).as_integer_ratio()  # NumPy ints
-    f, r = divmod(n * q, p)
+    f, r, p = _divide(n, u)
     phi = r / p
     a, b = phi.as_integer_ratio()
     phi = math.nextafter(phi, 0.0) if a * p > r * b else phi  # r/p rounded up: step down

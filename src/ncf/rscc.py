@@ -240,7 +240,9 @@ def q_step(sys: RsccSystem, k: int, source: float, target,
            grid_m: int = 1024) -> float:
     """k-step kernel Q^(k)(source, [a, b)) of the continued-fraction system,
     `target` the pair (a, b), by the kernel recursion Q^(k+1) = U Q^(k) of
-    `_kernel_terms`.  `q_step_mc` is the Monte Carlo estimate of the same kernel."""
+    `_kernel_terms`: exact in its jumps up to N = 10^3, and past it on the
+    grid of grid_m cells, which grid_m sets only there.  `q_step_mc` is the
+    Monte Carlo estimate of the same kernel."""
     k = count(k, "k", 1)
     _cf_n(sys, "q_step")
     a, b = target
@@ -249,22 +251,28 @@ def q_step(sys: RsccSystem, k: int, source: float, target,
 
 def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
                   grid_m: int) -> list:
-    """Q^(k)(source, [a, b)) for k = 1..n: Q^(1) the closed form `q_kernel`,
-    and every later step taken at the source by one set of point terms, those
-    of transfer_at for a callable, the far branches N/(source+i) grouped on
-    cells of width 2^-20.  Q^(2) reads Q^(1) at them; U^(k-2) Q^(1), k >= 3,
-    lives on the grid of grid_m cells, whose linear interpolant the terms
-    read: they are collapsed once into a row of grid_m + 1 node weights, and
-    each iterate is read as one dot product with it.  The interpolant is
-    linear on each 2^-20 cell exactly when grid_m divides 2^20: the last step
-    never reads the grid across a jump of the kernel at the source.  n = 1
-    forms no point term, and n < 3 no grid."""
+    """Q^(k)(source, [a, b)) for k = 1..n: Q^(1) the closed form `q_kernel`.
+    Up to N = transfer._SPECTRAL_N the later terms carry the kernel's jumps
+    exactly (_exact_terms), and grid_m, still checked, sets nothing.  Past
+    it every later step is taken at the source by one set of point terms,
+    those of transfer_at for a callable, the far branches N/(source+i)
+    grouped on cells of width 2^-20.  Q^(2) reads Q^(1) at them; U^(k-2)
+    Q^(1), k >= 3, lives on the grid of grid_m cells, whose linear
+    interpolant the terms read: they are collapsed once into a row of grid_m
+    + 1 node weights, and each iterate is read as one dot product with it.
+    The interpolant is linear on each 2^-20 cell exactly when grid_m divides
+    2^20: the last step never reads the grid across a jump of the kernel at
+    the source; but the grid itself interpolates across the kernel's jumps,
+    so it converges at first order.  n = 1 forms no point term, and n < 3 no
+    grid."""
     core._check_unit_interval(source)
     grid_m = count(grid_m, "grid_m", 1)
     x = float(source)
     terms = [q_kernel(sys, x, a, b)]
     if n == 1:
         return terms
+    if sys.params.n_param <= transfer._SPECTRAL_N:
+        return terms + _exact_terms(sys.params.n_param, n, x, a, b)
 
     def q1(y):
         # an empty target (b <= 0) makes q_kernel the scalar 0
@@ -278,6 +286,83 @@ def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
         row = np.bincount(c, lo, grid_m + 1) + np.bincount(c + 1, hi, grid_m + 1)
         terms += [float(row @ v) for v in transfer.iterates(grid, sys.params, n - 2)]
     return terms
+
+
+def _exact_terms(n: int, steps: int, x: float, a: float, b: float) -> list:
+    """Q^(k)(x, [a, b)), k = 2..steps, of N = n, with the kernel's jumps in
+    closed form and the rest on the 25-point spectral operator S.
+
+    With N/u = f + r/p exactly (core._divide), Q^(1)(y, [0, u)) = L(y) +
+    g(y) 1[y > r/p], L = (y+N)/(y+f+1) and g = P_f(y).  So Q^(k) is an
+    analytic part A plus, for each end of [a, b), a term g_j 1[y > p_j] or
+    g_j 1[y >= p_j], its sign folded into g_j: A and each g_j held at the 25
+    nodes _LOBATTO, each p_j as a ratio of Python ints.  With N/p = F + R/p
+    exactly and B_i the rows of branch i (transfer._spectral_rows), one step
+    maps the form to itself, the branches N..F-1 landing above p and branch
+    F above p up to x < R/p (x <= R/p for ">="): A <- S A + sum_j C_F g_j,
+    C_F = B_N + ... + B_F; g_j <- -B_F g_j; p_j <- R/p, ">" turning to ">="
+    and ">=" to ">".  On a ">" jump with R = 0 branch F - 1 lands on p at x =
+    1 only, so F - 1 and R/p = 1 take their place.  A jump at 0 folds S g_j
+    into A.  An end whose f has no binary64 value adds no term: Q^(1) is 0
+    there.  S, and C_F and -B_F for F < N + 128, are held per N
+    (transfer._spectral_blocks); past that C_F g = S g - T(F+1) g, by
+    Gregory's tail T (transfer._spectral_tail).  Q^(k)(x) is the Lagrange row
+    at x against A plus the g_j whose jumps x passes, decided exactly.
+    Charges the products, the held blocks and S, and each tail's rows,
+    before any of them is formed."""
+    nodes, k1 = transfer._LOBATTO, transfer._K + 1
+    xn, xd = x.as_integer_ratio()
+    part, g, orbits = np.zeros(k1), [], []
+    for u, sign in ((b, 1.0), (a, -1.0)):
+        if u <= 0:
+            continue
+        f, r, p = core._divide(n, u)
+        try:
+            z = nodes + float(f)
+        except OverflowError:  # Q^(1)(y, [0, u)) = 0, as q_kernel_interval takes it
+            continue
+        part += sign * (nodes + n) / (z + 1.0)
+        g.append(sign * transfer._branch_mass(n, z))
+        # the jump's orbit, exactly: each step's branch F and whether x passes the jump
+        # after it, and None where it folds into A and ends.  Its denominators fall from
+        # u's numerator, so every F is at most N 2^53
+        orbit, strict = [], True
+        while r and len(orbit) < steps - 1:
+            f, rest = divmod(n * p, r)
+            if strict and not rest:
+                f, rest = f - 1, r
+            r, p, strict = rest, r, not strict
+            orbit.append((f, xn * p > r * xd or not strict and xn * p == r * xd))
+        if not r and len(orbit) < steps - 1:
+            orbit.append((None, False))
+        orbits.append(orbit)
+    # past the 128 branches transfer._spectral_blocks holds, a step takes a tail
+    tails = sum(f is not None and f - n >= 128 for orbit in orbits for f, _ in orbit)
+    # (K+1)^2 a product, one a step and two a jump; the 2 x 128 block rows and S's 32
+    # tail rows; each tail's 32 rows and B_F; and K+1 a read at x
+    charge(k1 * k1 * ((steps - 1) * (1 + 2 * len(g)) + 2 * 128 + 32 + 33 * tails)
+           + steps * (1 + len(g)) * k1, "kernel iterates")
+    (s, held), out = transfer._spectral_blocks(n), np.empty((steps - 1, k1))
+    for k in range(steps - 1):  # from Q^(k+1) to Q^(k+2)
+        part = s @ part
+        for j, orbit in enumerate(orbits):
+            if k >= len(orbit):  # folded into A
+                continue
+            f = orbit[k][0]
+            if f is None:
+                part += s @ g[j]
+            elif f - n < len(held):
+                cb = held[f - n] @ g[j]
+                part += cb[:k1]
+                g[j] = cb[k1:]
+            else:
+                part += (s - transfer._spectral_tail(n, f + 1)) @ g[j]
+                g[j] = -(transfer._spectral_rows(n, [f])[0] @ g[j])
+        out[k] = part
+        for j, orbit in enumerate(orbits):
+            if k < len(orbit) and orbit[k][1]:
+                out[k] += g[j]
+    return (out @ transfer._lagrange(np.array([x]))[0]).tolist()
 
 
 def simulate_paths(sys: RsccSystem, source: float, steps: int, n_paths: int,
@@ -316,7 +401,9 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
     A two-state finite system, `target` a collection of states, takes
     `core.mealy_cesaro` of its kernel rows, exact to rounding at every n; the
     continued-fraction system, `target` the pair (a, b), averages the terms
-    Q^(1..n)(source) of q_step's kernel recursion, `_kernel_terms`."""
+    Q^(1..n)(source) of q_step's kernel recursion, `_kernel_terms`: exact in
+    the kernel's jumps up to N = 10^3, and past it on the grid of grid_m
+    cells, which grid_m sets only there."""
     n = count(n, "n", 1)
     if sys.finite:
         if len(sys.states) != 2:

@@ -24,7 +24,11 @@ collocation at 25 Chebyshev-Lobatto points, in closed form up to N = 10^3
 and kept per N, read-only.  Its iterates of an analytic f converge
 geometrically, not at the grid's O(h^2); _integral_rows integrates them
 exactly.  error_curves and gausskuzmin iterate it where it resolves f or f0
-(_resolves, _spectral_iterates).
+(_resolves, _spectral_iterates).  Its rows branch by branch (_spectral_rows)
+sum the branches from any start (_spectral_tail): those below N + 128
+directly, and the rest by Gregory's end correction.  rscc's kernels hold,
+per N, the first 128 with their prefix sums, and the operator built from
+them (_spectral_blocks).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 
 from .core import NcfParams
 from .errors import FitError, charge, count
-from .measure import GaussMeasure, _gauss_legendre
+from .measure import _GL_NODES, _GL_WEIGHTS, GaussMeasure, _gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -683,6 +687,70 @@ def _spectral(n: int) -> np.ndarray:
     s *= (n / a)[:, None] ** np.arange(_K + 1) / (a * a)[:, None]  # N^m S_m
     out += (x + n)[:, None] * (s @ _monomials())
     out.setflags(write=False)
+    return out
+
+
+def _branch_mass(n: int, z: np.ndarray) -> np.ndarray:
+    """P_i(x) = (x+N)/((x+i)(x+i+1)) at z = x + i, x = _LOBATTO along z's first
+    axis, in the form that does not overflow past 2^511, as make_ncf_rscc takes it."""
+    xn = (_LOBATTO + n).reshape((-1,) + (1,) * (z.ndim - 1))
+    return xn / (z * (z + 1.0)) if z.max() < 2.0 ** 511 else xn / z / (z + 1.0)
+
+
+def _spectral_rows(n: int, i) -> np.ndarray:
+    """_spectral(n)'s rows branch by branch: B_i[r, c] = P_i(x_r) L_c(N/(x_r+i)) at
+    x = _LOBATTO, for each branch i of the 1-d i, an array (branch, r, c)."""
+    z = _LOBATTO[:, None] + np.asarray(i, dtype=float)
+    return (_branch_mass(n, z)[..., None] * _lagrange(n / z)).transpose(1, 0, 2)
+
+
+@functools.lru_cache(maxsize=4)
+def _spectral_blocks(n: int):
+    """The operator of N = n as _spectral_tail builds it from N, and the
+    branches that build sums directly, i = N..N+127, each as its prefix sum
+    C_i = sum_{j=N}^{i} B_j stacked on -B_i (_spectral_rows), so that one
+    product by block i - N gives C_i g and -B_i g: (S, blocks), read-only,
+    the blocks (branch, 2K+2, K+1), 1.28 MB; four N are held.  S's rows sum
+    to 1 within rounding, where _spectral(N)'s zeta tail leaves up to 4.7e-15."""
+    b = _spectral_rows(n, np.arange(n, n + 128))
+    c = np.cumsum(b, axis=0)
+    out = c[-1] + _spectral_tail(n, n + 128), np.concatenate((c, -b), axis=1)
+    _freeze(out)
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _gregory() -> np.ndarray:
+    """Gregory's end correction sum_k G_k D^k h(I), k = 0..10, as weights on
+    h(I), ..., h(I+10): D^k h(I) = sum_j (-1)^(k-j) C(k, j) h(I+j)."""
+    g = (1 / 2, -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192,
+         -33953 / 3628800, 8183 / 1036800, -3250433 / 479001600, 4671 / 788480)
+    return np.array([math.fsum(c * (-1) ** (k - j) * math.comb(k, j) for k, c in enumerate(g[j:], j))
+                     for j in range(len(g))])
+
+
+def _spectral_tail(n: int, start: int) -> np.ndarray:
+    """T(I) = sum_{i >= I} B_i (_spectral_rows), I = start >= N, a (K+1) x
+    (K+1) matrix: the branches below N + 128 directly, and the rest from I0 =
+    max(I, N + 128) by Gregory's end correction, sum_{i >= I0} h(i) =
+    int_I0^inf h + sum_k G_k D^k h(I0), the differences D^k h(I0), k <= 10,
+    taken as one weighted sum of h(I0..I0+10)
+    (Hildebrand, Introduction to Numerical Analysis, 2nd ed., 1974, sec. 5.9).
+    With u = N/(x+t) the integral of branch t is int_0^{N/(x+I0)} (x+N)/(N+u)
+    h(u) du, h = L_c, whose integrand is analytic: measure's 20-point
+    Gauss-Legendre rule.  T(N) is _spectral(N) to rounding; from N + 128 on
+    no branch is summed directly, and past 2^53 the branches are taken in
+    floats."""
+    weights = _gregory()
+    x, i0 = _LOBATTO[:, None], max(start, n + 128)
+    z = x + (float(i0) + np.arange(weights.size, dtype=float))
+    ui = n / (x + float(i0))
+    u = ui * _GL_NODES
+    w = np.concatenate((_branch_mass(n, z) * weights, _GL_WEIGHTS * ui * (x + n) / (n + u)), axis=1)
+    y = np.concatenate((n / z, u), axis=1)
+    out = np.einsum("rq,rqc->rc", w, _lagrange(y))
+    if start < i0:
+        out += _spectral_rows(n, np.arange(start, i0)).sum(axis=0)
     return out
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -32,6 +33,7 @@ from ncf import (
     simulate_paths,
 )
 from ncf import rscc, transfer
+from ncf.errors import charge
 from ncf.rscc import q_kernel_interval_bruteforce, shifted_path_probability
 
 
@@ -333,13 +335,13 @@ class TestQStep:
 
     def test_mass_one_on_full_interval(self):
         sys = make_ncf_rscc(NcfParams(3))
-        # exact at k = 1; the half-open boundary artifact at node 0 leaks a
-        # little mass into later iterates through interpolation
+        # exact at k = 1, and to rounding later, the jumps being carried
+        # exactly (the grid recursion leaked up to 2e-3 at node 0)
         assert q_step(sys, 1, 0.5, (0.0, 1.0), grid_m=512) == pytest.approx(
             1.0, abs=1e-14)
         for k in (2, 4):
             val = q_step(sys, k, 0.5, (0.0, 1.0), grid_m=512)
-            assert val == pytest.approx(1.0, abs=2e-3)
+            assert val == pytest.approx(1.0, abs=1e-14)
 
     def test_converges_to_stationary_mass(self):
         sys = make_ncf_rscc(NcfParams(1))
@@ -348,7 +350,7 @@ class TestQStep:
         errs = [abs(q_step(sys, k, 0.3, (0.2, 0.6), grid_m=2048) - want)
                 for k in (2, 4, 8)]
         assert errs[-1] < errs[0]
-        # the residual floor is set by interpolating the kinked kernel
+        # the kernel's own distance from the stationary mass at k = 8
         assert errs[-1] < 1e-4
 
     @pytest.mark.parametrize("source", [math.nan, math.inf, -0.1, 1.5])
@@ -443,12 +445,14 @@ def _refuse(*args, **kwargs):
 
 
 class TestShortRecursion:
-    # q_step and q_cesaro compute only the kernel terms n reaches
+    # q_step and q_cesaro compute only the kernel terms n reaches.  The grid
+    # recursion serves N past transfer._SPECTRAL_N only: `past` is N's
+    # distance above it
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("big_n", [1, 5])
-    def test_equals_every_term_recursion(self, n, big_n):
-        sys_ = make_ncf_rscc(NcfParams(big_n))
-        rng = np.random.default_rng(100 + big_n)
+    @pytest.mark.parametrize("past", [1, 5])
+    def test_equals_every_term_recursion(self, n, past):
+        sys_ = make_ncf_rscc(NcfParams(transfer._SPECTRAL_N + past))
+        rng = np.random.default_rng(100 + past)
         for _ in range(6):
             src = float(rng.random())
             a, b = (float(v) for v in np.sort(rng.random(2)))
@@ -459,15 +463,15 @@ class TestShortRecursion:
             assert abs(q_step(sys_, n, src, (a, b), grid_m=256) - terms[-1]) <= tol
             assert abs(q_cesaro(sys_, n, src, (a, b), grid_m=256) - sum(terms) / n) <= tol
 
-    @pytest.mark.parametrize("big_n", [1, 2, 5, 50])
-    def test_grid_terms_are_branch_sums_at_the_source(self, big_n, monkeypatch):
+    @pytest.mark.parametrize("past", [1, 2, 5, 50])
+    def test_grid_terms_are_branch_sums_at_the_source(self, past, monkeypatch):
         # the source's point terms are taken once, on 2^-20 cells, for Q^(2)
         # and every grid iterate, and each term is still transfer_at of its
         # function read as a callable there: Q^(1) and Q^(2) to the bit, and
         # the grid iterates, read through one row of node weights, within
         # 1e-15, by the summation order of the reads
-        sys_ = make_ncf_rscc(NcfParams(big_n))
-        rng = np.random.default_rng(300 + big_n)
+        sys_ = make_ncf_rscc(NcfParams(transfer._SPECTRAL_N + past))
+        rng = np.random.default_rng(300 + past)
         cases = [(float(rng.random()), *(float(v) for v in np.sort(rng.random(2))),
                   int(rng.choice([16, 256, 1024]))) for _ in range(5)]
         wants = [_every_kernel_term(sys_, 10, *case) for case in cases]
@@ -483,14 +487,14 @@ class TestShortRecursion:
         assert cells == [transfer._CALLABLE_CELLS] * len(cases)  # one point-term set a call
 
     @pytest.mark.parametrize("grid_m", [16, 1000, 1024])
-    @pytest.mark.parametrize("big_n", [1, 5, 50])
-    def test_matches_the_grid_cell_route(self, big_n, grid_m):
+    @pytest.mark.parametrize("past", [1, 5, 50])
+    def test_matches_the_grid_cell_route(self, past, grid_m):
         # the route that read each grid iterate at the source on the grid's
         # own cells, a second point-term set: Q^(1) and Q^(2) are its terms to
         # the bit, and Q^(k >= 3) lie within 1e-15, at 1000 cells too, which
         # do not divide 2^20
-        sys_ = make_ncf_rscc(NcfParams(big_n))
-        params, rng = sys_.params, np.random.default_rng(700 + big_n)
+        sys_ = make_ncf_rscc(NcfParams(transfer._SPECTRAL_N + past))
+        params, rng = sys_.params, np.random.default_rng(700 + past)
         for _ in range(4):
             src = float(rng.random())
             a, b = (float(v) for v in np.sort(rng.random(2)))
@@ -518,7 +522,7 @@ class TestShortRecursion:
         assert q_cesaro(sys_, 2, 0.3, (0.2, 0.6)) == (q_kernel(sys_, 0.3, 0.2, 0.6) + want) / 2
 
     def test_no_grid_below_three_steps(self, monkeypatch):
-        sys_ = make_ncf_rscc(NcfParams(2))
+        sys_ = make_ncf_rscc(NcfParams(transfer._SPECTRAL_N + 2))
         monkeypatch.setattr(transfer.GridFunction, "from_callable", _refuse)
         q_step(sys_, 2, 0.3, (0.1, 0.7))
         q_cesaro(sys_, 2, 0.3, (0.1, 0.7))
@@ -528,29 +532,34 @@ class TestShortRecursion:
         assert q_cesaro(sys_, 1, 0.3, (0.1, 0.7)) == q_kernel(sys_, 0.3, 0.1, 0.7)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the grid iterates of Q^(1) lose mass at 0")
 @pytest.mark.parametrize("fn,k,source", [(q_cesaro, 4, 1.0), (q_step, 6, 0.0)],
                          ids=["q_cesaro", "q_step"])
 def test_whole_interval_has_mass_one(fn, k, source):
     # from a state above 0 every branch lands in [0, 1), and from 0 every
-    # later state lies above 0, so both are 1; the grid's node 0 holds
-    # Q^(1)(0) = 1/2, and the far branches read the cell [0, 1/M] between
-    # 1/2 and 1: 0.99983 and 0.99965 at M = 1024
+    # later state lies above 0, so both are 1.  The grid recursion missed it:
+    # its node 0 held Q^(1)(0) = 1/2, and the far branches read the cell
+    # [0, 1/M] between 1/2 and 1: 0.99983 and 0.99965 at M = 1024
     assert fn(make_ncf_rscc(NcfParams(1)), k, source, (0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestQCesaroNearJump:
     # sources within about a grid cell of a jump of the one- or two-step
-    # kernel, where interpolating the grid across the jump misreads it
+    # kernel, where interpolating the grid across the jump misread it; the
+    # last four are the q_cesaro[n=10,.] tasks of the benchmark's gk-iterate
+    # that the grid recursion failed, at seeds 3033, 3406, 5411 and 5493
     @pytest.mark.parametrize("source,a,b", [
         (0.38958496933757203, 0.3676879264513151, 0.4289573478325086),
         (0.4843347156369702, 0.7130512454106287, 0.881000475459319),
         (0.27133767320949903, 0.7865127852852144, 0.9152905165309599),
         (0.3470080586526752, 0.6229727548953878, 0.7424404062506842),
+        (0.1591048430233845, 0.1928306608169278, 0.6506651377117445),
+        (0.8589906691637565, 0.5654273634782184, 0.6059231019916032),
+        (0.5981614262973743, 0.3965461545454889, 0.619147329546909),
+        (0.18720467687926118, 0.166296057400947, 0.6481085039993115),
     ])
     def test_matches_monte_carlo_cesaro_average(self, source, a, b):
         sys = make_ncf_rscc(NcfParams(1))
-        n, grid_m, n_paths = 10, 1024, 100_000
+        n, n_paths = 10, 100_000
         rng = np.random.default_rng(20240824)
         w = np.full(n_paths, source)
         hits = np.zeros(n_paths)
@@ -559,8 +568,218 @@ class TestQCesaroNearJump:
             hits += (w >= a) & (w < b)
         share = hits / n
         mean, se = float(np.mean(share)), float(np.std(share) / math.sqrt(n_paths))
-        got = q_cesaro(sys, n, source, (a, b), grid_m=grid_m)
-        assert abs(got - mean) <= 4 * se + 2.0 / grid_m
+        got = q_cesaro(sys, n, source, (a, b))
+        assert abs(got - mean) <= 4 * se
+
+
+class _Spectral48:
+    """The exact route's state written apart from rscc, on 49 Chebyshev-Lobatto
+    nodes: the operator built from N by 128 direct branches and Gregory's
+    differences, C_F summed directly below N + 128 and taken as S - T(F+1)
+    past it, and every jump decided by Fraction."""
+
+    GREGORY = (Fraction(1, 2), Fraction(-1, 12), Fraction(1, 24), Fraction(-19, 720),
+               Fraction(3, 160), Fraction(-863, 60480), Fraction(275, 24192),
+               Fraction(-33953, 3628800), Fraction(8183, 1036800),
+               Fraction(-3250433, 479001600), Fraction(4671, 788480))
+
+    def __init__(self, n, k=48):
+        j = np.arange(k + 1)
+        self.n, self.x = n, np.sin(j * np.pi / (2 * k)) ** 2
+        self.bary = (-1.0) ** j
+        self.bary[[0, -1]] /= 2
+        gl, glw = np.polynomial.legendre.leggauss(20)
+        self.gl, self.glw = (gl + 1) / 2, glw / 2
+        self.s = self.tail(n)
+        self.rows_n = self.rows(np.arange(n, n + 128))
+
+    def lagrange(self, y):
+        d = y[..., None] - self.x
+        hit = d == 0.0
+        d[hit] = 1.0
+        q = self.bary / d
+        on = hit.any(axis=-1)
+        q[on] = hit[on]
+        return q / q.sum(axis=-1, keepdims=True)
+
+    def rows(self, i):
+        """B_i[r, c] = P_i(x_r) L_c(N/(x_r+i)), (branch, r, c)."""
+        z = self.x[:, None] + np.asarray(i, dtype=float)
+        mass = (self.x + self.n)[:, None] / z / (z + 1.0)
+        return (mass[..., None] * self.lagrange(self.n / z)).transpose(1, 0, 2)
+
+    def tail(self, start):
+        """sum_{i >= start} B_i."""
+        n, x = self.n, self.x[:, None]
+        i0 = max(start, n + 128)
+        out = self.rows(np.arange(start, i0)).sum(axis=0) if start < i0 else 0.0
+        d = self.rows(float(i0) + np.arange(11.0))
+        for g in self.GREGORY:
+            out = out + float(g) * d[0]
+            d = np.diff(d, axis=0)
+        ui = n / (x + float(i0))
+        u = ui * self.gl
+        return out + np.einsum("rq,rqc->rc", self.glw * ui * (x + n) / (n + u), self.lagrange(u))
+
+    def terms(self, steps, source, a, b):
+        """Q^(1..steps)(source, [a, b))."""
+        n, x, src = self.n, self.x, Fraction(source)
+        part, jumps = np.zeros(x.size), []
+        for u, sign in ((b, 1.0), (a, -1.0)):
+            if u > 0:
+                q = n / Fraction(u)
+                z = x + math.floor(q)
+                part = part + sign * (x + n) / (z + 1.0)
+                jumps.append((sign * (x + n) / z / (z + 1.0), q - math.floor(q), True))
+        ell, out = self.lagrange(np.array([float(source)]))[0], []
+        for k in range(steps):
+            out.append(float(ell @ (part + sum((g for g, p, strict in jumps
+                                                if src > p or not strict and src == p),
+                                               np.zeros(x.size)))))
+            new, moved = self.s @ part, []
+            for g, p, strict in jumps:
+                if p == 0:  # every branch lands above 0
+                    new = new + self.s @ g
+                    continue
+                f = math.floor(n / p)
+                rho = n / p - f
+                if strict and rho == 0:  # branch f - 1 lands on p at x = 1
+                    f, rho = f - 1, Fraction(1)
+                if f - n < 128:
+                    c, bf = self.rows_n[:f - n + 1].sum(axis=0), self.rows_n[f - n]
+                else:
+                    c, bf = self.s - self.tail(f + 1), self.rows([f])[0]
+                new = new + c @ g
+                moved.append((-(bf @ g), rho, not strict))
+            part, jumps = new, moved
+        return out
+
+
+def _two_step_sum(n, x, a, b):
+    """Q^(2)(x, [a, b)) = sum_i P_i(x) Q^(1)(y_i, [a, b)), y_i = N/(x+i).  For
+    an end u, N/u = f + phi: branch i takes Q^(1)'s piece (y+N)/(y+f) where
+    y_i > phi, i.e. i < N/phi - x, decided by Fraction, and (y+N)/(y+f+1)
+    elsewhere.  Over every branch the second sums in closed form, P_i(x)
+    (y+N)/(y+f+1) being (x+N)(1/z - 1/(z+c)), z = x+i, c = N/(f+1): to
+    (x+N)(psi(x+N+c) - psi(x+N)), by mpmath.  The branches below the
+    crossing add P_i(x) P_f(y_i), their difference, by fsum."""
+    total = 0.0
+    for u, sign in ((b, 1), (a, -1)):
+        if u <= 0:
+            continue
+        q = n / Fraction(u)
+        f, phi = math.floor(q), q - math.floor(q)
+        if phi:
+            last = math.ceil(n / phi - Fraction(x)) - 1
+        else:  # every y_i > 0 takes (y+N)/(y+f)
+            f, last = f - 1, n - 1
+        with mpmath.workdps(40):
+            xm, c = mpmath.mpf(x), mpmath.mpf(n) / (f + 1)
+            whole = float((xm + n) * (mpmath.digamma(xm + n + c) - mpmath.digamma(xm + n)))
+        z = x + np.arange(n, last + 1, dtype=float)
+        y = n / z
+        below = math.fsum((x + n) / (z * (z + 1.0)) * (y + n) / ((y + f) * (y + f + 1.0)))
+        total += sign * (whole + below)
+    return total
+
+
+class TestExactKernel:
+    """Up to transfer._SPECTRAL_N the kernel's jumps are carried in closed
+    form and the rest on the 25-point spectral operator (rscc._exact_terms)."""
+
+    @pytest.mark.parametrize("big_n", [1, 2, 5, 50, 1000])
+    def test_agrees_with_49_nodes(self, big_n, monkeypatch):
+        # Q^(1..10) within 1e-14 of the same state on 49 nodes; (0.3, [0.2,
+        # 0.6)) takes Gregory's tail: 0.2's float lies within 1e-17 of 1/5
+        sys_, ref = make_ncf_rscc(NcfParams(big_n)), _Spectral48(big_n)
+        tails, tail = [], transfer._spectral_tail
+        monkeypatch.setattr(transfer, "_spectral_tail", lambda *a: tails.append(a) or tail(*a))
+        rng = np.random.default_rng(900 + big_n)
+        cases = [(0.3, 0.2, 0.6)] + [(float(rng.random()), *(float(v) for v in np.sort(rng.random(2))))
+                                     for _ in range(8)]
+        for src, a, b in cases:
+            got = rscc._kernel_terms(sys_, 10, src, a, b, 1024)
+            assert got[0] == q_kernel(sys_, src, a, b)
+            assert max(abs(g - w) for g, w in zip(got, ref.terms(10, src, a, b))) <= 1e-14
+        assert tails
+
+    def test_reference_value(self):
+        # the grid recursion read 0.3215194, 0.3216253 and 0.3216517 at M =
+        # 1024, 4096 and 16384
+        got = q_step(make_ncf_rscc(NcfParams(1)), 3, 0.3, (0.2, 0.5))
+        assert got == pytest.approx(0.3216605680, abs=5e-11)
+
+    # targets whose Q^(2) jumps at 1/2 (">="), and whose Q^(1) jumps at a p
+    # with N/p an integer (">", R = 0), so that at x = 1 a branch lands on it
+    @pytest.mark.parametrize("big_n,on_half,r_zero", [
+        (1, 0.375, 0.75), (2, 0.4375, 0.75), (5, 0.75, 0.375), (1000, 0.484375, 0.75)])
+    def test_two_steps_at_sources_on_ties(self, big_n, on_half, r_zero):
+        sys_ = make_ncf_rscc(NcfParams(big_n))
+        for b in (on_half, r_zero):
+            for a in (0.0, 0.1):
+                for src in (0.0, 0.5, 1.0):
+                    want = _two_step_sum(big_n, src, a, b)
+                    assert abs(q_step(sys_, 2, src, (a, b)) - want) <= 4e-15
+
+    def test_a_strict_jump_with_no_remainder_drops_its_branch_at_one(self):
+        # N = 1, [0, 5/8): Q^(3) jumps at 1/2 (">"), and 1/(x+1) lands on 1/2
+        # at x = 1 only: Q^(4) at 1 drops branch 1 there, P_1(1) = 1/3 times
+        # Q^(3)'s jump, and is continuous from the left otherwise
+        sys_ = make_ncf_rscc(NcfParams(1))
+
+        def q(k, x):
+            return q_step(sys_, k, x, (0.0, 0.625))
+
+        jump = q(3, math.nextafter(0.5, 1.0)) - q(3, 0.5)
+        assert abs(jump) > 0.01
+        assert abs(q(4, 1.0) - q(4, math.nextafter(1.0, 0.0)) + jump / 3) <= 1e-14
+
+    @pytest.mark.parametrize("big_n", [1, 1000])
+    def test_ends_far_below_every_branch(self, big_n):
+        # an end of 1e-300 takes f = N 10^300, whose P_f would overflow as one
+        # product; one of 5e-324, f = N 2^1074, has no binary64 value, and adds
+        # no term, as Q^(1) = 0 there
+        sys_ = make_ncf_rscc(NcfParams(big_n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            from_zero = rscc._kernel_terms(sys_, 6, 0.3, 0.0, 0.6, 1024)
+            assert max(abs(g - w) for g, w in zip(
+                rscc._kernel_terms(sys_, 6, 0.3, 1e-300, 0.6, 1024), from_zero)) <= 1e-15
+            assert rscc._kernel_terms(sys_, 6, 0.3, 5e-324, 0.6, 1024)[1:] == from_zero[1:]
+            assert max(map(abs, rscc._kernel_terms(sys_, 6, 0.3, 0.0, 1e-300, 1024))) <= 1e-290
+
+    def test_charged_before_any_table(self, monkeypatch):
+        # the charge covers the products, the held blocks and S, and the
+        # tails ((0.3, [0.2, 0.6)) at N = 3 takes one); one unit below it is
+        # refused before a block or a tail is formed
+        sys_, costs = make_ncf_rscc(NcfParams(3)), []
+        monkeypatch.setattr(rscc, "charge", lambda cost, what: costs.append(cost) or charge(cost, what))
+        want = q_step(sys_, 10, 0.3, (0.2, 0.6))
+        (cost,) = costs
+        monkeypatch.setenv("NCF_BUDGET", str(cost))
+        transfer._spectral_blocks.cache_clear()
+        assert q_step(sys_, 10, 0.3, (0.2, 0.6)) == want
+        monkeypatch.setenv("NCF_BUDGET", str(cost - 1))
+        transfer._spectral_blocks.cache_clear()
+        monkeypatch.setattr(transfer, "_spectral_rows", _refuse)
+        monkeypatch.setattr(transfer, "_spectral_tail", _refuse)
+        with pytest.raises(BudgetExceededError, match="^kernel iterates"):
+            q_step(sys_, 10, 0.3, (0.2, 0.6))
+
+    def test_held_blocks_are_read_only(self):
+        s, blocks = transfer._spectral_blocks(2)
+        assert transfer._spectral_blocks(2)[1] is blocks
+        assert transfer._spectral_blocks.cache_info().maxsize == 4
+        k1 = transfer._K + 1
+        assert blocks.shape == (128, 2 * k1, k1) and blocks.nbytes == 1_280_000
+        for held in (s, blocks):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0] = 1.0
+        # C_i on -B_i, i = N, N + 1; S's rows sum to 1
+        b = transfer._spectral_rows(2, [2, 3])
+        assert np.array_equal(blocks[0], np.concatenate((b[0], -b[0])))
+        assert np.abs(blocks[1, :k1] - b[0] - b[1]).max() <= 1e-16
+        assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-15
 
 
 class TestMealy:

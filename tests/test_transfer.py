@@ -1040,6 +1040,37 @@ class TestSpectralOperator:
         with pytest.raises(ValueError, match="read-only"):
             transfer._grid_integrals(64)[0, 0] = 1.0
 
+
+class TestSpectralTail:
+    """_spectral_tail(N, I): the branches i >= I of _spectral(N), those from
+    N + 128 on by Gregory's end correction."""
+
+    @pytest.mark.parametrize("n", [1, 5, 50, 1000])
+    def test_from_n_is_the_spectral_matrix(self, n):
+        assert np.max(np.abs(transfer._spectral_tail(n, n) - transfer._spectral(n))) <= 6e-15
+
+    @pytest.mark.parametrize("moved", [0, 128, 500, 3000])
+    @pytest.mark.parametrize("n", [1, 5, 50, 1000])
+    def test_moved_starts_against_direct_sums(self, n, moved):
+        # the 2000 branches from a start: the difference of two tails
+        start = n + moved
+        direct = transfer._spectral_rows(n, np.arange(start, start + 2000)).sum(axis=0)
+        got = transfer._spectral_tail(n, start) - transfer._spectral_tail(n, start + 2000)
+        assert np.max(np.abs(got - direct)) <= 2e-15
+
+    @pytest.mark.parametrize("n", [1, 1000])
+    @pytest.mark.parametrize("moved", [0, 128, 10 ** 6, 2 ** 60, 10 ** 300])
+    def test_masses_telescope(self, n, moved):
+        # T(I) 1 = sum_{i >= I} P_i(x) = (x+N)/(x+I); a start of 10^300 takes
+        # P_i in the form that does not overflow
+        x, start = transfer._LOBATTO, n + moved
+        want = (x + n) / (x + float(start))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = transfer._spectral_tail(n, start).sum(axis=1)
+        assert np.max(np.abs(got / want - 1.0)) <= 2e-15
+
+
 def _fresh(f, params, i_max=None):
     """apply_transfer's values from an empty table store, which it leaves as it was."""
     held = transfer._held
@@ -1354,11 +1385,12 @@ class TestHeldLayouts:
 
     def test_threads_on_layouts_and_tables_get_the_serial_results(self, monkeypatch):
         # one store holds the kernels' point-term layouts and apply_transfer's
-        # tables: one thread takes kernels at N=1 and N=2 (a layout on 2^-20
-        # cells and one on the grid each), the other a table set at N=5,
-        # M=8192 and a gap curve; every result is the serial one's to the bit
+        # tables: one thread takes kernels on the grid route, past
+        # _SPECTRAL_N (a layout on 2^-20 cells and one on the grid each), the
+        # other a table set at N=5, M=8192 and a gap curve; every result is
+        # the serial one's to the bit
         monkeypatch.setattr(transfer, "_held", {})
-        systems = [rscc.make_ncf_rscc(NcfParams(n)) for n in (1, 2)]
+        systems = [rscc.make_ncf_rscc(NcfParams(transfer._SPECTRAL_N + n)) for n in (1, 2)]
         f, g = _random_grid(8192, seed=11), GridFunction.from_callable(np.cos, 2048)
 
         def kernels():
