@@ -177,7 +177,8 @@ def path_probability(sys: RsccSystem, w, word) -> float:
 def q_kernel_interval(sys: RsccSystem, x, u_end: float):
     """Q(x, [0, u_end)) of the continued-fraction system, a float at a state x, else an array:
     branch i lands in [0, u) iff N/(x+i) < u iff i >= E (`core._kernel_jump`), the masses
-    telescope to (x+N)/(x+E), and Q is 0 where E has no binary64 value, though they carry ~u."""
+    telescope to (x+N)/(x+E).  Where E has no binary64 value, x + N and x + E carry no x,
+    and Q is N/(f + 1), f = floor(N/u), correctly rounded."""
     n = _cf_n(sys, "q_kernel_interval")
     xa = np.asarray(x, dtype=float)
     if not (0.0 <= xa.min() and xa.max() <= 1.0):
@@ -185,6 +186,9 @@ def q_kernel_interval(sys: RsccSystem, x, u_end: float):
     if not (0.0 < u_end <= 1.0):
         raise ValueError(f"u_end must lie in (0, 1], got {u_end}")
     phi, e_lo, e_hi = _kernel_jump(n, u_end)
+    if e_lo == math.inf:
+        q = n / (core._divide(n, u_end)[0] + 1)
+        return np.full(xa.shape, q) if xa.ndim else q
     if xa.ndim:
         return (xa + n) / (xa + np.where(xa <= phi, e_lo, e_hi))
     x = float(xa)  # one state in plain floats: half the cost of the 0-d array
@@ -240,9 +244,9 @@ def q_step(sys: RsccSystem, k: int, source: float, target,
            grid_m: int = 1024) -> float:
     """k-step kernel Q^(k)(source, [a, b)) of the continued-fraction system,
     `target` the pair (a, b), by the kernel recursion Q^(k+1) = U Q^(k) of
-    `_kernel_terms`: exact in its jumps up to N = 10^3, and past it on the
-    grid of grid_m cells, which grid_m sets only there.  `q_step_mc` is the
-    Monte Carlo estimate of the same kernel."""
+    `_kernel_terms`, exact in its jumps at every N; grid_m, still checked,
+    sets nothing.  `q_step_mc` is the Monte Carlo estimate of the same
+    kernel."""
     k = count(k, "k", 1)
     _cf_n(sys, "q_step")
     a, b = target
@@ -251,41 +255,16 @@ def q_step(sys: RsccSystem, k: int, source: float, target,
 
 def _kernel_terms(sys: RsccSystem, n: int, source: float, a: float, b: float,
                   grid_m: int) -> list:
-    """Q^(k)(source, [a, b)) for k = 1..n: Q^(1) the closed form `q_kernel`.
-    Up to N = transfer._SPECTRAL_N the later terms carry the kernel's jumps
-    exactly (_exact_terms), and grid_m, still checked, sets nothing.  Past
-    it every later step is taken at the source by one set of point terms,
-    those of transfer_at for a callable, the far branches N/(source+i)
-    grouped on cells of width 2^-20.  Q^(2) reads Q^(1) at them; U^(k-2)
-    Q^(1), k >= 3, lives on the grid of grid_m cells, whose linear
-    interpolant the terms read: they are collapsed once into a row of grid_m
-    + 1 node weights, and each iterate is read as one dot product with it.
-    The interpolant is linear on each 2^-20 cell exactly when grid_m divides
-    2^20: the last step never reads the grid across a jump of the kernel at
-    the source; but the grid itself interpolates across the kernel's jumps,
-    so it converges at first order.  n = 1 forms no point term, and n < 3 no
-    grid."""
+    """Q^(k)(source, [a, b)) for k = 1..n: Q^(1) the closed form `q_kernel`,
+    the later terms with the kernel's jumps carried exactly (_exact_terms).
+    grid_m is checked and sets nothing."""
     core._check_unit_interval(source)
-    grid_m = count(grid_m, "grid_m", 1)
+    count(grid_m, "grid_m", 1)
     x = float(source)
     terms = [q_kernel(sys, x, a, b)]
     if n == 1:
         return terms
-    if sys.params.n_param <= transfer._SPECTRAL_N:
-        return terms + _exact_terms(sys.params.n_param, n, x, a, b)
-
-    def q1(y):
-        # an empty target (b <= 0) makes q_kernel the scalar 0
-        return np.zeros_like(y) + q_kernel(sys, y, a, b)
-
-    (_, (w,), (y,)), = transfer._branch_terms(sys.params, np.array([x]), transfer._CALLABLE_CELLS)
-    terms.append(float(np.sum(w * q1(y))))
-    if n > 2:
-        grid = transfer.GridFunction.from_callable(q1, grid_m)
-        c, lo, hi = transfer._rows(grid_m * y, w.copy(), grid_m)
-        row = np.bincount(c, lo, grid_m + 1) + np.bincount(c + 1, hi, grid_m + 1)
-        terms += [float(row @ v) for v in transfer.iterates(grid, sys.params, n - 2)]
-    return terms
+    return terms + _exact_terms(sys.params.n_param, n, x, a, b)
 
 
 def _exact_terms(n: int, steps: int, x: float, a: float, b: float) -> list:
@@ -303,8 +282,8 @@ def _exact_terms(n: int, steps: int, x: float, a: float, b: float) -> list:
     C_F = B_N + ... + B_F; g_j <- -B_F g_j; p_j <- R/p, ">" turning to ">="
     and ">=" to ">".  On a ">" jump with R = 0 branch F - 1 lands on p at x =
     1 only, so F - 1 and R/p = 1 take their place.  A jump at 0 folds S g_j
-    into A.  An end whose f has no binary64 value adds no term: Q^(1) is 0
-    there.  S, and C_F and -B_F for F < N + 128, are held per N
+    into A.  An end whose f has no binary64 value adds the constant N/(f +
+    1) to A and no jump.  S, and C_F and -B_F for F < N + 128, are held per N
     (transfer._spectral_blocks); past that C_F g = S g - T(F+1) g, by
     Gregory's tail T (transfer._spectral_tail).  Q^(k)(x) is the Lagrange row
     at x against A plus the g_j whose jumps x passes, decided exactly.
@@ -319,7 +298,8 @@ def _exact_terms(n: int, steps: int, x: float, a: float, b: float) -> list:
         f, r, p = core._divide(n, u)
         try:
             z = nodes + float(f)
-        except OverflowError:  # Q^(1)(y, [0, u)) = 0, as q_kernel_interval takes it
+        except OverflowError:  # Q^(1)(y, [0, u)) = N/(f + 1), as q_kernel_interval takes it
+            part += sign * (n / (f + 1))
             continue
         part += sign * (nodes + n) / (z + 1.0)
         g.append(sign * transfer._branch_mass(n, z))
@@ -402,8 +382,7 @@ def q_cesaro(sys: RsccSystem, n: int, source: float, target,
     `core.mealy_cesaro` of its kernel rows, exact to rounding at every n; the
     continued-fraction system, `target` the pair (a, b), averages the terms
     Q^(1..n)(source) of q_step's kernel recursion, `_kernel_terms`: exact in
-    the kernel's jumps up to N = 10^3, and past it on the grid of grid_m
-    cells, which grid_m sets only there."""
+    the kernel's jumps at every N; grid_m, still checked, sets nothing."""
     n = count(n, "n", 1)
     if sys.finite:
         if len(sys.states) != 2:

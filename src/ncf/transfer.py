@@ -7,18 +7,14 @@ branches accumulate at 0; those landing in one grid cell enter as one term,
 by their exact mass and first moment, which both telescope, so grid
 functions, linear on each cell, get the whole series in about 2 sqrt(NM)
 terms a point.  One set of formulas forms every term from exact integer
-thresholds: _grid_terms at each point, for the assembled operator and the
-point form, and apply_transfer once a call, as Chebyshev series in the node
-index.  Both fast forms sum point terms as gathered rows (_rows): a cell c
-with a weight on f_c and one on f_{c+1}.
-One store holds, read-only, what reads no f: apply_transfer's series, by
-(N, M, i_max), and its single branches' rows, by (N, M), and _grid_terms'
-layout of thresholds and ends, by (N, M, i_max); the least recently used is
-dropped past 16 MiB in all, and a larger table is formed at every call.
-iterates() yields the node values of n branch sums, or, where its build and
-steps are charged less, of n steps of the operator of f's grid, each one
-BLAS product plus one gather; the operator is assembled once per (N, M) and
-held, read-only, until another grid needs it (_operator): one at a time.
+thresholds: _grid_terms at each point, for the point form transfer_at, the
+reference, and apply_transfer once a call, as Chebyshev series in the node
+index, which sums its point terms as gathered rows (_rows): a cell c with a
+weight on f_c and one on f_{c+1}.  iterates() yields n of its calls, the
+run charged at the call.  One store holds, read-only, what reads no f:
+apply_transfer's series, by (N, M, i_max), and its single branches' rows, by
+(N, M); the least recently used is dropped past 16 MiB in all, and a larger
+table is formed at every call.
 A second form leaves the grid: _spectral(N), the operator as the matrix of
 collocation at 25 Chebyshev-Lobatto points, in closed form up to N = 10^3
 and kept per N, read-only.  Its iterates of an analytic f converge
@@ -121,7 +117,7 @@ def default_branch_cutoff(params: NcfParams) -> int:
 
 
 # (row, term) entries per chunk of operator work: the chunk size sets the
-# temporaries of a branch sum and of an assembly
+# temporaries of a branch sum
 _CHUNK = 25_000
 # cells of width 2^-20 group the far branches of a callable f
 _CALLABLE_CELLS = 1 << 20
@@ -214,36 +210,26 @@ def _mean(u: np.ndarray, c: np.ndarray, nm) -> np.ndarray:
     return nm / 2 * u + nm * c / u
 
 
-def _point_layout(n: int, m: int, layout):
-    """_grid_terms' layout, which reads no point: the ends' offsets c = s (NM
-    - k i) and the groups' counts down the first axis, the thresholds M r/t
-    and the cells k, and the places' bases s i of the singles and of every
-    end, each a column."""
-    nm, s, first, cut, top, low, _ = layout
+def _grid_terms(params: NcfParams, j: np.ndarray, m: int, i_max: Optional[int]):
+    """The terms of the operator at x = j/M, exact for f linear on each of m
+    cells, by apply_transfer's formulas: the one place they are formed for the
+    point form, which charges len(j) times the terms a point.
+    Yields chunks of about _CHUNK entries, a point a row: (r0, x+N, w, p, k, a,
+    b), the masses w over x+N and places p of the singles and the last term,
+    each adding w f_c + w (p - c) (f_{c+1} - f_c), c = min(floor(p), M-1), and
+    the groups' cells k, masses a and offsets b, each a f_k + b (f_{k+1} - f_k)."""
+    n = params.n_param
+    nm, s, first, cut, top, low, terms = _layout(n, m, i_max, True)
+    g, rows = first - n, max(1, _CHUNK // terms)
+    # the layout, which reads no point, formed at every call: the ends' offsets
+    # c = s (NM - k i) and the groups' counts down the first axis, the
+    # thresholds M r/t and the cells k, and the places' bases s i of the
+    # singles and of every end, each a column
     t, q, r, ends, k = _thresholds(nm, first, cut, top, low)
     c = s * (nm - k * ends).astype(float)[:, None]  # the ends down columns, the points along rows
     cnt, mr = np.diff(ends).astype(float)[:, None], (m * r / t).astype(float)[:, None]
     at = s * np.append(n + np.arange(first - n, dtype=float), ends.astype(float))[:, None]
-    return c, cnt, mr, k.astype(float)[:, None], at
-
-
-def _grid_terms(params: NcfParams, j: np.ndarray, m: int, i_max: Optional[int]):
-    """The terms of the operator at x = j/M, exact for f linear on each of m
-    cells, by apply_transfer's formulas: the one place they are formed for the
-    assembly and the point form, which charge len(j) times the terms a point.
-    Yields chunks of about _CHUNK entries, a point a row: (r0, x+N, w, p, k, a,
-    b), the masses w over x+N and places p of the singles and the last term,
-    each adding w f_c + w (p - c) (f_{c+1} - f_c), c = min(floor(p), M-1), and
-    the groups' cells k, masses a and offsets b, each a f_k + b (f_{k+1} - f_k).
-    The layout, which reads no point (_point_layout), is held in apply_transfer's
-    store by (N, M, i_max), read-only, where its 8 (4 E + T + I - N - 1) bytes,
-    E ends and T thresholds, fit; else it is formed at every call."""
-    n = params.n_param
-    layout = nm, s, first, cut, top, low, terms = _layout(n, m, i_max, True)
-    g, rows = first - n, max(1, _CHUNK // terms)
-    size = 8 * (4 * (terms - g) + (top - low if top else 0) + g - 1)
-    (c, cnt, mr, k, at), = _hold(("terms", n, m, i_max, _CHUNK), size,
-                                 lambda: (_point_layout(n, m, layout),))
+    k = k.astype(float)[:, None]
     for r0 in range(0, len(j), rows):
         jr = j[r0:r0 + rows]
         late = np.zeros((g + c.shape[0], jr.size))  # 1 where branch q still lands in cell t
@@ -321,9 +307,9 @@ def _suffix_sums(ev: np.ndarray, carry: np.ndarray) -> np.ndarray:
 
 
 def _rows(p: np.ndarray, w: np.ndarray, m: int):
-    """Point terms of masses w at places M y = p as gathered rows: the cells
-    c = min(floor(p), M-1), and the weights hi = (p - c) w on c + 1 and
-    lo = w - hi on c, in place of w."""
+    """apply_transfer's point terms of masses w at places M y = p as gathered
+    rows: the cells c = min(floor(p), M-1), and the weights hi = (p - c) w on
+    c + 1 and lo = w - hi on c, in place of w."""
     c = np.minimum(p, m - 1).astype(np.intp)
     hi = (p - c) * w
     w -= hi
@@ -423,8 +409,8 @@ def _freeze(tables) -> None:
 
 # the tables that read no f, the least recently used first, (bytes, tables)
 # each, read-only: apply_transfer's group sets by ("groups", N, M, i_max + 1,
-# _CHUNK) and singles' by ("singles", N, M, I, _CHUNK), and _grid_terms'
-# layouts by ("terms", N, M, i_max, _CHUNK); together at most _HELD_BYTES
+# _CHUNK) and singles' by ("singles", N, M, I, _CHUNK); together at most
+# _HELD_BYTES
 _held = {}
 _HELD_BYTES = 16 << 20
 _held_lock = threading.Lock()
@@ -455,7 +441,8 @@ def _hold(key, size: int, make, beside=None):
 
 def _branch_sum(n: int, m: int, i_max: Optional[int]):
     """apply_transfer's _layout, series (the groups' and the crossings') and
-    charge: the point terms and coefficients at every node, _CHEB a series."""
+    charge: the point terms and coefficients at every node, _CHEB samples a
+    series."""
     layout = _layout(n, m, i_max, False)
     _, _, first, _, top, low, terms = layout
     series = terms - 1 - (first - n) + max(top - low, 0)
@@ -522,87 +509,20 @@ def apply_transfer(f: GridFunction, params: NcfParams, i_max: Optional[int] = No
     return GridFunction(out)
 
 
-def _assemble(params: NcfParams, m: int):
-    """The operator on grids of m cells, from one pass of _grid_terms: (dense,
-    cols, weights).  The s singles i = N..max(N+1, I // 3) - 1, which land
-    highest, stay gathered: row j puts weights[j] on the columns cols[j], the
-    cells c of those singles and then c + 1, against their lo and then hi,
-    three words a single as (c, lo, hi) took, the cells being int32 (a grid
-    of 2^31 cells has no dense part that fits in memory); _step sums repeated
-    columns.  dense, (m+1) x W, takes the groups of the cells K..1, K = NM //
-    I, by shifted slices, b clipped to [0, a] against rounding, and the other
-    point terms on their two columns each.  Folding the single i adds about
-    NM / i^2 columns and drops its three words a row: from I/3 on, about the
-    2I columns whose bytes its 2I/3 singles held, and a step reads each three
-    words as 3 columns of one BLAS product."""
-    op, n = None, params.n_param
-    for r0, xn, w, p, _, a, b in _grid_terms(params, np.arange(m + 1.0), m, None):
-        c, w, h = _rows(p, xn[:, None] * w, m)  # w on each cell, h on the next
-        k, g = a.shape[1], c.shape[1] - 1  # the groups K..1, the singles N..I-1
-        s = min(g, max(1, (n + g) // 3 - n))  # the singles kept gathered
-        if op is None:  # after the charge: dense, cols, weights; row 0 lands highest
-            rows = (m + 1, 2 * s)
-            op = np.zeros((m + 1, max(k, c[0, s]) + 2)), np.empty(rows, np.int32), np.empty(rows)
-        dense, cols, weights = (t[r0:r0 + xn.size] for t in op)
-        cols[:, :s], cols[:, s:] = c[:, :s], c[:, :s] + 1
-        weights[:, :s], weights[:, s:] = w[:, :s], h[:, :s]
-        b = np.minimum(np.maximum(b, 0.0), a)
-        dense[:, 1:k + 1] = (a - b)[:, ::-1]
-        dense[:, 2:k + 2] += b[:, ::-1]
-        dense[:, 1:k + 2] *= xn[:, None]
-        # the folded singles, and the last term, whose mean lies in cell 0
-        at = (c[:, s:] + np.arange(0, dense.size, dense.shape[1])[:, None]).ravel()
-        dense += np.bincount(np.append(at, at + 1), np.append(w[:, s:], h[:, s:]),
-                             dense.size).reshape(dense.shape)
-    return op
-
-
-def _step(op, v: np.ndarray) -> np.ndarray:
-    """One operator application to the node values v, by the operator op: one
-    BLAS product by dense, and one gather of v at cols, summed along each row
-    against weights."""
-    dense, cols, weights = op
-    out = dense @ v[:dense.shape[1]]
-    out += np.einsum("ij,ij->i", weights, v.take(cols))
-    return out
-
-
-@functools.lru_cache(maxsize=1)
-def _operator(n: int, m: int):
-    """The operator of N = n on grids of m cells (_assemble), read-only: the
-    one held, for the next run on that grid.  The one held before is dropped
-    before the build, so no two are ever held."""
-    _operator.cache_clear()
-    op = _assemble(NcfParams(n), m)
-    _freeze(op)
-    return op
-
-
 def iterates(f: GridFunction, params: NcfParams, n: int):
-    """Yield the node values of U f, U^2 f, ..., U^n f, each read-only, as the
-    next step reads it: every multi-step use of the operator.  A run whose
-    build and n steps are charged more than n branch sums takes those
-    (apply_transfer), and else n matrix-vector products by the operator of
-    f's grid (_operator).  The form is chosen by (N, M, n) alone, never by
-    what is held; runs in one form agree step for step to the bit, and the
-    two forms differ at rounding.  An operator run charges its steps and the
-    build before the lookup, built or held alike; a 0-step run, costing more
-    than no branch sums, builds and charges nothing."""
-    m, n_param = f.resolution, params.n_param
-    build = (m + 1) * _layout(n_param, m, None, True)[-1]
-    if build + n * (m + 1) > n * _branch_sum(n_param, m, None)[-1]:
+    """The node values of U f, U^2 f, ..., U^n f, each read-only, as the next
+    step reads it, yielded by n branch sums (apply_transfer's): every
+    multi-step use of the operator on a grid.  The n sums are charged
+    together at the call, before the first is taken, so a long run is
+    refused at once; each is charged again, within that, as it is taken."""
+    charge(n * _branch_sum(params.n_param, f.resolution, None)[-1], "transfer operator")
+
+    def steps(f):
         for _ in range(n):
             f = apply_transfer(f, params)
             f.values.setflags(write=False)
             yield f.values
-        return
-    charge(n * (m + 1), "operator steps")  # one unit a node a product
-    charge(build, "transfer operator")
-    op, v = _operator(n_param, m), f.values
-    for _ in range(n):
-        v = _step(op, v)
-        v.setflags(write=False)
-        yield v
+    return steps(f)
 
 
 # the spectral operator: collocation at the _K + 1 Chebyshev-Lobatto points
@@ -816,7 +736,7 @@ def _spectral_iterates(f: np.ndarray, params: NcfParams, n: int, m: int) -> np.n
     j/m by a row of 25 weights a point (_grid_integrals(m), or the Lagrange
     basis there), the caller having charged them as the grid's samples.
     Charges the n products by the matrix and by those rows, then the build,
-    on every run, as if built, as iterates does."""
+    on every run, as if built."""
     n_param = params.n_param
     charge(n * (_K + 1) * (_K + m + 2), "operator steps")
     charge((_K + 1) ** 2 * (19 * n_param + 20 + _K + 1), "transfer operator")

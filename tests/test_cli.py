@@ -416,10 +416,16 @@ class TestOutputPlumbing:
         ["gk", "--grid", "16", "--nmax", "100000000"],
         ["transfer", "--grid", "16", "--nmax", "100000000"],
         ["gap", "--grid", "16", "--nmax", "100000000"],
-    ], ids=["digit-law", "invariance", "regularity", "gk-steps", "transfer-steps", "gap-steps"])
+        ["gk", "--n", "1001", "--grid", "16", "--nmax", "100000000"],
+        ["transfer", "--n", "1001", "--grid", "16", "--nmax", "100000000"],
+        ["gap", "--n", "1001", "--grid", "16", "--nmax", "100000000"],
+    ], ids=["digit-law", "invariance", "regularity", "gk-steps", "transfer-steps", "gap-steps",
+            "gk-grid-steps", "transfer-grid-steps", "gap-grid-steps"])
     def test_large_work_is_refused_in_time(self, argv):
         # these loops ran uncharged: past a 15 s timeout under NCF_BUDGET=1000
-        # (the operator steps of gk, transfer and gap: only the build was charged)
+        # (the operator steps of gk, transfer and gap: only the build was
+        # charged; past N = 10^3, on the grid, each branch sum was charged
+        # alone, about 500 units at M = 16, and never the run)
         r = _cli_child(argv, budget="1000", timeout=10)
         assert r.returncode == 3, r.stderr
         assert "budget" in r.stderr

@@ -346,12 +346,10 @@ class TestRunExperiment:
 
     def test_one_operator_application_per_step(self, monkeypatch):
         # up to N = 10^3 the experiment iterates the spectral matrix: it
-        # assembles no grid operator, steps none and applies none, and it
-        # builds the matrix once per N, kept for the next experiment
+        # applies no grid operator, and it builds the matrix once per N, kept
+        # for the next experiment
         calls = []
-        for name in ("_assemble", "_step", "apply_transfer"):
-            monkeypatch.setattr(transfer, name,
-                                lambda *args, name=name, **kwargs: calls.append(name))
+        monkeypatch.setattr(transfer, "apply_transfer", lambda *args, **kwargs: calls.append(args))
         monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
         transfer._spectral.cache_clear()
         for seed, (n, mu) in enumerate([(1, lebesgue_measure()), (2, lebesgue_measure()),
@@ -365,22 +363,24 @@ class TestRunExperiment:
                              ids=["lebesgue", "tilted"])
     def test_switch_to_the_grid_past_a_thousand(self, mu, monkeypatch):
         # N = 10^3 iterates the spectral matrix, N = 10^3 + 1 the grid of m
-        # cells: both answer, charge the points, the steps and the build in
-        # that order, and their first errors agree within half a percent
+        # cells: both answer and charge the points first, then the spectral
+        # route its steps and its build, the grid route its 8 branch sums
+        # together, then each as it is taken; their first errors agree
+        # within half a percent
         monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
-        builds, assemble, reps = [], transfer._assemble, {}
-        transfer._operator.cache_clear()  # no grid operator from an earlier test
-        monkeypatch.setattr(transfer, "_assemble",
-                            lambda params, m: builds.append(params.n_param) or assemble(params, m))
+        applied, apply, reps = [], transfer.apply_transfer, {}
+        monkeypatch.setattr(transfer, "apply_transfer",
+                            lambda f, params: applied.append(params.n_param) or apply(f, params))
+        steps = {1000: ["operator steps", "transfer operator"], 1001: ["transfer operator"] * 9}
         for n in (1000, 1001):
             charges = []
             monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(what))
             reps[n] = run_experiment(mu, NcfParams(n), n_max=8, m=64, require_fit=False,
                                      rng=np.random.default_rng(5))
-            assert charges == ["grid samples", "operator steps", "transfer operator"]
+            assert charges == ["grid samples"] + steps[n]
             assert len(reps[n].sup_errors) == 8
             assert all(cell["agrees"] for cell in reps[n].method_agreement)
-        assert builds == [1001]
+        assert applied == [1001] * 8
         assert reps[1001].sup_errors[0] == pytest.approx(reps[1000].sup_errors[0], rel=5e-3)
 
     def test_step_density_agrees_with_montecarlo(self):
@@ -397,11 +397,9 @@ class TestRunExperiment:
     def test_resolved_measures_take_the_spectral_route(self, n, monkeypatch):
         # up to N = 10^3 the three built-in measures, and 1/(x + 1/2), whose
         # f0 the 25 points resolve, take the spectral route in both callers:
-        # no grid operator assembled, stepped or applied
+        # no grid operator applied
         calls = []
-        for name in ("_assemble", "_step", "apply_transfer"):
-            monkeypatch.setattr(transfer, name,
-                                lambda *args, name=name, **kwargs: calls.append(name))
+        monkeypatch.setattr(transfer, "apply_transfer", lambda *args, **kwargs: calls.append(args))
         monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
         params = NcfParams(n)
         for mu in (lebesgue_measure(), tilted_measure(), gauss_initial(params), _inverse_density()):
@@ -414,32 +412,29 @@ class TestRunExperiment:
                              ids=["step", "box", "bump"])
     def test_unresolved_density_takes_the_grid(self, density, monkeypatch):
         # the f0 of a step, or of a box or a bump between the nodes, is not
-        # resolved: both callers step the operator of the grid of m cells
-        # (at N=1, M <= 128 a build is charged less than one branch sum),
-        # each assembling it once
+        # resolved: both callers apply the operator of the grid of m cells,
+        # once a step
         monkeypatch.setattr(gausskuzmin, "_SPOT_PATHS", 1000)
-        transfer._operator.cache_clear()  # no grid operator from an earlier test
-        calls, assemble, apply = [], transfer._assemble, transfer.apply_transfer
-        monkeypatch.setattr(transfer, "_assemble",
-                            lambda params, m: calls.append(("_assemble", m)) or assemble(params, m))
+        calls, apply = [], transfer.apply_transfer
         monkeypatch.setattr(transfer, "apply_transfer",
-                            lambda f, params: calls.append(("apply_transfer", f.resolution))
-                            or apply(f, params))
+                            lambda f, params: calls.append(f.resolution) or apply(f, params))
         params = NcfParams(1)
         run_experiment(density(), params, n_max=8, m=128, require_fit=False,
                        rng=np.random.default_rng(1))
         distribution_at(density(), 1, 0.5, params, m=64)
-        assert calls == [("_assemble", 128), ("_assemble", 64)]
+        assert calls == [128] * 8 + [64]
 
     def test_one_step_on_a_fine_grid_takes_the_branch_sum(self, monkeypatch):
-        # at N=1, M=2^18 the operator's build alone is charged 2.7e8 units,
-        # past the default budget, and one branch sum 8.1e6: a one-step run
-        # takes the branch sum and builds nothing.  F_1(0.3) is the mass of
+        # at N=1, M=2^18 one branch sum is charged 8.1e6 units, within the
+        # default budget: a one-step run takes one.  F_1(0.3) is the mass of
         # the branches' images of [0, 0.3): (1/1.3, 1] at 0.4, (1/(i+0.3), 1/i]
         # at 1.6 for i >= 2; the grid's jump cell costs O(h)
         monkeypatch.delenv("NCF_BUDGET", raising=False)
-        monkeypatch.setattr(transfer, "_assemble", None)
+        calls, apply = [], transfer.apply_transfer
+        monkeypatch.setattr(transfer, "apply_transfer",
+                            lambda f, params: calls.append(f.resolution) or apply(f, params))
         got = distribution_at(_step_density(), 1, 0.3, NcfParams(1), m=2 ** 18)
+        assert calls == [2 ** 18]
         want = 0.4 * (1 - 1 / 1.3) + 1.6 * float(mpmath.digamma(2.3) - mpmath.digamma(2))
         assert got == pytest.approx(want, abs=1e-5)
 

@@ -90,8 +90,8 @@ CASES = ([(argv, None) for argv in _CRITERION_11]
          + _BUDGET + [(["gk", "--n", "1000"], None)])
 
 # The floats of `gk`, `gap` and `transfer` that pass through the products of
-# the spectral matrix (past N = 1000, of the assembled operator's `dense @
-# v`), and `gap`'s lambda2, an eigenvalue of that matrix, whose summation
+# the spectral matrix (past N = 1000, of `apply_transfer`'s group sums
+# `v[k] @ a`), and `gap`'s lambda2, an eigenvalue of that matrix, whose summation
 # order BLAS picks by machine, by
 # field (a JSON key at any depth, or a CSV column), with their tolerance in
 # ulps of 1.0 (units of 2^-52, absolute).  The iterates are of order 1, so

@@ -195,8 +195,7 @@ def test_branch_terms_are_stochastic(n, m, data):
 def test_identity_is_the_trigamma_moment(log_n, m, data):
     # f(x) = x is linear everywhere, so every group enters by its exact
     # telescoped first moment, the fold too: (U f)(x) = N (x+N) (psi_1(x+N) -
-    # 1/(x+N)), here at 30 digits, in the grid kernel, the point form and
-    # the assembled operator alike
+    # 1/(x+N)), here at 30 digits, in the grid kernel and the point form alike
     n = round(10.0 ** log_n)
     i_max = data.draw(st.sampled_from([None, max(n - 1, 19), max(n - 1, 1000)]), label="i_max")
     params, f = NcfParams(n), transfer.GridFunction.from_callable(lambda x: x, m)
@@ -205,9 +204,7 @@ def test_identity_is_the_trigamma_moment(log_n, m, data):
     with mpmath.workdps(30):
         want = np.array([float(n * (t + n) * (mpmath.psi(1, t + n) - 1 / (t + n)))
                          for t in map(mpmath.mpf, x)])
-    step = transfer._step(transfer._assemble(params, m), f.values)
     assert np.max(np.abs(transfer.transfer_at(f, params, x, i_max) - want)) <= 5e-16
-    assert np.max(np.abs(step[nodes] - want)) <= 5e-16
     # the groups' BLAS dot products, over up to M terms: 1.0e-15 seen in 6,500 draws
     grid = transfer.apply_transfer(f, params, i_max).values[nodes]
     assert np.max(np.abs(grid - want)) <= 2e-15
@@ -217,17 +214,16 @@ def test_identity_is_the_trigamma_moment(log_n, m, data):
 @given(n=st.integers(1, 10**6), m=st.integers(1, 512), seed=st.integers(0, 2**32 - 1))
 @example(n=1, m=20, seed=0).via("a group mean rounded below its cell, by 1e-19 of weight")
 def test_assembled_operator_is_stochastic(n, m, seed):
-    # entries >= 0 on the columns 0..m, the constant 1 mapped to 1, and each
-    # step the branch sum at the nodes, for f of Lipschitz norm 1
-    dense, cols, weights = op = transfer._assemble(NcfParams(n), m)
-    c, s = cols[:, :cols.shape[1] // 2], cols.shape[1] // 2  # the cells, then the cells + 1
-    assert np.all(dense >= 0) and np.all(weights >= 0) and np.array_equal(cols[:, s:], c + 1)
-    assert dense.shape[1] <= m + 1 and c.min() >= 0 and c.max() + 1 <= m
-    assert np.max(np.abs(transfer._step(op, np.ones(m + 1)) - 1.0)) <= 1e-14
+    # each step of iterates, which once stepped an assembled operator, maps
+    # the constant 1 to 1 and is the branch sum at the nodes, for f of
+    # Lipschitz norm 1 and 0 <= f
+    one = next(transfer.iterates(transfer.GridFunction.constant(1.0, m), NcfParams(n), 1))
+    assert np.max(np.abs(one - 1.0)) <= 1e-14
     v = np.random.default_rng(seed).random(m + 1)
     f = transfer.GridFunction(v / transfer.lipschitz_norm(transfer.GridFunction(v)).total)
+    step = next(transfer.iterates(f, NcfParams(n), 1))
     want = transfer.transfer_at(f, NcfParams(n), f.nodes)
-    assert np.max(np.abs(transfer._step(op, f.values) - want)) <= 1e-14
+    assert step.min() >= 0.0 and np.max(np.abs(step - want)) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)

@@ -340,7 +340,7 @@ class TestNodePass:
 
 
 class TestPointRows:
-    """Both fast forms take their point terms as gathered rows, formed by
+    """apply_transfer takes its point terms as gathered rows, formed by
     _rows and summed by _gathered."""
 
     @pytest.mark.parametrize("m", [1, 2, 7, 1024])
@@ -376,14 +376,10 @@ class TestPointRows:
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * np.max(np.abs(want), initial=1.0)
 
 
-def _check_stochastic(op, m):
-    """The assembled operator on m cells: entries >= 0, columns in [0, m],
-    and the constant 1 mapped to 1."""
-    dense, cols, weights = op
-    c, s = cols[:, :cols.shape[1] // 2], cols.shape[1] // 2  # the cells, then the cells + 1
-    assert np.all(dense >= 0) and np.all(weights >= 0) and np.array_equal(cols[:, s:], c + 1)
-    assert dense.shape[1] <= m + 1 and c.min() >= 0 and c.max() + 1 <= m
-    assert np.max(np.abs(transfer._step(op, np.ones(m + 1)) - 1.0)) <= 1e-14
+def _check_stochastic(n, m, i_max=None):
+    """apply_transfer on m cells maps the constant 1 to 1."""
+    one = apply_transfer(GridFunction.constant(1.0, m), NcfParams(n), i_max).values
+    assert np.max(np.abs(one - 1.0)) <= 1e-14
 
 
 class TestExactOperator:
@@ -399,7 +395,7 @@ class TestExactOperator:
         x = f.nodes[::4]  # every fourth node keeps the reference quick
         want = _exact(f, n, x)
         assert np.max(np.abs(transfer.transfer_at(f, params, x) - want)) <= 1e-14
-        got = transfer._step(transfer._assemble(params, m), f.values)[::4]
+        got = apply_transfer(f, params).values[::4]
         assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_trigamma_series_within_an_ulp(self):
@@ -428,7 +424,7 @@ class TestExactOperator:
         m = 256
         for _, w, y in transfer._branch_terms(NcfParams(n), np.linspace(0, 1, m + 1), m):
             assert y.min() >= 0.0 and y.max() <= 1.0  # once N >= M, cell M's group
-        _check_stochastic(transfer._assemble(NcfParams(n), m), m)
+        _check_stochastic(n, m)
 
     @pytest.mark.parametrize("n,m", [(1, 1024), (5, 8192), (1000, 2048), (10**6, 256)])
     def test_terms_per_row(self, n, m):
@@ -474,7 +470,7 @@ def _mp_branch_sum(f, n, x):
 class TestGridKernel:
     """apply_transfer forms the groups once a call, as series in the node
     index, and the singles and the last term at every node: the operator
-    at the nodes, as _step of the assembled operator and transfer_at give it."""
+    at the nodes, as the point form transfer_at gives it."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 77, 1024, 8192])
     @pytest.mark.parametrize("n", [1, 2, 5, 50, 1000, 10**6, 10**20])
@@ -484,19 +480,16 @@ class TestGridKernel:
         # 1 and is linear where the fold lands, [0, N/(i_max+1)], so every cut
         # gives the whole operator.  M < 2048 also covers NM < I, where cell 0
         # is the only group, and N >= M; N = 10^20 puts NM past 2^63.  At
-        # M = 8192 the point form stands in for the assembled operator, which
-        # would not fit in memory at N >= 50
+        # M = 8192 every 64th node keeps the point form quick
         params, first = NcfParams(n), max(n + 1, 20)
         x, v = np.linspace(0.0, 1.0, m + 1), np.random.default_rng(n + m).random(m + 1)
-        op, at = (None, slice(None, None, 64)) if m > 2048 else (transfer._assemble(params, m),
-                                                                  slice(None))
+        at = slice(None, None, 64) if m > 2048 else slice(None)
         for i_max in (None, n - 1, 19, first - 1, first, n * m, n * m + 1):
             if i_max is not None and i_max < max(n - 1, 19):
                 continue
             g = v if i_max is None else np.where(x <= n / (i_max + 1) + 1.0 / m, 0.25 + 0.5 * x, v)
             f = GridFunction(g / lipschitz_norm(GridFunction(g)).total)
-            want = (transfer.transfer_at(f, params, x[at], i_max) if op is None
-                    else transfer._step(op, f.values))
+            want = transfer.transfer_at(f, params, x[at], i_max)
             got = apply_transfer(f, params, i_max).values[at]
             assert np.max(np.abs(got - want)) <= 1e-14, i_max
 
@@ -506,15 +499,14 @@ class TestGridKernel:
         # f(x) = x is mapped to N (x+N) S(x+N) = 1/2 to rounding.  apply_transfer
         # was 0.5 off at N = 10^200, M = 64: its group masses u0 u1 cnt
         # underflowed in u0 u1 past x+i = 1e154, and M (x+i) overflowed once
-        # N M^2 passed binary64 (N = 10^303 at M = 1024).  The assembly and
-        # the point form, which formed u0 - u1 instead, were right, and now
-        # share its formulas.  Near the top of binary64 all three lost bits
-        # alike where the masses over x+N turned subnormal: 1.2e-12 at
-        # N = 10^305, M = 1024 and 6.5e-12 at N = 10^306, M = 64
+        # N M^2 passed binary64 (N = 10^303 at M = 1024).  The point form,
+        # which formed u0 - u1 instead, was right, and now shares its
+        # formulas.  Near the top of binary64 both once lost bits alike where
+        # the masses over x+N turned subnormal: 1.2e-12 at N = 10^305,
+        # M = 1024 and 6.5e-12 at N = 10^306, M = 64
         params, f = NcfParams(n), GridFunction.from_callable(lambda x: x, m)
         with np.errstate(over="raise", invalid="raise"):
-            for got in (apply_transfer(f, params).values, transfer.transfer_at(f, params, f.nodes),
-                        transfer._step(transfer._assemble(params, m), f.values)):
+            for got in (apply_transfer(f, params).values, transfer.transfer_at(f, params, f.nodes)):
                 assert np.max(np.abs(got - 0.5)) <= 1e-15
 
     def test_white_noise_against_thirty_digits(self):
@@ -606,8 +598,9 @@ class TestCutOperator:
 
 
 class TestAssembledOperator:
-    """iterates() steps an operator assembled once; the branch sum in
-    transfer_at is its oracle."""
+    """iterates() takes n branch sums (apply_transfer's); the point form
+    transfer_at is its oracle.  The class keeps the name it had when
+    iterates could step an assembled operator, so that its test ids stay."""
 
     @pytest.mark.parametrize("i_max", [None, 1000, 4000])
     @pytest.mark.parametrize("m", [256, 1024, 2048])
@@ -620,9 +613,12 @@ class TestAssembledOperator:
         if i_max is not None:
             near0 = f.nodes <= n / (i_max + 1) + 1.0 / m
             f = GridFunction(np.where(near0, 0.25 + 0.5 * f.nodes, f.values))
-        op = transfer._assemble(params, m)
+        if i_max is None:
+            got = next(transfer.iterates(f, params, 1))
+        else:
+            got = apply_transfer(f, params, i_max).values
         want = transfer.transfer_at(f, params, f.nodes, i_max)
-        assert np.max(np.abs(transfer._step(op, f.values) - want)) <= 1e-14
+        assert np.max(np.abs(got - want)) <= 1e-14
 
     @pytest.mark.parametrize("i_max", [None, 4000])
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -633,26 +629,28 @@ class TestAssembledOperator:
         for _, w, y in transfer._branch_terms(NcfParams(n), np.linspace(0, 1, m + 1), m, i_max):
             assert np.all(w >= 0) and np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-14
             assert y.min() >= 0.0 and y.max() <= 1.0 and np.all(np.diff(y, axis=1) <= 0)
-        dense, cols, weights = op = transfer._assemble(NcfParams(n), m)
-        _check_stochastic(op, m)
-        # two gathered columns, c and c + 1, per single branch N..max(N+1,
-        # I // 3) - 1, and a dense column per cell up to the first folded
-        # single's at x = 0 and the next, all of m + 1 rows
-        first = max(n + 1, 20, math.isqrt(n * m) + 1)
-        fold = max(n + 1, first // 3)
-        assert dense.shape == (m + 1, n * m // fold + 2)
-        assert cols.shape == weights.shape == (m + 1, 2 * (fold - n)) and cols.dtype == np.int32
-        assert cols.max() == m  # x = 0, i = N lands on y = 1
+        _check_stochastic(n, m, i_max)
 
-    @pytest.mark.parametrize("n,m,before", [(1, 1024, 1_057_800), (1000, 2048, 44_717_376),
-                                            (2000, 1024, 8_429_600)])
-    def test_fold_keeps_the_bytes(self, n, m, before):
-        # the bytes of the layout with every single gathered: the fold adds
-        # the columns whose bytes the triples it drops held, and the single
-        # i = N always stays gathered, also once N >= M leaves no other
-        op = transfer._assemble(NcfParams(n), m)
-        assert sum(a.nbytes for a in op) <= before
-        assert op[1].shape[1] >= 1 and op[1][0, 0] == m - 1
+    # the ids end in the bytes of a former assembled layout, kept so the ids stay
+    @pytest.mark.parametrize("n,m", [pytest.param(1, 1024, id="1-1024-1057800"),
+                                     pytest.param(1000, 2048, id="1000-2048-44717376"),
+                                     pytest.param(2000, 1024, id="2000-1024-8429600")])
+    def test_fold_keeps_the_bytes(self, n, m, monkeypatch):
+        # a run holds apply_transfer's tables in arrays of just the bytes
+        # they are held at: 8 (6 (M+1) + 21 series) for the groups' and 24 (I
+        # - N) (M+1) for the singles', at most 24 bytes a unit a step is
+        # charged.  It gathers the single i = N, which lands in cell M - 1 at
+        # x = 0, the last row, also once N >= M leaves no other
+        monkeypatch.setattr(transfer, "_held", {})
+        list(transfer.iterates(_random_grid(m, seed=n), NcfParams(n), 3))
+        (_, _, first, *_), series, units = transfer._branch_sum(n, m, None)
+        sizes = {key[0]: size for key, (size, _) in transfer._held.items()}
+        assert sizes == {"groups": 8 * (6 * (m + 1) + 21 * series),
+                         "singles": 24 * (first - n) * (m + 1)}
+        held = tuple(tables for _, tables in transfer._held.values())
+        assert sum(a.nbytes for a in _held_arrays(held)) == sum(sizes.values()) <= 24 * units
+        (c, _, _), = transfer._held[("singles", n, m, max(n + 1, 20), transfer._CHUNK)][1][0]
+        assert c.shape[1] >= 1 and c[-1, -1] == m - 1
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_forty_iterates_match_branch_sum(self, n):
@@ -672,13 +670,10 @@ class TestAssembledOperator:
         got = transfer.transfer_at(f, params, f.nodes, n - 1)
         want = _exact(f, n, f.nodes[::4])
         assert np.max(np.abs(got[::4] - want)) <= 1e-15
-        op = transfer._assemble(params, m)
-        assert np.max(np.abs(transfer._step(op, f.values) - got)) <= 1e-15
 
     @pytest.mark.parametrize("steps", [0, 1, 2])
     def test_short_runs_keep_branch_sum(self, steps):
-        # at N=2, M=1024 a build and its steps are charged more than up to
-        # two branch sums, so such runs take those
+        # every run takes branch sums, a short one at N=2, M=1024 too
         params = NcfParams(2)
         f = g = _random_grid(1024, seed=5)
         got = list(transfer.iterates(f, params, steps))
@@ -689,38 +684,23 @@ class TestAssembledOperator:
 
     @pytest.mark.parametrize("steps", [0, 1, 2])
     def test_short_runs_are_a_long_runs_first_steps(self, steps, monkeypatch):
-        # at N=1, M=128 a build is charged less than one branch sum, so every
-        # run steps the operator and a short run is the first steps of a
-        # long one to the bit; a 0-step run builds and charges nothing
-        params, f = NcfParams(1), _random_grid(128, seed=5)
+        # a short run is the first steps of a long one to the bit, its branch
+        # sums charged together at the call, before the first is taken, and
+        # each again as it is taken; a 0-step run is charged 0
+        params, f, one = NcfParams(1), _random_grid(128, seed=5), 129 * 30 + 10 * 12
         want = list(transfer.iterates(f, params, 40))[:steps]
-        builds, charges = _counting_builds(monkeypatch), []
-        monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(what))
-        got = list(transfer.iterates(f, params, steps))
+        charges = []
+        monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append(cost))
+        run = transfer.iterates(f, params, steps)
+        assert charges == [steps * one]
+        got = list(run)
         assert len(got) == steps and all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert builds == [(1, 128, 0)] * (steps > 0)
-        assert charges == ["operator steps", "transfer operator"] * (steps > 0)
-
-    @pytest.mark.parametrize("n,m,first", [(1, 128, 1), (2, 300, 2), (1, 1024, 3), (1, 8192, 7),
-                                           (1001, 256, 9), (2000, 1024, 34)])
-    def test_operator_from_its_break_even(self, n, m, first, monkeypatch):
-        # a run takes the operator from the first number of steps whose
-        # branch sums are charged at least its build and steps: one unit a
-        # node a step against about 31 a branch sum, and the build's terms a
-        # point, 2 sqrt(NM) up to N = M and M + 1 past it
-        forms = []
-        monkeypatch.setattr(transfer, "apply_transfer", lambda f, params: forms.append("sum") or f)
-        monkeypatch.setattr(transfer, "_operator", lambda n, m: forms.append("operator"))
-        monkeypatch.setattr(transfer, "_step", lambda op, v: v)
-        f = GridFunction.constant(1.0, m)
-        list(transfer.iterates(f, NcfParams(n), first - 1))
-        list(transfer.iterates(f, NcfParams(n), first))
-        assert forms == ["sum"] * (first - 1) + ["operator"]
+        assert charges == [steps * one] + [one] * steps
 
 
 class TestOperatorWork:
-    """_branch_terms sizes, chunks and charges every evaluation of the
-    operator: the branch sum and the assembly alike."""
+    """_branch_terms and apply_transfer size, chunk and charge every
+    evaluation of the operator."""
 
     def test_branch_sum_calls_f_in_chunks(self):
         params, m, i_max = NcfParams(5), 8192, 4000
@@ -779,39 +759,31 @@ class TestOperatorWork:
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 1024), (5, 1024), (50, 256), (1000, 512),
                                      (10**6, 256)])
     def test_build_is_one_branch_sum(self, n, m, monkeypatch):
-        # the assembly reads one pass of the grid kernel to its end, and
-        # keeps at most 3 floats a (row, term): 24 bytes for each unit of the
-        # build that iterates charges (40 steps: past every grid's break-even)
-        passes, ends, charges = [], [], []
-        grid_terms = transfer._grid_terms
-
-        def counting_terms(*args):
-            passes.append(args)
-            yield from grid_terms(*args)
-            ends.append(args)
-
-        monkeypatch.setattr(transfer, "_grid_terms", counting_terms)
+        # a run forms apply_transfer's tables in its first branch sum, one
+        # pass each, and reads them held at every later step: at most 24
+        # bytes for each unit a step is charged, the 40 charged at the call
+        passes, charges = [], []
+        for name in ("_tables", "_singles"):
+            monkeypatch.setattr(transfer, name, lambda *args, name=name, form=getattr(transfer, name):
+                                passes.append(name) or form(*args))
+        monkeypatch.setattr(transfer, "_held", {})
         monkeypatch.setattr(transfer, "charge", lambda cost, what: charges.append((cost, what)))
-        transfer._operator.cache_clear()
         list(transfer.iterates(GridFunction.constant(1.0, m), NcfParams(n), 40))
-        op = transfer._operator(n, m)  # the one just built, held
-        assert len(passes) == 1 and ends == passes
-        assert sum(a.nbytes for a in op) <= 24 * sum(c for c, what in charges
-                                                     if what == "transfer operator")
+        assert passes == ["_tables", "_singles"]
+        (cost, what), = set(charges[1:])
+        assert charges == [(40 * cost, what)] + [(cost, what)] * 40
+        assert what == "transfer operator"
+        assert sum(e[0] for e in transfer._held.values()) <= 24 * cost
 
     @pytest.mark.parametrize("n,i_max", [(1, None), (5, 4000), (5, 100), (5, 19)])
     def test_budget_counts_row_branch_entries(self, n, i_max, monkeypatch):
-        # an assembly costs its points times its terms per row: the branches
-        # N..I-1 and the groups of cells NM // I..0, with I = max(N+1, 20,
-        # isqrt(NM) + 1).  apply_transfer costs, at each point, its singles
+        # apply_transfer costs, at each point, its singles
         # N..I-1, I = max(N+1, 20), its last term and its _CHEB coefficients,
         # and _CHEB samples for each group and each threshold between them.
         # i_max leaves out the cells below NM // (i_max + 1), whose groups lie
         # above it (none once i_max >= NM); below I it leaves the branches
         # N..i_max and the last term
         params, m, cheb = NcfParams(n), 64, transfer._CHEB
-        first = max(n + 1, 20, math.isqrt(n * m) + 1)
-        build = (m + 1) * (first - n + n * m // first + 1)
         first = max(n + 1, 20)
         if i_max is None or i_max >= n * m:
             singles, groups, thresholds = first - n, n * m // first, n * m // first
@@ -827,12 +799,12 @@ class TestOperatorWork:
         monkeypatch.setenv("NCF_BUDGET", str(cost - 1))
         with pytest.raises(BudgetExceededError, match="transfer operator"):
             apply_transfer(f, params, i_max)
-        if i_max is None:  # iterates never cuts the branches
-            monkeypatch.setenv("NCF_BUDGET", str(build))
+        if i_max is None:  # iterates never cuts the branches, and charges its steps together
+            monkeypatch.setenv("NCF_BUDGET", str(3 * cost))
             list(transfer.iterates(f, params, 3))
-            monkeypatch.setenv("NCF_BUDGET", str(build - 1))
+            monkeypatch.setenv("NCF_BUDGET", str(3 * cost - 1))
             with pytest.raises(BudgetExceededError, match="transfer operator"):
-                list(transfer.iterates(f, params, 3))
+                transfer.iterates(f, params, 3)
 
     def test_one_charge_per_evaluation(self, monkeypatch):
         charges = []
@@ -848,15 +820,18 @@ class TestOperatorWork:
         charges.clear()
         gausskuzmin.run_experiment(gausskuzmin.lebesgue_measure(), NcfParams(1001), n_max=40, m=128,
                                    require_fit=False)
-        # past N = 10^3 the grid's samples, the 40 steps' products, then one
-        # assembly for them: at N=1001, M=128 the branch 1001 and the groups
-        # of cells 127..0
-        assert charges == [129, 129 * 40, 129 * 129]
+        # past N = 10^3 the grid's samples, then 40 branch sums, charged
+        # together before the first and each as it is taken: at N=1001, M=128, at each of the 129
+        # nodes the single 1001, the last term and 10 coefficients, and 10
+        # samples for each of the groups of cells 127..1 and each threshold
+        # between them
+        assert charges == [129, 40 * (129 * 12 + 10 * 254)] + [129 * 12 + 10 * 254] * 40
         charges.clear()
         list(transfer.iterates(f, params, 2))
-        # two steps' products, then the build, held or not: at each of the 129
-        # points the singles 1..19, the groups of cells 6..1 and the last term
-        assert charges == [129 * 2, 129 * 26]
+        # two branch sums: at each of the 129 nodes the singles 1..19, the last
+        # term and 10 coefficients, and 10 samples for each of the 6 groups and
+        # 6 thresholds
+        assert charges == [2 * (129 * 30 + 10 * 12)] + [129 * 30 + 10 * 12] * 2
 
     def test_grid_kernel_takes_no_point_values(self, monkeypatch):
         # apply_transfer places every term by its cell index and every group
@@ -877,73 +852,52 @@ class TestOperatorWork:
             GridFunction.from_callable(np.cos, 10**12)
 
 
-def _counting_builds(monkeypatch):
-    """An empty operator cache, and the (N, M, operators held) of each build."""
-    builds, assemble = [], transfer._assemble
-
-    def counting(params, m):
-        builds.append((params.n_param, m, transfer._operator.cache_info().currsize))
-        return assemble(params, m)
-
-    transfer._operator.cache_clear()
-    monkeypatch.setattr(transfer, "_assemble", counting)
-    return builds
-
-
 class TestOperatorSlot:
-    """iterates keeps the operator it last assembled, by (N, M), for the
-    next run on that grid (_operator): one at a time, read-only, and charged
-    as built."""
+    """A run of iterates reads the tables apply_transfer holds for its grid,
+    which the first step forms: read-only, charged as if formed, and giving
+    a fresh run's bits.  The class keeps the name it had when an assembled
+    operator had a slot of its own, so that its test ids stay."""
 
     @pytest.mark.parametrize("n,m", [(1, 128), (5, 64), (1000, 64)])
     def test_hit_is_a_fresh_build(self, n, m, monkeypatch):
-        builds = _counting_builds(monkeypatch)
+        monkeypatch.setattr(transfer, "_held", {})
         params, f = NcfParams(n), _random_grid(m, seed=4)
         list(transfer.iterates(f, params, 3))
+        held = dict(transfer._held)
         hit = list(transfer.iterates(f, params, 40))
-        assert builds == [(n, m, 0)]
-        op, v = transfer._assemble(params, m), f.values  # a fresh build, outside the cache
-        for h in hit:
-            v = transfer._step(op, v)
-            assert np.array_equal(h, v)
+        assert transfer._held == held  # read, not formed again
+        transfer._held.clear()
+        fresh = list(transfer.iterates(f, params, 40))
+        assert all(np.array_equal(h, v) for h, v in zip(hit, fresh))
 
     def test_operator_is_read_only(self, monkeypatch):
-        builds = _counting_builds(monkeypatch)
+        monkeypatch.setattr(transfer, "_held", {})
         list(transfer.iterates(_random_grid(64, seed=5), NcfParams(2), 3))
-        op = transfer._operator(2, 64)
-        assert builds == [(2, 64, 0)]  # the held one
-        for a in op:
+        assert {k[0] for k in transfer._held} == {"groups", "singles"}
+        arrays = list(_held_arrays(tuple(tables for _, tables in transfer._held.values())))
+        for e in arrays:
             with pytest.raises(ValueError, match="read-only"):
-                a += 1
-
-    def test_one_operator_at_a_time(self, monkeypatch):
-        builds = _counting_builds(monkeypatch)
-        f = _random_grid(64, seed=6)
-        for n in (1, 2, 1):
-            list(transfer.iterates(f, NcfParams(n), 3))
-            assert transfer._operator.cache_info().currsize == 1
-        # the old operator is dropped before the new one is built, and (1, 64),
-        # dropped for (2, 64), is built again
-        assert builds == [(1, 64, 0), (2, 64, 0), (1, 64, 0)]
+                e += 1
+        assert arrays
 
     def test_hit_is_charged_as_a_build(self, monkeypatch):
-        # N=1, M=64: the branches 1..19 and the groups of cells 3..0; the
-        # charge comes before the lookup, so a refusal is the same whether
-        # the operator is held or not
-        builds = _counting_builds(monkeypatch)
-        cost, f, params = 65 * 23, _random_grid(64, seed=7), NcfParams(1)
+        # N=1, M=64: at each of the 65 nodes the singles 1..19, the last term
+        # and 10 coefficients, and 10 samples for each of the 3 groups and 3
+        # thresholds, 3 steps; the charge comes before the lookup, so a
+        # refusal is the same whether the tables are held or not
+        monkeypatch.setattr(transfer, "_held", {})
+        cost, f, params = 3 * (65 * 30 + 10 * 6), _random_grid(64, seed=7), NcfParams(1)
         for _ in ("cold", "held"):
             monkeypatch.setenv("NCF_BUDGET", str(cost - 1))
             with pytest.raises(BudgetExceededError, match="transfer operator"):
-                list(transfer.iterates(f, params, 3))
+                transfer.iterates(f, params, 3)
             monkeypatch.setenv("NCF_BUDGET", str(cost))
             list(transfer.iterates(f, params, 3))
-        assert builds == [(1, 64, 0)]
+        assert len(transfer._held) == 2
 
     def test_threads_on_two_grids_get_the_serial_results(self):
-        # two threads stepping different grids at once drop each other's
-        # operator from the cache; each run keeps the one it looked up, so
-        # every run gives the serial run's bits
+        # two threads stepping different grids at once read and form each
+        # other's tables in one store; every run gives the serial run's bits
         cases = [(NcfParams(1), _random_grid(256, seed=8)), (NcfParams(2), _random_grid(128, seed=9))]
         want = [list(transfer.iterates(f, params, 30)) for params, f in cases]
         start = threading.Barrier(2)
@@ -1315,53 +1269,40 @@ class TestHeldTables:
         assert sum(e[0] for e in transfer._held.values()) <= transfer._HELD_BYTES
 
 
-def _fresh_terms(params, j, m, i_max):
-    """_grid_terms' chunks from an empty store, which it leaves as it was."""
-    held = transfer._held
-    transfer._held = {}
-    try:
-        return list(transfer._grid_terms(params, j, m, i_max))
-    finally:
-        transfer._held = held
-
-
 class TestHeldLayouts:
-    """_grid_terms keeps its layout, which reads no point, in apply_transfer's
-    store by (N, M, i_max), and error_curves its Lagrange rows by m, both
-    read-only; the grid iterates are read-only too, as the next step reads
-    each."""
+    """_grid_terms forms its layout, which reads no point, at every call, and
+    holds nothing; error_curves holds its Lagrange rows by m, read-only; the
+    grid iterates are read-only too, as the next step reads each.  The first
+    two tests keep the names they had when the point form held its layouts
+    in apply_transfer's store, so that their ids stay."""
 
     # groups and thresholds; a cut that ends a group; a cut below the
     # singles' end, so no groups; no singles either; N > M; 2^-20 cells
     @pytest.mark.parametrize("n,m,i_max", [(1, 1024, None), (1, 1024, 100), (5, 64, 19),
                                            (50, 256, 49), (1000, 512, None), (1, 2 ** 20, None)])
     def test_held_layout_is_a_fresh_one(self, n, m, i_max, monkeypatch):
+        # two calls give the same bits and leave apply_transfer's tables held
+        # as they were
         monkeypatch.setattr(transfer, "_held", {})
+        apply_transfer(_random_grid(64, seed=1), NcfParams(1))
+        before = dict(transfer._held)
         j = np.linspace(0.0, m, 257)  # the points x = j/M
-        want = _fresh_terms(NcfParams(n), j, m, i_max)
-        for _ in range(2):  # forms the layout and holds it, then reads it
-            got = list(transfer._grid_terms(NcfParams(n), j, m, i_max))
-            assert len(got) == len(want)
-            assert all(np.array_equal(a, b) for g, w in zip(got, want) for a, b in zip(g, w))
-        (key, (size, (layout,))), = transfer._held.items()
-        assert key == ("terms", n, m, i_max, transfer._CHUNK)
-        assert size == sum(a.nbytes for a in layout)
-        for a in layout:
-            with pytest.raises(ValueError, match="read-only"):
-                a += 1
+        want = list(transfer._grid_terms(NcfParams(n), j, m, i_max))
+        got = list(transfer._grid_terms(NcfParams(n), j, m, i_max))
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for g, w in zip(got, want) for a, b in zip(g, w))
+        assert transfer._held == before
 
     def test_layout_above_the_bound_is_not_held(self, monkeypatch):
-        # N=50 on 2^-20 cells: a layout of 0.35 MB, in a bound one byte
-        # short of it, is formed at every call and drops nothing held
+        # N=50 on 2^-20 cells: a layout of 0.35 MB, formed at every call of
+        # the point form, drops nothing held even in a bound of one byte
         monkeypatch.setattr(transfer, "_held", {})
         x, params = np.linspace(0.0, 1.0, 33), NcfParams(50)
         want = transfer.transfer_at(np.cos, params, x)
-        (size, _), = transfer._held.values()
-        transfer._held.clear()
+        assert transfer._held == {}
         apply_transfer(_random_grid(64, seed=1), NcfParams(1))
         before = dict(transfer._held)
-        assert sum(e[0] for e in before.values()) < size
-        monkeypatch.setattr(transfer, "_HELD_BYTES", size - 1)
+        monkeypatch.setattr(transfer, "_HELD_BYTES", 1)
         for _ in range(2):
             assert np.array_equal(transfer.transfer_at(np.cos, params, x), want)
             assert transfer._held == before
@@ -1374,7 +1315,6 @@ class TestHeldLayouts:
         with pytest.raises(ValueError, match="read-only"):
             rows[0, 0] = 1.0
 
-    # N=1, M=128 steps the operator; N=2, M=1024 takes two branch sums
     @pytest.mark.parametrize("n,m,steps", [(1, 128, 3), (2, 1024, 2)])
     def test_iterates_are_read_only(self, n, m, steps):
         got = list(transfer.iterates(_random_grid(m, seed=3), NcfParams(n), steps))
@@ -1384,17 +1324,16 @@ class TestHeldLayouts:
                 v[0] = 1.0
 
     def test_threads_on_layouts_and_tables_get_the_serial_results(self, monkeypatch):
-        # one store holds the kernels' point-term layouts and apply_transfer's
-        # tables: one thread takes kernels on the grid route, past
-        # _SPECTRAL_N (a layout on 2^-20 cells and one on the grid each), the
-        # other a table set at N=5, M=8192 and a gap curve; every result is
-        # the serial one's to the bit
+        # one store holds apply_transfer's tables: one thread takes a grid
+        # past _SPECTRAL_N through two branch sums (N = 1001, 1002), the other
+        # a table set at N=5, M=8192 and a gap curve; every result is the
+        # serial one's to the bit.  The name is kept from when the point
+        # form's layouts shared the store, so that the id stays
         monkeypatch.setattr(transfer, "_held", {})
-        systems = [rscc.make_ncf_rscc(NcfParams(transfer._SPECTRAL_N + n)) for n in (1, 2)]
         f, g = _random_grid(8192, seed=11), GridFunction.from_callable(np.cos, 2048)
 
         def kernels():
-            return [rscc.q_step(s, 10, 0.3, (0.2, 0.6)) for s in systems]
+            return [apply_transfer(g, NcfParams(transfer._SPECTRAL_N + n)).values for n in (1, 2)]
 
         def tables():
             est = estimate_gap(g, NcfParams(1), 30)
@@ -1412,7 +1351,7 @@ class TestHeldLayouts:
             got = [r.result() for r in [pool.submit(runs, fn) for fn in (kernels, tables)]]
         for runs_, serial in zip(got, want):
             assert all(np.array_equal(a, b) for run in runs_ for a, b in zip(run, serial))
-        assert {k[0] for k in transfer._held} == {"terms", "groups", "singles"}
+        assert {k[0] for k in transfer._held} == {"groups", "singles"}
 
 
 class TestLipschitzNorm:
@@ -1543,12 +1482,10 @@ class TestErrorCurveRoutes:
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
     def test_spectral_route_takes_no_grid_operator(self, monkeypatch):
-        transfer._operator.cache_clear()
         monkeypatch.setattr(transfer, "apply_transfer", None)
         c_f, sup, lip = transfer.error_curves(GridFunction.from_callable(np.cos, 2048),
                                               NcfParams(1), 30)
-        info = transfer._operator.cache_info()
-        assert info.misses == info.currsize == 0 and sup.shape == lip.shape == (30,)
+        assert sup.shape == lip.shape == (30,)
         assert np.all(lip > sup) and sup[-1] < 1e-12  # the grid's floor at M = 2048 is 2.8e-8
 
     def test_spectral_curve_is_the_grid_limit(self):
